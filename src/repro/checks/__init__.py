@@ -22,6 +22,7 @@ from repro.checks.contracts import (
     freeze_csr,
     greedy_checker,
     validate_adjacency_symmetry,
+    validate_coverage_recount,
     validate_engine_consistency,
     validate_warm_engine,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "freeze_csr",
     "greedy_checker",
     "validate_adjacency_symmetry",
+    "validate_coverage_recount",
     "validate_engine_consistency",
     "validate_warm_engine",
 ]

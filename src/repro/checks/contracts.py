@@ -23,6 +23,9 @@ Guarded invariants
     Every placed position must lie inside the field's bounding box.
 ``deficiency-monotone``
     Residual total deficiency never increases across greedy steps.
+``coverage-equals-recount``
+    A result's coverage, built from the engine's recorded rows, equals a
+    recount of its deployment's alive sensors.
 
 Array write-protection
 ----------------------
@@ -65,6 +68,8 @@ from repro.errors import InvariantError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.benefit import BenefitEngine
+    from repro.network.coverage import CoverageState
+    from repro.network.deployment import Deployment
 
 __all__ = [
     "freeze_csr",
@@ -72,6 +77,7 @@ __all__ = [
     "GreedyStepChecker",
     "greedy_checker",
     "validate_adjacency_symmetry",
+    "validate_coverage_recount",
     "validate_engine_consistency",
     "validate_warm_engine",
 ]
@@ -179,6 +185,28 @@ def validate_warm_engine(
             f"warm benefit vector diverged from the cold rebuild at "
             f"{int(bad.size)} point(s), first at field point {int(bad[0])}",
             step=epoch,
+        )
+
+
+def validate_coverage_recount(
+    coverage: "CoverageState", deployment: "Deployment", *, method: str = ""
+) -> None:
+    """Check a result's coverage, assembled from the engine's recorded rows,
+    against a recount that re-queries every alive sensor of ``deployment``
+    (sensor keys and per-point counts).  O(sensors) ball queries per
+    result — sanitizer pricing."""
+    from repro.network.coverage import CoverageState  # import cycle guard
+
+    fresh = CoverageState.from_deployment(
+        coverage.field, coverage.sensing_radius, deployment
+    )
+    bad = np.nonzero(coverage.counts != fresh.counts)[0]
+    if bad.size or coverage.sensor_keys() != fresh.sensor_keys():
+        raise InvariantError(
+            "coverage-equals-recount",
+            f"result coverage of {coverage.n_sensors} sensor(s) differs from "
+            f"the recount of {fresh.n_sensors} at {int(bad.size)} field "
+            f"point(s) (method={method!r})",
         )
 
 

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from repro.checks.flow.callgraph import (
     CallGraph,
@@ -463,10 +463,3 @@ def analyze_paths(paths: Iterable[str | Path]) -> FlowAnalysis:
     """Build the call graph for ``paths`` and run the effect analysis."""
     return analyze_graph(build_call_graph(paths))
 
-
-def iter_summaries(
-    analysis: FlowAnalysis,
-) -> Iterator[tuple[str, frozenset[str]]]:
-    """(qualname, summary) pairs in deterministic qualname order."""
-    for qual in sorted(analysis.summaries):
-        yield qual, analysis.summaries[qual]

@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 
-from repro.checks import CHECKS, validate_warm_engine
+from repro.checks import CHECKS, validate_coverage_recount, validate_warm_engine
 from repro.core.benefit import BenefitEngine
 from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
 from repro.errors import PlacementError
 from repro.field import FieldModel, as_field_model
 from repro.geometry.points import as_points
-from repro.network.coverage import CoverageState
 from repro.network.deployment import Deployment
 from repro.network.spec import SensorSpec
 
@@ -115,22 +114,22 @@ def init_run(
         )
     if initial_positions is not None and len(as_points(initial_positions)):
         deployment = Deployment(initial_positions)
-        if not engine.tracks_rows or engine.n_rows == 0:
-            # cold path: account the initial sensors' coverage now (a warm
-            # engine with tracked rows already carries it)
-            for nid in deployment.alive_ids():
-                engine.add_sensor_at_position(deployment.position_of(int(nid)))
-        elif engine.n_rows != deployment.n_alive:
-            raise PlacementError(
-                f"warm engine tracks {engine.n_rows} sensor rows but "
-                f"{deployment.n_alive} initial positions were given"
-            )
-        elif CHECKS.enabled:
-            # sanitizer: warm state must equal a cold rebuild (the
-            # region-scoped invalidation contract; docs/static_analysis.md)
-            validate_warm_engine(engine, deployment.alive_positions())
     else:
         deployment = Deployment()
+    if engine.n_rows == 0:
+        # cold path: account the initial sensors' coverage now (a warm
+        # engine already carries it)
+        for nid in deployment.alive_ids():
+            engine.add_sensor_at_position(deployment.position_of(int(nid)))
+    elif engine.n_rows != deployment.n_alive:
+        raise PlacementError(
+            f"warm engine tracks {engine.n_rows} sensor rows but "
+            f"{deployment.n_alive} initial positions were given"
+        )
+    elif CHECKS.enabled:
+        # sanitizer: warm state must equal a cold rebuild (the
+        # region-scoped invalidation contract; docs/static_analysis.md)
+        validate_warm_engine(engine, deployment.alive_positions())
     return field, deployment, engine
 
 
@@ -138,19 +137,20 @@ def finalize(
     *,
     method: str,
     k: int,
-    field_points: np.ndarray | FieldModel,
-    spec: SensorSpec,
+    engine: BenefitEngine,
     deployment: Deployment,
     added_ids: np.ndarray,
     trace: PlacementTrace,
     messages: MessageStats | None = None,
     params: dict | None = None,
 ) -> DeploymentResult:
-    """Assemble the result; rebuilds the coverage state from the deployment
-    (an independent recount that cross-checks the incremental engine)."""
-    coverage = CoverageState.from_deployment(
-        field_points, spec.sensing_radius, deployment
-    )
+    """Assemble the result.  Its coverage is the engine's rows (callers
+    account sensors in deployment-id order), so no sensor is re-queried;
+    ``REPRO_CHECKS=1`` compares it against a recount of the deployment
+    (the ``coverage-equals-recount`` invariant)."""
+    coverage = engine.coverage_state(deployment.alive_ids())
+    if CHECKS.enabled:
+        validate_coverage_recount(coverage, deployment, method=method)
     return DeploymentResult(
         method=method,
         k=k,

@@ -37,6 +37,7 @@ from repro.errors import CoverageError, PlacementError
 from repro.field import FieldModel, as_field_model
 from repro.field.model import same_cell_adjacency_of
 from repro.geometry.points import as_point
+from repro.network.coverage import CoverageState
 from repro.obs import OBS, profiled
 
 __all__ = ["BenefitEngine", "same_cell_benefit_adjacency"]
@@ -137,14 +138,11 @@ class BenefitEngine:
         when importable); ``None`` reads ``REPRO_KERNEL`` (default
         ``"numpy"``).  Backends are bit-identical — see
         :mod:`repro.core.kernels`.
-    track_rows:
-        Record the covered-point row of every accounted sensor (in
-        :meth:`place_at`/:meth:`add_sensor_at_position` call order) so a
-        later failure can be applied as :meth:`remove_rows` — exactly the
-        failed sensors' rows, nothing recomputed.  This is what lets a
-        :class:`~repro.core.restoration.RestorationSession` keep one warm
-        engine across failure epochs; off by default because one-shot
-        placement runs never remove anything.
+
+    The engine records each accounted sensor's covered-point row, in call
+    order: the rows become the result's coverage (:meth:`coverage_state`)
+    and let a failure undo exactly the failed rows (:meth:`remove_rows`),
+    which keeps a restoration session's engine warm across epochs.
 
     Examples
     --------
@@ -172,7 +170,6 @@ class BenefitEngine:
         benefit_mode: str = "deficiency",
         selection: str | None = None,
         kernel: str | None = None,
-        track_rows: bool = False,
     ):
         if benefit_mode not in ("deficiency", "binary"):
             raise CoverageError(
@@ -194,7 +191,7 @@ class BenefitEngine:
         # (region-scoped invalidation; selectors re-push only these).  The
         # invariant len(_dirty_log) == _epoch always holds.
         self._dirty_log: list[np.ndarray] = []
-        self._rows: list[np.ndarray] | None = [] if track_rows else None
+        self._rows: list[np.ndarray] = []
         self.selection_stats = SelectionStats()
         self._field = as_field_model(field_points)
         self._points = self._field.points
@@ -485,9 +482,9 @@ class BenefitEngine:
         """Place a sensor at field point ``point_index``; returns covered indices."""
         if not (0 <= point_index < self.n_points):
             raise PlacementError(f"point index {point_index} out of range")
-        covered = self._apply_delta(self._covered_row(point_index), +1).copy()
-        if self._rows is not None:
-            self._rows.append(covered)
+        covered = np.array(self._covered_row(point_index), dtype=np.intp)
+        self._apply_delta(covered, +1)
+        self._rows.append(covered)
         return covered
 
     def add_sensor_at_position(self, position: np.ndarray) -> np.ndarray:
@@ -499,41 +496,33 @@ class BenefitEngine:
         covered = self._apply_delta(
             self._field.query_ball(as_point(position), self._rs), +1
         ).copy()
-        if self._rows is not None:
-            self._rows.append(covered)
+        self._rows.append(covered)
         return covered
 
     def remove_covered(self, covered: np.ndarray) -> None:
-        """Undo a sensor's coverage given the point list it covered."""
+        """Undo a sensor's coverage given the point list it covered (its
+        recorded row stays; such callers keep their own bookkeeping)."""
         self._apply_delta(np.asarray(covered, dtype=np.intp), -1)
 
     # ------------------------------------------------------------------
-    # per-sensor row tracking (warm restoration)
+    # per-sensor rows (result coverage, warm restoration)
     # ------------------------------------------------------------------
     @property
-    def tracks_rows(self) -> bool:
-        """Whether this engine records per-sensor coverage rows."""
-        return self._rows is not None
-
-    @property
     def n_rows(self) -> int:
-        """Number of tracked sensor rows (== sensors currently accounted)."""
-        if self._rows is None:
-            raise CoverageError("engine was built without track_rows=True")
+        """Number of recorded sensor rows (== sensors currently accounted)."""
         return len(self._rows)
 
-    def coverage_row(self, row_index: int) -> np.ndarray:
-        """The covered-point indices of tracked sensor ``row_index``."""
-        if self._rows is None:
-            raise CoverageError("engine was built without track_rows=True")
-        return self._rows[row_index]
+    def coverage_state(self, keys: np.ndarray) -> CoverageState:
+        """The accounted sensors' coverage, row ``i`` keyed ``keys[i]`` (the
+        rows are shared with the state, no ball query is made)."""
+        return CoverageState.from_rows(self._field, self._rs, keys, self._rows)
 
     def remove_rows(self, row_indices: np.ndarray) -> np.ndarray:
         """Apply a failure: undo exactly the given sensors' coverage rows.
 
-        ``row_indices`` name tracked sensors in accounting order — under a
-        :class:`~repro.core.restoration.RestorationSession` that order
-        coincides with the deployment's node ids, so a
+        ``row_indices`` name sensors in accounting order — under a
+        :class:`~repro.core.restoration.RestorationSession` row ``i`` is
+        the ``i``-th alive node of the deployment, so a
         :class:`~repro.network.failures.FailureEvent` maps 1:1 onto rows.
         The surviving rows are compacted (keeping their relative order) so
         they again line up with the survivors' new 0-based ids.
@@ -543,8 +532,6 @@ class BenefitEngine:
         region" driving region-scoped invalidation and the per-epoch
         flight-recorder events).
         """
-        if self._rows is None:
-            raise CoverageError("engine was built without track_rows=True")
         idx = np.asarray(row_indices, dtype=np.intp)
         if idx.size == 0:
             return np.empty(0, dtype=np.intp)

@@ -106,8 +106,7 @@ def centralized_greedy(
     return finalize(
         method="centralized",
         k=k,
-        field_points=field,
-        spec=spec,
+        engine=engine,
         deployment=deployment,
         added_ids=np.asarray(added, dtype=np.intp),
         trace=trace,

@@ -190,8 +190,7 @@ def grid_decor(
     return finalize(
         method="grid",
         k=k,
-        field_points=field,
-        spec=spec,
+        engine=engine,
         deployment=deployment,
         added_ids=np.asarray(added, dtype=np.intp),
         trace=trace,

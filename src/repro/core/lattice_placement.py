@@ -140,14 +140,13 @@ def lattice_placement(
             ):
                 # skip lattice sites whose disc misses every field point —
                 # they sit in the margin band and would be pure waste
-                covered = engine.add_sensor_at_position(pos)
-                if covered.size == 0:
-                    engine.remove_covered(covered)
+                if field.query_ball(pos, spec.sensing_radius).size == 0:
                     continue
                 if len(added) >= budget:
                     raise PlacementError(
                         f"lattice placement exceeded its budget of {budget} nodes"
                     )
+                engine.add_sensor_at_position(pos)
                 added.append(deployment.add(pos))
                 trace.record(
                     pos, float("nan"), engine.covered_fraction(), proposer=layer
@@ -182,8 +181,7 @@ def lattice_placement(
     return finalize(
         method="lattice",
         k=k,
-        field_points=field,
-        spec=spec,
+        engine=engine,
         deployment=deployment,
         added_ids=np.asarray(added, dtype=np.intp),
         trace=trace,

@@ -228,7 +228,7 @@ class DecorPlanner:
         return RestorationSession(
             self.field,
             self.spec,
-            result.deployment,
+            result,
             result.k,
             method,
             warm=warm,

@@ -95,8 +95,7 @@ def random_placement(
     return finalize(
         method="random",
         k=k,
-        field_points=field,
-        spec=spec,
+        engine=engine,
         deployment=deployment,
         added_ids=np.asarray(added, dtype=np.intp),
         trace=trace,

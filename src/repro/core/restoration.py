@@ -11,12 +11,14 @@ of failure epochs over one network.  The paper's loop rebuilds all
 placement state from scratch each epoch, so repair cost is proportional to
 the field; the session instead keeps one :class:`~repro.core.benefit.
 BenefitEngine` warm across epochs: a failure removes exactly the failed
-sensors' tracked coverage rows, region-scoped invalidation re-pushes only
+sensors' recorded coverage rows, region-scoped invalidation re-pushes only
 the benefit entries the damage actually raised (see
 :mod:`repro.core.selection`), and the repair run receives the warm engine
 through the ``engine=`` seam of :func:`repro.core.planner.run_method`.
-Repair work then scales with the damaged area, not the field — while
-staying **bit-identical** to the cold path: counts and benefits are exact
+Nor is coverage recounted: a repair result's coverage is its engine's
+rows, and the next epoch subtracts the failed rows from it, so a warm
+epoch ball-queries only the damage footprint.  All of it stays
+**bit-identical** to the cold path: counts and benefits are exact
 integer state, removing the failed rows leaves precisely the state a fresh
 engine built from the survivors would hold, and the selector's partial
 invalidation provably returns the same argmax sequence
@@ -32,6 +34,7 @@ default, or ``"cold"``).
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -40,7 +43,7 @@ import numpy as np
 
 from repro.core.benefit import BenefitEngine
 from repro.core.result import DeploymentResult
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, CoverageError, ExperimentError
 from repro.field import FieldModel, as_field_model
 from repro.geometry.region import Rect
 from repro.network.coverage import CoverageState
@@ -115,20 +118,19 @@ def coverage_after_failure(
 ) -> float:
     """k-coverage fraction right after applying ``failure`` (no repair).
 
-    Works on a copy; neither the deployment nor any coverage state is
-    mutated.  This is the measurement behind Figures 11 and 13.
+    Read-only: neither the deployment nor any coverage state is mutated.
+    This is the measurement behind Figures 11 and 13.
     """
-    field = as_field_model(field_points)
-    survivor = deployment.copy()
-    survivor.fail(failure.node_ids)
-    cov = CoverageState.from_deployment(field, spec.sensing_radius, survivor)
-    return cov.covered_fraction(k)
+    cov = CoverageState.from_deployment(
+        as_field_model(field_points), spec.sensing_radius, deployment
+    )
+    return cov.covered_fraction_without(failure.node_ids, k)
 
 
 def restore(
     field_points: np.ndarray | FieldModel,
     spec: SensorSpec,
-    deployment: Deployment,
+    deployment: Deployment | DeploymentResult,
     failure: FailureEvent,
     k: int,
     method: Callable[..., DeploymentResult] | str,
@@ -147,8 +149,10 @@ def restore(
         satisfy; one model serves the before/after coverage measurements
         and the repair run.
     deployment:
-        The damaged network's deployment *before* the failure; it is copied,
-        never mutated.
+        The network *before* the failure, never mutated: a
+        :class:`~repro.network.deployment.Deployment` (its coverage is
+        recounted once) or the :class:`DeploymentResult` holding it (its
+        ``coverage`` is used as is, nothing is recounted).
     failure:
         Failure event whose node ids refer to ``deployment``.
     method:
@@ -176,54 +180,37 @@ def restore(
     RestorationReport
     """
     field = as_field_model(field_points)
-    before = CoverageState.from_deployment(
-        field, spec.sensing_radius, deployment
-    ).covered_fraction(k)
-
+    if isinstance(deployment, DeploymentResult):
+        coverage, deployment = deployment.coverage, deployment.deployment
+    else:
+        coverage = CoverageState.from_deployment(
+            field, spec.sensing_radius, deployment
+        )
     survivor = deployment.copy()
     survivor.fail(failure.node_ids)
-    after_failure = CoverageState.from_deployment(
-        field, spec.sensing_radius, survivor
-    ).covered_fraction(k)
+    before = coverage.covered_fraction(k)
+    after_failure = coverage.covered_fraction_without(failure.node_ids, k)
 
     tolerant = max_nodes is not None
+    extra: dict = {"max_nodes": max_nodes, "stop_at_budget": True} if tolerant else {}
+    if engine is not None:
+        extra["engine"] = engine
+    name = getattr(method, "__name__", method)
     if isinstance(method, str):
         # route by name through run_method: the one place that knows how to
         # wire engine=/stop_at_budget= into every placement method
         from repro.core.planner import run_method
 
-        repair = run_method(
-            method,
-            field,
-            spec,
-            k,
-            initial_positions=survivor.alive_positions(),
-            max_nodes=max_nodes,
-            engine=engine,
-            stop_at_budget=tolerant,
-            **method_kwargs,
-        )
-    else:
-        extra: dict = {}
-        if max_nodes is not None:
-            extra["max_nodes"] = max_nodes
-            extra["stop_at_budget"] = True
-        if engine is not None:
-            extra["engine"] = engine
-        repair = method(
-            field,
-            spec,
-            k,
-            initial_positions=survivor.alive_positions(),
-            **extra,
-            **method_kwargs,
-        )
+        method = functools.partial(run_method, method)
+    repair = method(
+        field, spec, k, initial_positions=survivor.alive_positions(),
+        **extra, **method_kwargs,
+    )
     after_repair = repair.final_covered_fraction(k)
     complete = after_repair >= 1.0 - 1e-12
     if not complete and not tolerant:
         raise ExperimentError(
-            f"repair with {getattr(method, '__name__', method)!r} left coverage "
-            f"at {after_repair:.4f} < 1"
+            f"repair with {name!r} left coverage at {after_repair:.4f} < 1"
         )
     return RestorationReport(
         failure=failure,
@@ -240,7 +227,7 @@ def restore(
 class RestorationSession:
     """Persistent, epoch-aware restoration of one deployed network.
 
-    Holds the network and (in warm mode) one tracked
+    Holds the network and (in warm mode) one
     :class:`~repro.core.benefit.BenefitEngine` across a sequence of
     failures; each :meth:`restore` call applies one failure epoch and
     repairs with the session's method.  Warm and cold sessions produce
@@ -253,10 +240,11 @@ class RestorationSession:
     field_points, spec, k:
         The field approximation and coverage requirement.
     deployment:
-        The network to maintain (epoch 0 state); copied, never mutated.
-        Node ids in the first :class:`~repro.network.failures.FailureEvent`
-        refer to this deployment; later events refer to the previous
-        epoch's ``report.repair.deployment``.
+        The network to maintain (epoch 0 state) as :func:`restore` takes
+        it; a bare deployment is copied.  Node ids in the first
+        :class:`~repro.network.failures.FailureEvent` refer to this
+        deployment; later events refer to the previous epoch's
+        ``report.repair.deployment``.
     method:
         Repair method name from :data:`repro.core.planner.METHODS`.
     warm:
@@ -290,7 +278,7 @@ class RestorationSession:
         self,
         field_points: np.ndarray | FieldModel,
         spec: SensorSpec,
-        deployment: Deployment,
+        deployment: Deployment | DeploymentResult,
         k: int,
         method: str = "voronoi",
         *,
@@ -320,17 +308,18 @@ class RestorationSession:
         self._rng = rng
         self._cell_size = cell_size
         self._max_nodes = max_nodes
-        self._deployment = deployment.copy()
+        # the network as of the last completed epoch (a result carries the
+        # coverage the next epoch starts from)
+        self._network: Deployment | DeploymentResult = (
+            deployment if isinstance(deployment, DeploymentResult)
+            else deployment.copy()
+        )
         self._epoch = 0
         self._warm = bool(warm)
         self._engine = self._build_engine() if self._warm else None
-        self._row_of = {
-            int(nid): row
-            for row, nid in enumerate(self._deployment.alive_ids())
-        }
 
     def _build_engine(self) -> BenefitEngine:
-        """The warm engine: tracked rows, accounting the current network."""
+        """The warm engine, accounting the current network in id order."""
         benefit_adjacency = None
         if self._method == "grid":
             # the memoised same-cell adjacency — identical object to what
@@ -343,12 +332,9 @@ class RestorationSession:
             self._spec.sensing_radius,
             self._k,
             benefit_adjacency=benefit_adjacency,
-            track_rows=True,
         )
-        for nid in self._deployment.alive_ids():
-            engine.add_sensor_at_position(
-                self._deployment.position_of(int(nid))
-            )
+        for pos in self.deployment.alive_positions():
+            engine.add_sensor_at_position(pos)
         return engine
 
     # ------------------------------------------------------------------
@@ -357,7 +343,8 @@ class RestorationSession:
     @property
     def deployment(self) -> Deployment:
         """The network as of the last completed epoch (do not mutate)."""
-        return self._deployment
+        net = self._network
+        return net.deployment if isinstance(net, DeploymentResult) else net
 
     @property
     def epoch(self) -> int:
@@ -389,16 +376,15 @@ class RestorationSession:
         identical flight-recorder events (epoch, damage footprint, repair
         size) and return bit-identical reports.
         """
-        dep = self._deployment
-        failed_ids = np.asarray(failure.node_ids, dtype=np.intp)
-        failed_pos = np.array(
-            [dep.position_of(int(nid)) for nid in failed_ids],
-            dtype=np.float64,
-        ).reshape(-1, 2)
+        dep = self.deployment
+        failed_ids = np.asarray(failure.node_ids, dtype=np.intp).reshape(-1)
+        alive = dep.alive_ids()
+        if not np.all(np.isin(failed_ids, alive)):
+            raise CoverageError("failure names nodes that are not alive")
         # the damage footprint, computed identically in warm and cold mode
         # so the recorded streams stay byte-identical
         dirty = self._field.dirty_region(
-            failed_pos, self._spec.sensing_radius
+            dep.positions[failed_ids], self._spec.sensing_radius
         )
         with FREC.run(
             "restoration", method=self._method, k=self._k
@@ -410,15 +396,12 @@ class RestorationSession:
                     dirty_points=dirty.n_points,
                 )
             if self._engine is not None:
-                rows = np.asarray(
-                    [self._row_of[int(nid)] for nid in failed_ids],
-                    dtype=np.intp,
-                )
-                self._engine.remove_rows(rows)
+                # warm engine row i is the i-th alive node of the network
+                self._engine.remove_rows(np.searchsorted(alive, failed_ids))
             report = restore(
                 self._field,
                 self._spec,
-                dep,
+                self._network,
                 failure,
                 self._k,
                 self._method,
@@ -435,11 +418,7 @@ class RestorationSession:
                     covered=report.covered_after_repair,
                 )
             frun.set(epochs=self._epoch + 1)
-        self._deployment = report.repair.deployment
-        self._row_of = {
-            int(nid): row
-            for row, nid in enumerate(self._deployment.alive_ids())
-        }
+        self._network = report.repair
         if OBS.enabled:
             # two health samples per epoch boundary: the damaged network,
             # then the repaired one (coverage/deficiency/holes re-measured)
@@ -452,7 +431,7 @@ class RestorationSession:
             )
             record_coverage_health(report.repair.coverage, self._k)
             OBS.gauge("health_alive_nodes").set(
-                float(self._deployment.n_alive)
+                float(report.repair.deployment.n_alive)
             )
             OBS.sample(
                 "epoch-repair", epoch=self._epoch, method=self._method,

@@ -238,8 +238,7 @@ def voronoi_decor(
     return finalize(
         method="voronoi",
         k=k,
-        field_points=field,
-        spec=spec,
+        engine=engine,
         deployment=deployment,
         added_ids=np.asarray(added, dtype=np.intp),
         trace=trace,

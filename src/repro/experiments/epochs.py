@@ -179,7 +179,7 @@ def run_epoch_sweep(
     session = RestorationSession(
         cache.field(seed),
         setup.spec_for(series),
-        result.deployment,
+        result,
         k,
         series.method,
         warm=warm,

@@ -74,6 +74,23 @@ class CoverageState:
             state.add_sensor(int(nid), deployment.position_of(int(nid)))
         return state
 
+    @classmethod
+    def from_rows(
+        cls, field_points: np.ndarray | FieldModel, sensing_radius: float, keys, rows: list
+    ) -> "CoverageState":
+        """Coverage state where sensor ``keys[i]`` covers field points ``rows[i]``
+        (no duplicates): one ``bincount``, no ball queries; rows are adopted as is."""
+        state = cls(field_points, sensing_radius)
+        keys = [int(key) for key in keys]
+        if len(keys) != len(rows) or len(set(keys)) != len(keys):
+            raise CoverageError(
+                f"need one distinct key per row ({len(keys)} keys, {len(rows)} rows)"
+            )
+        if rows:
+            state._counts += np.bincount(np.concatenate(rows), minlength=state.n_points)
+        state._covered_by = dict(zip(keys, rows))
+        return state
+
     # ------------------------------------------------------------------
     # read access
     # ------------------------------------------------------------------
@@ -124,6 +141,15 @@ class CoverageState:
         """Fraction of field points covered by at least ``k`` sensors."""
         self._check_k(k)
         return float(np.count_nonzero(self._counts >= k)) / self.n_points
+
+    def covered_fraction_without(self, keys, k: int = 1) -> float:
+        """:meth:`covered_fraction` as if the sensors ``keys`` had failed
+        (the state itself is unchanged)."""
+        self._check_k(k)
+        counts = self._counts.copy()
+        for key in np.unique(np.asarray(keys, dtype=np.intp)).tolist():
+            counts[self.points_covered_by(key)] -= 1
+        return float(np.count_nonzero(counts >= k)) / self.n_points
 
     def deficient_indices(self, k: int) -> np.ndarray:
         """Indices of points with coverage below ``k`` (the uncovered-region

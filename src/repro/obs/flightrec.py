@@ -299,10 +299,6 @@ class FlightRecorder:
         """Drop the causal context (the kernel does this before each event)."""
         self._cause = None
 
-    @property
-    def current_cause(self) -> int | None:
-        return self._cause
-
     # ------------------------------------------------------------------
     # emission
     # ------------------------------------------------------------------

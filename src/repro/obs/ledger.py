@@ -553,10 +553,6 @@ class RunLedger:
             return _NULL_STAGE
         return _Stage(self, name)
 
-    def stage_walls(self) -> dict[str, float]:
-        """Stage seconds accumulated since :meth:`enable`/:meth:`record_run`."""
-        return dict(self._stages)
-
     # ------------------------------------------------------------------
     def record_run(
         self,

@@ -200,11 +200,6 @@ class Tracer:
         )
         self.n_events += 1
 
-    @property
-    def current_depth(self) -> int:
-        """Number of currently open spans."""
-        return len(self._stack)
-
     def __len__(self) -> int:
         return len(self._buffer)
 

@@ -26,6 +26,7 @@ from repro.checks import (
     freeze_csr,
     greedy_checker,
     validate_adjacency_symmetry,
+    validate_coverage_recount,
     validate_engine_consistency,
 )
 from repro.core import centralized_greedy, grid_decor, voronoi_decor
@@ -222,6 +223,41 @@ class TestEndToEndCorruption:
         assert n_grid > n_cent
         voronoi_decor(field, spec, 1)
         assert len(calls) > n_grid
+
+
+class TestCoverageEqualsRecount:
+    def test_clean_result_passes(self, field, spec):
+        result = centralized_greedy(field, spec, 2)
+        validate_coverage_recount(result.coverage, result.deployment)
+
+    def test_corrupted_engine_row_raises(self, field, spec, monkeypatch):
+        """A recorded row that no longer matches its sensor's disc leaves
+        counts and benefit consistent, so only the result's coverage would
+        be wrong; the recount in ``finalize`` catches it."""
+        real_place_at = BenefitEngine.place_at
+        calls = {"n": 0}
+
+        def corrupting_place_at(self, point_index):
+            covered = real_place_at(self, point_index)
+            calls["n"] += 1
+            if calls["n"] == 3:
+                self._rows[-1] = self._rows[-1][1:]
+            return covered
+
+        monkeypatch.setattr(BenefitEngine, "place_at", corrupting_place_at)
+        monkeypatch.setattr(CHECKS, "enabled", True)
+        with pytest.raises(InvariantError) as exc:
+            centralized_greedy(field, spec, 2)
+        assert exc.value.invariant == "coverage-equals-recount"
+        assert "method='centralized'" in str(exc.value)
+
+    def test_deployment_with_extra_node_raises(self, field, spec):
+        result = centralized_greedy(field, spec, 1)
+        grown = result.deployment.copy()
+        grown.add(field[0])
+        with pytest.raises(InvariantError) as exc:
+            validate_coverage_recount(result.coverage, grown)
+        assert exc.value.invariant == "coverage-equals-recount"
 
 
 class TestCsrFreezing:

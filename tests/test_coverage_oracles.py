@@ -1,0 +1,133 @@
+"""Independent oracles for coverage taken from the benefit engine's rows.
+
+A placement result's coverage is assembled from the rows its
+:class:`~repro.core.benefit.BenefitEngine` recorded: CSR adjacency rows
+for sensors placed on field points, ball queries for sensors at arbitrary
+positions.  That is only sound if the two agree, so the first property
+pins ``adjacency(rs)`` row ``i`` to ``sorted(query_ball(points[i], rs))``
+on adversarial fields (duplicate points, pairs at exactly ``rs``).  The
+restoration reports are then checked against a brute-force dense-distance
+k-coverage count that shares no ``FieldModel`` or ``CoverageState`` code,
+and a work count pins that a warm epoch makes no per-sensor ball queries.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.checks import CHECKS
+from repro.core import DecorPlanner
+from repro.experiments import epoch_failure
+from repro.field import FieldModel
+from repro.geometry import Rect
+from repro.network import SensorSpec
+
+RS = 4.0
+
+
+def brute_fraction(points: np.ndarray, positions: np.ndarray, k: int) -> float:
+    """k-covered fraction of ``points`` by sensors at ``positions``, from
+    plain pairwise distances."""
+    if len(positions) == 0:
+        return 0.0
+    d2 = ((points[:, None, :] - positions[None, :, :]) ** 2).sum(axis=-1)
+    counts = (d2 <= RS * RS).sum(axis=1)
+    return float(np.count_nonzero(counts >= k)) / len(points)
+
+
+# exact-distance partner offsets, as multiples of rs (exact for rs in 5, 10)
+_UNIT_OFFSETS = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]
+
+
+@st.composite
+def adversarial_fields(draw):
+    """Integer-lattice fields with duplicates and pairs at exactly ``rs``."""
+    rs = draw(st.sampled_from([5.0, 10.0]))
+    base = draw(
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(0, 30)),
+            min_size=1, max_size=30,
+        )
+    )
+    pts = [(float(x), float(y)) for x, y in base]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=6))
+    partners = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pts), st.sampled_from(_UNIT_OFFSETS)),
+            max_size=8,
+        )
+    )
+    pts += [(x + dx * rs, y + dy * rs) for (x, y), (dx, dy) in partners]
+    return np.array(pts), rs
+
+
+@pytest.mark.parametrize("backend", ["kdtree", "gridhash"])
+@settings(max_examples=40, deadline=None)
+@given(case=adversarial_fields())
+def test_adjacency_rows_equal_sorted_ball_queries(backend, case):
+    points, rs = case
+    model = FieldModel(points, backend=backend)
+    adj = model.adjacency(rs)
+    for i, center in enumerate(points):
+        row = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
+        ball = np.sort(model.query_ball(center, rs))
+        assert np.array_equal(row, ball), (i, row, ball)
+        # the closed ball: exact-distance pairs and duplicates are in
+        d2 = ((points - center) ** 2).sum(axis=1)
+        assert np.array_equal(ball, np.nonzero(d2 <= rs * rs)[0])
+
+
+def _planner(seed: int = 3) -> DecorPlanner:
+    return DecorPlanner(
+        Rect.square(30.0), SensorSpec(RS, 8.0), n_points=250, seed=seed
+    )
+
+
+@pytest.mark.parametrize("warm", [True, False])
+@pytest.mark.parametrize("method", ["centralized", "grid", "voronoi"])
+def test_restoration_reports_match_brute_force(method, warm):
+    k = 2
+    planner = _planner()
+    points = np.array(planner.field.points)
+    result = planner.deploy(k, method=method, cell_size=5.0)
+    assert result.final_covered_fraction() == brute_fraction(
+        points, result.deployment.alive_positions(), k
+    )
+    session = planner.session(result, method=method, warm=warm, cell_size=5.0)
+    for epoch in range(5):
+        dep = session.deployment
+        event = epoch_failure(dep, planner.region, epoch, 0, radius=7.0)
+        alive = dep.alive_ids()
+        survivors = dep.positions[alive[~np.isin(alive, event.node_ids)]]
+        report = session.restore(event)
+        assert report.covered_before == brute_fraction(
+            points, dep.alive_positions(), k
+        )
+        assert report.covered_after_failure == brute_fraction(
+            points, survivors, k
+        )
+        assert report.covered_after_repair == brute_fraction(
+            points, report.repair.deployment.alive_positions(), k
+        )
+
+
+@pytest.mark.parametrize("method", ["centralized", "grid", "voronoi"])
+def test_warm_epoch_makes_no_per_sensor_ball_queries(method, monkeypatch):
+    """Each warm epoch touches the neighbour index exactly once — the
+    ``dirty_region`` footprint query — however many sensors are alive."""
+    monkeypatch.setattr(CHECKS, "enabled", False)  # the sanitizer recounts
+    planner = _planner()
+    result = planner.deploy(2, method=method, cell_size=5.0)
+    session = planner.session(result, method=method, warm=True, cell_size=5.0)
+    stats = planner.field.stats
+    deltas = []
+    for epoch in range(6):
+        event = epoch_failure(
+            session.deployment, planner.region, epoch, 0, radius=7.0
+        )
+        before = stats.hit_count("index")
+        session.restore(event)
+        deltas.append(stats.hit_count("index") - before)
+    assert deltas == [1] * len(deltas)

@@ -33,7 +33,7 @@ def _engine(kernel: str, *, selection: str = "scan", k: int = 2, seed: int = 0):
     pts = rng.random((150, 2)) * 25.0
     return BenefitEngine(
         pts, sensing_radius=3.0, k=k,
-        selection=selection, kernel=kernel, track_rows=True,
+        selection=selection, kernel=kernel,
     )
 
 

@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.discrepancy import field_points
 from repro.geometry import Rect
-from repro.network import SensorSpec
+from repro.network import CoverageState, SensorSpec
 
 SPEC = SensorSpec(3.0, 6.0)
 
@@ -63,11 +63,16 @@ def test_distributed_stays_near_centralized(seed, k):
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2**31), k=st.integers(1, 3))
 def test_coverage_state_agrees_with_engine(seed, k):
-    """Law: the returned CoverageState (an independent recount) always
-    certifies exactly what the incremental engine claimed."""
+    """Law: the returned CoverageState, assembled from the engine's rows,
+    equals an independent recount of the deployment and certifies exactly
+    what the incremental engine claimed."""
     pts = _random_field(seed, 80, 15.0)
     result = centralized_greedy(pts, SPEC, k)
     result.coverage.validate()
+    recount = CoverageState.from_deployment(
+        pts, SPEC.sensing_radius, result.deployment
+    )
+    assert np.array_equal(result.coverage.counts, recount.counts)
     assert result.coverage.is_fully_covered(k)
 
 

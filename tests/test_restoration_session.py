@@ -35,7 +35,7 @@ from repro.experiments.recording import figure_to_json
 from repro.experiments.runner import DeploymentCache
 from repro.field import FieldModel
 from repro.geometry import Rect
-from repro.network import SensorSpec
+from repro.network import FailureEvent, SensorSpec
 from repro.obs import FREC
 
 
@@ -251,7 +251,7 @@ class TestDirtyRegion:
 class TestRemoveRows:
     def test_counts_match_fresh_engine(self, field, spec):
         model = FieldModel(field)
-        engine = BenefitEngine(model, spec.sensing_radius, 2, track_rows=True)
+        engine = BenefitEngine(model, spec.sensing_radius, 2)
         positions = model.points[[3, 40, 90]]
         for pos in positions:
             engine.add_sensor_at_position(pos)
@@ -268,10 +268,7 @@ class TestRemoveRows:
 
     def test_validation_errors(self, field, spec):
         model = FieldModel(field)
-        untracked = BenefitEngine(model, spec.sensing_radius, 1)
-        with pytest.raises(CoverageError):
-            untracked.remove_rows(np.array([0]))
-        engine = BenefitEngine(model, spec.sensing_radius, 1, track_rows=True)
+        engine = BenefitEngine(model, spec.sensing_radius, 1)
         engine.add_sensor_at_position(model.points[0])
         with pytest.raises(CoverageError):
             engine.remove_rows(np.array([1]))
@@ -357,9 +354,24 @@ class TestSessionValidation:
         with pytest.raises(PlacementError):
             centralized_greedy(model, spec, 2, engine=engine)
 
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_failure_of_unknown_node_rejected_before_any_change(self, warm):
+        planner = _planner()
+        result = planner.deploy(1, method="centralized")
+        session = planner.session(result, method="centralized", warm=warm)
+        counts = None if session.engine is None else session.engine.counts.copy()
+        bogus = FailureEvent(
+            np.array([0, session.deployment.n_total + 3]), kind="random"
+        )
+        with pytest.raises(CoverageError):
+            session.restore(bogus)
+        assert session.epoch == 0
+        if counts is not None:
+            assert np.array_equal(session.engine.counts, counts)
+
     def test_warm_engine_row_count_mismatch(self, field, spec):
         model = FieldModel(field)
-        engine = BenefitEngine(model, spec.sensing_radius, 1, track_rows=True)
+        engine = BenefitEngine(model, spec.sensing_radius, 1)
         engine.add_sensor_at_position(model.points[0])
         with pytest.raises(PlacementError):
             centralized_greedy(
