@@ -1,22 +1,17 @@
 """PR4 acceptance numbers, persisted machine-readably and *staged*.
 
 Writes ``benchmarks/results/BENCH_PR4.json`` with the measurements the
-lazy-selection + parallel-fan-out work is gated on:
-
-* ``selection`` — benefit entries scanned per argmax on the fig08
-  deployment sweep, naive scan vs lazy heap, and their ratio (the >= 5x
-  reduction gate, also asserted in ``test_micro_kernels.py``);
-* ``parallel`` — the staged fig08 sweep: serial vs a persistent
-  4-worker :class:`~repro.parallel.WorkerPool`, broken down into pool
-  init (fork + worker spawn), pooled compute and per-cell medians, plus
-  the deterministic payload-bytes comparison (pickling a field per cell
-  vs posting shared-memory segments once per seed), so the next wall
-  regression is diagnosable from the JSON alone.  Figure JSON is
-  asserted byte-identical *always*; the >= 2x speedup is asserted where
-  ``os.cpu_count() >= 4`` or ``REPRO_REQUIRE_SPEEDUP=1`` (the
-  ``parallel-speedup`` CI job sets the latter so the gate cannot
-  silently skip); payload reduction >= 10x is host-independent and
-  asserted everywhere.
+parallel fan-out is gated on: the staged fig08 sweep, serial vs a
+persistent 4-worker :class:`~repro.parallel.WorkerPool`, broken down into
+pool init (fork + worker spawn), pooled compute and per-cell medians,
+plus the deterministic payload-bytes comparison (pickling a field per
+cell vs posting shared-memory segments once per seed), so the next wall
+regression is diagnosable from the JSON alone.  Figure JSON is asserted
+byte-identical *always*; the >= 2x speedup is asserted where
+``os.cpu_count() >= 4`` or ``REPRO_REQUIRE_SPEEDUP=1`` (the
+``parallel-speedup`` CI job sets the latter so the gate cannot silently
+skip); payload reduction >= 10x is host-independent and asserted
+everywhere.
 
 ``staged_fig08_measurements`` is also the feeder for the wall-clock
 section of ``tools/bench_ratchet.py`` (median-of-N, tight tolerance).
@@ -36,7 +31,6 @@ from repro.experiments.figures import cells_for_figure, run_figure
 from repro.parallel import WorkerPool
 
 from bench_ledger import append_bench_row
-from test_micro_kernels import selection_scan_ratios
 
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_PR4.json"
 
@@ -147,20 +141,12 @@ def staged_fig08_measurements(setup, *, workers: int = 4, rounds: int = 3):
 
 def test_bench_pr4_acceptance(setup):
     cpu_count = os.cpu_count() or 1
-    ratios = selection_scan_ratios(setup)
-    reduction = ratios["scan"] / ratios["lazy"]
     staged = staged_fig08_measurements(setup)
     speedup_asserted = speedup_gate_active()
 
     payload = {
         "scale": os.environ.get("REPRO_SCALE") or "smoke",
         "cpu_count": cpu_count,
-        "selection": {
-            "scanned_per_argmax_scan": ratios["scan"],
-            "scanned_per_argmax_lazy": ratios["lazy"],
-            "reduction_factor": reduction,
-            "gate": ">= 5x fewer entries scanned per argmax",
-        },
         "parallel": {
             **staged,
             "speedup_asserted": speedup_asserted,
@@ -180,7 +166,6 @@ def test_bench_pr4_acceptance(setup):
     )
 
     assert staged["byte_identical"], "parallel fig08 JSON differs from serial"
-    assert reduction >= 5.0, payload["selection"]
     assert staged["payload_bytes"]["reduction_factor"] >= 10.0, (
         staged["payload_bytes"]
     )

@@ -1,8 +1,7 @@
-"""PR9 acceptance numbers: persistent pool + compiled benefit kernel.
+"""PR9 acceptance numbers: the persistent shared-memory worker pool.
 
-Writes ``benchmarks/results/BENCH_PR9.json`` with the three measurements
-the shared-memory worker pool and the pluggable ``REPRO_KERNEL`` backend
-are gated on:
+Writes ``benchmarks/results/BENCH_PR9.json`` with the two measurements
+the shared-memory worker pool is gated on:
 
 * ``parallel`` — fig08 sweep serial vs a persistent 4-worker pool
   (median-of-N, per-stage breakdown from ``test_bench_pr4``), the >= 2x
@@ -10,11 +9,7 @@ are gated on:
   ``REPRO_REQUIRE_SPEEDUP=1`` (the ``parallel-speedup`` CI job) — never
   silently skipped there;
 * ``payload`` — bytes shipped per cell, pickling counterfactual vs
-  shared-memory manifests; deterministic, gated >= 10x on every host;
-* ``kernels`` — ns per fused delta-apply and per argmax for every
-  available ``REPRO_KERNEL`` backend over the same CSR adjacency; where
-  a compiled backend is importable it must beat the NumPy reference on
-  the delta-apply path (the scatter ``np.add.at`` is the slow half).
+  shared-memory manifests; deterministic, gated >= 10x on every host.
 """
 
 from __future__ import annotations
@@ -22,13 +17,6 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import statistics
-from time import perf_counter_ns
-
-import numpy as np
-
-from repro.core.kernels import available_kernels, get_kernel
-from repro.field import FieldModel
 
 from bench_ledger import append_bench_row
 from test_bench_pr4 import (
@@ -40,54 +28,9 @@ from test_bench_pr4 import (
 RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "BENCH_PR9.json"
 
 
-def kernel_op_ns(*, n_points: int = 4000, rounds: int = 5) -> dict:
-    """Median ns per delta-apply and per argmax, per available backend.
-
-    All backends run the identical workload: one seeded field's ``rs``
-    CSR adjacency, 64 changed rows per delta-apply (a realistic greedy
-    footprint), argmax over the full benefit vector.  Compiled backends
-    are warmed first so JIT compilation never lands in the timings.
-    """
-    rng = np.random.default_rng(1234)
-    pts = rng.random((n_points, 2)) * 100.0
-    field = FieldModel(pts)
-    csr = field.adjacency(5.0)
-    changed = np.arange(64, dtype=np.int64)
-    reps = 50
-    out: dict[str, dict[str, float]] = {}
-    for name in available_kernels():
-        kernel = get_kernel(name)
-        benefit = np.zeros(n_points, dtype=np.float64)
-        # warm-up (JIT compile for compiled backends)
-        kernel.apply_delta(csr.indptr, csr.indices, changed, benefit, -1.0)
-        kernel.apply_delta(csr.indptr, csr.indices, changed, benefit, +1.0)
-        kernel.argmax(benefit)
-        apply_ns, argmax_ns = [], []
-        for _ in range(rounds):
-            t0 = perf_counter_ns()
-            for _ in range(reps):
-                kernel.apply_delta(
-                    csr.indptr, csr.indices, changed, benefit, -1.0
-                )
-                kernel.apply_delta(
-                    csr.indptr, csr.indices, changed, benefit, +1.0
-                )
-            apply_ns.append((perf_counter_ns() - t0) / (2 * reps))
-            t0 = perf_counter_ns()
-            for _ in range(reps):
-                kernel.argmax(benefit)
-            argmax_ns.append((perf_counter_ns() - t0) / reps)
-        out[name] = {
-            "apply_delta_ns": statistics.median(apply_ns),
-            "argmax_ns": statistics.median(argmax_ns),
-        }
-    return out
-
-
 def test_bench_pr9_acceptance(setup):
     cpu_count = os.cpu_count() or 1
     staged = staged_fig08_measurements(setup, workers=4, rounds=3)
-    kernels = kernel_op_ns()
     speedup_asserted = speedup_gate_active()
 
     payload = {
@@ -111,14 +54,6 @@ def test_bench_pr9_acceptance(setup):
             **staged["payload_bytes"],
             "gate": ">= 10x fewer bytes per cell than pickling (all hosts)",
         },
-        "kernels": {
-            **kernels,
-            "available": sorted(kernels),
-            "gate": (
-                "compiled backend beats numpy on apply_delta where "
-                "importable; numpy-only hosts record the reference"
-            ),
-        },
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(
@@ -134,9 +69,3 @@ def test_bench_pr9_acceptance(setup):
     )
     if speedup_asserted:
         assert staged["speedup"] >= 2.0, payload["parallel"]
-    assert "numpy" in kernels
-    for name, times in kernels.items():
-        if name != "numpy":
-            assert times["apply_delta_ns"] < kernels["numpy"]["apply_delta_ns"], (
-                f"{name} shows no delta-apply win over numpy: {kernels}"
-            )

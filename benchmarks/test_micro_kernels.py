@@ -5,20 +5,15 @@ them visible in the benchmark suite guards against regressions (the guides:
 no optimisation without measurement).
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from repro.core import centralized_greedy, voronoi_decor
 from repro.discrepancy import halton
-from repro.experiments.figures import cells_for_figure
-from repro.experiments.runner import DeploymentCache, field_for_seed
+from repro.experiments.runner import field_for_seed
 from repro.geometry import NeighborIndex, UniformGridIndex, radius_adjacency
 from repro.geometry.voronoi import VoronoiOwnership
 from repro.network import CoverageState, SensorSpec
-from repro.obs import OBS
-from repro.parallel import prefill_cache
 
 
 @pytest.fixture(scope="module")
@@ -95,41 +90,3 @@ def test_voronoi_end_to_end(benchmark, setup, paper_like_field):
         rounds=1, iterations=1,
     )
 
-
-def selection_scan_ratios(setup) -> dict[str, float]:
-    """Benefit entries scanned per argmax on the full fig08 sweep, per
-    selection strategy, read from the engine's OBS work counters."""
-    ratios: dict[str, float] = {}
-    previous = os.environ.get("REPRO_SELECTION")
-    try:
-        for strategy in ("scan", "lazy"):
-            os.environ["REPRO_SELECTION"] = strategy
-            OBS.enable(fresh=True)
-            try:
-                prefill_cache(DeploymentCache(setup), cells_for_figure(setup, 8))
-            finally:
-                OBS.disable()
-            scanned = OBS.metrics.value(
-                "selection_scanned_total", strategy=strategy
-            )
-            calls = OBS.metrics.value("selection_argmax_total", strategy=strategy)
-            OBS.reset()
-            assert calls > 0
-            ratios[strategy] = float(scanned) / float(calls)
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SELECTION", None)
-        else:
-            os.environ["REPRO_SELECTION"] = previous
-    return ratios
-
-
-def test_lazy_selection_scan_reduction(setup):
-    """PR4 acceptance gate: the lazy (CELF) selection engine scans >= 5x
-    fewer benefit-vector entries per argmax than the naive slice scan
-    across the whole fig08 deployment sweep (measured ~10x at smoke
-    scale).  Both strategies are separately proven bit-identical in
-    ``tests/test_selection_lazy.py``; this guards the *point* of the lazy
-    path — the work it avoids."""
-    ratios = selection_scan_ratios(setup)
-    assert ratios["scan"] / ratios["lazy"] >= 5.0, ratios

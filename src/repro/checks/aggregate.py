@@ -9,8 +9,8 @@ Aggregates the project's correctness gates —
 * **typing** — ``tools/typing_ratchet.py`` (the strict-mypy set only
   grows);
 * **mypy** — the configured mypy run, when mypy is importable;
-* **bench** — ``tools/bench_ratchet.py`` (scanned-entry counters only
-  shrink; slow, skip with ``--skip bench`` for pre-commit use)
+* **bench** — ``tools/bench_ratchet.py`` (work counters only shrink;
+  slow, skip with ``--skip bench`` for pre-commit use)
 
 — and renders one report as ``text``, ``json`` or ``sarif`` (SARIF
 2.1.0, consumable by GitHub code scanning).  Gates whose tooling is

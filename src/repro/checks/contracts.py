@@ -151,7 +151,7 @@ def validate_warm_engine(
 ) -> None:
     """Check a warm engine against a cold rebuild from the survivors.
 
-    The region-scoped invalidation contract: after removing the failed
+    The warm-equals-cold contract: after removing the failed
     sensors' coverage rows, a warm engine's counts and benefit vector must
     be *exactly* (integer-exact, not approximately) the state a fresh
     engine built from ``initial_positions`` would hold — that equality is

@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     strat.add_argument(
         "--warm", dest="warm", action="store_true", default=None,
         help="keep the benefit engine warm across epochs "
-             "(region-scoped invalidation; default, see REPRO_RESTORE)",
+             "(undo only the failed rows; default, see REPRO_RESTORE)",
     )
     strat.add_argument(
         "--cold", dest="warm", action="store_false",
@@ -489,8 +489,6 @@ def _planner_config(args: argparse.Namespace, command: str) -> dict:
         "rc": args.rc,
         "cell_size": args.cell_size,
         "seed": args.seed,
-        "selection": os.environ.get("REPRO_SELECTION", "lazy"),
-        "kernel": os.environ.get("REPRO_KERNEL", "numpy"),
     }
 
 

@@ -87,8 +87,8 @@ def init_run(
     A pre-warmed ``engine`` (the :class:`RestorationSession` seam) is used
     as-is: it must already account the coverage of ``initial_positions``,
     so only the deployment is (re)built from them — the engine's counts,
-    benefit vector and live selection heaps carry over from the previous
-    failure epoch.
+    benefit vector and recorded rows carry over from the previous failure
+    epoch.
     """
     if engine is not None:
         if (
@@ -128,7 +128,7 @@ def init_run(
         )
     elif CHECKS.enabled:
         # sanitizer: warm state must equal a cold rebuild (the
-        # region-scoped invalidation contract; docs/static_analysis.md)
+        # warm-equals-cold contract; docs/static_analysis.md)
         validate_warm_engine(engine, deployment.alive_positions())
     return field, deployment, engine
 

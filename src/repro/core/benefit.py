@@ -25,14 +25,9 @@ only credits points of its own cell (benefit adjacency = same-cell pairs).
 
 from __future__ import annotations
 
-import os
-from typing import Hashable
-
 import numpy as np
 from scipy import sparse
 
-from repro.core.kernels import get_kernel
-from repro.core.selection import LazySelector, SelectionStats
 from repro.errors import CoverageError, PlacementError
 from repro.field import FieldModel, as_field_model
 from repro.field.model import same_cell_adjacency_of
@@ -41,20 +36,6 @@ from repro.network.coverage import CoverageState
 from repro.obs import OBS, profiled
 
 __all__ = ["BenefitEngine", "same_cell_benefit_adjacency"]
-
-#: Valid values of the ``selection`` engine parameter / ``REPRO_SELECTION``.
-_SELECTION_STRATEGIES = ("lazy", "scan")
-
-
-def _default_selection() -> str:
-    """Engine-wide default selection strategy (env-overridable)."""
-    value = os.environ.get("REPRO_SELECTION", "lazy")
-    if value not in _SELECTION_STRATEGIES:
-        raise CoverageError(
-            f"REPRO_SELECTION must be one of {_SELECTION_STRATEGIES}, "
-            f"got {value!r}"
-        )
-    return value
 
 
 def _is_symmetric(matrix: sparse.csr_matrix) -> bool:
@@ -126,18 +107,6 @@ class BenefitEngine:
         ``"deficiency"`` (paper Eq. 1: weight ``max(k - k_p, 0)``) or
         ``"binary"`` (weight 1 for any still-deficient point) — the ablation
         of the deficiency weighting (DESIGN.md §6.3).
-    selection:
-        ``"lazy"`` (CELF-style stale-tolerant max-heaps, the default) or
-        ``"scan"`` (the naive full-slice argmax); ``None`` reads
-        ``REPRO_SELECTION`` (default ``"lazy"``).  Both strategies are
-        bit-identical — see :mod:`repro.core.selection` and
-        ``docs/performance.md``.
-    kernel:
-        Compute backend for the fused delta-gather and the scan argmax
-        primitives: ``"numpy"`` (the reference) or ``"numba"`` (JIT,
-        when importable); ``None`` reads ``REPRO_KERNEL`` (default
-        ``"numpy"``).  Backends are bit-identical — see
-        :mod:`repro.core.kernels`.
 
     The engine records each accounted sensor's covered-point row, in call
     order: the rows become the result's coverage (:meth:`coverage_state`)
@@ -168,31 +137,13 @@ class BenefitEngine:
         initial_counts: np.ndarray | None = None,
         benefit_adjacency: sparse.csr_matrix | None = None,
         benefit_mode: str = "deficiency",
-        selection: str | None = None,
-        kernel: str | None = None,
     ):
         if benefit_mode not in ("deficiency", "binary"):
             raise CoverageError(
                 f"benefit_mode must be 'deficiency' or 'binary', got {benefit_mode!r}"
             )
-        if selection is None:
-            selection = _default_selection()
-        elif selection not in _SELECTION_STRATEGIES:
-            raise CoverageError(
-                f"selection must be one of {_SELECTION_STRATEGIES}, "
-                f"got {selection!r}"
-            )
         self._mode = benefit_mode
-        self._selection = selection
-        self._kernel = get_kernel(kernel)
-        self._selectors: dict[Hashable, LazySelector] = {}
-        self._epoch = 0  # bumped on every benefit *increase* (remove_covered)
-        # dirty_log[e]: candidates whose benefit rose in the e -> e+1 bump
-        # (region-scoped invalidation; selectors re-push only these).  The
-        # invariant len(_dirty_log) == _epoch always holds.
-        self._dirty_log: list[np.ndarray] = []
         self._rows: list[np.ndarray] = []
-        self.selection_stats = SelectionStats()
         self._field = as_field_model(field_points)
         self._points = self._field.points
         self._rs = float(sensing_radius)
@@ -343,87 +294,23 @@ class BenefitEngine:
     # ------------------------------------------------------------------
     # selection
     # ------------------------------------------------------------------
-    @property
-    def selection(self) -> str:
-        """The active selection strategy (``"lazy"`` or ``"scan"``)."""
-        return self._selection
-
-    @property
-    def kernel_name(self) -> str:
-        """The active compute backend for the hot-loop primitives."""
-        return self._kernel.name
-
-    def _record_argmax(self, scanned_before: int) -> None:
-        """Bridge one argmax's work counters into OBS (guarded, cheap)."""
-        if OBS.enabled:
-            stats = self.selection_stats
-            OBS.counter("selection_argmax_total", strategy=self._selection).inc()
-            OBS.counter(
-                "selection_scanned_total", strategy=self._selection
-            ).inc(stats.entries_scanned - scanned_before)
-
-    def argmax(
-        self,
-        candidates: np.ndarray | None = None,
-        *,
-        key: Hashable | None = None,
-    ) -> int:
+    def argmax(self, candidates: np.ndarray | None = None) -> int:
         """Field-point index of maximum benefit.
 
-        Parameters
-        ----------
-        candidates:
-            Optional index subset to restrict the search to (a leader's own
-            cell, a node's Voronoi cell).  Ties break toward the lowest
-            index, deterministically — candidate sets are sorted before the
-            search so an unsorted input cannot skew the tie-break.
-        key:
-            Optional stable, hashable identity of the candidate set (e.g.
-            ``("cell", cid)``).  Under the lazy strategy a keyed call is
-            served by a per-set stale-tolerant heap instead of rescanning
-            the slice; the key must always name the same candidate set
-            (validated — a mismatch falls back to a fresh heap).  Ignored
-            by the scan strategy and for global (``candidates=None``)
-            calls, which use the engine-wide heap.
+        ``candidates`` optionally restricts the search to an index subset (a
+        leader's own cell, a node's Voronoi cell).  Ties break toward the
+        lowest index, deterministically — candidate sets are sorted before
+        the search so an unsorted input cannot skew the tie-break.
         """
-        stats = self.selection_stats
-        stats.argmax_calls += 1
-        scanned_before = stats.entries_scanned
         if candidates is None:
-            if self._selection == "lazy":
-                idx = self._selector_for(None, None).select(
-                    self._benefit, self._epoch, stats, self._dirty_log
-                )
-            else:
-                stats.entries_scanned += self._benefit.shape[0]
-                idx = self._kernel.argmax(self._benefit)
-            self._record_argmax(scanned_before)
-            return int(idx)
+            return int(np.argmax(self._benefit))
         cand = np.asarray(candidates, dtype=np.intp)
         if cand.size == 0:
             raise PlacementError("argmax over an empty candidate set")
         if cand.size > 1 and np.any(cand[1:] < cand[:-1]):
             # the lowest-index tie-break contract requires a sorted slice
             cand = np.sort(cand)
-        if self._selection == "lazy" and key is not None:
-            idx = self._selector_for(key, cand).select(
-                self._benefit, self._epoch, stats, self._dirty_log
-            )
-        else:
-            stats.entries_scanned += cand.size
-            idx = self._kernel.argmax_slice(self._benefit, cand)
-        self._record_argmax(scanned_before)
-        return int(idx)
-
-    def _selector_for(
-        self, key: Hashable | None, candidates: np.ndarray | None
-    ) -> LazySelector:
-        """The (memoised) lazy selector serving one candidate set."""
-        selector = self._selectors.get(key)
-        if selector is None or not selector.matches(candidates):
-            selector = LazySelector(candidates)
-            self._selectors[key] = selector
-        return selector
+        return int(cand[np.argmax(self._benefit[cand])])
 
     # ------------------------------------------------------------------
     # mutation
@@ -456,24 +343,15 @@ class BenefitEngine:
         else:  # pragma: no cover - internal misuse
             raise CoverageError(f"invalid sign {sign}")
         if changed.size:
-            # the fused CSR row gather + scattered add lives in the kernel
-            # backend (repro.core.kernels); every backend returns the same
-            # touched indices in row order and applies the same exact adds
-            touched = self._kernel.apply_delta(
-                self._ben.indptr,
-                self._ben.indices,
-                changed,
-                self._benefit,
-                -1.0 if sign == +1 else +1.0,
-            )
-            if sign == -1:
-                # benefits increased: stale heap priorities are now
-                # under-estimates.  The epoch bump invalidates every lazy
-                # selector, and the dirty-log entry scopes the invalidation
-                # to the region that actually rose — selectors re-push just
-                # these candidates instead of rebuilding their heaps.
-                self._dirty_log.append(np.unique(touched))
-                self._epoch += 1
+            # fused CSR row gather: the benefit rows of every changed point,
+            # concatenated in row order, without a Python-level per-row loop
+            indptr = self._ben.indptr
+            starts = indptr[changed]
+            lens = indptr[changed + 1] - starts
+            pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+            pos += np.arange(pos.size, dtype=pos.dtype)
+            touched = self._ben.indices[pos]
+            np.add.at(self._benefit, touched, -1.0 if sign == +1 else +1.0)
             if OBS.enabled:
                 OBS.counter("benefit_delta_updates_total").inc(int(touched.size))
         return covered
@@ -528,9 +406,7 @@ class BenefitEngine:
         they again line up with the survivors' new 0-based ids.
 
         Returns the failure's coverage footprint: the sorted unique field
-        points that lost at least one unit of coverage (the "damaged
-        region" driving region-scoped invalidation and the per-epoch
-        flight-recorder events).
+        points that lost at least one unit of coverage.
         """
         idx = np.asarray(row_indices, dtype=np.intp)
         if idx.size == 0:

@@ -126,7 +126,7 @@ def grid_decor(
                     raise PlacementError(
                         f"grid DECOR exceeded its budget of {budget} nodes"
                     )
-                idx = engine.argmax(candidates=cell_points, key=("cell", cid))
+                idx = engine.argmax(candidates=cell_points)
                 benefit = float(engine.benefit[idx])
                 if benefit <= 0.0:
                     # a deficient own-cell point contributes its own deficiency,

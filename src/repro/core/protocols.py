@@ -122,9 +122,7 @@ class _Harness:
             raise PlacementError(
                 f"in-network grid DECOR exceeded its budget of {self.budget}"
             )
-        idx = self.engine.argmax(
-            candidates=cell_points, key=("cell", leader.cell_id)
-        )
+        idx = self.engine.argmax(candidates=cell_points)
         benefit = float(self.engine.benefit[idx])
         if benefit <= 0.0:
             raise PlacementError(

@@ -11,25 +11,23 @@ of failure epochs over one network.  The paper's loop rebuilds all
 placement state from scratch each epoch, so repair cost is proportional to
 the field; the session instead keeps one :class:`~repro.core.benefit.
 BenefitEngine` warm across epochs: a failure removes exactly the failed
-sensors' recorded coverage rows, region-scoped invalidation re-pushes only
-the benefit entries the damage actually raised (see
-:mod:`repro.core.selection`), and the repair run receives the warm engine
-through the ``engine=`` seam of :func:`repro.core.planner.run_method`.
+sensors' recorded coverage rows (``remove_rows``), so only the damaged
+region's counts and benefits change and no survivor is re-accounted, and
+the repair run receives the warm engine through the ``engine=`` seam of
+:func:`repro.core.planner.run_method`.
 Nor is coverage recounted: a repair result's coverage is its engine's
 rows, and the next epoch subtracts the failed rows from it, so a warm
 epoch ball-queries only the damage footprint.  All of it stays
 **bit-identical** to the cold path: counts and benefits are exact
-integer state, removing the failed rows leaves precisely the state a fresh
-engine built from the survivors would hold, and the selector's partial
-invalidation provably returns the same argmax sequence
-(``tests/test_restoration_session.py`` asserts byte-equality of
-deployments, figure payloads and flight-recorder streams across epochs;
-the runtime sanitizer additionally cross-checks warm state against a cold
-rebuild every epoch when ``REPRO_CHECKS=1``).
+integer state, and removing the failed rows leaves precisely the state a
+fresh engine built from the survivors would hold, so both walk the same
+argmax sequence (``tests/test_restoration_session.py`` asserts
+byte-equality of deployments, figure payloads and flight-recorder streams
+across epochs; the runtime sanitizer additionally cross-checks warm state
+against a cold rebuild every epoch when ``REPRO_CHECKS=1``).
 
-Warm/cold selection mirrors ``REPRO_SELECTION``: the ``warm=`` parameter
-overrides the ``REPRO_RESTORE`` environment variable (``"warm"``, the
-default, or ``"cold"``).
+The ``warm=`` parameter overrides the ``REPRO_RESTORE`` environment
+variable (``"warm"``, the default, or ``"cold"``).
 """
 
 from __future__ import annotations
@@ -67,8 +65,7 @@ _RESTORE_STRATEGIES = ("warm", "cold")
 def default_restore_strategy() -> str:
     """Session-wide default restoration strategy (env-overridable).
 
-    Reads ``REPRO_RESTORE`` (``"warm"`` or ``"cold"``, default ``"warm"``),
-    mirroring how ``REPRO_SELECTION`` selects the argmax strategy.
+    Reads ``REPRO_RESTORE`` (``"warm"`` or ``"cold"``, default ``"warm"``).
     """
     value = os.environ.get("REPRO_RESTORE", "warm")
     if value not in _RESTORE_STRATEGIES:
@@ -169,8 +166,8 @@ def restore(
         Optional pre-warmed :class:`~repro.core.benefit.BenefitEngine`
         that already accounts the survivors' coverage (a failure applied
         via :meth:`~repro.core.benefit.BenefitEngine.remove_rows`); the
-        repair run then reuses its counts, benefit vector and live
-        selection heaps.  :class:`RestorationSession` manages this.
+        repair run then reuses its counts and benefit vector.
+        :class:`RestorationSession` manages this.
     method_kwargs:
         Extra arguments forwarded to ``method`` (``region=``, ``rng=``,
         ``cell_size=``, ...).
@@ -370,8 +367,8 @@ class RestorationSession:
 
         ``failure.node_ids`` refer to :attr:`deployment`.  In warm mode the
         failed sensors' coverage rows are removed from the live engine —
-        region-scoped invalidation marks exactly the benefit entries the
-        damage raised — and the repair runs on the warm engine; in cold
+        only the benefit entries the damage raised change — and the repair
+        runs on the warm engine; in cold
         mode everything is rebuilt from the survivors.  Both paths emit
         identical flight-recorder events (epoch, damage footprint, repair
         size) and return bit-identical reports.

@@ -192,7 +192,7 @@ class _Harness:
                 raise PlacementError(
                     f"restoration exceeded its budget of {self.budget} nodes"
                 )
-            idx = self.engine.argmax(candidates=cell_points, key=("cell", cell_id))
+            idx = self.engine.argmax(candidates=cell_points)
             if self.engine.benefit[idx] <= 0.0:  # pragma: no cover
                 raise PlacementError(f"cell {cell_id} deficient, zero benefit")
             if FREC.enabled:

@@ -19,8 +19,6 @@ counters make this assertable in tests.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from repro.core.planner import run_method
@@ -29,7 +27,7 @@ from repro.errors import ExperimentError
 from repro.discrepancy.randomization import cranley_patterson_rotation
 from repro.discrepancy.sequences import unit_points
 from repro.experiments.setup import ExperimentSetup, Series, series_by_name
-from repro.field import FieldModel
+from repro.field import FieldModel, resolve_backend_name
 from repro.obs import OBS, bridge_field_stats, record_coverage_health
 
 __all__ = [
@@ -163,18 +161,15 @@ class DeploymentCache:
         """The semantic configuration this cache's results depend on.
 
         Run-ledger rows fingerprint this dict: the setup parameters plus
-        the selection strategy and benefit kernel in effect (both are
-        bit-identity-gated, but they *are* distinct configurations worth
-        separating in history).  Worker count is deliberately absent —
-        pooled and serial runs of the same config are the same experiment.
+        the resolved field backend, so every spelling of one backend (the
+        env var unset, empty, or naming the default) fingerprints the same.
+        Worker count is deliberately absent — pooled and serial runs of the
+        same config are the same experiment.
         """
         return {
             "setup": self.setup.describe(),
             "use_initial": self.use_initial,
-            "field_backend": self.backend
-            or os.environ.get("REPRO_FIELD_BACKEND", "default"),
-            "selection": os.environ.get("REPRO_SELECTION", "lazy"),
-            "kernel": os.environ.get("REPRO_KERNEL", "numpy"),
+            "field_backend": resolve_backend_name(self.backend),
         }
 
     def field(self, seed: int) -> FieldModel:

@@ -11,7 +11,7 @@ This module gives the harness a memory between invocations:
   One structured row per figure/deploy/restore/bench invocation:
 
   - ``config`` + ``fingerprint`` — the semantic parameters of the run
-    (series, k values, seeds, method, selection strategy, kernel) hashed
+    (series, k values, seeds, method, field backend) hashed
     canonically, so "same experiment" is a string comparison;
   - ``env`` — python/numpy versions, platform, cpu count, the relevant
     ``REPRO_*`` environment and the worker count.  Environment describes
@@ -128,10 +128,9 @@ HARVEST_EXCLUDED_PREFIXES: tuple[str, ...] = EXCLUDED_PREFIXES + (
 MASKED_FIELDS: tuple[str, ...] = ("run_id", "ts", "env", "wall")
 
 #: Counter-key prefixes the strict-equality detector gates by default:
-#: deterministic by construction (the lazy/scan bit-identity guarantee),
-#: so *any* drift is a regression, not noise.
+#: they count simulation work, deterministic by construction, so *any*
+#: drift is a regression, not noise.
 EXACT_COUNTER_PREFIXES: tuple[str, ...] = (
-    "selection_",
     "decor_placements_total",
     "restoration_",
 )
@@ -141,13 +140,11 @@ CAPTURED_ENV_VARS: tuple[str, ...] = (
     "REPRO_CHECKS",
     "REPRO_FIELD_BACKEND",
     "REPRO_FLIGHTREC",
-    "REPRO_KERNEL",
     "REPRO_LEDGER",
     "REPRO_OBS",
     "REPRO_OBS_SAMPLE",
     "REPRO_RESTORE",
     "REPRO_SCALE",
-    "REPRO_SELECTION",
 )
 
 #: Env hook for the CI regression demo and detector self-tests:

@@ -132,13 +132,14 @@ class TestRestrictedBenefitAdjacency:
     k=st.integers(1, 4),
     n_ops=st.integers(1, 40),
     seed=st.integers(0, 2**31),
+    mode=st.sampled_from(["deficiency", "binary"]),
 )
-def test_incremental_benefit_equals_recompute(n, k, n_ops, seed):
+def test_incremental_benefit_equals_recompute(n, k, n_ops, seed, mode):
     """Property: after arbitrary place/add/remove sequences the incremental
-    benefit vector equals A @ deficiency recomputed from scratch."""
+    benefit vector equals A @ weights recomputed from scratch."""
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * 8
-    eng = BenefitEngine(pts, 1.5, k=k)
+    eng = BenefitEngine(pts, 1.5, k=k, benefit_mode=mode)
     removable: list[np.ndarray] = []
     for _ in range(n_ops):
         r = rng.random()
@@ -155,21 +156,19 @@ def test_incremental_benefit_equals_recompute(n, k, n_ops, seed):
 class TestArgmaxCandidateOrder:
     """Regression: the tie-break must not depend on candidate ordering."""
 
-    def _tied_engine(self, selection: str) -> BenefitEngine:
+    def _tied_engine(self) -> BenefitEngine:
         # isolated points -> every benefit equals k, all candidates tie
         pts = np.array([[float(10 * i), 0.0] for i in range(6)])
-        return BenefitEngine(pts, 1.0, k=2, selection=selection)
+        return BenefitEngine(pts, 1.0, k=2)
 
-    @pytest.mark.parametrize("selection", ["lazy", "scan"])
-    def test_reversed_candidates_same_winner(self, selection):
-        eng = self._tied_engine(selection)
+    def test_reversed_candidates_same_winner(self):
+        eng = self._tied_engine()
         fwd = eng.argmax(candidates=np.array([1, 3, 4]))
         rev = eng.argmax(candidates=np.array([4, 3, 1]))
         assert fwd == rev == 1  # lowest index wins the tie either way
 
-    @pytest.mark.parametrize("selection", ["lazy", "scan"])
-    def test_sorted_input_not_copied_semantics(self, selection):
-        eng = self._tied_engine(selection)
+    def test_sorted_input_not_copied_semantics(self):
+        eng = self._tied_engine()
         cand = np.array([0, 2, 5])
         assert eng.argmax(candidates=cand) == 0
         np.testing.assert_array_equal(cand, [0, 2, 5])  # input untouched

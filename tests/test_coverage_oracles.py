@@ -5,10 +5,12 @@ A placement result's coverage is assembled from the rows its
 for sensors placed on field points, ball queries for sensors at arbitrary
 positions.  That is only sound if the two agree, so the first property
 pins ``adjacency(rs)`` row ``i`` to ``sorted(query_ball(points[i], rs))``
-on adversarial fields (duplicate points, pairs at exactly ``rs``).  The
-restoration reports are then checked against a brute-force dense-distance
-k-coverage count that shares no ``FieldModel`` or ``CoverageState`` code,
-and a work count pins that a warm epoch makes no per-sensor ball queries.
+on adversarial fields (duplicate points, pairs at exactly ``rs``).  On
+the same fields the centralized greedy's trace is replayed against a naive
+Eq. 1 evaluated from dense distances.  The restoration reports are then
+checked against a brute-force dense-distance k-coverage count that shares
+no ``FieldModel`` or ``CoverageState`` code, and a work count pins that a
+warm epoch makes no per-sensor ball queries.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.checks import CHECKS
-from repro.core import DecorPlanner
+from repro.core import DecorPlanner, centralized_greedy
 from repro.experiments import epoch_failure
 from repro.field import FieldModel
 from repro.geometry import Rect
@@ -77,6 +79,47 @@ def test_adjacency_rows_equal_sorted_ball_queries(backend, case):
         # the closed ball: exact-distance pairs and duplicates are in
         d2 = ((points - center) ** 2).sum(axis=1)
         assert np.array_equal(ball, np.nonzero(d2 <= rs * rs)[0])
+
+
+def naive_eq1(
+    points: np.ndarray, placed: np.ndarray, rs: float, k: int, mode: str
+) -> np.ndarray:
+    """Eq. 1 for every field point as the candidate, from dense distances.
+
+    ``b(p)`` sums, over the points within ``rs`` of ``p``, the weight
+    ``max(k - k_q, 0)`` (``"deficiency"``) or ``[k_q < k]`` (``"binary"``),
+    where ``k_q`` counts the ``placed`` sensors within ``rs`` of ``q``.
+    """
+    r2 = rs * rs
+    near = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1) <= r2
+    hits = ((points[:, None, :] - placed[None, :, :]) ** 2).sum(axis=-1) <= r2
+    counts = hits.sum(axis=1)
+    if mode == "binary":
+        weight = (counts < k).astype(np.int64)
+    else:
+        weight = np.maximum(k - counts, 0)
+    return near.astype(np.int64) @ weight
+
+
+@pytest.mark.parametrize("mode", ["deficiency", "binary"])
+@settings(max_examples=40, deadline=None)
+@given(case=adversarial_fields(), k=st.integers(1, 3))
+def test_centralized_trace_follows_naive_eq1(mode, case, k):
+    """Each greedy step places at the lowest-index maximiser of Eq. 1 given
+    the sensors placed before it, and records that maximum."""
+    points, rs = case
+    result = centralized_greedy(
+        points, SensorSpec(rs, 2.0 * rs), k, benefit_mode=mode
+    )
+    placed = result.trace.positions
+    recorded = result.trace.benefits
+    for step in range(len(placed)):
+        gains = naive_eq1(points, placed[:step], rs, k, mode)
+        best = int(np.flatnonzero(gains == gains.max())[0])
+        assert np.array_equal(placed[step], points[best]), step
+        np.testing.assert_array_equal(recorded[step], gains[best])
+    # the loop stops exactly when no candidate has positive benefit left
+    assert not naive_eq1(points, placed, rs, k, mode).any()
 
 
 def _planner(seed: int = 3) -> DecorPlanner:

@@ -2,9 +2,9 @@
 and the swim-lane timeline renderer.
 
 The headline contract: a recording is a pure function of the scenario —
-two runs, a scan-vs-lazy selection switch, or a serial-vs-workers sweep
-all produce byte-identical JSONL — and `repro.obs.replay` can re-execute
-a recorded stream and prove the reproduction byte-for-byte.
+two runs or a serial-vs-workers sweep both produce byte-identical JSONL —
+and `repro.obs.replay` can re-execute a recorded stream and prove the
+reproduction byte-for-byte.
 """
 
 from __future__ import annotations
@@ -198,15 +198,6 @@ class TestDeterminism:
         b = record_protocol_run(protocol, n_points=60)
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert any(r["type"] == "event" for r in a)
-
-    def test_scan_and_lazy_selection_record_identically(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SELECTION", "scan")
-        scan = record_protocol_run("grid", n_points=60)
-        monkeypatch.setenv("REPRO_SELECTION", "lazy")
-        lazy = record_protocol_run("grid", n_points=60)
-        assert json.dumps(scan, sort_keys=True) == json.dumps(
-            lazy, sort_keys=True
-        )
 
     def test_flight_record_kwarg_writes_stream(self, tmp_path):
         import numpy as np

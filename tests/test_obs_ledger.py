@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ObservabilityError
+from repro.experiments import DeploymentCache, ExperimentSetup
 from repro.obs import LEDGER, OBS
 from repro.obs.ledger import (
     LedgerStore,
@@ -91,6 +92,20 @@ class TestRowConstruction:
         env = capture_environment(workers=4)
         assert env["workers"] == 4
         assert "python" in env and "repro_env" in env
+
+    def test_field_backend_spellings_fingerprint_equal(self, monkeypatch):
+        """Unset, empty and ``kdtree`` all name the one default backend."""
+        cache = DeploymentCache(ExperimentSetup.smoke())
+        fingerprints = []
+        for value in (None, "", "kdtree"):
+            if value is None:
+                monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_FIELD_BACKEND", value)
+            fingerprints.append(config_fingerprint(cache.describe()))
+        assert len(set(fingerprints)) == 1
+        monkeypatch.setenv("REPRO_FIELD_BACKEND", "gridhash")
+        assert config_fingerprint(cache.describe()) != fingerprints[0]
 
 
 # ----------------------------------------------------------------------
@@ -177,16 +192,16 @@ class TestHarvest:
         assert list(sections["counters"]) == ["keep_total"]
 
     def test_inflation_hook(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_LEDGER_INFLATE", "selection_:2")
+        monkeypatch.setenv("REPRO_LEDGER_INFLATE", "decor_placements_total:2")
         LEDGER.enable(tmp_path / "ledger")
         OBS.enable(fresh=True)
         if OBS.enabled:
-            OBS.counter("selection_scanned_total").inc(10)
+            OBS.counter("decor_placements_total").inc(10)
             OBS.counter("other_total").inc(10)
         OBS.disable()
         if LEDGER.enabled:
             row = LEDGER.record_run("test", "t", {})
-        assert row["counters"]["selection_scanned_total"] == 20
+        assert row["counters"]["decor_placements_total"] == 20
         assert row["counters"]["other_total"] == 10
 
 
@@ -196,7 +211,7 @@ class TestHarvest:
 class TestDiff:
     def test_identical_rows_diff_clean(self):
         metrics = {
-            "counters": {"selection_scanned_total": 5},
+            "counters": {"decor_placements_total": 5},
             "gauges": {}, "histograms": {},
         }
         a = build_row("figure", "f", {"k": 1}, metrics=metrics,
@@ -253,8 +268,8 @@ class TestDetectors:
         assert run_detectors(self._row({"c": 99}), []) == []
 
     def test_exact_counter_change_detected(self):
-        baseline = [self._row({"selection_scanned_total": 100})]
-        run = self._row({"selection_scanned_total": 101})
+        baseline = [self._row({"decor_placements_total": 100})]
+        run = self._row({"decor_placements_total": 101})
         findings = run_detectors(run, baseline)
         assert [f.detector for f in findings] == ["exact-counters"]
 
@@ -275,8 +290,8 @@ class TestDetectors:
         assert fast == []
 
     def test_detector_selection_and_unknown(self):
-        baseline = [self._row({"selection_scanned_total": 1})]
-        run = self._row({"selection_scanned_total": 2})
+        baseline = [self._row({"decor_placements_total": 1})]
+        run = self._row({"decor_placements_total": 2})
         opts = RegressOptions(detectors=("wall-regression",))
         assert run_detectors(run, baseline, opts) == []
         with pytest.raises(ObservabilityError, match="unknown detector"):
@@ -324,7 +339,8 @@ class TestCliEndToEnd:
         assert rows[1]["env"]["workers"] == 2
         # and the harvest actually carried semantic counters
         assert any(
-            key.startswith("selection_") for key in rows[0]["counters"]
+            key.startswith("decor_placements_total")
+            for key in rows[0]["counters"]
         )
 
     def test_runs_diff_and_regress_exit_codes(self, tmp_path, capsys,
@@ -343,7 +359,7 @@ class TestCliEndToEnd:
         ) == 0
         capsys.readouterr()
         # an inflated run must trip both the diff and the detectors
-        monkeypatch.setenv("REPRO_LEDGER_INFLATE", "selection_:3")
+        monkeypatch.setenv("REPRO_LEDGER_INFLATE", "decor_placements_total:3")
         self._run_figure(ledger)
         monkeypatch.delenv("REPRO_LEDGER_INFLATE")
         assert main(

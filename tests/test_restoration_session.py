@@ -2,10 +2,10 @@
 
 The contract under test (see :mod:`repro.core.restoration` and
 ``docs/performance.md``): a warm :class:`RestorationSession` — one benefit
-engine kept alive across failure epochs, invalidated only over each
-epoch's damaged region — produces *exactly* the repairs a cold rebuild
-produces, for every method, both selection strategies, and every failure
-kind; even the flight-recorder streams serialise to the same bytes.
+engine kept alive across failure epochs, changed only over each epoch's
+damaged region — produces *exactly* the repairs a cold rebuild produces,
+for every method and every failure kind; even the flight-recorder streams
+serialise to the same bytes.
 """
 
 from __future__ import annotations
@@ -63,10 +63,8 @@ def frec_reset():
 
 
 class TestWarmEqualsCold:
-    @pytest.mark.parametrize("selection", ["scan", "lazy"])
     @pytest.mark.parametrize("method", ["centralized", "grid", "voronoi"])
-    def test_three_epochs_bit_identical(self, method, selection, monkeypatch):
-        monkeypatch.setenv("REPRO_SELECTION", selection)
+    def test_three_epochs_bit_identical(self, method, monkeypatch):
         monkeypatch.setattr(CHECKS, "enabled", True)  # warm==cold sanitizer on
         outcomes = []
         for warm in (True, False):

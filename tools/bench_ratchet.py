@@ -1,26 +1,24 @@
 #!/usr/bin/env python3
-"""Enforce the selection-work ratchet: the engine only gets leaner.
+"""Enforce the bench ratchet: counted work only shrinks, walls hold.
 
 The companion of ``tools/typing_ratchet.py`` for performance: where the
 typing ratchet pins which packages are strictly typed, this one pins how
-much *work* the benefit engine's selection layer does on two canonical
-workloads, so an innocent-looking refactor cannot quietly re-introduce
-full-field rescans:
+much *work* the benefit engine and the telemetry pipeline do on
+canonical workloads, so an innocent-looking refactor cannot quietly
+re-introduce full-field re-accounting:
 
-1. **fig08 sweep** — benefit-vector entries scanned per argmax over the
-   whole smoke-scale Figure 8 deployment sweep, per selection strategy
-   (``scan`` and ``lazy``); the lazy (CELF) numbers are what PR 4 gated.
-2. **epoch sweep** — steady-state entries scanned by warm vs cold
-   restoration across small-disc failure epochs at the paper's fig08
-   field scale (the PR 6 warm-start gate; epoch 0 is the warm-up and is
-   excluded, see ``benchmarks/test_bench_warm_restore.py``).
-3. **telemetry** — sample rows and series the live-telemetry sampler
+1. **epoch sweep** — steady-state benefit entries updated incrementally
+   (``benefit_delta_updates_total``) by warm vs cold restoration across
+   small-disc failure epochs at the paper's fig08 field scale (the
+   warm-start gate; epoch 0 is the warm-up and is excluded, see
+   ``benchmarks/test_bench_warm_restore.py``).
+2. **telemetry** — sample rows and series the live-telemetry sampler
    emits on the smoke fig08 sweep (the PR 7 pipeline): the row count is
    deterministic (one per cell, logical clock), so it ratchets like any
    other counter; wall medians with the sampler off vs on ride along
    under the wall-clock bound.
 
-4. **wall** — staged wall clock of the fig08 sweep, serial vs a
+3. **wall** — staged wall clock of the fig08 sweep, serial vs a
    persistent 2-worker pool, fed by
    ``benchmarks/test_bench_pr4.staged_fig08_measurements`` (the PR 9
    pool): pool init, pooled compute and per-cell stages, plus the
@@ -41,7 +39,9 @@ full-field rescans:
 
 The counters are deterministic (seeded fields, integer work counts), so
 their gate is tight: the measured value may not exceed the recorded one
-by more than ``--tolerance`` (default 5%).  Single-shot ``wall_seconds``
+by more than ``--tolerance`` (default 5%), and a recorded counter the
+current measurement no longer produces fails the gate rather than
+passing unchecked.  Single-shot ``wall_seconds``
 entries are recorded for context and gated only by the generous
 ``--wall-factor`` (default 10x) — timing is machine-dependent, counters
 are the contract; the ``wall`` section's medians sit in between at
@@ -80,50 +80,9 @@ def _import_repro(root: Path) -> None:
         sys.path.insert(0, str(src))
 
 
-def measure_fig08_sweep(root: Path) -> dict:
-    """Entries scanned per argmax on the smoke fig08 sweep, per strategy."""
-    _import_repro(root)
-    import os
-
-    from repro.experiments import ExperimentSetup
-    from repro.experiments.figures import cells_for_figure
-    from repro.experiments.runner import DeploymentCache
-    from repro.obs import OBS
-    from repro.parallel import prefill_cache
-
-    setup = ExperimentSetup.smoke()
-    out: dict = {"scanned": {}, "argmax_calls": {}, "wall_seconds": {}}
-    previous = os.environ.get("REPRO_SELECTION")
-    try:
-        for strategy in ("scan", "lazy"):
-            os.environ["REPRO_SELECTION"] = strategy
-            OBS.enable(fresh=True)
-            t0 = time.perf_counter()
-            try:
-                prefill_cache(
-                    DeploymentCache(setup), cells_for_figure(setup, 8)
-                )
-            finally:
-                wall = time.perf_counter() - t0
-                OBS.disable()
-            out["scanned"][strategy] = int(
-                OBS.metrics.value("selection_scanned_total", strategy=strategy)
-            )
-            out["argmax_calls"][strategy] = int(
-                OBS.metrics.value("selection_argmax_total", strategy=strategy)
-            )
-            out["wall_seconds"][strategy] = round(wall, 4)
-            OBS.reset()
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_SELECTION", None)
-        else:
-            os.environ["REPRO_SELECTION"] = previous
-    return out
-
-
 def measure_epoch_sweep(root: Path, *, epochs: int = 6) -> dict:
-    """Steady-state warm/cold selection work at the paper fig08 scale."""
+    """Steady-state warm/cold benefit delta updates at the paper fig08
+    scale."""
     _import_repro(root)
     import numpy as np
 
@@ -141,7 +100,7 @@ def measure_epoch_sweep(root: Path, *, epochs: int = 6) -> dict:
     field = cache.field(0)
     spec = setup.spec_for(series)
 
-    out: dict = {"entries_scanned": {}, "wall_seconds": {}, "epochs": epochs}
+    out: dict = {"delta_updates": {}, "wall_seconds": {}, "epochs": epochs}
     for warm in (True, False):
         session = RestorationSession(
             field, spec, result.deployment, 2, "centralized", warm=warm
@@ -158,16 +117,14 @@ def measure_epoch_sweep(root: Path, *, epochs: int = 6) -> dict:
                     area_failure(session.deployment, center, setup.rs)
                 )
                 if epoch == 0:
-                    warmup = OBS.metrics.value(
-                        "selection_scanned_total", strategy="lazy"
-                    )
+                    warmup = OBS.metrics.value("benefit_delta_updates_total")
         finally:
             wall = time.perf_counter() - t0
             OBS.disable()
-        total = OBS.metrics.value("selection_scanned_total", strategy="lazy")
+        total = OBS.metrics.value("benefit_delta_updates_total")
         OBS.reset()
         mode = "warm" if warm else "cold"
-        out["entries_scanned"][mode] = int(total - warmup)
+        out["delta_updates"][mode] = int(total - warmup)
         out["wall_seconds"][mode] = round(wall, 4)
     return out
 
@@ -249,7 +206,6 @@ def measure_wall(root: Path, *, rounds: int = 5, workers: int = 2) -> dict:
 
 def measure(root: Path) -> dict:
     return {
-        "fig08_sweep": measure_fig08_sweep(root),
         "epoch_sweep": measure_epoch_sweep(root),
         "telemetry": measure_telemetry(root),
         "wall": measure_wall(root),
@@ -370,7 +326,12 @@ def check(recorded: dict, current: dict, *, tolerance: float,
           wall_slack: float = 0.05) -> int:
     failures = 0
     rec_counters = dict(_walk_counters(recorded))
-    for path, value in _walk_counters(current):
+    cur_counters = dict(_walk_counters(current))
+    for path in sorted(rec_counters.keys() - cur_counters.keys()):
+        print(f"RATCHET: recorded {path} is missing from this measurement "
+              f"-- if it was deleted on purpose, re-record with --update")
+        failures += 1
+    for path, value in cur_counters.items():
         baseline = rec_counters.get(path)
         if baseline is None:
             print(f"RATCHET: {path} = {value:g} has no recorded baseline "
@@ -380,7 +341,7 @@ def check(recorded: dict, current: dict, *, tolerance: float,
             print(
                 f"RATCHET: {path} regressed: {value:g} > recorded "
                 f"{baseline:g} (+{100 * (value / baseline - 1):.1f}%, "
-                f"tolerance {100 * tolerance:.0f}%) -- selection work "
+                f"tolerance {100 * tolerance:.0f}%) -- counted work "
                 "only shrinks; if the increase is deliberate, re-record "
                 "with --update"
             )
@@ -498,11 +459,10 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print(f"bench ratchet: {failures} failure(s)", file=sys.stderr)
         return 1
-    scanned = current["epoch_sweep"]["entries_scanned"]
+    updates = current["epoch_sweep"]["delta_updates"]
     print(
-        "bench ratchet: OK (fig08 lazy scanned "
-        f"{current['fig08_sweep']['scanned']['lazy']}, epoch sweep "
-        f"warm {scanned['warm']} vs cold {scanned['cold']})"
+        "bench ratchet: OK (epoch sweep delta updates "
+        f"warm {updates['warm']} vs cold {updates['cold']})"
     )
     return 0
 
