@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -77,6 +76,8 @@ def find_holes(
     list[CoverageHole]
         Sorted by point count, descending; empty when fully covered.
     """
+    import networkx as nx  # lazily: importing the package does not pay for it
+
     if k < 1:
         raise CoverageError(f"k must be >= 1, got {k}")
     radius = 2.0 * coverage.sensing_radius if merge_radius is None else merge_radius

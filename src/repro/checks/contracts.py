@@ -17,6 +17,10 @@ Guarded invariants
     breaks in distributed set-cover implementations.
 ``counts-nonnegative``
     Coverage counts can never go below zero.
+``kcovered-count``
+    The engine's running count of k-covered points (behind its O(1)
+    ``is_fully_covered``/``covered_fraction``) equals a recount of
+    ``counts >= k``.
 ``adjacency-symmetry``
     The CSR coverage adjacency must be symmetric (undirected closeness).
 ``placement-in-bounds``
@@ -117,8 +121,9 @@ def validate_engine_consistency(
     """Check coverage-count/benefit consistency of a live engine.
 
     Recomputes the benefit vector from the coverage counts (Eq. 1 batch
-    form) and compares against the incrementally maintained vector; also
-    rejects negative counts.  Read-only: never mutates the engine.
+    form) and compares against the incrementally maintained vector, and the
+    running k-covered count against a recount; also rejects negative
+    counts.  Read-only: never mutates the engine.
     """
     counts = engine.counts
     if counts.min(initial=0) < 0:
@@ -139,6 +144,16 @@ def validate_engine_consistency(
             f"incremental benefit diverged from Eq. 1 recompute at "
             f"{int(where.size)} point(s), first at field point "
             f"{int(where[0])} (method={method!r})",
+            step=step,
+        )
+    n = engine.n_points
+    kcovered = int(np.count_nonzero(counts >= engine.k_per_point))
+    running = engine.covered_fraction()
+    if running != kcovered / n:
+        raise InvariantError(
+            "kcovered-count",
+            f"running k-covered fraction {running!r} differs from the "
+            f"recount of {kcovered}/{n} points (method={method!r})",
             step=step,
         )
 

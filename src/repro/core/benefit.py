@@ -68,6 +68,20 @@ def _is_symmetric(matrix: sparse.csr_matrix) -> bool:
     )
 
 
+def csr_row_gather(
+    matrix: sparse.csr_matrix, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices of ``rows`` of a CSR matrix, concatenated in row
+    order, and each row's length — one fused gather, no per-row loop
+    (shared by the engine's delta update and the Voronoi local benefit)."""
+    indptr = matrix.indptr
+    starts = indptr[rows]
+    lens = indptr[rows + 1] - starts
+    pos = (starts - (lens.cumsum() - lens)).repeat(lens)
+    pos += np.arange(pos.size, dtype=pos.dtype)
+    return matrix.indices[pos], lens
+
+
 def same_cell_benefit_adjacency(
     coverage_adjacency: sparse.csr_matrix, cell_of_point: np.ndarray
 ) -> sparse.csr_matrix:
@@ -111,7 +125,9 @@ class BenefitEngine:
     The engine records each accounted sensor's covered-point row, in call
     order: the rows become the result's coverage (:meth:`coverage_state`)
     and let a failure undo exactly the failed rows (:meth:`remove_rows`),
-    which keeps a restoration session's engine warm across epochs.
+    which keeps a restoration session's engine warm across epochs.  It also
+    keeps a running count of k-covered points, so :meth:`is_fully_covered`
+    and :meth:`covered_fraction` (without ``k``) cost O(1) per placement.
 
     Examples
     --------
@@ -182,6 +198,7 @@ class BenefitEngine:
             if counts.shape != (n,) or counts.min(initial=0) < 0:
                 raise CoverageError("invalid initial counts")
             self._counts = counts.copy()
+        self._n_kcovered = int(np.count_nonzero(self._counts >= self._karr))
         self._benefit = self._ben @ self._weights()
 
     @staticmethod
@@ -282,14 +299,15 @@ class BenefitEngine:
         return int(self.deficiency().sum())
 
     def is_fully_covered(self) -> bool:
-        return bool(np.all(self._counts >= self._karr))
+        return self._n_kcovered == self.n_points
 
     def deficient_indices(self) -> np.ndarray:
         return np.nonzero(self._counts < self._karr)[0]
 
     def covered_fraction(self, k: int | None = None) -> float:
-        kk = self._karr if k is None else k
-        return float(np.count_nonzero(self._counts >= kk)) / self.n_points
+        if k is None:
+            return self._n_kcovered / self.n_points
+        return float(np.count_nonzero(self._counts >= k)) / self.n_points
 
     # ------------------------------------------------------------------
     # selection
@@ -325,32 +343,27 @@ class BenefitEngine:
         Returns the covered indices (so callers can mirror the change into a
         :class:`~repro.network.coverage.CoverageState`).
         """
+        before = self._counts[covered]
+        need = self._karr[covered]
         if sign == +1:
-            if self._mode == "binary":
-                # weight drops 1 -> 0 only when the point crosses into k-covered
-                changed = covered[self._counts[covered] == self._karr[covered] - 1]
-            else:
-                changed = covered[self._counts[covered] < self._karr[covered]]
+            # points crossing into k-covered; binary weights drop 1 -> 0 there
+            crossing = before == need - 1
             self._counts[covered] += 1
+            self._n_kcovered += int(np.count_nonzero(crossing))
+            changed = covered[crossing if self._mode == "binary" else before < need]
         elif sign == -1:
-            if np.any(self._counts[covered] <= 0):
+            if (before <= 0).any():
                 raise CoverageError("coverage count would become negative")
+            # points leaving k-covered; binary weights rise 0 -> 1 there
+            crossing = before == need
             self._counts[covered] -= 1
-            if self._mode == "binary":
-                changed = covered[self._counts[covered] == self._karr[covered] - 1]
-            else:
-                changed = covered[self._counts[covered] < self._karr[covered]]
+            self._n_kcovered -= int(np.count_nonzero(crossing))
+            changed = covered[crossing if self._mode == "binary" else before <= need]
         else:  # pragma: no cover - internal misuse
             raise CoverageError(f"invalid sign {sign}")
         if changed.size:
-            # fused CSR row gather: the benefit rows of every changed point,
-            # concatenated in row order, without a Python-level per-row loop
-            indptr = self._ben.indptr
-            starts = indptr[changed]
-            lens = indptr[changed + 1] - starts
-            pos = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-            pos += np.arange(pos.size, dtype=pos.dtype)
-            touched = self._ben.indices[pos]
+            # the benefit rows of every changed point lose (gain) one unit
+            touched, _ = csr_row_gather(self._ben, changed)
             np.add.at(self._benefit, touched, -1.0 if sign == +1 else +1.0)
             if OBS.enabled:
                 OBS.counter("benefit_delta_updates_total").inc(int(touched.size))
@@ -365,15 +378,25 @@ class BenefitEngine:
         self._rows.append(covered)
         return covered
 
-    def add_sensor_at_position(self, position: np.ndarray) -> np.ndarray:
+    def add_sensor_at_position(
+        self, position: np.ndarray, *, covered: np.ndarray | None = None
+    ) -> np.ndarray:
         """Account for a sensor at an arbitrary position (initial deployment).
+
+        ``covered`` optionally supplies the sensor's ball query, i.e. the
+        field points within ``rs`` of ``position`` (callers placing many
+        sensors query them in one batch).  It must equal that query up to
+        order: rows are index sets (batch kd-tree rows come back sorted,
+        single-point ones in tree order, gridhash ones in bucket order) and
+        nothing downstream depends on their order.  ``REPRO_CHECKS=1``
+        compares the result's rows with a recount.
 
         Returns the covered field-point indices (keep them if the sensor may
         later fail, for :meth:`remove_covered`).
         """
-        covered = self._apply_delta(
-            self._field.query_ball(as_point(position), self._rs), +1
-        ).copy()
+        if covered is None:
+            covered = self._field.query_ball(as_point(position), self._rs)
+        covered = self._apply_delta(np.asarray(covered, dtype=np.intp), +1)
         self._rows.append(covered)
         return covered
 

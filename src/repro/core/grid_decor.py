@@ -96,9 +96,7 @@ def grid_decor(
     )
 
     points_by_cell = field.points_by_cell(region, cell_size)
-    occupied_cells = [
-        c for c in range(partition.n_cells) if points_by_cell[c].size
-    ]
+    cell_of_point = field.cell_of(region, cell_size)
 
     trace = PlacementTrace()
     added: list[int] = []
@@ -114,10 +112,13 @@ def grid_decor(
         while progress and not truncated:
             progress = False
             rounds += 1
+            # only cells holding a deficient point at the round's start can
+            # place in it (coverage only grows within a round)
+            active = np.unique(cell_of_point[engine.deficient_indices()])
             counts = engine.counts
-            for cid in occupied_cells:
+            for cid in active.tolist():
                 cell_points = points_by_cell[cid]
-                if not np.any(counts[cell_points] < k):
+                if not (counts[cell_points] < k).any():
                     continue
                 if len(added) >= budget:
                     if stop_at_budget:

@@ -41,10 +41,11 @@ def random_placement(
     region:
         Sampling region; defaults to the bounding box of the field points.
     batch_size:
-        Nodes are drawn in batches to amortise RNG calls; coverage is still
-        accounted node by node so the trace is exact and no overshoot beyond
-        the final batch occurs (the run stops at the first node achieving
-        full coverage).
+        Nodes are drawn, and their sensing discs queried, in batches to
+        amortise RNG and neighbour-index calls; coverage is still accounted
+        node by node so the trace is exact and no overshoot beyond the final
+        batch occurs (the run stops at the first node achieving full
+        coverage).
     max_nodes:
         Safety budget; random placement on an unlucky seed needs many nodes,
         so the default is ``64 * k * lower_bound``-ish via
@@ -83,8 +84,11 @@ def random_placement(
                     f"random placement exceeded its budget of {budget} nodes"
                 )
             batch = region.sample(min(batch_size, budget - len(added)), rng)
-            for pos in batch:
-                engine.add_sensor_at_position(pos)
+            # one ball query per batch; off-field drops cover no point but
+            # still get their accounting row
+            rows = field.query_ball_many(batch, engine.sensing_radius)
+            for pos, row in zip(batch, rows):
+                engine.add_sensor_at_position(pos, covered=row)
                 added.append(deployment.add(pos))
                 trace.record(pos, 0.0, engine.covered_fraction())
                 if OBS.enabled:

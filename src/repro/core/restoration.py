@@ -378,6 +378,8 @@ class RestorationSession:
         alive = dep.alive_ids()
         if not np.all(np.isin(failed_ids, alive)):
             raise CoverageError("failure names nodes that are not alive")
+        if np.unique(failed_ids).size != failed_ids.size:
+            raise CoverageError("failure names the same node more than once")
         # the damage footprint, computed identically in warm and cold mode
         # so the recorded streams stay byte-identical
         dirty = self._field.dirty_region(

@@ -25,9 +25,9 @@ import numpy as np
 
 from repro.checks import greedy_checker
 from repro.core._common import finalize, init_run, placement_budget
+from repro.core.benefit import csr_row_gather
 from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
 from repro.errors import PlacementError
-from repro.geometry.points import squared_distances_to
 from repro.geometry.voronoi import VoronoiOwnership
 from repro.network.spec import SensorSpec
 from repro.obs import FREC, OBS
@@ -53,17 +53,11 @@ def local_voronoi_benefit(
     round model and the packet-level protocol so the two provably score
     identically.
     """
-    indptr, indices = adjacency.indptr, adjacency.indices
-    starts, ends = indptr[candidates], indptr[candidates + 1]
-    lens = ends - starts
-    rows = (
-        np.concatenate([indices[s:e] for s, e in zip(starts, ends)])
-        if candidates.size
-        else np.empty(0, dtype=indices.dtype)
-    )
-    known = squared_distances_to(pts[rows], site_pos) <= rc2 + 1e-12
+    rows, lens = csr_row_gather(adjacency, candidates)
+    diff = pts[rows] - site_pos
+    known = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= rc2 + 1e-12
     known |= ownership.owner[rows] == site
-    seg = np.repeat(np.arange(candidates.size), lens)
+    seg = np.arange(candidates.size).repeat(lens)
     contrib = deficiency[rows] * known
     return np.bincount(seg, weights=contrib, minlength=candidates.size)
 
@@ -152,13 +146,14 @@ def voronoi_decor(
         while progress and not truncated:
             progress = False
             rounds += 1
-            # iterate a snapshot of current sites; sites added this round join
-            # the next round (synchronous-rounds model, like the grid variant)
-            site_ids = list(ownership.alive_sites())
+            # only sites owning a deficient point at the round's start can
+            # place in it: cells only shrink within a round (sites added now
+            # join the next one) and coverage only grows
             deficiency = engine.deficiency().astype(np.float64)
-            for site in site_ids:
-                owned = ownership.owned_points(int(site))
-                if owned.size == 0 or not np.any(deficiency[owned] > 0):
+            active = np.unique(ownership.owner[deficiency > 0])
+            for site in active.tolist():
+                owned = ownership.owned_points(site)
+                if not (deficiency[owned] > 0).any():
                     continue
                 if len(added) >= budget:
                     if stop_at_budget:
@@ -167,8 +162,8 @@ def voronoi_decor(
                     raise PlacementError(
                         f"Voronoi DECOR exceeded its budget of {budget} nodes"
                     )
-                site_pos = ownership.site_position(int(site))
-                benefits = local_benefit(owned, int(site), site_pos, deficiency)
+                site_pos = ownership.site_position(site)
+                benefits = local_benefit(owned, site, site_pos, deficiency)
                 best = int(np.argmax(benefits))
                 benefit = float(benefits[best])
                 if benefit <= 0.0:
@@ -177,26 +172,27 @@ def voronoi_decor(
                         f"site {site} has deficient points but zero benefit"
                     )
                 idx = int(owned[best])
-                engine.place_at(idx)
+                covered = engine.place_at(idx)
                 pos = pts[idx]
                 nid = deployment.add(pos)
                 added.append(nid)
                 ownership.add_site(pos)
                 # notify alive nodes within rc of the new sensor
-                all_pos = deployment.positions
-                d2 = squared_distances_to(all_pos[:-1], pos)  # not the new node
+                diff = deployment.positions[:-1] - pos  # not the new node
+                d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
                 n_msgs = int(np.count_nonzero(d2 <= rc2 + 1e-12))
                 per_node_msgs.append(0)  # slot for the new node
-                per_node_msgs[int(site)] += n_msgs
+                per_node_msgs[site] += n_msgs
                 trace.record(
                     pos,
                     benefit,
                     engine.covered_fraction(),
-                    proposer=int(site),
+                    proposer=site,
                     messages=n_msgs,
                 )
                 checker.after_step(len(added) - 1, idx, pos)
-                deficiency = engine.deficiency().astype(np.float64)
+                # only the new sensor's disc lost deficiency
+                deficiency[covered] = np.maximum(k - engine.counts[covered], 0)
                 progress = True
                 if FREC.enabled:
                     # analytic rounds stand in for sim time; the acting

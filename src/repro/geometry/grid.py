@@ -138,24 +138,29 @@ class GridPartition:
         must inform the leader of every *other* cell the new node's sensing
         disc reaches into (§3.3).
         """
-        c = as_point(center)
+        cx, cy = as_point(center).tolist()
         if radius < 0:
             raise GeometryError(f"negative radius {radius}")
-        # candidate index window
-        ix0 = int(np.floor((c[0] - radius - self.region.x0) / self.cell_width))
-        ix1 = int(np.floor((c[0] + radius - self.region.x0) / self.cell_width))
-        iy0 = int(np.floor((c[1] - radius - self.region.y0) / self.cell_height))
-        iy1 = int(np.floor((c[1] + radius - self.region.y0) / self.cell_height))
+        reg, cw, ch = self.region, self.cell_width, self.cell_height
+        r2 = radius * radius + 1e-12
+        # candidate index window, wide enough for every cell the tolerant
+        # test below accepts (a disc whose edge just touches a cell's upper
+        # or right edge included)
+        reach = math.sqrt(r2) + 1e-9
+        ix0 = max(math.floor((cx - reach - reg.x0) / cw), 0)
+        ix1 = min(math.floor((cx + reach - reg.x0) / cw), self.nx - 1)
+        iy0 = max(math.floor((cy - reach - reg.y0) / ch), 0)
+        iy1 = min(math.floor((cy + reach - reg.y0) / ch), self.ny - 1)
         out = []
-        for iy in range(max(iy0, 0), min(iy1, self.ny - 1) + 1):
-            for ix in range(max(ix0, 0), min(ix1, self.nx - 1) + 1):
-                cid = iy * self.nx + ix
-                rect = self.cell_rect(cid)
-                # distance from disc center to the rectangle
-                dx = max(rect.x0 - c[0], 0.0, c[0] - rect.x1)
-                dy = max(rect.y0 - c[1], 0.0, c[1] - rect.y1)
-                if dx * dx + dy * dy <= radius * radius + 1e-12:
-                    out.append(cid)
+        for iy in range(iy0, iy1 + 1):
+            # the bounds of cell_rect, without building a Rect per cell
+            y0 = reg.y0 + iy * ch
+            dy = max(y0 - cy, 0.0, cy - min(y0 + ch, reg.y1))
+            for ix in range(ix0, ix1 + 1):
+                x0 = reg.x0 + ix * cw
+                dx = max(x0 - cx, 0.0, cx - min(x0 + cw, reg.x1))
+                if dx * dx + dy * dy <= r2:
+                    out.append(iy * self.nx + ix)
         return np.asarray(out, dtype=np.intp)
 
     def max_leader_distance(self) -> float:

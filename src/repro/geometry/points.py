@@ -7,6 +7,7 @@ broadcast, no needless copies).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,7 +55,9 @@ def as_point(point: object) -> np.ndarray:
     arr = np.asarray(point, dtype=np.float64).reshape(-1)
     if arr.shape != (2,):
         raise GeometryError(f"expected a single 2-D point, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # two scalar tests: np.isfinite on a 2-vector costs several times more
+    x, y = arr.tolist()
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise GeometryError("point contains NaN or infinite coordinates")
     return arr
 

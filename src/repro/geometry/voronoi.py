@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.points import as_point, as_points, squared_distances_to
+from repro.geometry.points import as_point, as_points
 
 __all__ = ["VoronoiOwnership", "nearest_owner"]
 
@@ -132,7 +132,8 @@ class VoronoiOwnership:
         sid = len(self._sites)
         self._sites.append(pos.copy())
         self._alive.append(True)
-        d2 = squared_distances_to(self._points, pos)
+        diff = self._points - pos  # both validated on the way in
+        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
         stolen = np.nonzero(d2 < self._owner_d2)[0]
         self._owner[stolen] = sid
         self._owner_d2[stolen] = d2[stolen]

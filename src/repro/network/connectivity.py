@@ -9,12 +9,18 @@ exercise this corollary on DECOR outputs.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 from scipy.spatial import cKDTree
 
 from repro.errors import ConfigurationError
 from repro.geometry.points import as_points
+
+# networkx is imported inside the functions that use it, so importing the
+# package (and the CLI) does not pay for it
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "communication_graph",
@@ -34,6 +40,8 @@ def communication_graph(positions: np.ndarray, rc: float) -> nx.Graph:
     rc:
         Communication radius; edges join pairs at distance ``<= rc``.
     """
+    import networkx as nx
+
     pts = as_points(positions)
     if rc <= 0:
         raise ConfigurationError(f"communication radius must be positive, got {rc}")
@@ -48,6 +56,8 @@ def communication_graph(positions: np.ndarray, rc: float) -> nx.Graph:
 
 def is_connected(positions: np.ndarray, rc: float) -> bool:
     """Whether the communication graph is connected (vacuously true for <= 1 node)."""
+    import networkx as nx
+
     pts = as_points(positions)
     if len(pts) <= 1:
         return True
@@ -56,6 +66,8 @@ def is_connected(positions: np.ndarray, rc: float) -> bool:
 
 def connected_components_count(positions: np.ndarray, rc: float) -> int:
     """Number of connected components of the communication graph."""
+    import networkx as nx
+
     return nx.number_connected_components(communication_graph(positions, rc))
 
 
@@ -66,6 +78,8 @@ def node_connectivity_at_least(positions: np.ndarray, rc: float, k: int) -> bool
     which is cheap to check before the (expensive) max-flow based
     :func:`networkx.node_connectivity`.
     """
+    import networkx as nx
+
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
     pts = as_points(positions)

@@ -146,10 +146,13 @@ class Deployment:
         return ids
 
     def fail(self, node_ids: np.ndarray) -> None:
-        """Mark nodes as failed.  Failing an already-failed node raises."""
+        """Mark nodes as failed.  Failing an already-failed node, or naming
+        one twice, raises before any node is marked."""
         ids = np.asarray(node_ids, dtype=np.intp).reshape(-1)
         for nid in ids:
             self._check_id(int(nid))
+        if np.unique(ids).size != ids.size:
+            raise CoverageError("failing the same node more than once")
         if not np.all(self._alive[ids]):
             raise CoverageError("failing a node that is already failed")
         self._alive[ids] = False

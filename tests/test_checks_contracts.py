@@ -143,6 +143,16 @@ class TestValidators:
         assert exc.value.invariant == "benefit-consistency"
         assert exc.value.step == 4
 
+    def test_kcovered_count_drift_raises(self):
+        eng = small_engine()
+        eng.place_at(0)
+        validate_engine_consistency(eng)  # consistent before corruption
+        eng._n_kcovered += 1
+        with pytest.raises(InvariantError) as exc:
+            validate_engine_consistency(eng, step=2, method="demo")
+        assert exc.value.invariant == "kcovered-count"
+        assert exc.value.step == 2
+
 
 class TestGreedyStepChecker:
     def test_clean_run_passes_every_step(self):

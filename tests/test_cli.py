@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +108,15 @@ def test_gallery(capsys):
     assert code == 0
     assert "Figure 4" in out and "Figure 5" in out and "Figure 6" in out
     assert "!" in out  # the disaster hole is visible
+
+
+def test_import_leaves_networkx_unloaded():
+    """networkx is only needed by connectivity/hole analyses, so importing
+    the CLI must not load it (a fresh interpreter: this one has it)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    probe = "import sys, repro.cli; print('networkx' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "False"

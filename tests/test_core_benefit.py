@@ -133,22 +133,55 @@ class TestRestrictedBenefitAdjacency:
     n_ops=st.integers(1, 40),
     seed=st.integers(0, 2**31),
     mode=st.sampled_from(["deficiency", "binary"]),
+    per_point=st.booleans(),
 )
-def test_incremental_benefit_equals_recompute(n, k, n_ops, seed, mode):
+def test_incremental_benefit_equals_recompute(n, k, n_ops, seed, mode, per_point):
     """Property: after arbitrary place/add/remove sequences the incremental
-    benefit vector equals A @ weights recomputed from scratch."""
+    benefit vector equals A @ weights recomputed from scratch, and after
+    every operation the running k-covered count behind ``covered_fraction``
+    and ``is_fully_covered`` equals a naive recount — with a uniform or a
+    per-point requirement (some points requiring nothing)."""
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2)) * 8
-    eng = BenefitEngine(pts, 1.5, k=k, benefit_mode=mode)
-    removable: list[np.ndarray] = []
+    if per_point:
+        need = rng.integers(0, k + 1, size=n)
+        need[rng.integers(n)] = k  # at least one point requires coverage
+    else:
+        need = np.full(n, k)
+    eng = BenefitEngine(pts, 1.5, k=need if per_point else k, benefit_mode=mode)
+    # the test's own copy of the engine's rows; live[i] is False once row i's
+    # coverage was undone by remove_covered (the engine keeps such rows)
+    rows: list[np.ndarray] = []
+    live: list[bool] = []
     for _ in range(n_ops):
         r = rng.random()
-        if r < 0.5:
-            eng.place_at(int(rng.integers(n)))
-        elif r < 0.8 or not removable:
-            removable.append(eng.add_sensor_at_position(rng.random(2) * 8))
+        applied = [i for i, ok in enumerate(live) if ok]
+        if r < 0.4:
+            rows.append(eng.place_at(int(rng.integers(n))).copy())
+            live.append(True)
+        elif r < 0.65 or not applied:
+            rows.append(eng.add_sensor_at_position(rng.random(2) * 8).copy())
+            live.append(True)
+        elif r < 0.8:
+            i = int(rng.choice(applied))
+            eng.remove_covered(rows[i])
+            live[i] = False
         else:
-            eng.remove_covered(removable.pop())
+            size = int(rng.integers(1, len(applied) + 1))
+            drop = rng.choice(applied, size=size, replace=False)
+            eng.remove_rows(drop)
+            dropped = set(drop.tolist())
+            keep = [i for i in range(len(rows)) if i not in dropped]
+            rows = [rows[i] for i in keep]
+            live = [live[i] for i in keep]
+        counts = np.zeros(n, dtype=np.int64)
+        for row, ok in zip(rows, live):
+            if ok:
+                counts[row] += 1
+        np.testing.assert_array_equal(eng.counts, counts)
+        met = counts >= need
+        assert eng.covered_fraction() == np.count_nonzero(met) / n
+        assert eng.is_fully_covered() == bool(met.all())
     eng.validate()
     np.testing.assert_allclose(eng.benefit, eng.recomputed_benefit())
 

@@ -2,7 +2,11 @@
 
 These run every figure generator on a tiny setup and assert the paper's
 qualitative orderings; the benchmarks repeat them at smoke/paper scale.
+One test regenerates smoke-scale figures and compares them byte for byte
+with the committed ``benchmarks/results/smoke`` JSON.
 """
+
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ import pytest
 from repro.experiments import (
     DeploymentCache,
     ExperimentSetup,
+    figure_to_json,
     fig07_coverage_vs_nodes,
     fig08_nodes_vs_k,
     fig09_redundancy,
@@ -19,6 +24,11 @@ from repro.experiments import (
     fig13_area_failure,
     fig14_restoration,
     FIGURES,
+)
+from repro.experiments.figures import run_figure
+
+SMOKE_RESULTS = (
+    pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "smoke"
 )
 
 
@@ -150,3 +160,14 @@ class TestFig14:
 
 def test_registry_complete():
     assert sorted(FIGURES) == [7, 8, 9, 10, 11, 12, 13, 14]
+
+
+def test_smoke_figures_match_committed_bytes():
+    """Smoke Figures 7, 8 and 10 regenerate byte for byte: together they pin
+    every method's per-placement coverage trace, its node counts and the
+    grid/Voronoi message counts."""
+    setup = ExperimentSetup.smoke()
+    cache = DeploymentCache(setup)
+    for number in (7, 8, 10):
+        expected = (SMOKE_RESULTS / f"fig{number:02d}.json").read_text(encoding="utf-8")
+        assert figure_to_json(run_figure(setup, number, cache)) == expected, number

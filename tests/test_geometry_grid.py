@@ -110,17 +110,36 @@ class TestDiskIntersection:
         assert bool(np.all(cells < paper_grid.n_cells))
 
     def test_exhaustive_against_rect_distance(self, paper_grid, rng):
-        center = Rect.square(100.0).sample(1, rng)[0]
-        r = 7.0
-        got = set(paper_grid.cells_intersecting_disk(center, r).tolist())
-        want = set()
-        for c in range(paper_grid.n_cells):
-            rect = paper_grid.cell_rect(c)
-            dx = max(rect.x0 - center[0], 0.0, center[0] - rect.x1)
-            dy = max(rect.y0 - center[1], 0.0, center[1] - rect.y1)
-            if dx * dx + dy * dy <= r * r + 1e-12:
-                want.add(c)
-        assert got == want
+        """Centres on cell corners and edges, at the field corners, at cell
+        centres and at random, radii 0 to 12, against a brute force over
+        every cell's rectangle — on the paper grid and on one whose last
+        column and row are truncated (23 x 17 in 5-cells)."""
+
+        def axis(lo: float, hi: float, size: float, n: int) -> list[float]:
+            picks = sorted({0, 1, n // 2, n - 1})
+            lines = [lo + i * size for i in picks] + [hi]
+            mids = [(lo + i * size + min(lo + (i + 1) * size, hi)) / 2 for i in picks]
+            return lines + mids
+
+        truncated = GridPartition.square_cells(Rect(0.0, 0.0, 23.0, 17.0), 5.0)
+        for grid in (paper_grid, truncated):
+            reg = grid.region
+            centers = [
+                (x, y)
+                for x in axis(reg.x0, reg.x1, grid.cell_width, grid.nx)
+                for y in axis(reg.y0, reg.y1, grid.cell_height, grid.ny)
+            ] + [tuple(p) for p in reg.sample(3, rng)]
+            rects = [grid.cell_rect(c) for c in range(grid.n_cells)]
+            for cx, cy in centers:
+                for r in (0.0, 1.0, 4.0, 12.0):
+                    want = []
+                    for c, rect in enumerate(rects):
+                        dx = max(rect.x0 - cx, 0.0, cx - rect.x1)
+                        dy = max(rect.y0 - cy, 0.0, cy - rect.y1)
+                        if dx * dx + dy * dy <= r * r + 1e-12:
+                            want.append(c)
+                    got = grid.cells_intersecting_disk(np.array([cx, cy]), r)
+                    assert got.tolist() == want, (reg, cx, cy, r)
 
     def test_negative_radius_raises(self, paper_grid):
         with pytest.raises(GeometryError):

@@ -67,6 +67,12 @@ class TestFailures:
         with pytest.raises(GeometryError):
             Deployment([[0.0, 0.0]]).fail([5])
 
+    def test_repeated_id_raises_before_any_change(self):
+        d = Deployment([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(CoverageError):
+            d.fail([1, 1])
+        assert d.n_alive == 3
+
     def test_revive(self):
         d = Deployment([[0.0, 0.0]])
         d.fail([0])

@@ -352,20 +352,27 @@ class TestSessionValidation:
         with pytest.raises(PlacementError):
             centralized_greedy(model, spec, 2, engine=engine)
 
+    @pytest.mark.parametrize("bad_ids", ["unknown", "repeated"])
     @pytest.mark.parametrize("warm", [True, False])
-    def test_failure_of_unknown_node_rejected_before_any_change(self, warm):
+    def test_failure_of_unknown_node_rejected_before_any_change(
+        self, warm, bad_ids
+    ):
         planner = _planner()
         result = planner.deploy(1, method="centralized")
         session = planner.session(result, method="centralized", warm=warm)
         counts = None if session.engine is None else session.engine.counts.copy()
-        bogus = FailureEvent(
-            np.array([0, session.deployment.n_total + 3]), kind="random"
-        )
+        rows = None if session.engine is None else session.engine.n_rows
+        ids = {
+            "unknown": [0, session.deployment.n_total + 3],
+            "repeated": [3, 3, 5],
+        }[bad_ids]
         with pytest.raises(CoverageError):
-            session.restore(bogus)
+            session.restore(FailureEvent(np.array(ids), kind="random"))
         assert session.epoch == 0
+        assert session.deployment.n_alive == result.deployment.n_alive
         if counts is not None:
             assert np.array_equal(session.engine.counts, counts)
+            assert session.engine.n_rows == rows
 
     def test_warm_engine_row_count_mismatch(self, field, spec):
         model = FieldModel(field)
