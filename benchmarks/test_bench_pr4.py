@@ -48,19 +48,19 @@ def payload_bytes(cache: DeploymentCache, pool: WorkerPool, cells) -> dict:
     """Bytes shipped per cell: pickling path vs shared-memory manifests.
 
     The pickling counterfactual serialises each cell's field arrays
-    (points + the ``rs`` CSR adjacency) the way a task argument would
-    travel through the executor pipe; the shared path posts segments
-    once per seed and ships only manifests.  Both sides are
+    (points + the ``rs`` adjacency's ``indices``/``indptr``) the way a
+    task argument would travel through the executor pipe; the shared
+    path posts segments once per seed and ships only manifests.  Both sides are
     deterministic byte counts — no timing involved.
     """
     seeds = sorted({seed for _, _, seed in cells})
     pickled_per_seed = {}
     for seed in seeds:
         field = cache.field(seed)
-        csr = field.adjacency(cache.setup.rs)
+        adj = field.adjacency(cache.setup.rs)
         pickled_per_seed[seed] = len(
             pickle.dumps(
-                [field.points, csr.data, csr.indices, csr.indptr],
+                [field.points, adj.indices, adj.indptr],
                 protocol=pickle.HIGHEST_PROTOCOL,
             )
         )

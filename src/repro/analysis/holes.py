@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import CoverageError
 from repro.network.coverage import CoverageState
@@ -77,6 +76,7 @@ def find_holes(
         Sorted by point count, descending; empty when fully covered.
     """
     import networkx as nx  # lazily: importing the package does not pay for it
+    from scipy.spatial import cKDTree
 
     if k < 1:
         raise CoverageError(f"k must be >= 1, got {k}")

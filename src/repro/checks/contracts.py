@@ -22,7 +22,7 @@ Guarded invariants
     ``is_fully_covered``/``covered_fraction``) equals a recount of
     ``counts >= k``.
 ``adjacency-symmetry``
-    The CSR coverage adjacency must be symmetric (undirected closeness).
+    The coverage adjacency must be symmetric (undirected closeness).
 ``placement-in-bounds``
     Every placed position must lie inside the field's bounding box.
 ``deficiency-monotone``
@@ -34,9 +34,9 @@ Guarded invariants
 Array write-protection
 ----------------------
 
-:func:`freeze_csr` write-protects the ``data``/``indices``/``indptr``
-payloads of sparse matrices crossing the :class:`~repro.field.FieldModel`
-cache boundary, so a consumer mutating a shared adjacency trips a NumPy
+:func:`freeze_csr` write-protects the ``indices``/``indptr`` arrays of
+adjacencies crossing the :class:`~repro.field.FieldModel` cache
+boundary, so a consumer mutating a shared adjacency trips a NumPy
 ``ValueError: assignment destination is read-only`` at the mutation site
 (dense arrays leaving the cache are already frozen unconditionally).
 
@@ -65,13 +65,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Union
 
 import numpy as np
-from scipy import sparse
 
 from repro.checks.runtime import CHECKS, ChecksRuntime
 from repro.errors import InvariantError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.benefit import BenefitEngine
+    from repro.field.csr import Adjacency
     from repro.network.coverage import CoverageState
     from repro.network.deployment import Deployment
 
@@ -87,30 +87,28 @@ __all__ = [
 ]
 
 
-def freeze_csr(matrix: sparse.spmatrix) -> sparse.spmatrix:
-    """Write-protect a sparse matrix's backing arrays, in place.
+def freeze_csr(matrix: Adjacency) -> Adjacency:
+    """Write-protect an adjacency's ``indices`` and ``indptr``, in place.
 
-    Applied to CSR/CSC-style matrices as they cross a cache boundary while
-    the sanitizer is enabled; consumers keep full read access but any
-    in-place mutation of the shared payload raises immediately.
+    Applied to adjacencies as they cross a cache boundary while the
+    sanitizer is enabled; consumers keep full read access but any
+    in-place mutation of the shared structure raises immediately.
     """
-    for attr in ("data", "indices", "indptr"):
-        arr = getattr(matrix, attr, None)
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
+    matrix.indices.flags.writeable = False
+    matrix.indptr.flags.writeable = False
     return matrix
 
 
 def validate_adjacency_symmetry(
-    adjacency: sparse.spmatrix, *, step: int | None = None, method: str = ""
+    adjacency: Adjacency, *, step: int | None = None, method: str = ""
 ) -> None:
     """Raise :class:`InvariantError` unless ``adjacency`` is symmetric."""
-    asym = (adjacency - adjacency.T).nnz
-    if asym:
+    from repro.core.benefit import _is_symmetric  # import cycle guard
+
+    if not _is_symmetric(adjacency):
         raise InvariantError(
             "adjacency-symmetry",
-            f"coverage adjacency has {asym} asymmetric entries "
-            f"(method={method!r})",
+            f"coverage adjacency is not symmetric (method={method!r})",
             step=step,
         )
 
@@ -183,8 +181,7 @@ def validate_warm_engine(
         benefit_adjacency=None if ben is engine.coverage_adjacency else ben,
         benefit_mode=engine.benefit_mode,
     )
-    for pos in np.asarray(initial_positions, dtype=np.float64).reshape(-1, 2):
-        reference.add_sensor_at_position(pos)
+    reference.add_sensors(np.asarray(initial_positions, dtype=np.float64).reshape(-1, 2))
     if not np.array_equal(engine.counts, reference.counts):
         bad = np.nonzero(engine.counts != reference.counts)[0]
         raise InvariantError(

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from repro.checks import CHECKS, validate_coverage_recount, validate_warm_engine
 from repro.core.benefit import BenefitEngine
 from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
 from repro.errors import PlacementError
-from repro.field import FieldModel, as_field_model
+from repro.field import Adjacency, FieldModel, as_field_model
 from repro.geometry.points import as_points
 from repro.network.deployment import Deployment
 from repro.network.spec import SensorSpec
@@ -35,7 +34,7 @@ def _check_warm_engine(
     engine: BenefitEngine,
     spec: SensorSpec,
     k: int,
-    benefit_adjacency: sparse.csr_matrix | None,
+    benefit_adjacency: Adjacency | None,
     benefit_mode: str,
 ) -> None:
     """Reject a pre-warmed engine that does not match this run's problem.
@@ -76,7 +75,7 @@ def init_run(
     k: int,
     initial_positions: np.ndarray | None,
     *,
-    benefit_adjacency: sparse.csr_matrix | None = None,
+    benefit_adjacency: Adjacency | None = None,
     benefit_mode: str = "deficiency",
     engine: BenefitEngine | None = None,
 ) -> tuple[FieldModel, Deployment, BenefitEngine]:
@@ -119,8 +118,7 @@ def init_run(
     if engine.n_rows == 0:
         # cold path: account the initial sensors' coverage now (a warm
         # engine already carries it)
-        for nid in deployment.alive_ids():
-            engine.add_sensor_at_position(deployment.position_of(int(nid)))
+        engine.add_sensors(deployment.alive_positions())
     elif engine.n_rows != deployment.n_alive:
         raise PlacementError(
             f"warm engine tracks {engine.n_rows} sensor rows but "

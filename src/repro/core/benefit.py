@@ -25,51 +25,46 @@ only credits points of its own cell (benefit adjacency = same-cell pairs).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from repro.errors import CoverageError, PlacementError
-from repro.field import FieldModel, as_field_model
+from repro.field import Adjacency, FieldModel, as_field_model
+from repro.field.csr import sorted_unique
 from repro.field.model import same_cell_adjacency_of
 from repro.geometry.points import as_point
 from repro.network.coverage import CoverageState
 from repro.obs import OBS, profiled
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
+
 __all__ = ["BenefitEngine", "same_cell_benefit_adjacency"]
 
 
-def _is_symmetric(matrix: sparse.csr_matrix) -> bool:
-    """Whether a sparse matrix equals its transpose.
+def _is_symmetric(matrix: Adjacency) -> bool:
+    """Whether a CSR structure equals its transpose: the sorted distinct
+    keys ``row * n + col`` of its entries and of their mirrors agree.
+    Stored values are not read (scipy CSR matrices work too).
 
-    Compares the sorted COO triples of the matrix against those of its
-    transpose instead of materialising ``matrix - matrix.T`` — on large
-    fields the difference matrix costs an nnz-sized allocation and a full
-    sparse subtraction just to test for emptiness.
-
-    >>> from scipy import sparse
-    >>> _is_symmetric(sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+    >>> _is_symmetric(Adjacency.from_keys(np.array([1, 2]), 2))  # (0,1), (1,0)
     True
-    >>> _is_symmetric(sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    >>> _is_symmetric(Adjacency.from_keys(np.array([1]), 2))     # (0,1) only
     False
     """
-    if matrix.shape[0] != matrix.shape[1]:
+    n, m = matrix.shape
+    if n != m:
         return False
-    csr = matrix.tocsr()
-    if not csr.has_canonical_format:
-        csr = csr.copy()
-        csr.sum_duplicates()
-    coo = csr.tocoo()
-    fwd = np.lexsort((coo.col, coo.row))
-    rev = np.lexsort((coo.row, coo.col))
-    return (
-        bool(np.array_equal(coo.row[fwd], coo.col[rev]))
-        and bool(np.array_equal(coo.col[fwd], coo.row[rev]))
-        and bool(np.array_equal(coo.data[fwd], coo.data[rev]))
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+    cols = np.asarray(matrix.indices, dtype=np.int64)
+    return bool(
+        np.array_equal(sorted_unique(rows * n + cols), sorted_unique(cols * n + rows))
     )
 
 
 def csr_row_gather(
-    matrix: sparse.csr_matrix, rows: np.ndarray
+    matrix: Adjacency, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Column indices of ``rows`` of a CSR matrix, concatenated in row
     order, and each row's length — one fused gather, no per-row loop
@@ -82,19 +77,10 @@ def csr_row_gather(
     return matrix.indices[pos], lens
 
 
-def same_cell_benefit_adjacency(
-    coverage_adjacency: sparse.csr_matrix, cell_of_point: np.ndarray
-) -> sparse.csr_matrix:
-    """Filter an adjacency to pairs lying in the same cell.
-
-    This encodes the grid leader's information horizon: it only counts
-    benefit toward points of its own cell (§3.3).  CSR inputs are masked in
-    place through ``indptr``/``indices`` (no COO round-trip) and the output
-    is asserted to stay symmetric; prefer
-    :meth:`repro.field.FieldModel.same_cell_adjacency` when a shared model
-    is available (it memoises the result).
-    """
-    return same_cell_adjacency_of(coverage_adjacency, cell_of_point)
+#: Filter an adjacency to same-cell pairs: the grid leader's information
+#: horizon, crediting benefit only toward points of its own cell (§3.3).
+#: Prefer the memoised :meth:`repro.field.FieldModel.same_cell_adjacency`.
+same_cell_benefit_adjacency = same_cell_adjacency_of
 
 
 class BenefitEngine:
@@ -114,9 +100,11 @@ class BenefitEngine:
     initial_counts:
         Optional starting coverage counts (e.g. from surviving sensors).
     benefit_adjacency:
-        Optional CSR matrix replacing the full adjacency in the benefit sum
-        (see :func:`same_cell_benefit_adjacency`).  Must be symmetric with
-        the same shape as the coverage adjacency.
+        Optional adjacency replacing the full adjacency in the benefit sum
+        (see :func:`same_cell_benefit_adjacency`): an
+        :class:`~repro.field.Adjacency`, or a scipy sparse matrix storing
+        only 1s, converted once through ``.tocsr()``.  Must be symmetric
+        with the same shape as the coverage adjacency.
     benefit_mode:
         ``"deficiency"`` (paper Eq. 1: weight ``max(k - k_p, 0)``) or
         ``"binary"`` (weight 1 for any still-deficient point) — the ablation
@@ -151,7 +139,7 @@ class BenefitEngine:
         k: int | np.ndarray,
         *,
         initial_counts: np.ndarray | None = None,
-        benefit_adjacency: sparse.csr_matrix | None = None,
+        benefit_adjacency: Adjacency | sparse.spmatrix | sparse.sparray | None = None,
         benefit_mode: str = "deficiency",
     ):
         if benefit_mode not in ("deficiency", "binary"):
@@ -203,17 +191,23 @@ class BenefitEngine:
 
     @staticmethod
     def _validated_benefit_adjacency(
-        benefit_adjacency, n: int
-    ) -> sparse.csr_matrix:
-        """Check a caller-supplied benefit adjacency before it reaches the
-        sparse kernels (shape and symmetry violations would otherwise fail
-        deep inside scipy with opaque errors)."""
-        if not sparse.issparse(benefit_adjacency):
-            raise CoverageError(
-                "benefit_adjacency must be a scipy sparse matrix, got "
-                f"{type(benefit_adjacency).__name__}"
-            )
-        ben = benefit_adjacency.tocsr()
+        benefit_adjacency: Adjacency | sparse.spmatrix | sparse.sparray, n: int
+    ) -> Adjacency:
+        """Check a caller-supplied benefit adjacency once, at the boundary;
+        a scipy matrix is converted through ``.tocsr()`` and must store only
+        1s (the incremental update moves benefit by one unit per entry, so
+        a 2 or an explicit 0 would drift from Eq. 1)."""
+        ben = benefit_adjacency
+        if not isinstance(ben, Adjacency):
+            if not hasattr(ben, "tocsr"):
+                raise CoverageError(
+                    "benefit_adjacency must be an Adjacency or a scipy sparse "
+                    f"matrix, got {type(ben).__name__}"
+                )
+            ben = ben.tocsr(copy=True)
+            ben.sum_duplicates()
+            if np.any(ben.data != 1):
+                raise CoverageError("benefit adjacency must store only 1s")
         if ben.shape != (n, n):
             raise CoverageError(
                 f"benefit adjacency shape {ben.shape} != ({n}, {n}); it must "
@@ -225,7 +219,9 @@ class BenefitEngine:
                 "Eq. 1 is over an undirected neighbourhood); see "
                 "same_cell_benefit_adjacency for a valid construction"
             )
-        return ben
+        if isinstance(ben, Adjacency):
+            return ben
+        return Adjacency(ben.indptr.astype(np.int32), ben.indices.astype(np.int32), n)
 
     def _weights(self) -> np.ndarray:
         """Per-point weight in the benefit sum, by mode."""
@@ -270,11 +266,11 @@ class BenefitEngine:
         return view
 
     @property
-    def coverage_adjacency(self) -> sparse.csr_matrix:
+    def coverage_adjacency(self) -> Adjacency:
         return self._cov
 
     @property
-    def benefit_adjacency(self) -> sparse.csr_matrix:
+    def benefit_adjacency(self) -> Adjacency:
         """The adjacency used in the benefit sum (== coverage adjacency
         unless a restricted one, e.g. same-cell, was supplied)."""
         return self._ben
@@ -386,8 +382,8 @@ class BenefitEngine:
         ``covered`` optionally supplies the sensor's ball query, i.e. the
         field points within ``rs`` of ``position`` (callers placing many
         sensors query them in one batch).  It must equal that query up to
-        order: rows are index sets (batch kd-tree rows come back sorted,
-        single-point ones in tree order, gridhash ones in bucket order) and
+        order: rows are index sets (grid-hash rows come back cell by cell,
+        batch kd-tree rows sorted, single-point ones in tree order) and
         nothing downstream depends on their order.  ``REPRO_CHECKS=1``
         compares the result's rows with a recount.
 
@@ -399,6 +395,13 @@ class BenefitEngine:
         covered = self._apply_delta(np.asarray(covered, dtype=np.intp), +1)
         self._rows.append(covered)
         return covered
+
+    def add_sensors(self, positions: np.ndarray) -> None:
+        """:meth:`add_sensor_at_position` for each of ``positions``, with
+        one batched ball query."""
+        rows = self._field.query_ball_many(positions, self._rs)
+        for pos, row in zip(positions, rows):
+            self.add_sensor_at_position(pos, covered=row)
 
     def remove_covered(self, covered: np.ndarray) -> None:
         """Undo a sensor's coverage given the point list it covered (its
@@ -438,14 +441,14 @@ class BenefitEngine:
             raise CoverageError(
                 f"row indices out of range [0, {len(self._rows)})"
             )
-        if np.unique(idx).size != idx.size:
+        if sorted_unique(idx).size != idx.size:
             raise CoverageError("duplicate row indices in remove_rows")
         failed = set(idx.tolist())
         rows = self._rows
         for i in idx.tolist():
             self._apply_delta(rows[i], -1)
         self._rows = [row for i, row in enumerate(rows) if i not in failed]
-        return np.unique(np.concatenate([rows[i] for i in idx.tolist()]))
+        return sorted_unique(np.concatenate([rows[i] for i in idx.tolist()]))
 
     # ------------------------------------------------------------------
     # verification

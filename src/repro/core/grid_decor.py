@@ -25,6 +25,7 @@ from repro.core._common import finalize, init_run, placement_budget
 from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
 from repro.errors import PlacementError
 from repro.field import as_field_model
+from repro.field.csr import sorted_unique
 from repro.geometry.region import Rect
 from repro.network.spec import SensorSpec
 from repro.obs import FREC, OBS
@@ -114,7 +115,7 @@ def grid_decor(
             rounds += 1
             # only cells holding a deficient point at the round's start can
             # place in it (coverage only grows within a round)
-            active = np.unique(cell_of_point[engine.deficient_indices()])
+            active = sorted_unique(cell_of_point[engine.deficient_indices()])
             counts = engine.counts
             for cid in active.tolist():
                 cell_points = points_by_cell[cid]

@@ -43,6 +43,7 @@ from repro.core.benefit import BenefitEngine
 from repro.core.result import DeploymentResult
 from repro.errors import ConfigurationError, CoverageError, ExperimentError
 from repro.field import FieldModel, as_field_model
+from repro.field.csr import sorted_unique
 from repro.geometry.region import Rect
 from repro.network.coverage import CoverageState
 from repro.network.deployment import Deployment
@@ -330,8 +331,7 @@ class RestorationSession:
             self._k,
             benefit_adjacency=benefit_adjacency,
         )
-        for pos in self.deployment.alive_positions():
-            engine.add_sensor_at_position(pos)
+        engine.add_sensors(self.deployment.alive_positions())
         return engine
 
     # ------------------------------------------------------------------
@@ -378,7 +378,7 @@ class RestorationSession:
         alive = dep.alive_ids()
         if not np.all(np.isin(failed_ids, alive)):
             raise CoverageError("failure names nodes that are not alive")
-        if np.unique(failed_ids).size != failed_ids.size:
+        if sorted_unique(failed_ids).size != failed_ids.size:
             raise CoverageError("failure names the same node more than once")
         # the damage footprint, computed identically in warm and cold mode
         # so the recorded streams stay byte-identical

@@ -28,6 +28,7 @@ from repro.core._common import finalize, init_run, placement_budget
 from repro.core.benefit import csr_row_gather
 from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
 from repro.errors import PlacementError
+from repro.field.csr import sorted_unique
 from repro.geometry.voronoi import VoronoiOwnership
 from repro.network.spec import SensorSpec
 from repro.obs import FREC, OBS
@@ -150,7 +151,7 @@ def voronoi_decor(
             # place in it: cells only shrink within a round (sites added now
             # join the next one) and coverage only grows
             deficiency = engine.deficiency().astype(np.float64)
-            active = np.unique(ownership.owner[deficiency > 0])
+            active = sorted_unique(ownership.owner[deficiency > 0])
             for site in active.tolist():
                 owned = ownership.owned_points(site)
                 if not (deficiency[owned] > 0).any():

@@ -11,6 +11,7 @@ import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments.figures import FigureResult
+from repro.field.csr import sorted_unique
 
 __all__ = ["format_figure_table"]
 
@@ -33,9 +34,9 @@ def format_figure_table(result: FigureResult, *, max_rows: int = 25) -> str:
     if not result.series:
         raise ExperimentError(f"{result.figure_id} has no series")
     names = result.series_names()
-    xs_union = np.unique(np.concatenate([x for x, _ in result.series.values()]))
+    xs_union = sorted_unique(np.concatenate([x for x, _ in result.series.values()]))
     if xs_union.size > max_rows:
-        take = np.unique(
+        take = sorted_unique(
             np.linspace(0, xs_union.size - 1, max_rows).astype(int)
         )
         xs_union = xs_union[take]

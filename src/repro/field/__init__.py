@@ -4,8 +4,9 @@
 caches and shares every spatial artifact the DECOR pipeline needs (neighbour
 index, radius adjacencies, grid decompositions, probe grids) behind a small
 registry of interchangeable neighbour-search backends.  See
-:mod:`repro.field.model` for the artifact/cache-key table and
-:mod:`repro.field.backends` for the backend registry.
+:mod:`repro.field.model` for the artifact/cache-key table,
+:mod:`repro.field.backends` for the backend registry and
+:mod:`repro.field.csr` for the structure-only adjacency.
 """
 
 from repro.field.backends import (
@@ -16,6 +17,7 @@ from repro.field.backends import (
     register_backend,
     resolve_backend_name,
 )
+from repro.field.csr import Adjacency
 from repro.field.model import (
     DirtyRegion,
     FieldModel,
@@ -25,6 +27,7 @@ from repro.field.model import (
 )
 
 __all__ = [
+    "Adjacency",
     "BACKEND_ENV_VAR",
     "DirtyRegion",
     "FieldModel",

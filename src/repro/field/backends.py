@@ -2,18 +2,20 @@
 
 A backend is built once per field and answers the two queries every DECOR
 consumer needs — ball queries against the field points and the symmetric
-radius adjacency (CSR, diagonal included) that turns Eq. (1) into a sparse
-mat-vec.  Two interchangeable implementations ship:
+radius adjacency (an :class:`~repro.field.csr.Adjacency`, diagonal
+included) that turns Eq. (1) into a sparse mat-vec.  Two interchangeable
+implementations ship:
 
-* ``"kdtree"`` — :class:`scipy.spatial.cKDTree`; one tree serves every
-  radius (the production default).
-* ``"gridhash"`` — a pure-NumPy uniform grid hash (one bucket table per
-  radius, memoised) with a fully vectorised 9-bucket adjacency join; no
-  KD-tree in the query path.  It doubles as an independent oracle for the
-  KD-tree backend in the property tests.
+* ``"gridhash"`` — the default: a NumPy uniform grid hash (one bucket
+  table per radius, memoised).  One vectorised ball join answers single
+  and batched ball queries and, as a self-join, the adjacency, all with
+  the exact closed-ball test ``dx*dx + dy*dy <= r*r``.
+* ``"kdtree"`` — :class:`scipy.spatial.cKDTree`, opt-in; scipy is
+  imported when the backend is built.  It doubles as an independent
+  oracle for the grid hash in the property tests.
 
 Selection: explicit ``backend=`` argument wins, then the
-``REPRO_FIELD_BACKEND`` environment variable, then ``"kdtree"``.  New
+``REPRO_FIELD_BACKEND`` environment variable, then ``"gridhash"``.  New
 backends register via :func:`register_backend`.
 """
 
@@ -23,12 +25,11 @@ import os
 from typing import Protocol
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from repro.errors import ConfigurationError, GeometryError
-from repro.geometry.neighbors import UniformGridIndex
-from repro.geometry.points import as_point, as_points, squared_distances_to
+from repro.field.csr import Adjacency
+from repro.geometry.neighbors import UniformGridIndex, radius_adjacency
+from repro.geometry.points import as_point, as_points
 
 __all__ = [
     "BACKEND_ENV_VAR",
@@ -59,7 +60,7 @@ class NeighborBackend(Protocol):
         """Per-center index arrays for a batch of ball queries."""
         ...
 
-    def adjacency(self, radius: float) -> sparse.csr_matrix:
+    def adjacency(self, radius: float) -> Adjacency:
         """Symmetric 0/1 radius adjacency with unit diagonal."""
         ...
 
@@ -71,30 +72,19 @@ def _check_radius(radius: float) -> float:
     return r
 
 
-def _unit_csr(row: np.ndarray, col: np.ndarray, n: int) -> sparse.csr_matrix:
-    """Symmetric 0/1 CSR from pair lists, diagonal forced to 1."""
-    data = np.ones(row.size, dtype=np.float64)
-    adj = sparse.csr_matrix((data, (row, col)), shape=(n, n))
-    adj = adj.maximum(sparse.identity(n, format="csr", dtype=np.float64))
-    adj.data[:] = 1.0
-    return adj
-
-
 class KDTreeBackend:
-    """cKDTree-backed neighbour search; one tree answers every radius."""
+    """cKDTree neighbour search, opt-in: scipy is imported when it is built."""
 
     name = "kdtree"
 
     def __init__(self, points: np.ndarray) -> None:
+        from scipy.spatial import cKDTree
+
         self._points = as_points(points)
         self._tree = cKDTree(self._points) if len(self._points) else None
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
-        r = _check_radius(radius)
-        if self._tree is None:
-            return np.empty(0, dtype=np.intp)
-        out = self._tree.query_ball_point(as_point(center), r)
-        return np.asarray(out, dtype=np.intp)
+        return self.query_ball_many(as_point(center)[None, :], radius)[0]
 
     def query_ball_many(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
         r = _check_radius(radius)
@@ -104,19 +94,14 @@ class KDTreeBackend:
         res = self._tree.query_ball_point(cs, r)
         return [np.asarray(x, dtype=np.intp) for x in res]
 
-    def adjacency(self, radius: float) -> sparse.csr_matrix:
-        r = _check_radius(radius)
-        n = self._points.shape[0]
-        if n == 0:
-            return sparse.csr_matrix((0, 0), dtype=np.float64)
-        coo = self._tree.sparse_distance_matrix(
-            self._tree, r, output_type="coo_matrix"
-        )
-        return _unit_csr(coo.row, coo.col, n)
+    def adjacency(self, radius: float) -> Adjacency:
+        csr = radius_adjacency(self._points, _check_radius(radius))
+        n = csr.shape[0]
+        return Adjacency(csr.indptr.astype(np.int32), csr.indices.astype(np.int32), n)
 
 
 class GridHashBackend:
-    """Pure-NumPy uniform grid hash; one bucket table per radius, memoised."""
+    """The NumPy grid hash: one :class:`UniformGridIndex` per radius, memoised."""
 
     name = "gridhash"
 
@@ -124,95 +109,31 @@ class GridHashBackend:
         self._points = as_points(points)
         self._indices: dict[float, UniformGridIndex] = {}
 
-    def _index_for(self, radius: float) -> UniformGridIndex:
-        if radius not in self._indices:
-            self._indices[radius] = UniformGridIndex(self._points, radius)
-        return self._indices[radius]
-
-    def _grid_safe(self, r: float) -> bool:
-        """Whether cell coordinates at resolution ``r`` fit comfortably in
-        int64 (a pathologically small radius would overflow the hash)."""
-        pts = self._points
-        span = float((pts.max(axis=0) - pts.min(axis=0)).max()) if len(pts) else 0.0
-        return span / r < 2.0**31
+    def _index_for(self, r: float) -> UniformGridIndex:
+        if r not in self._indices:
+            # cells must be wider than 0 for r = 0 too; any width is exact
+            self._indices[r] = UniformGridIndex(self._points, r or 1.0)
+        return self._indices[r]
 
     def query_ball(self, center: np.ndarray, radius: float) -> np.ndarray:
         r = _check_radius(radius)
-        n = self._points.shape[0]
-        if n == 0:
-            return np.empty(0, dtype=np.intp)
-        if r == 0.0 or not self._grid_safe(r):
-            d2 = squared_distances_to(self._points, as_point(center))
-            return np.nonzero(d2 <= r * r)[0].astype(np.intp)
-        return self._index_for(r).query_ball(center)
+        return self._index_for(r).query_ball(center, r)
 
     def query_ball_many(self, centers: np.ndarray, radius: float) -> list[np.ndarray]:
-        cs = as_points(centers)
-        return [self.query_ball(c, radius) for c in cs]
-
-    def adjacency(self, radius: float) -> sparse.csr_matrix:
         r = _check_radius(radius)
-        pts = self._points
-        n = pts.shape[0]
-        if n == 0:
-            return sparse.csr_matrix((0, 0), dtype=np.float64)
-        if r == 0.0:
-            return sparse.identity(n, format="csr", dtype=np.float64)
-        if not self._grid_safe(r):
-            return self._brute_adjacency(r)
-        origin = pts.min(axis=0)
-        cells = np.floor((pts - origin) / r).astype(np.int64)
-        stride = int(cells[:, 0].max()) + 4
-        keys = cells[:, 1] * stride + (cells[:, 0] + 1)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        all_points = np.arange(n, dtype=np.intp)
-        r2 = r * r
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
-        # each stored point lives in exactly one bucket, so across the nine
-        # offsets every candidate pair is generated exactly once
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                probe_keys = (cells[:, 1] + dy) * stride + (cells[:, 0] + dx + 1)
-                lo = np.searchsorted(sorted_keys, probe_keys, side="left")
-                hi = np.searchsorted(sorted_keys, probe_keys, side="right")
-                counts = hi - lo
-                total = int(counts.sum())
-                if total == 0:
-                    continue
-                rows = np.repeat(all_points, counts)
-                # concatenated ranges lo[i]:hi[i] without a Python loop
-                starts = np.repeat(lo, counts)
-                resets = np.repeat(np.cumsum(counts) - counts, counts)
-                cols = order[starts + np.arange(total) - resets]
-                d = pts[rows] - pts[cols]
-                inside = d[:, 0] ** 2 + d[:, 1] ** 2 <= r2
-                row_parts.append(rows[inside])
-                col_parts.append(cols[inside])
-        row = np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.intp)
-        col = np.concatenate(col_parts) if col_parts else np.empty(0, dtype=np.intp)
-        return _unit_csr(row, col, n)
+        return self._index_for(r).query_ball_many(centers, r)
 
-    def _brute_adjacency(self, r: float) -> sparse.csr_matrix:
-        """Exact chunked all-pairs fallback for radii the hash cannot bin."""
-        pts = self._points
-        n = pts.shape[0]
-        r2 = r * r
-        chunk = max(1, 10_000_000 // n)
-        row_parts, col_parts = [], []
-        for start in range(0, n, chunk):
-            block = pts[start : start + chunk]
-            d2 = ((block[:, None, :] - pts[None, :, :]) ** 2).sum(axis=-1)
-            rr, cc = np.nonzero(d2 <= r2)
-            row_parts.append(rr + start)
-            col_parts.append(cc)
-        return _unit_csr(np.concatenate(row_parts), np.concatenate(col_parts), n)
+    def adjacency(self, radius: float) -> Adjacency:
+        r = _check_radius(radius)
+        n = self._points.shape[0]
+        hits, ends = self._index_for(r).join(self._points, r)
+        rows = np.arange(n).repeat(np.diff(ends, prepend=0))
+        return Adjacency.from_keys(np.sort(rows * n + hits), n)
 
 
 _BACKENDS: dict[str, type] = {
-    KDTreeBackend.name: KDTreeBackend,
     GridHashBackend.name: GridHashBackend,
+    KDTreeBackend.name: KDTreeBackend,
 }
 
 
@@ -233,8 +154,8 @@ def register_backend(name: str, factory: type) -> None:
 
 
 def resolve_backend_name(name: str | None = None) -> str:
-    """Resolve a backend name: argument > ``REPRO_FIELD_BACKEND`` > kdtree."""
-    resolved = name or os.environ.get(BACKEND_ENV_VAR) or KDTreeBackend.name
+    """Resolve a backend name: argument > ``REPRO_FIELD_BACKEND`` > gridhash."""
+    resolved = name or os.environ.get(BACKEND_ENV_VAR) or GridHashBackend.name
     if resolved not in _BACKENDS:
         raise ConfigurationError(
             f"unknown field backend {resolved!r}; known: {sorted(_BACKENDS)}"

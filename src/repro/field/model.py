@@ -34,7 +34,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from repro.checks import CHECKS, freeze_csr
 from repro.errors import GeometryError
@@ -43,6 +42,7 @@ from repro.field.backends import (
     make_backend,
     resolve_backend_name,
 )
+from repro.field.csr import Adjacency, sorted_unique
 from repro.geometry.grid import GridPartition
 from repro.geometry.points import as_points
 from repro.geometry.region import Rect
@@ -70,16 +70,12 @@ class DirtyRegion:
         return int(self.points.size)
 
 
-def same_cell_adjacency_of(
-    adjacency: sparse.spmatrix, cell_of_point: np.ndarray
-) -> sparse.csr_matrix:
+def same_cell_adjacency_of(adjacency: Adjacency, cell_of_point: np.ndarray) -> Adjacency:
     """Filter an adjacency down to pairs lying in the same cell.
 
-    CSR inputs are masked directly through ``indptr``/``indices`` (no COO
-    round-trip); anything else falls back to the COO path.  Because the
-    same-cell predicate is symmetric, a symmetric input must stay symmetric
-    — that invariant is micro-asserted and a violation (i.e. an asymmetric
-    input) raises :class:`GeometryError`.
+    Masks any CSR structure (``shape``, ``indptr``, ``indices``; values are
+    not read): entry ``(i, j)`` stays iff ``cell_of_point[i] ==
+    cell_of_point[j]``, so symmetry and sorted columns are kept.
     """
     cells = np.asarray(cell_of_point).reshape(-1)
     n = adjacency.shape[0]
@@ -87,27 +83,12 @@ def same_cell_adjacency_of(
         raise GeometryError(
             f"cell assignment has {cells.shape[0]} entries for {n} points"
         )
-    if sparse.issparse(adjacency) and adjacency.format == "csr":
-        indptr, indices = adjacency.indptr, adjacency.indices
-        row = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
-        keep = cells[row] == cells[indices]
-        per_row = np.bincount(row[keep], minlength=n)
-        new_indptr = np.concatenate(([0], np.cumsum(per_row)))
-        out = sparse.csr_matrix(
-            (adjacency.data[keep], indices[keep], new_indptr), shape=adjacency.shape
-        )
-    else:
-        coo = adjacency.tocoo()
-        keep = cells[coo.row] == cells[coo.col]
-        out = sparse.csr_matrix(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=adjacency.shape
-        )
-    if __debug__ and (out - out.T).nnz != 0:
-        raise GeometryError(
-            "same-cell masking produced an asymmetric adjacency; "
-            "the input adjacency must be symmetric"
-        )
-    return out
+    indptr, indices = adjacency.indptr, adjacency.indices
+    rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+    keep = cells[rows] == cells[indices]
+    kept = np.zeros(indices.size + 1, dtype=np.int32)
+    np.cumsum(keep, out=kept[1:])
+    return Adjacency(kept[indptr], indices[keep], n)
 
 
 @dataclass
@@ -165,8 +146,8 @@ class FieldModel:
         ``(n, 2)`` field approximation.  Copied and frozen: the model (and
         everything cached on it) never observes later caller mutations.
     backend:
-        Neighbour-search backend name (``"kdtree"``/``"gridhash"``); ``None``
-        defers to ``REPRO_FIELD_BACKEND``, then ``"kdtree"``.
+        Neighbour-search backend name (``"gridhash"``/``"kdtree"``); ``None``
+        defers to ``REPRO_FIELD_BACKEND``, then ``"gridhash"``.
 
     Examples
     --------
@@ -188,16 +169,16 @@ class FieldModel:
         self._points = points
         self._backend_name = resolve_backend_name(backend)
         self._index: NeighborBackend | None = None
-        self._adjacency: dict[float, sparse.csr_matrix] = {}
+        self._adjacency: dict[float, Adjacency] = {}
         self._partitions: dict[tuple, GridPartition] = {}
         self._cells: dict[tuple, np.ndarray] = {}
         self._points_by_cell: dict[tuple, list[np.ndarray]] = {}
-        self._same_cell: dict[tuple, sparse.csr_matrix] = {}
+        self._same_cell: dict[tuple, Adjacency] = {}
         self._probe_grids: dict[tuple, np.ndarray] = {}
         # artifacts adopted from elsewhere (shared-memory segments posted
         # by repro.parallel.shm); consumed lazily so the build/hit counter
         # stream stays identical to a from-scratch model
-        self._preloaded_adjacency: dict[float, sparse.csr_matrix] = {}
+        self._preloaded_adjacency: dict[float, Adjacency] = {}
         self._preloaded_cells: dict[tuple, np.ndarray] = {}
         self.stats = FieldModelStats()
 
@@ -207,7 +188,7 @@ class FieldModel:
         points: np.ndarray,
         *,
         backend: str | None = None,
-        adjacency: dict[float, sparse.csr_matrix] | None = None,
+        adjacency: dict[float, Adjacency] | None = None,
         cells: dict[tuple, np.ndarray] | None = None,
     ) -> "FieldModel":
         """Wrap existing arrays as a model **without copying them**.
@@ -216,7 +197,7 @@ class FieldModel:
         model over :mod:`multiprocessing.shared_memory` views
         (:mod:`repro.parallel.shm`): ``points`` is adopted as-is (only a
         read-only view is taken), and pre-built artifacts — the ``rs``
-        adjacency CSRs keyed by radius, cell assignments keyed by
+        adjacencies keyed by radius, cell assignments keyed by
         partition key — are stashed and consumed lazily on first request
         instead of being rebuilt.  A consumed preloaded artifact still
         counts as a *build* in :attr:`stats` (and still touches the
@@ -243,7 +224,7 @@ class FieldModel:
         model._init_state(view, backend)
         if adjacency:
             model._preloaded_adjacency.update(
-                (float(r), m.tocsr()) for r, m in adjacency.items()
+                (float(r), m) for r, m in adjacency.items()
             )
         if cells:
             model._preloaded_cells.update(cells)
@@ -327,20 +308,17 @@ class FieldModel:
         if centers.shape[0] == 0:
             points = np.empty(0, dtype=np.intp)
         else:
-            balls = self.query_ball_many(centers, radius)
-            points = np.unique(np.concatenate(balls)) if balls else np.empty(
-                0, dtype=np.intp
-            )
+            points = sorted_unique(np.concatenate(self.query_ball_many(centers, radius)))
         cells: np.ndarray | None = None
         if region is not None:
             if cell_width is None:
                 raise GeometryError("dirty_region with region= needs cell_width=")
             assignment = self.cell_of(region, cell_width, cell_height)
-            cells = np.unique(assignment[points])
+            cells = sorted_unique(assignment[points])
         return DirtyRegion(points=points, cells=cells)
 
-    def adjacency(self, radius: float) -> sparse.csr_matrix:
-        """Symmetric 0/1 CSR adjacency of field points within ``radius``.
+    def adjacency(self, radius: float) -> Adjacency:
+        """Symmetric 0/1 adjacency of field points within ``radius``.
 
         Diagonal included (a candidate point covers itself), matching
         Eq. (1).  Memoised per radius; treat the returned matrix as
@@ -360,7 +338,7 @@ class FieldModel:
             else:
                 built = self.neighbor_index().adjacency(key)
             if CHECKS.enabled:
-                # sanitizer: consumers mutating the shared CSR payload
+                # sanitizer: consumers mutating the shared CSR structure
                 # fail at the mutation site instead of corrupting peers
                 freeze_csr(built)
             self._adjacency[key] = built
@@ -425,7 +403,7 @@ class FieldModel:
         region: Rect,
         cell_width: float,
         cell_height: float | None = None,
-    ) -> sparse.csr_matrix:
+    ) -> Adjacency:
         """The radius adjacency restricted to same-cell pairs (§3.3).
 
         This is the grid leader's information horizon: benefit is only

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import GeometryError
 from repro.geometry.disks import disk_area
@@ -69,6 +68,8 @@ def pairwise_overlap_area(positions: np.ndarray, rs: float) -> float:
     times), which is the standard second-order waste statistic; it upper
     bounds the doubly-covered area.
     """
+    from scipy.spatial import cKDTree  # lazily: the package import does not pay for it
+
     pts = as_points(positions)
     if rs <= 0:
         raise GeometryError(f"rs must be positive, got {rs}")
@@ -104,6 +105,8 @@ def overlap_statistics(positions: np.ndarray, rs: float) -> dict:
             "overlap_ratio": 0.0,
             "mean_near_neighbors": 0.0,
         }
+    from scipy.spatial import cKDTree
+
     overlap = pairwise_overlap_area(pts, rs)
     tree = cKDTree(pts)
     pairs = tree.query_pairs(2.0 * rs, output_type="ndarray")

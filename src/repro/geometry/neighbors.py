@@ -2,10 +2,10 @@
 
 Two independent implementations are provided:
 
-* :class:`NeighborIndex` — the production index, backed by
-  :class:`scipy.spatial.cKDTree`.
+* :class:`NeighborIndex` — backed by :class:`scipy.spatial.cKDTree`
+  (scipy is imported when an index is built).
 * :class:`UniformGridIndex` — a from-scratch uniform grid hash written in
-  pure NumPy.  It exists both as a dependency-light fallback and as an
+  pure NumPy.  It backs the field layer's default backend and is an
   independent oracle for property-based cross-checking of the KD-tree path.
 
 Both answer the two queries DECOR's hot loop needs:
@@ -18,12 +18,15 @@ Both answer the two queries DECOR's hot loop needs:
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
-from scipy.spatial import cKDTree
 
 from repro.errors import GeometryError
-from repro.geometry.points import as_point, as_points, squared_distances_to
+from repro.geometry.points import as_point, as_points
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 __all__ = ["NeighborIndex", "UniformGridIndex", "radius_adjacency"]
 
@@ -44,6 +47,8 @@ class NeighborIndex:
     """
 
     def __init__(self, points: np.ndarray) -> None:
+        from scipy.spatial import cKDTree
+
         self._points = as_points(points)
         self._tree = cKDTree(self._points) if len(self._points) else None
 
@@ -79,6 +84,8 @@ class NeighborIndex:
 
     def count_in_balls(self, centers: np.ndarray, radius: float) -> np.ndarray:
         """Number of stored points within ``radius`` of each probe center."""
+        from scipy.spatial import cKDTree
+
         cs = as_points(centers)
         if self._tree is None:
             return np.zeros(len(cs), dtype=np.intp)
@@ -105,10 +112,12 @@ class NeighborIndex:
 class UniformGridIndex:
     """Pure-NumPy uniform grid hash for fixed-radius queries.
 
-    The plane is bucketed into square bins of side ``radius`` so a ball query
-    only inspects the 3x3 block of bins around the probe.  Used as an
-    independent oracle against :class:`NeighborIndex` in tests, and as a
-    fallback spatial index with no SciPy dependency in the query path.
+    Points are bucketed into square cells a little wider than ``radius``
+    (so rounding cannot put a point within ``radius`` two cells away) and
+    at least ``span / sqrt(n)`` wide (so there are about ``n`` cells at
+    most).  One vectorised join over the centers' 3x3 cell windows answers
+    a batch of ball queries, or the self-join, with the exact test
+    ``dx*dx + dy*dy <= r*r``.  It backs the default ``gridhash`` backend.
 
     Parameters
     ----------
@@ -121,24 +130,30 @@ class UniformGridIndex:
     def __init__(self, points: np.ndarray, radius: float) -> None:
         if radius <= 0:
             raise GeometryError(f"radius must be positive, got {radius}")
-        self._points = as_points(points)
+        self._points = pts = as_points(points)
         self._radius = float(radius)
-        n = self._points.shape[0]
-        if n:
-            self._origin = self._points.min(axis=0)
-            cells = np.floor((self._points - self._origin) / self._radius).astype(np.int64)
-            # stride wide enough that the probe window (stored columns +-1)
-            # can never alias a neighbouring row's bucket
-            self._stride = int(cells[:, 0].max()) + 4
-            keys = cells[:, 1] * self._stride + (cells[:, 0] + 1)
-            order = np.argsort(keys, kind="stable")
-            self._order = order
-            self._sorted_keys = keys[order]
-        else:
-            self._origin = np.zeros(2)
-            self._stride = 4
-            self._order = np.empty(0, dtype=np.intp)
-            self._sorted_keys = np.empty(0, dtype=np.int64)
+        if not len(pts):
+            return
+        self._origin = pts.min(axis=0)
+        span = float((pts.max(axis=0) - self._origin).max())
+        self._size = max(self._radius, span / np.sqrt(len(pts))) * (1.0 + 2.0**-20)
+        cells = np.floor((pts - self._origin) / self._size).astype(np.intp)
+        ncols, nrows = (int(c) + 1 for c in cells.max(axis=0))
+        # two spare key columns and rows on each side: the window of a
+        # center clipped to one cell outside the grid stays in its key row
+        stride = ncols + 4
+        keys = (cells[:, 1] + 2) * stride + cells[:, 0] + 2
+        self._order = np.argsort(keys, kind="stable")
+        # the points of keys k .. k + 2 are order[start[k]:start[k + 3]]
+        self._start = np.zeros((nrows + 4) * stride + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys, minlength=self._start.size - 1), out=self._start[1:])
+        self._xs = pts[self._order, 0]
+        self._ys = pts[self._order, 1]
+        # a center's clipped cell @ weights + rows[i] is the first key of
+        # its window in row cy - 1 + i
+        self._limits = np.array([ncols, nrows], dtype=np.float64)
+        self._weights = np.array([1.0, stride])
+        self._rows = np.array([1.0, 2.0, 3.0]) * stride + 1.0
 
     @property
     def radius(self) -> float:
@@ -147,10 +162,44 @@ class UniformGridIndex:
     def __len__(self) -> int:
         return self._points.shape[0]
 
-    def _bucket(self, key: int) -> np.ndarray:
-        lo = np.searchsorted(self._sorted_keys, key, side="left")
-        hi = np.searchsorted(self._sorted_keys, key, side="right")
-        return self._order[lo:hi]
+    def join(
+        self, centers: np.ndarray, radius: float | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stored points within ``radius`` (default: the build radius, which
+        it must not exceed) of each of ``centers``: ``hits`` lists them
+        center by center (cell by cell within one) and center ``c``'s run
+        ends at ``ends[c]``."""
+        r = self._radius if radius is None else float(radius)
+        if not 0.0 <= r <= self._radius + 1e-12:
+            raise GeometryError(
+                f"query radius {r} outside [0, build radius {self._radius}]"
+            )
+        cs = as_points(centers)
+        if not len(self) or not len(cs):
+            return np.empty(0, dtype=np.intp), np.zeros(len(cs), dtype=np.intp)
+        cell = cs - self._origin
+        cell /= self._size
+        np.floor(cell, out=cell)
+        np.maximum(cell, -1.0, out=cell)
+        np.minimum(cell, self._limits, out=cell)
+        first = ((cell @ self._weights)[:, None] + self._rows).ravel().astype(np.intp)
+        lo = self._start[first]
+        counts = self._start[first + 3] - lo
+        ends = counts.cumsum()
+        # bucket positions of the concatenated windows lo[w]:lo[w] + counts[w]
+        pos = (lo - ends + counts).repeat(counts) + np.arange(ends[-1])
+        dx = self._xs[pos] - cs[:, 0].repeat(3).repeat(counts)
+        dy = self._ys[pos] - cs[:, 1].repeat(3).repeat(counts)
+        inside = np.flatnonzero(dx * dx + dy * dy <= r * r)
+        return self._order[pos[inside]], inside.searchsorted(ends[2::3])
+
+    def query_ball_many(
+        self, centers: np.ndarray, radius: float | None = None
+    ) -> list[np.ndarray]:
+        """:meth:`query_ball` for a batch of centers, as one join."""
+        hits, ends = self.join(centers, radius)
+        bounds = ends.tolist()
+        return [hits[a:b] for a, b in zip([0, *bounds], bounds)]
 
     def query_ball(self, center: np.ndarray, radius: float | None = None) -> np.ndarray:
         """Indices of stored points within the (closed) ball around ``center``.
@@ -158,27 +207,7 @@ class UniformGridIndex:
         ``radius`` defaults to the build radius and must not exceed it (the
         bin size only guarantees correctness up to the build radius).
         """
-        r = self._radius if radius is None else float(radius)
-        if r > self._radius + 1e-12:
-            raise GeometryError(
-                f"query radius {r} exceeds build radius {self._radius}"
-            )
-        if len(self) == 0:
-            return np.empty(0, dtype=np.intp)
-        c = as_point(center)
-        cell = np.floor((c - self._origin) / self._radius).astype(np.int64)
-        cand: list[np.ndarray] = []
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                key = int((cell[1] + dy) * self._stride + (cell[0] + dx + 1))
-                b = self._bucket(key)
-                if b.size:
-                    cand.append(b)
-        if not cand:
-            return np.empty(0, dtype=np.intp)
-        idx = np.concatenate(cand)
-        d2 = squared_distances_to(self._points[idx], c)
-        return idx[d2 <= r * r + 1e-12]
+        return self.query_ball_many(as_point(center)[None, :], radius)[0]
 
 
 def radius_adjacency(points: np.ndarray, radius: float) -> sparse.csr_matrix:
@@ -192,6 +221,9 @@ def radius_adjacency(points: np.ndarray, radius: float) -> sparse.csr_matrix:
     scipy.sparse.csr_matrix
         ``(n, n)`` float64 CSR matrix with unit entries.
     """
+    from scipy import sparse
+    from scipy.spatial import cKDTree
+
     pts = as_points(points)
     n = pts.shape[0]
     if radius < 0:

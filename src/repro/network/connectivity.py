@@ -12,13 +12,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.errors import ConfigurationError
 from repro.geometry.points import as_points
 
-# networkx is imported inside the functions that use it, so importing the
-# package (and the CLI) does not pay for it
+# networkx and scipy are imported inside the functions that use them, so
+# importing the package (and the CLI) does not pay for them
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx as nx
 
@@ -41,6 +40,7 @@ def communication_graph(positions: np.ndarray, rc: float) -> nx.Graph:
         Communication radius; edges join pairs at distance ``<= rc``.
     """
     import networkx as nx
+    from scipy.spatial import cKDTree
 
     pts = as_points(positions)
     if rc <= 0:

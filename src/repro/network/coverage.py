@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.errors import CoverageError, GeometryError
 from repro.field import FieldModel, as_field_model
+from repro.field.csr import sorted_unique
 from repro.geometry.points import as_point
 
 __all__ = ["CoverageState"]
@@ -147,7 +148,7 @@ class CoverageState:
         (the state itself is unchanged)."""
         self._check_k(k)
         counts = self._counts.copy()
-        for key in np.unique(np.asarray(keys, dtype=np.intp)).tolist():
+        for key in sorted_unique(np.asarray(keys, dtype=np.intp)).tolist():
             counts[self.points_covered_by(key)] -= 1
         return float(np.count_nonzero(counts >= k)) / self.n_points
 

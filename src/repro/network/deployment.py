@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CoverageError, GeometryError
+from repro.field.csr import sorted_unique
 from repro.geometry.points import as_point, as_points
 
 __all__ = ["Deployment"]
@@ -151,7 +152,7 @@ class Deployment:
         ids = np.asarray(node_ids, dtype=np.intp).reshape(-1)
         for nid in ids:
             self._check_id(int(nid))
-        if np.unique(ids).size != ids.size:
+        if sorted_unique(ids).size != ids.size:
             raise CoverageError("failing the same node more than once")
         if not np.all(self._alive[ids]):
             raise CoverageError("failing a node that is already failed")

@@ -27,12 +27,16 @@ from __future__ import annotations
 import json
 import math
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import _BUCKET_EDGES, Histogram, MetricsRegistry
+
+# http.server (and the ssl it loads) is imported by ExpositionServer.start,
+# so importing the package (and the CLI) does not pay for it
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from http.server import ThreadingHTTPServer
 
 __all__ = [
     "CONTENT_TYPE",
@@ -380,6 +384,8 @@ class ExpositionServer:
         return f"http://{self.host}:{self.port}/metrics"
 
     def start(self) -> "ExpositionServer":
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         if self._httpd is not None:
             raise ObservabilityError("exposition server already started")
         outer = self

@@ -6,7 +6,7 @@ The old fan-out shipped nothing to workers — and therefore shipped
 decomposition) from scratch, and the alternative — pickling the parent's
 model into every task — moves megabytes per cell through the executor's
 pipes.  This module is the third option: the parent posts each field's
-arrays (points, CSR ``data``/``indices``/``indptr``, cell assignments)
+arrays (points, adjacency ``indices``/``indptr``, cell assignments)
 into :mod:`multiprocessing.shared_memory` segments **once per (field,
 seed)**, and workers map read-only views over the same physical pages.
 What crosses the pipe per task is a :class:`Manifest` of segment names
@@ -38,9 +38,8 @@ from multiprocessing import shared_memory
 from typing import Any
 
 import numpy as np
-from scipy import sparse
 
-from repro.field import FieldModel
+from repro.field import Adjacency, FieldModel
 from repro.field.model import _partition_key
 from repro.geometry.region import Rect
 
@@ -147,12 +146,11 @@ class SharedFieldStore:
             return cached
         adjacency: dict[float, dict[str, Any]] = {}
         for radius in radii:
-            csr = field.adjacency(radius)
+            adj = field.adjacency(radius)
             adjacency[float(radius)] = {
-                "shape": csr.shape,
-                "data": self._share(csr.data),
-                "indices": self._share(csr.indices),
-                "indptr": self._share(csr.indptr),
+                "n": adj.shape[0],
+                "indices": self._share(adj.indices),
+                "indptr": self._share(adj.indptr),
             }
         cells: dict[tuple, ArraySpec] = {}
         for region, cell_size in partitions:
@@ -217,21 +215,14 @@ def detach_all() -> None:
 def build_field_model(manifest: Manifest) -> FieldModel:
     """Reconstruct a zero-copy :class:`~repro.field.FieldModel` view.
 
-    The CSR matrices are rebuilt over the attached index/data views with
-    ``copy=False`` — same dtypes as the parent's canonical matrices, so
-    scipy adopts the buffers as-is.
+    The adjacencies wrap the attached ``indptr``/``indices`` views as-is.
     """
-    adjacency: dict[float, sparse.csr_matrix] = {}
-    for radius, mats in manifest["adjacency"].items():
-        adjacency[float(radius)] = sparse.csr_matrix(
-            (
-                attach_array(mats["data"]),
-                attach_array(mats["indices"]),
-                attach_array(mats["indptr"]),
-            ),
-            shape=mats["shape"],
-            copy=False,
+    adjacency = {
+        float(radius): Adjacency(
+            attach_array(arrays["indptr"]), attach_array(arrays["indices"]), arrays["n"]
         )
+        for radius, arrays in manifest["adjacency"].items()
+    }
     cells = {
         key: attach_array(spec) for key, spec in manifest["cells"].items()
     }

@@ -32,7 +32,7 @@ from repro.checks import (
 from repro.core import centralized_greedy, grid_decor, voronoi_decor
 from repro.core.benefit import BenefitEngine
 from repro.errors import InvariantError, ReproError
-from repro.field import as_field_model
+from repro.field import Adjacency, as_field_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -272,25 +272,26 @@ class TestCoverageEqualsRecount:
 
 class TestCsrFreezing:
     def test_freeze_csr_write_protects_payload(self):
-        adj = sparse.csr_matrix(np.array([[0, 1], [1, 0]], dtype=np.float64))
+        adj = Adjacency.from_keys(np.array([1, 2]), 2)
         freeze_csr(adj)
-        for attr in ("data", "indices", "indptr"):
+        for attr in ("indices", "indptr"):
             assert not getattr(adj, attr).flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            adj.data[0] = 123.0
+            adj.indices[0] = 1
 
     def test_field_model_adjacency_frozen_when_enabled(self, monkeypatch):
         monkeypatch.setattr(CHECKS, "enabled", True)
         fm = as_field_model(SQUARE)
         adj = fm.adjacency(12.0)
-        assert not adj.data.flags.writeable
+        assert not adj.indices.flags.writeable
+        assert not adj.indptr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
-            adj.data[0] = 0.5  # checks: ignore[ALIAS001] -- raise is the point
+            adj.indices[0] = 1  # checks: ignore[ALIAS001] -- raise is the point
 
     def test_field_model_adjacency_writable_when_disabled(self, monkeypatch):
         monkeypatch.setattr(CHECKS, "enabled", False)
         fm = as_field_model(SQUARE)
-        assert fm.adjacency(12.0).data.flags.writeable
+        assert fm.adjacency(12.0).indices.flags.writeable
 
 
 class TestBitIdentity:

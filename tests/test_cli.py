@@ -110,13 +110,67 @@ def test_gallery(capsys):
     assert "!" in out  # the disaster hole is visible
 
 
-def test_import_leaves_networkx_unloaded():
-    """networkx is only needed by connectivity/hole analyses, so importing
-    the CLI must not load it (a fresh interpreter: this one has it)."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    probe = "import sys, repro.cli; print('networkx' in sys.modules)"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _cli_env() -> dict[str, str]:
+    """A fresh interpreter's environment: the repo's ``src`` on the path and
+    no ``REPRO_*`` knobs (this process may run with some set)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return env
+
+
+@pytest.fixture(scope="module")
+def modules_after_cli_import() -> set[str]:
+    probe = "import sys, repro.cli; print(' '.join(sorted(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True,
+        [sys.executable, "-c", probe], env=_cli_env(), capture_output=True,
         text=True, check=True, timeout=60,
     ).stdout
-    assert out.strip() == "False"
+    return set(out.split())
+
+
+@pytest.mark.parametrize("module", ["networkx", "scipy", "http.server", "ssl"])
+def test_import_leaves_module_unloaded(modules_after_cli_import, module):
+    """Only the analyses (networkx, scipy), the opt-in kd-tree backend
+    (scipy) and ``decor obs serve`` (http.server, ssl) need these, so
+    importing the CLI must not load them."""
+    assert module not in modules_after_cli_import
+
+
+# a meta-path finder in front of every other: any scipy import, however
+# lazy, raises; forked pool workers inherit it
+_BLOCK_SCIPY = """
+import sys
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("blocked: " + name)
+sys.meta_path.insert(0, BlockScipy())
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["figure", "8", "--json", "{out}"],
+        ["figure", "8", "--workers", "2", "--json", "{out}"],
+        ["restore", "--side", "50", "--points", "500", "--k", "2", "--method",
+         "centralized", "--epochs", "3", "--seed", "0"],
+    ],
+    ids=["figure8", "figure8-workers", "restore"],
+)
+def test_default_runs_never_import_scipy(tmp_path, args):
+    out = tmp_path / "fig08.json"
+    argv = [a.format(out=out) for a in args]
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_SCIPY, *argv], env=_cli_env(),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if "--json" in argv:
+        expected = REPO_ROOT / "benchmarks" / "results" / "smoke" / "fig08.json"
+        assert out.read_bytes() == expected.read_bytes()

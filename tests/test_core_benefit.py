@@ -125,6 +125,26 @@ class TestRestrictedBenefitAdjacency:
                 benefit_adjacency=sparse.identity(3, format="csr"),
             )
 
+    @pytest.mark.parametrize("stored", ["twos", "explicit-zeros"])
+    def test_values_other_than_one_rejected(self, stored):
+        """The incremental update moves benefit by one unit per stored
+        entry, so a stored 2 or an explicit 0 would let it drift from the
+        Eq. 1 mat-vec: such matrices are rejected at construction."""
+        from scipy import sparse
+
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
+        if stored == "twos":
+            ben = sparse.csr_matrix(2.0 * np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+        else:
+            ben = sparse.csr_matrix(
+                (np.array([0.0, 0.0, 1.0, 1.0, 1.0]),
+                 (np.array([0, 1, 0, 1, 2]), np.array([1, 0, 0, 1, 2]))),
+                shape=(3, 3),
+            )
+            assert ben.nnz == 5  # the zeros are stored
+        with pytest.raises(CoverageError, match="only 1s"):
+            BenefitEngine(pts, 2.0, k=1, benefit_adjacency=ben)
+
 
 @settings(max_examples=20, deadline=None)
 @given(

@@ -5,7 +5,10 @@ A placement result's coverage is assembled from the rows its
 for sensors placed on field points, ball queries for sensors at arbitrary
 positions.  That is only sound if the two agree, so the first property
 pins ``adjacency(rs)`` row ``i`` to ``sorted(query_ball(points[i], rs))``
-on adversarial fields (duplicate points, pairs at exactly ``rs``).  On
+on adversarial fields (duplicate points, pairs at exactly ``rs``), and
+the ball queries and adjacency of both backends are checked against dense
+distances, also for probes on bin edges or outside the field and for radii
+of 0 and beyond the field's span.  On
 the same fields the centralized greedy's trace is replayed against a naive
 Eq. 1 evaluated from dense distances.  The restoration reports are then
 checked against a brute-force dense-distance k-coverage count that shares
@@ -79,6 +82,58 @@ def test_adjacency_rows_equal_sorted_ball_queries(backend, case):
         # the closed ball: exact-distance pairs and duplicates are in
         d2 = ((points - center) ** 2).sum(axis=1)
         assert np.array_equal(ball, np.nonzero(d2 <= rs * rs)[0])
+
+
+@st.composite
+def ball_join_cases(draw):
+    """An adversarial field, a radius (``rs``, 0, or more than the field's
+    span) and probes: the field points, points on the lines of a grid of
+    side ``r`` anchored at the field's lower-left corner (bin edges), and
+    points outside the field's bounding box."""
+    points, rs = draw(adversarial_fields())
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    r = draw(st.sampled_from([rs, 0.0, 2.0 * float((hi - lo).max()) + 1.0]))
+    step = r or 1.0
+    lattice = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 8), st.integers(-3, 8)), min_size=1, max_size=8
+        )
+    )
+    edges = lo + step * np.array(lattice, dtype=np.float64)
+    outside = np.array(
+        [lo - 3.0 * step, hi + 3.0 * step, [lo[0] - step, hi[1] + step], [1e9, -1e9]]
+    )
+    return points, r, np.concatenate([points, edges, outside])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=ball_join_cases())
+def test_ball_join_matches_dense_distances(case):
+    """Grid-hash ball queries and adjacency equal the dense ``d² <= r²``
+    sets; the kd-tree backend, an independent index, agrees."""
+    points, r, probes = case
+    grid = FieldModel(points, backend="gridhash")
+    kdtree = FieldModel(points, backend="kdtree")
+    d2 = ((probes[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    within = d2 <= r * r
+    batch = grid.query_ball_many(probes, r)
+    kd_batch = kdtree.query_ball_many(probes, r)
+    for i, probe in enumerate(probes):
+        expected = np.nonzero(within[i])[0]
+        assert np.array_equal(np.sort(batch[i]), expected), i
+        assert np.array_equal(np.sort(grid.query_ball(probe, r)), expected), i
+        assert np.array_equal(np.sort(kd_batch[i]), expected), i
+    adj = grid.adjacency(r)
+    dense = adj.toarray()
+    assert np.array_equal(dense, within[: len(points)])
+    assert np.array_equal(dense, dense.T)
+    assert (np.diag(dense) == 1).all()
+    for i in range(len(points)):
+        row = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
+        assert (np.diff(row) > 0).all(), i
+    kd_adj = kdtree.adjacency(r)
+    assert np.array_equal(kd_adj.indptr, adj.indptr)
+    assert np.array_equal(kd_adj.indices, adj.indices)
 
 
 def naive_eq1(

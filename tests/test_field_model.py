@@ -12,6 +12,7 @@ from repro.experiments.runner import DeploymentCache, field_model_for_seed
 from repro.experiments.setup import ExperimentSetup
 from repro.field import (
     BACKEND_ENV_VAR,
+    Adjacency,
     FieldModel,
     as_field_model,
     available_backends,
@@ -39,7 +40,7 @@ class TestBackendSelection:
 
     def test_default_backend(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert FieldModel(random_points(0)).backend_name == "kdtree"
+        assert FieldModel(random_points(0)).backend_name == "gridhash"
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "gridhash")
@@ -78,7 +79,8 @@ class TestBackendParity:
         fm = FieldModel(pts, backend=backend)
         cached = fm.adjacency(radius)
         fresh = radius_adjacency(pts, radius)
-        assert (cached != fresh).nnz == 0
+        assert np.array_equal(cached.indptr, fresh.indptr)
+        assert np.array_equal(cached.indices, fresh.indices)
         # second lookup is the identical object, not an equal rebuild
         assert fm.adjacency(radius) is cached
 
@@ -193,22 +195,21 @@ class TestFieldModel:
 class TestSameCellAdjacency:
     def _setup(self, seed: int):
         pts = random_points(seed)
-        adj = radius_adjacency(pts, 2.0)
-        cells = Rect.square(10.0)
-        cell_of = FieldModel(pts).cell_of(cells, 2.5)
-        return adj, cell_of
+        model = FieldModel(pts)
+        return model.adjacency(2.0), model.cell_of(Rect.square(10.0), 2.5)
 
     def test_csr_fast_path_matches_coo_path(self):
+        # the CSR mask equals the dense same-cell mask of the adjacency
         adj, cell_of = self._setup(7)
-        fast = same_cell_adjacency_of(adj.tocsr(), cell_of)
-        slow = same_cell_adjacency_of(adj.tocoo(), cell_of)
-        assert (fast != slow).nnz == 0
-        assert fast.format == "csr"
+        out = same_cell_adjacency_of(adj, cell_of)
+        same_cell = cell_of[:, None] == cell_of[None, :]
+        assert np.array_equal(out.toarray(), adj.toarray() * same_cell)
+        assert isinstance(out, Adjacency)
 
     def test_output_symmetric(self):
         adj, cell_of = self._setup(8)
-        out = same_cell_benefit_adjacency(adj, cell_of)
-        assert (out - out.T).nnz == 0
+        dense = same_cell_benefit_adjacency(adj, cell_of).toarray()
+        assert np.array_equal(dense, dense.T)
 
     def test_wrong_cell_vector_length(self):
         adj, cell_of = self._setup(9)

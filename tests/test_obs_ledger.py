@@ -94,17 +94,17 @@ class TestRowConstruction:
         assert "python" in env and "repro_env" in env
 
     def test_field_backend_spellings_fingerprint_equal(self, monkeypatch):
-        """Unset, empty and ``kdtree`` all name the one default backend."""
+        """Unset, empty and ``gridhash`` all name the one default backend."""
         cache = DeploymentCache(ExperimentSetup.smoke())
         fingerprints = []
-        for value in (None, "", "kdtree"):
+        for value in (None, "", "gridhash"):
             if value is None:
                 monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
             else:
                 monkeypatch.setenv("REPRO_FIELD_BACKEND", value)
             fingerprints.append(config_fingerprint(cache.describe()))
         assert len(set(fingerprints)) == 1
-        monkeypatch.setenv("REPRO_FIELD_BACKEND", "gridhash")
+        monkeypatch.setenv("REPRO_FIELD_BACKEND", "kdtree")
         assert config_fingerprint(cache.describe()) != fingerprints[0]
 
 
