@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core._common import placement_budget
 from repro.core.result import PlacementTrace
 from repro.errors import CoverageError, PlacementError
 from repro.field import FieldModel, as_field_model
@@ -243,6 +244,7 @@ def mixed_centralized_greedy(
     """
     field = as_field_model(field_points)
     pts = field.points
+    budget = placement_budget(field.n_points, k, max_nodes)
     engine = MixedBenefitEngine(field, types, k)
     deployment = MixedDeployment(types)
     min_rs = min(t.sensing_radius for t in types)
@@ -258,9 +260,6 @@ def mixed_centralized_greedy(
 
     trace = PlacementTrace()
     placed_types: list[str] = []
-    budget = max_nodes if max_nodes is not None else k * engine.n_points + 1024
-    if budget < 1:
-        raise PlacementError(f"max_nodes must be >= 1, got {max_nodes}")
     type_index = {t.name: i for i, t in enumerate(types)}
     catalog = {t.name: t for t in types}
     total_cost = 0.0

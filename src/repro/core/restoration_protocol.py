@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core._common import placement_budget
 from repro.core.benefit import BenefitEngine
 from repro.errors import PlacementError, SimulationError
 from repro.field import as_field_model
@@ -313,6 +314,7 @@ def run_restoration_protocol(
             )
     field = as_field_model(field_points)
     pts = field.points
+    budget = placement_budget(field.n_points, k, max_nodes)
     sensors = as_points(sensor_positions)
     failed = np.asarray(failed_node_ids, dtype=np.intp).reshape(-1)
     if failed.size and (failed.min() < 0 or failed.max() >= len(sensors)):
@@ -329,7 +331,6 @@ def run_restoration_protocol(
 
     sim = Simulator()
     radio = Radio(sim, spec.communication_radius)
-    budget = max_nodes if max_nodes is not None else k * engine.n_points + 1024
     harness = _Harness(
         sim, radio, engine, pts, partition, points_by_cell,
         spec, k, config, rng, budget,

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.checks import greedy_checker
 from repro.core._common import finalize, init_run, placement_budget
-from repro.core.benefit import csr_row_gather
+from repro.core.benefit import BenefitEngine, csr_row_gather
 from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
 from repro.errors import PlacementError
 from repro.field.csr import sorted_unique
@@ -37,11 +37,9 @@ __all__ = ["voronoi_decor", "local_voronoi_benefit"]
 
 
 def local_voronoi_benefit(
-    pts: np.ndarray,
-    adjacency,
+    engine: BenefitEngine,
     ownership: VoronoiOwnership,
-    deficiency: np.ndarray,
-    rc2: float,
+    rc: float,
     site: int,
     site_pos: np.ndarray,
     candidates: np.ndarray,
@@ -50,17 +48,42 @@ def local_voronoi_benefit(
 
     The node credits a candidate only for deficient points it can know
     about: points within ``rc`` of itself, plus the points of its own cell
-    (whose coverage it tracks exactly, §3.3).  Shared by the analytic
-    round model and the packet-level protocol so the two provably score
-    identically.
+    (whose coverage it tracks exactly, §3.3); ``candidates`` lie in that
+    cell.  Shared by the analytic round model and the packet-level protocol
+    so the two provably score identically.
+
+    A candidate within ``reach = rc - rs`` of its site covers only points
+    within ``rc`` of it (triangle inequality), so it keeps the engine's
+    exact Eq. 1; only the others are re-scored by a masked gather of their
+    rows.  Near means ``owner_distance2 <= (reach * (1 - 1e-9))**2`` and
+    ``reach > 1e-6 * rc``.  Rounding: a computed ``dx*dx + dy*dy`` is within
+    a relative ``4u`` (``u = 2**-53``) of exact, so a near candidate lies
+    within ``(rc - rs) * (1 - 1e-9) * (1 + 5u)`` of its site and its row
+    points within ``rs * (1 + 2.5u)`` of it; ``(rc - rs) * 1e-9 > 1e-15 * rc``
+    exceeds the ``7.5u * rc`` margin the "known" test ``<= rc**2 + 1e-12``
+    needs, at any ``rc``.
     """
-    rows, lens = csr_row_gather(adjacency, candidates)
-    diff = pts[rows] - site_pos
-    known = diff[:, 0] ** 2 + diff[:, 1] ** 2 <= rc2 + 1e-12
+    full = engine.benefit_adjacency is engine.coverage_adjacency
+    if not full or engine.benefit_mode != "deficiency":
+        raise PlacementError("the Voronoi benefit needs a full-adjacency deficiency engine")
+    benefit = engine.benefit[candidates]
+    reach = rc - engine.sensing_radius
+    far_at = slice(None)  # every candidate, unless the reach is positive
+    if reach > 1e-6 * rc:
+        limit = reach * (1.0 - 1e-9)
+        far_at = (ownership.owner_distance2[candidates] > limit * limit).nonzero()[0]
+        if far_at.size == 0:
+            return benefit
+    far = candidates[far_at]
+    rows, lens = csr_row_gather(engine.coverage_adjacency, far)
+    diff = engine.field.points[rows] - site_pos
+    diff *= diff
+    known = diff[:, 0] + diff[:, 1] <= rc**2 + 1e-12
     known |= ownership.owner[rows] == site
-    seg = np.arange(candidates.size).repeat(lens)
-    contrib = deficiency[rows] * known
-    return np.bincount(seg, weights=contrib, minlength=candidates.size)
+    contrib = np.maximum(engine.k - engine.counts[rows], 0) * known
+    seg = np.arange(far.size).repeat(lens)
+    benefit[far_at] = np.bincount(seg, weights=contrib, minlength=far.size)
+    return benefit
 
 
 def voronoi_decor(
@@ -124,17 +147,10 @@ def voronoi_decor(
     # ids here (all nodes alive, created in the same order).
     ownership = VoronoiOwnership(pts, deployment.alive_positions())
 
-    adj = engine.coverage_adjacency
-    rc2 = spec.communication_radius**2
+    rc = spec.communication_radius
     budget = placement_budget(engine.n_points, k, max_nodes)
     checker = greedy_checker(engine, method="voronoi")
     per_node_msgs: list[int] = [0] * deployment.n_total
-
-    def local_benefit(candidates: np.ndarray, site: int, site_pos: np.ndarray,
-                      deficiency: np.ndarray) -> np.ndarray:
-        return local_voronoi_benefit(
-            pts, adj, ownership, deficiency, rc2, site, site_pos, candidates
-        )
 
     rounds = 0
     truncated = False
@@ -149,12 +165,16 @@ def voronoi_decor(
             rounds += 1
             # only sites owning a deficient point at the round's start can
             # place in it: cells only shrink within a round (sites added now
-            # join the next one) and coverage only grows
-            deficiency = engine.deficiency().astype(np.float64)
-            active = sorted_unique(ownership.owner[deficiency > 0])
-            for site in active.tolist():
-                owned = ownership.owned_points(site)
-                if not (deficiency[owned] > 0).any():
+            # join the next one) and coverage only grows, so a site's cell is
+            # its start-of-round cell filtered by the current owner
+            owner = ownership.owner
+            active = sorted_unique(owner[engine.deficient_indices()])
+            order = np.argsort(owner, kind="stable")
+            los, his = np.searchsorted(owner[order], (active, active + 1)).tolist()
+            for site, lo, hi in zip(active.tolist(), los, his):
+                owned = order[lo:hi]
+                owned = owned[owner[owned] == site]
+                if not (engine.counts[owned] < k).any():
                     continue
                 if len(added) >= budget:
                     if stop_at_budget:
@@ -163,9 +183,10 @@ def voronoi_decor(
                     raise PlacementError(
                         f"Voronoi DECOR exceeded its budget of {budget} nodes"
                     )
-                site_pos = ownership.site_position(site)
-                benefits = local_benefit(owned, site, site_pos, deficiency)
-                best = int(np.argmax(benefits))
+                benefits = local_voronoi_benefit(
+                    engine, ownership, rc, site, ownership.site_position(site), owned
+                )
+                best = int(benefits.argmax())
                 benefit = float(benefits[best])
                 if benefit <= 0.0:
                     # a deficient owned point scores at least its own deficiency
@@ -173,15 +194,14 @@ def voronoi_decor(
                         f"site {site} has deficient points but zero benefit"
                     )
                 idx = int(owned[best])
-                covered = engine.place_at(idx)
+                engine.place_at(idx)
                 pos = pts[idx]
                 nid = deployment.add(pos)
                 added.append(nid)
-                ownership.add_site(pos)
-                # notify alive nodes within rc of the new sensor
-                diff = deployment.positions[:-1] - pos  # not the new node
-                d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-                n_msgs = int(np.count_nonzero(d2 <= rc2 + 1e-12))
+                sid, stolen = ownership.add_site(pos)
+                # notify the alive nodes within rc of the new sensor (sites
+                # are the deployment's nodes 1:1); the count includes it
+                n_msgs = ownership.count_alive_within(sid, rc) - 1
                 per_node_msgs.append(0)  # slot for the new node
                 per_node_msgs[site] += n_msgs
                 trace.record(
@@ -192,8 +212,6 @@ def voronoi_decor(
                     messages=n_msgs,
                 )
                 checker.after_step(len(added) - 1, idx, pos)
-                # only the new sensor's disc lost deficiency
-                deficiency[covered] = np.maximum(k - engine.counts[covered], 0)
                 progress = True
                 if FREC.enabled:
                     # analytic rounds stand in for sim time; the acting
@@ -205,7 +223,7 @@ def voronoi_decor(
                     FREC.emit(
                         "handoff", nid, t=float(rounds), cause=None,
                         from_site=int(site),
-                        points_owned=int(ownership.owned_points(nid).size),
+                        points_owned=int(stolen.size),
                     )
                 if OBS.enabled:
                     OBS.event(

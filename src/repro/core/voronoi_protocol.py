@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core._common import placement_budget
 from repro.core.benefit import BenefitEngine
 from repro.core.voronoi_decor import local_voronoi_benefit
 from repro.errors import PlacementError
@@ -109,19 +110,17 @@ class _Harness:
     def try_place(self, node: _VoronoiNode) -> bool:
         site = node.node_id
         owned = self.ownership.owned_points(site)
-        deficiency = self.engine.deficiency().astype(np.float64)
-        if owned.size == 0 or not np.any(deficiency[owned] > 0):
+        if not (self.engine.counts[owned] < self.engine.k).any():
             return False
         if len(self.placed_points) >= self.budget:
             raise PlacementError(
                 f"Voronoi protocol exceeded its budget of {self.budget}"
             )
-        rc2 = self.spec.communication_radius**2
         benefits = local_voronoi_benefit(
-            self.pts, self.engine.coverage_adjacency, self.ownership,
-            deficiency, rc2, site, node.position, owned,
+            self.engine, self.ownership, self.spec.communication_radius,
+            site, node.position, owned,
         )
-        best = int(np.argmax(benefits))
+        best = int(benefits.argmax())
         if benefits[best] <= 0.0:  # pragma: no cover - deficient owned point
             raise PlacementError(f"site {site} deficient but zero benefit")
         idx = int(owned[best])
@@ -133,7 +132,7 @@ class _Harness:
         self.engine.place_at(idx)
         pos = self.pts[idx]
         self.placed_points.append(idx)
-        self.ownership.add_site(pos)
+        _, stolen = self.ownership.add_site(pos)
         # the new sensor is registered on the radio before the announcement
         # so the notification reaches it too, matching the analytic count of
         # "alive nodes within rc of the new position"
@@ -143,7 +142,7 @@ class _Harness:
             FREC.emit(
                 "handoff", new_node.node_id, t=self.sim.now, from_site=site,
                 point=idx,
-                points_owned=int(self.ownership.owned_points(new_node.node_id).size),
+                points_owned=int(stolen.size),
             )
         node.broadcast(VOR_PLACE, payload=idx)
         return True
@@ -193,10 +192,10 @@ def run_voronoi_protocol(
                 max_sim_time=max_sim_time,
             )
     pts = as_points(field_points)
+    budget = placement_budget(pts.shape[0], k, max_nodes)
     engine = BenefitEngine(pts, spec.sensing_radius, k)
     sim = Simulator()
     radio = Radio(sim, spec.communication_radius, delay=radio_delay)
-    budget = max_nodes if max_nodes is not None else k * engine.n_points + 1024
 
     seed_positions: list[np.ndarray] = []
     if initial_positions is not None and len(as_points(initial_positions)):

@@ -34,12 +34,15 @@ def nearest_owner(points: np.ndarray, sites: np.ndarray) -> np.ndarray:
     st = as_points(sites)
     if st.shape[0] == 0:
         raise GeometryError("no sites")
-    # chunk over sites to bound the temporary, points sets are ~2000 so fine
-    d2 = (
-        (pts[:, None, 0] - st[None, :, 0]) ** 2
-        + (pts[:, None, 1] - st[None, :, 1]) ** 2
-    )
-    return np.argmin(d2, axis=1).astype(np.intp)
+    # blocks of points keep each (points x sites) temporary near 2**16
+    # elements; the argmin is per point, so blocking cannot change it
+    step = max(1, (1 << 16) // st.shape[0])
+    owner = np.empty(pts.shape[0], dtype=np.intp)
+    for lo in range(0, pts.shape[0], step):
+        block = pts[lo:lo + step]
+        d2 = (block[:, None, 0] - st[:, 0]) ** 2 + (block[:, None, 1] - st[:, 1]) ** 2
+        owner[lo:lo + step] = np.argmin(d2, axis=1)
+    return owner
 
 
 class VoronoiOwnership:
@@ -57,6 +60,8 @@ class VoronoiOwnership:
     * ``owner[i]`` is the index (into the growing site list) of the node that
       owns point ``i``; ``owner_distance2[i]`` caches the squared distance so
       each :meth:`add_site` update is a single vectorised comparison.
+    * Points and sites are held as ``(2, ·)`` arrays of contiguous x and y
+      rows (the site array doubles its capacity as sites are added).
     * Site removal (node failure) triggers re-assignment of only the orphaned
       points, against the surviving sites.
     """
@@ -66,11 +71,13 @@ class VoronoiOwnership:
         sites = as_points(sites)
         if sites.shape[0] == 0:
             raise GeometryError("VoronoiOwnership requires at least one site")
-        self._sites: list[np.ndarray] = [s.copy() for s in sites]
-        self._alive = [True] * len(self._sites)
+        self._n_sites = sites.shape[0]
+        self._pxy = np.ascontiguousarray(self._points.T)
+        self._sxy = np.empty((2, 2 * self._n_sites))
+        self._sxy[:, : self._n_sites] = sites.T
+        self._alive = np.arange(2 * self._n_sites) < self._n_sites
         self._owner = nearest_owner(self._points, sites)
-        diff = self._points - sites[self._owner]
-        self._owner_d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+        self._owner_d2 = self._distance2(self._pxy, self._sxy[:, self._owner])
 
     # ------------------------------------------------------------------
     @property
@@ -80,7 +87,7 @@ class VoronoiOwnership:
     @property
     def n_sites(self) -> int:
         """Total sites ever added (including removed ones; ids are stable)."""
-        return len(self._sites)
+        return self._n_sites
 
     @property
     def owner(self) -> np.ndarray:
@@ -89,23 +96,41 @@ class VoronoiOwnership:
         view.flags.writeable = False
         return view
 
+    @property
+    def owner_distance2(self) -> np.ndarray:
+        """Read-only view of each point's squared distance to its owner."""
+        view = self._owner_d2.view()
+        view.flags.writeable = False
+        return view
+
     def site_position(self, site_id: int) -> np.ndarray:
         self._check_site(site_id)
-        return self._sites[site_id].copy()
+        return self._sxy[:, site_id].copy()
 
     def is_alive(self, site_id: int) -> bool:
         self._check_site(site_id)
-        return self._alive[site_id]
+        return bool(self._alive[site_id])
 
     def alive_sites(self) -> np.ndarray:
         """Ids of currently alive sites."""
-        return np.asarray(
-            [i for i, a in enumerate(self._alive) if a], dtype=np.intp
-        )
+        return np.flatnonzero(self._alive[: self._n_sites])
+
+    def count_alive_within(self, site_id: int, radius: float) -> int:
+        """Alive sites within ``radius`` of site ``site_id``, itself included
+        (closed disc, with the notification horizon's ``1e-12`` slack)."""
+        self._check_site(site_id)
+        m = self._n_sites
+        d2 = self._distance2(self._sxy[:, :m], self._sxy[:, site_id])
+        return int(np.count_nonzero((d2 <= radius**2 + 1e-12) & self._alive[:m]))
 
     def _check_site(self, site_id: int) -> None:
-        if not (0 <= site_id < len(self._sites)):
+        if not (0 <= site_id < self._n_sites):
             raise GeometryError(f"unknown site id {site_id}")
+
+    @staticmethod
+    def _distance2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``dx*dx + dy*dy`` between ``(2, ·)`` coordinate arrays or points."""
+        return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
     # ------------------------------------------------------------------
     def owned_points(self, site_id: int) -> np.ndarray:
@@ -115,9 +140,7 @@ class VoronoiOwnership:
 
     def cell_sizes(self) -> np.ndarray:
         """Number of owned points per site id (zero for dead/empty sites)."""
-        counts = np.zeros(len(self._sites), dtype=np.intp)
-        np.add.at(counts, self._owner, 1)
-        return counts
+        return np.bincount(self._owner, minlength=self._n_sites)
 
     # ------------------------------------------------------------------
     def add_site(self, position: np.ndarray) -> tuple[int, np.ndarray]:
@@ -129,12 +152,15 @@ class VoronoiOwnership:
             ``(new_site_id, stolen_point_indices)``.
         """
         pos = as_point(position)
-        sid = len(self._sites)
-        self._sites.append(pos.copy())
-        self._alive.append(True)
-        diff = self._points - pos  # both validated on the way in
-        d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
-        stolen = np.nonzero(d2 < self._owner_d2)[0]
+        sid = self._n_sites
+        if sid == self._alive.size:  # double the site capacity
+            self._sxy = np.concatenate((self._sxy, np.empty_like(self._sxy)), axis=1)
+            self._alive = np.concatenate((self._alive, np.zeros_like(self._alive)))
+        self._sxy[:, sid] = pos
+        self._alive[sid] = True
+        self._n_sites = sid + 1
+        d2 = self._distance2(self._pxy, self._sxy[:, sid])
+        stolen = (d2 < self._owner_d2).nonzero()[0]
         self._owner[stolen] = sid
         self._owner_d2[stolen] = d2[stolen]
         return sid, stolen
@@ -148,18 +174,16 @@ class VoronoiOwnership:
         self._check_site(site_id)
         if not self._alive[site_id]:
             raise GeometryError(f"site {site_id} already removed")
-        alive = [i for i, a in enumerate(self._alive) if a and i != site_id]
-        if not alive:
+        alive = self.alive_sites()
+        alive = alive[alive != site_id]
+        if not alive.size:
             raise GeometryError("cannot remove the last alive site")
         self._alive[site_id] = False
         orphans = np.nonzero(self._owner == site_id)[0]
         if orphans.size:
-            alive_arr = np.asarray(alive, dtype=np.intp)
-            sites_arr = np.asarray([self._sites[i] for i in alive], dtype=float)
-            local = nearest_owner(self._points[orphans], sites_arr)
-            self._owner[orphans] = alive_arr[local]
-            diff = self._points[orphans] - sites_arr[local]
-            self._owner_d2[orphans] = diff[:, 0] ** 2 + diff[:, 1] ** 2
+            new = alive[nearest_owner(self._points[orphans], self._sxy[:, alive].T)]
+            self._owner[orphans] = new
+            self._owner_d2[orphans] = self._distance2(self._pxy[:, orphans], self._sxy[:, new])
         return orphans
 
     # ------------------------------------------------------------------
@@ -168,11 +192,8 @@ class VoronoiOwnership:
         distances are cached correctly; every point's owner is its nearest
         alive site."""
         alive_ids = self.alive_sites()
-        sites_arr = np.asarray([self._sites[i] for i in alive_ids], dtype=float)
-        expect_local = nearest_owner(self._points, sites_arr)
-        expect = alive_ids[expect_local]
-        diff = self._points - sites_arr[expect_local]
-        expect_d2 = diff[:, 0] ** 2 + diff[:, 1] ** 2
+        expect = alive_ids[nearest_owner(self._points, self._sxy[:, alive_ids].T)]
+        expect_d2 = self._distance2(self._pxy, self._sxy[:, expect])
         if not np.allclose(expect_d2, self._owner_d2, rtol=0, atol=1e-9):
             raise GeometryError("owner distance cache is stale")
         # owners must achieve the same (minimal) distance, even if tie-broken
@@ -180,5 +201,5 @@ class VoronoiOwnership:
         d_owner = self._owner_d2
         if np.any(d_owner > expect_d2 + 1e-9):
             raise GeometryError("a point is owned by a non-nearest site")
-        if not all(self._alive[o] for o in np.unique(self._owner)):
+        if not self._alive[self._owner].all():
             raise GeometryError("a dead site still owns points")

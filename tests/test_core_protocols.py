@@ -1,13 +1,22 @@
-"""Tests for the packet-level in-network grid DECOR protocol."""
+"""Tests for the packet-level in-network grid DECOR protocol, and the
+``max_nodes`` check shared by every placement runner."""
 
 import numpy as np
 import pytest
 
-from repro.core import grid_decor
+from repro.core import (
+    BenefitEngine,
+    MixedBenefitEngine,
+    grid_decor,
+    mixed_centralized_greedy,
+    run_restoration_protocol,
+    run_voronoi_protocol,
+)
 from repro.core.protocols import run_grid_protocol
 from repro.discrepancy import field_points
+from repro.errors import PlacementError
 from repro.geometry import Rect
-from repro.network import SensorSpec
+from repro.network import SensorSpec, SensorType
 
 
 @pytest.fixture
@@ -74,3 +83,35 @@ class TestControls:
         region, pts, spec = small_setup
         report = run_grid_protocol(pts, spec, 1, region, 5.0, round_period=2.0)
         assert report.sim_time > 0.0
+
+
+def _account_nothing(*args, **kwargs):
+    raise AssertionError("a sensor was accounted before max_nodes was checked")
+
+
+@pytest.mark.parametrize("max_nodes", [0, -3])
+@pytest.mark.parametrize("runner", ["voronoi", "restoration", "mixed"])
+def test_nonpositive_max_nodes_rejected_before_placing(runner, max_nodes, monkeypatch):
+    """The protocol runners and the mixed greedy check ``max_nodes`` at
+    entry, as :func:`~repro.core._common.placement_budget` does for the
+    analytic methods: no sensor is accounted before the error."""
+    region = Rect.square(20.0)
+    pts = field_points(region, 120)
+    spec = SensorSpec(4.0, 8.0)
+    for cls, names in (
+        (BenefitEngine, ("place_at", "add_sensor_at_position", "add_sensors")),
+        (MixedBenefitEngine, ("place", "add_external")),
+    ):
+        for name in names:
+            monkeypatch.setattr(cls, name, _account_nothing)
+    run = {
+        "voronoi": lambda: run_voronoi_protocol(pts, spec, 1, max_nodes=max_nodes),
+        "restoration": lambda: run_restoration_protocol(
+            pts, spec, 1, region, 5.0, pts[::10], [0], max_nodes=max_nodes
+        ),
+        "mixed": lambda: mixed_centralized_greedy(
+            pts, [SensorType("small", 4.0, 8.0)], 1, max_nodes=max_nodes
+        ),
+    }[runner]
+    with pytest.raises(PlacementError, match="max_nodes must be >= 1"):
+        run()

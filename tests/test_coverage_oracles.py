@@ -10,20 +10,22 @@ the ball queries and adjacency of both backends are checked against dense
 distances, also for probes on bin edges or outside the field and for radii
 of 0 and beyond the field's span.  On
 the same fields the centralized greedy's trace is replayed against a naive
-Eq. 1 evaluated from dense distances.  The restoration reports are then
-checked against a brute-force dense-distance k-coverage count that shares
-no ``FieldModel`` or ``CoverageState`` code, and a work count pins that a
-warm epoch makes no per-sensor ball queries.
+Eq. 1 evaluated from dense distances, and Voronoi DECOR's trace against
+the proposing site's knowledge-limited Eq. 1, with cells, knowledge and
+notifications recomputed from dense distances.  The restoration reports
+are then checked against a brute-force dense-distance k-coverage count
+that shares no ``FieldModel`` or ``CoverageState`` code, and a work count
+pins that a warm epoch makes no per-sensor ball queries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.checks import CHECKS
-from repro.core import DecorPlanner, centralized_greedy
+from repro.core import DecorPlanner, centralized_greedy, voronoi_decor
 from repro.experiments import epoch_failure
 from repro.field import FieldModel
 from repro.geometry import Rect
@@ -47,8 +49,9 @@ _UNIT_OFFSETS = [(1.0, 0.0), (0.0, -1.0), (0.6, 0.8), (-0.8, 0.6)]
 
 
 @st.composite
-def adversarial_fields(draw):
-    """Integer-lattice fields with duplicates and pairs at exactly ``rs``."""
+def adversarial_fields(draw, long_offsets: bool = False):
+    """Integer-lattice fields with duplicates and pairs at exactly ``rs``;
+    with ``long_offsets``, partners also sit at 0.6, 1.6 and 2 ``rs``."""
     rs = draw(st.sampled_from([5.0, 10.0]))
     base = draw(
         st.lists(
@@ -58,13 +61,14 @@ def adversarial_fields(draw):
     )
     pts = [(float(x), float(y)) for x, y in base]
     pts += draw(st.lists(st.sampled_from(pts), max_size=6))
+    scales = st.sampled_from([0.6, 1.0, 1.6, 2.0] if long_offsets else [1.0])
     partners = draw(
         st.lists(
-            st.tuples(st.sampled_from(pts), st.sampled_from(_UNIT_OFFSETS)),
+            st.tuples(st.sampled_from(pts), st.sampled_from(_UNIT_OFFSETS), scales),
             max_size=8,
         )
     )
-    pts += [(x + dx * rs, y + dy * rs) for (x, y), (dx, dy) in partners]
+    pts += [(x + dx * a * rs, y + dy * a * rs) for (x, y), (dx, dy), a in partners]
     return np.array(pts), rs
 
 
@@ -175,6 +179,86 @@ def test_centralized_trace_follows_naive_eq1(mode, case, k):
         np.testing.assert_array_equal(recorded[step], gains[best])
     # the loop stops exactly when no candidate has positive benefit left
     assert not naive_eq1(points, placed, rs, k, mode).any()
+
+
+@st.composite
+def voronoi_cases(draw):
+    """An adversarial field with partners up to ``2 rs`` apart, ``rc`` in
+    ``{1, 1.6, 2, 3} rs``, ``k`` in 1..3 and optional initial sites (field
+    points or lattice points, duplicates included)."""
+    points, rs = draw(adversarial_fields(long_offsets=True))
+    rc = rs * draw(st.sampled_from([1.0, 1.6, 2.0, 3.0]))
+    k = draw(st.integers(1, 3))
+    pool = st.one_of(
+        st.sampled_from([tuple(p) for p in points]),
+        st.tuples(st.integers(0, 30), st.integers(0, 30)).map(
+            lambda xy: (float(xy[0]), float(xy[1]))
+        ),
+    )
+    initial = draw(st.lists(pool, max_size=4))
+    initial += draw(st.lists(st.sampled_from(initial), max_size=2)) if initial else []
+    return points, rs, rc, k, np.array(initial, dtype=float).reshape(-1, 2)
+
+
+def _line(xs: list[float]) -> np.ndarray:
+    return np.array([(x, 0.0) for x in xs])
+
+
+# rs = 5, rc = 10: the proposer at 0, candidate 5 at exactly rc - rs, row
+# point 10 at exactly rc (known by distance alone: site 17 owns it); the
+# candidate ties the deficient point -6 and wins on the lower index
+_AT_REACH = (_line([5.0, 10.0, -6.0]), 5.0, 10.0, 1, _line([0.0, 17.0]))
+# rs = 5, rc = 8: candidate 3.002 is just beyond rc - rs = 3 and its disc
+# holds 8.001, deficient and unknown (beyond rc, owned by site 14); crediting
+# it would let the candidate tie -6 and win on the lower index
+_BEYOND_REACH = (_line([3.002, 8.001, -6.0]), 5.0, 8.0, 1, _line([0.0, 14.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@example(case=_AT_REACH)
+@example(case=_BEYOND_REACH)
+@given(case=voronoi_cases())
+def test_voronoi_trace_follows_knowledge_limited_eq1(case):
+    """Replay Voronoi DECOR against dense distances.  Before each step the
+    sites own their nearest points (ties to the lowest site id); the
+    proposer knows the points within ``rc`` of itself and the points it
+    owns; it places at the lowest-index owned point maximising Eq. 1 over
+    known points, records that maximum, and notifies every earlier site
+    within ``rc`` of the new sensor."""
+    points, rs, rc, k, initial = case
+    result = voronoi_decor(points, SensorSpec(rs, rc), k, initial_positions=initial)
+    positions = result.trace.positions
+    sites = list(initial)
+    start = 0
+    if not len(initial):
+        # the bootstrap seed: the global Eq. 1 maximiser, with no proposer
+        gains = naive_eq1(points, np.empty((0, 2)), rs, k, "deficiency")
+        assert np.array_equal(positions[0], points[int(np.argmax(gains))])
+        assert result.trace.proposer[0] == -1
+        sites.append(positions[0])
+        start = 1
+    near = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1) <= rs * rs
+    for step in range(start, len(positions)):
+        placed = np.array(sites)
+        d2 = ((points[:, None, :] - placed[None, :, :]) ** 2).sum(axis=-1)
+        owner = np.argmin(d2, axis=1)
+        deficiency = np.maximum(k - (d2 <= rs * rs).sum(axis=1), 0)
+        site = int(result.trace.proposer[step])
+        known = (d2[:, site] <= rc * rc + 1e-12) | (owner == site)
+        gains = near.astype(np.int64) @ (deficiency * known)
+        owned = np.flatnonzero(owner == site)
+        best = int(owned[np.argmax(gains[owned])])
+        chosen = [i for i, p in enumerate(points) if np.array_equal(p, positions[step])]
+        assert (owner[chosen] == site).any(), step
+        assert np.array_equal(positions[step], points[best]), step
+        np.testing.assert_array_equal(result.trace.benefits[step], gains[best])
+        d2_sites = ((placed - positions[step]) ** 2).sum(axis=1)
+        assert result.trace.messages[step] == np.count_nonzero(
+            d2_sites <= rc * rc + 1e-12
+        ), step
+        sites.append(positions[step])
+    d2 = ((points[:, None, :] - np.array(sites)[None, :, :]) ** 2).sum(axis=-1)
+    assert ((d2 <= rs * rs).sum(axis=1) >= k).all()
 
 
 def _planner(seed: int = 3) -> DecorPlanner:

@@ -1,5 +1,7 @@
 """Tests for repro.geometry.voronoi — incremental ownership vs brute force."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,34 @@ class TestNearestOwner:
     def test_no_sites_raises(self):
         with pytest.raises(GeometryError):
             nearest_owner(np.array([[0.0, 0.0]]), np.empty((0, 2)))
+
+    def test_memory_is_bounded_by_point_blocks(self):
+        """2000 points x 1000 sites as one dense temporary would be 16 MB
+        (three of them at once); blocks of points keep the peak small."""
+        rng = np.random.default_rng(0)
+        pts = rng.random((2000, 2)) * 100.0
+        sites = rng.random((1000, 2)) * 100.0
+        tracemalloc.start()
+        try:
+            nearest_owner(pts, sites)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
+    def test_blocks_match_dense_argmin_with_ties(self):
+        """Lattice points midway between lattice sites tie exactly, and
+        duplicated sites tie at distance 0; across block boundaries every
+        point still gets the lowest-index nearest site."""
+        g = np.arange(0.0, 40.0)
+        pts = np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2)
+        sites = pts[(pts % 2 == 0).all(axis=1)]
+        sites = np.vstack([sites, sites[::3]])
+        assert len(pts) > 2 * ((1 << 16) // len(sites))  # several blocks
+        d2 = ((pts[:, None, :] - sites[None, :, :]) ** 2).sum(axis=-1)
+        np.testing.assert_array_equal(
+            nearest_owner(pts, sites), np.argmin(d2, axis=1)
+        )
 
 
 class TestVoronoiOwnership:
