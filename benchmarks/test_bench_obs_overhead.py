@@ -181,7 +181,7 @@ def test_sampler_disabled_overhead_within_bound(benchmark, setup):
     """
     # 1. count the sample rows + health recordings an enabled sweep emits;
     # each corresponds to one guarded telemetry site evaluated per cell
-    OBS.enable(fresh=True, sample=0.0)
+    OBS.enable(fresh=True)
     try:
         _sweep(setup)
         touchpoints = OBS.sampler.seq + OBS.metrics.ops

@@ -33,7 +33,7 @@ ROUNDS = 3
 
 def _timed_fig08(setup, *, sample: bool) -> tuple[str, float, int]:
     if sample:
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
     start = perf_counter()
     result = run_figure(setup, 8, DeploymentCache(setup))
     elapsed = perf_counter() - start

@@ -32,30 +32,33 @@ header embeds a cleaned argv, so ``decor replay out.jsonl`` can re-execute
 the command and verify the stream reproduces byte for byte — including
 sweeps recorded with ``--workers N``, which replay serially.
 
-Live telemetry: ``--sample sink.jsonl`` streams timestamped metric deltas
-and ``health_*`` gauges to a JSONL sink while the command runs
-(``REPRO_OBS_SAMPLE=<period>`` throttles to wall-time sampling; the
-default is one row per hook in deterministic logical time).  Watch a sink
-with ``decor top sink.jsonl --follow``, serve any export as a Prometheus
-scrape endpoint with ``decor obs serve``, grammar-check an endpoint with
-``decor obs scrape URL``, and pretty-print exports offline with
-``decor obs summarize PATH`` (``--diff A B`` compares two sample sinks).
-See ``docs/observability.md``.
+Time series: ``--sample sink.jsonl`` streams the sampler's metric deltas
+and ``health_*`` gauges to a JSONL sink while the command runs, one row
+per hook in deterministic logical time.  ``decor obs summarize PATH``
+pretty-prints any export offline (``--diff A B`` compares two sample
+sinks).  See ``docs/observability.md``.
 
-Run ledger: ``--ledger [PATH]`` (or ``REPRO_LEDGER=1``) appends one
-structured history row per figure/deploy/summary/restore invocation —
-config fingerprint, environment, staged wall timings, harvested
-counters/gauges, artifact digests — to an append-only JSONL store
-(default ``.decor/ledger``).  Query it with ``decor runs list|show|diff|
-regress``; ``diff --exit-code`` and ``regress`` return nonzero on
-semantic drift, which is the CI regression gate.
+Run ledger: ``--ledger [PATH]`` appends one structured history row per
+figure/deploy/summary/restore invocation — config fingerprint,
+environment, staged wall timings, harvested counters/gauges, artifact
+digests — to an append-only JSONL store (default ``.decor/ledger``).
+Query it with ``decor runs list|show|diff|regress``; ``diff --exit-code``
+and ``regress`` return nonzero on semantic drift, which is the CI
+regression gate.
+
+One recording session (:func:`_recording`) is the only reader of these
+five flags: it enables what they ask for before the command runs, writes
+the exports after it, and puts the runtime switches back however the
+command ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+from typing import Any, Iterator
 
 
 from repro._version import __version__
@@ -92,8 +95,8 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample", metavar="PATH",
         help="enable instrumentation; stream time-series health/metric "
-             "samples to a JSONL sink (watch it with `decor top PATH`; "
-             "REPRO_OBS_SAMPLE=<seconds> switches to wall-time throttling)",
+             "samples to a JSONL sink (summarize it with "
+             "`decor obs summarize PATH`)",
     )
     parser.add_argument(
         "--ledger", metavar="PATH", nargs="?", const="",
@@ -102,42 +105,6 @@ def _add_obs_args(parser: argparse.ArgumentParser) -> None:
              "ledger at PATH (default .decor/ledger; query it with "
              "`decor runs`)",
     )
-
-
-def _obs_begin(args: argparse.Namespace) -> bool:
-    """Enable a fresh obs runtime when an export flag asks for one.
-
-    ``--ledger [PATH]`` (or a pre-set ``REPRO_LEDGER``) also counts: the
-    ledger harvests its counters from this invocation's obs runtime, and
-    attaches a logical-clock sampler when no other sampling is configured
-    so the harvest aggregates sample rows — which are byte-identical
-    between serial and ``--workers N`` runs — instead of the registry's
-    schedule-dependent terminal state.
-    """
-    ledger = getattr(args, "ledger", None)
-    if ledger is not None:
-        LEDGER.enable(ledger or None)
-    wants = bool(
-        getattr(args, "trace", None)
-        or getattr(args, "metrics", None)
-        or getattr(args, "sample", None)
-        or LEDGER.enabled
-    )
-    if wants:
-        stream = None
-        sample_path = getattr(args, "sample", None)
-        if sample_path:
-            stream = open(sample_path, "w", encoding="utf-8")
-            args._sample_stream = stream
-        period = None
-        if (
-            LEDGER.enabled
-            and stream is None
-            and not os.environ.get("REPRO_OBS_SAMPLE")
-        ):
-            period = 0.0
-        OBS.enable(fresh=True, sample=period, sample_stream=stream)
-    return wants
 
 
 #: Flags stripped from the argv recorded in a flight stream's header:
@@ -150,84 +117,130 @@ _NON_REPLAY_FLAGS = (
 
 
 def _flightrec_argv(argv: list[str]) -> list[str]:
-    """Clean argv for a flight-stream header (drops non-semantic flags)."""
+    """Clean argv for a flight-stream header (drops non-semantic flags).
+
+    Each stripped flag takes its value with it.  ``--ledger``'s value is
+    optional: the next token is its value only when argparse would have
+    consumed it, that is, when it does not start with ``-``.
+    """
     out: list[str] = []
-    skip = False
+    flag: str | None = None
     for token in argv:
-        if skip:
-            skip = False
+        takes_token = flag is not None and not (
+            flag == "--ledger" and token.startswith("-")
+        )
+        flag = None
+        if takes_token:
             continue
         if token in _NON_REPLAY_FLAGS:
-            skip = True
-            continue
-        if any(token.startswith(flag + "=") for flag in _NON_REPLAY_FLAGS):
-            continue
-        out.append(token)
+            flag = token
+        elif not any(token.startswith(f + "=") for f in _NON_REPLAY_FLAGS):
+            out.append(token)
     return out
 
 
-def _obs_finish(args: argparse.Namespace) -> None:
+class _LedgerRow:
+    """What a recording command declares about its run-ledger row."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self) -> None:
+        self.parts: dict[str, Any] | None = None
+
+    def declare(
+        self, kind: str, label: str, config: dict, **artifacts: str | None
+    ) -> None:
+        """Name the row and the artifacts the command itself wrote."""
+        self.parts = {
+            "kind": kind, "label": label, "config": config,
+            "artifacts": artifacts,
+        }
+
+
+@contextlib.contextmanager
+def _recording(args: argparse.Namespace, argv: list[str]) -> Iterator[_LedgerRow]:
+    """The invocation's one recording session.
+
+    The only reader of ``--trace``, ``--metrics``, ``--sample``,
+    ``--flight-record`` and ``--ledger``.  On entry it enables what they
+    ask for: any of trace/metrics/sample/ledger records into a fresh
+    :data:`OBS` runtime (the ledger harvests its counters there).  On a
+    clean exit, after the command's own output, it writes the trace,
+    metrics and sample exports with their ``wrote`` lines and the trace
+    summary, then the flight record, then the ledger row.  However the
+    command ends, the sample sink is closed and ``OBS.enabled`` /
+    ``LEDGER.enabled`` go back to their values on entry; the flight
+    recorder's session restores its own state.
+    """
+    trace = getattr(args, "trace", None)
+    metrics = getattr(args, "metrics", None)
+    sample = getattr(args, "sample", None)
+    flight_record = getattr(args, "flight_record", None)
+    ledger = getattr(args, "ledger", None)
+    record = bool(trace or metrics or sample or ledger is not None)
+    saved = (OBS.enabled, LEDGER.enabled)
+    sink = None
+    row = _LedgerRow()
+    try:
+        if ledger is not None:
+            LEDGER.enable(ledger or None)
+        if record:
+            stream = open(sample, "w", encoding="utf-8") if sample else None
+            OBS.enable(fresh=True, sample_stream=stream)
+            sink = OBS.sampler
+        flight: contextlib.AbstractContextManager[Any] = (
+            FREC.session(
+                flight_record, header=("cli", {"argv": _flightrec_argv(argv)})
+            )
+            if flight_record
+            else contextlib.nullcontext()
+        )
+        with flight as frec:
+            yield row
+            if record:
+                _write_exports(trace, metrics, sample)
+        if frec is not None:
+            print(f"wrote {flight_record} ({len(frec.records)} flight records)")
+        if LEDGER.enabled and ledger is not None and row.parts is not None:
+            from repro.obs.ledger import capture_environment
+
+            written = {
+                **row.parts["artifacts"],
+                "sample_sink": sample,
+                "flight_record": flight_record,
+            }
+            entry = LEDGER.record_run(
+                row.parts["kind"],
+                row.parts["label"],
+                row.parts["config"],
+                artifacts={k: v for k, v in written.items() if v},
+                env=capture_environment(
+                    workers=getattr(args, "workers", None) or 1
+                ),
+            )
+            if entry is not None and LEDGER.store is not None:
+                print(f"ledger: recorded {entry['run_id']} -> {LEDGER.store.root}")
+    finally:
+        if sink is not None:
+            sink.close()
+        OBS.enabled, LEDGER.enabled = saved
+
+
+def _write_exports(trace: str | None, metrics: str | None, sample: str | None) -> None:
     """Export and print what the finished command recorded."""
     from repro.experiments.summary import summarize_trace
 
     OBS.disable()
-    if getattr(args, "trace", None):
-        n = OBS.tracer.write_jsonl(args.trace)
-        print(f"wrote {args.trace} ({n} trace records)")
-    if getattr(args, "metrics", None):
-        n = OBS.metrics.write_json(args.metrics)
-        print(f"wrote {args.metrics} ({n} metric series)")
-    if getattr(args, "sample", None):
-        stream = getattr(args, "_sample_stream", None)
-        if stream is not None:
-            stream.close()
-        n = OBS.sampler.seq if OBS.sampler is not None else 0
-        print(f"wrote {args.sample} ({n} sample rows)")
+    if trace:
+        n = OBS.tracer.write_jsonl(trace)
+        print(f"wrote {trace} ({n} trace records)")
+    if metrics:
+        n = OBS.metrics.write_json(metrics)
+        print(f"wrote {metrics} ({n} metric series)")
+    if sample:
+        OBS.sampler.close()
+        print(f"wrote {sample} ({OBS.sampler.seq} sample rows)")
     print(summarize_trace(OBS.tracer).format())
-
-
-def _ledger_pend(
-    args: argparse.Namespace,
-    kind: str,
-    label: str,
-    config: dict,
-    **artifacts: str | None,
-) -> None:
-    """Stash the ledger row parts; ``main`` appends after artifacts close.
-
-    The flight-record stream is finalized by ``main`` *after* dispatch
-    returns, so artifact digests (and therefore the row) must wait until
-    then — commands only declare what the row should say.
-    """
-    if not LEDGER.enabled:
-        return
-    args._ledger_pend = {
-        "kind": kind,
-        "label": label,
-        "config": config,
-        "artifacts": {k: v for k, v in artifacts.items() if v},
-    }
-
-
-def _ledger_finish(args: argparse.Namespace) -> None:
-    """Append the pending row (harvest + digests) to the run ledger."""
-    if not LEDGER.enabled:
-        return
-    pend = getattr(args, "_ledger_pend", None)
-    if pend is None:
-        return
-    from repro.obs.ledger import capture_environment
-
-    workers = getattr(args, "workers", None)
-    row = LEDGER.record_run(
-        pend["kind"],
-        pend["label"],
-        pend["config"],
-        artifacts=pend["artifacts"],
-        env=capture_environment(workers=workers or 1),
-    )
-    if row is not None and LEDGER.store is not None:
-        print(f"ledger: recorded {row['run_id']} -> {LEDGER.store.root}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -312,28 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("gallery", help="print paper Figures 4-6 as ASCII art")
 
-    p_obs = sub.add_parser(
-        "obs", help="telemetry tooling: serve, scrape, summarize exports"
-    )
+    p_obs = sub.add_parser("obs", help="telemetry tooling: summarize exports")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-    p_serve = obs_sub.add_parser(
-        "serve",
-        help="serve a metrics/sample export as a Prometheus scrape endpoint",
-    )
-    p_serve.add_argument(
-        "source", metavar="PATH",
-        help="a --metrics JSON or --sample JSONL export (re-read per scrape)",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=9464)
-    p_serve.add_argument(
-        "--once", action="store_true",
-        help="print the exposition once and exit instead of serving",
-    )
-    p_scrape = obs_sub.add_parser(
-        "scrape", help="fetch an exposition endpoint and validate its grammar"
-    )
-    p_scrape.add_argument("url", metavar="URL")
     p_sumz = obs_sub.add_parser(
         "summarize",
         help="pretty-print an exported metrics JSON / trace or sample JSONL",
@@ -350,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         "runs", help="query the run ledger: list, show, diff, regress"
     )
     p_runs.add_argument(
-        "--ledger", metavar="PATH", default=None,
+        "--ledger", metavar="PATH", default=None, dest="store",
         help="ledger root directory (default .decor/ledger)",
     )
     runs_sub = p_runs.add_subparsers(dest="runs_command", required=True)
@@ -385,26 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--detector", action="append", default=None, metavar="NAME",
         help="run only this detector (repeatable; default: all registered)",
     )
-
-    p_top = sub.add_parser(
-        "top", help="terminal dashboard over a --sample JSONL sink"
-    )
-    p_top.add_argument("source", metavar="PATH")
-    p_top.add_argument(
-        "--follow", action="store_true",
-        help="keep re-reading the sink (attach to a running sweep)",
-    )
-    p_top.add_argument("--interval", type=float, default=2.0, metavar="S",
-                       help="refresh period with --follow (default 2s)")
-    p_top.add_argument("--frames", type=int, default=None, metavar="N",
-                       help="stop after N frames (default: 1, endless with "
-                            "--follow)")
-    p_top.add_argument("--width", type=int, default=48,
-                       help="sparkline width (default 48)")
-    p_top.add_argument("--limit", type=int, default=24,
-                       help="max series shown (default 24)")
-    p_top.add_argument("--prefix", default="", metavar="P",
-                       help="only series starting with P (try health_)")
 
     p_chk = sub.add_parser(
         "check",
@@ -442,10 +415,9 @@ def _setup_from_args(args: argparse.Namespace) -> ExperimentSetup:
     return setup
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args: argparse.Namespace, row: _LedgerRow) -> int:
     from repro.experiments.tables import format_figure_table
 
-    obs = _obs_begin(args)
     setup = _setup_from_args(args)
     cache = DeploymentCache(setup)
     with LEDGER.stage("figure"):
@@ -465,14 +437,10 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(figure_to_csv(result))
         print(f"wrote {args.csv}")
-    if obs:
-        _obs_finish(args)
-    _ledger_pend(
-        args, "figure", f"fig{args.number:02d}",
+    row.declare(
+        "figure", f"fig{args.number:02d}",
         {"command": "figure", "figure": args.number, **cache.describe()},
         figure_json=args.json, figure_csv=args.csv,
-        sample_sink=getattr(args, "sample", None),
-        flight_record=getattr(args, "flight_record", None),
     )
     return 0
 
@@ -492,8 +460,7 @@ def _planner_config(args: argparse.Namespace, command: str) -> dict:
     }
 
 
-def _cmd_deploy(args: argparse.Namespace) -> int:
-    obs = _obs_begin(args)
+def _cmd_deploy(args: argparse.Namespace, row: _LedgerRow) -> int:
     planner = DecorPlanner(
         Rect.square(args.side),
         SensorSpec(args.rs, args.rc),
@@ -516,23 +483,19 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
                 title=f"{args.method} deployment, k={args.k}",
             )
         )
-    if obs:
+    if OBS.enabled:
         bridge_field_stats(planner.field)
-        _obs_finish(args)
-    _ledger_pend(
-        args, "deploy", f"deploy-{args.method}-k{args.k}",
+    row.declare(
+        "deploy", f"deploy-{args.method}-k{args.k}",
         _planner_config(args, "deploy"),
-        sample_sink=getattr(args, "sample", None),
-        flight_record=getattr(args, "flight_record", None),
     )
     return 0
 
 
-def _cmd_summary(args: argparse.Namespace) -> int:
+def _cmd_summary(args: argparse.Namespace, row: _LedgerRow) -> int:
     from repro.experiments import format_summary_table, method_summary
     from repro.experiments.runner import DeploymentCache
 
-    obs = _obs_begin(args)
     setup = _setup_from_args(args)
     k = min(args.k, max(setup.k_values))
     cache = DeploymentCache(setup)
@@ -550,21 +513,16 @@ def _cmd_summary(args: argparse.Namespace) -> int:
                 cache.prefill(cells, pool=pool)
         rows = method_summary(setup, k, cache)
     print(format_summary_table(rows))
-    if obs:
-        _obs_finish(args)
-    _ledger_pend(
-        args, "summary", f"summary-k{k}",
+    row.declare(
+        "summary", f"summary-k{k}",
         {"command": "summary", "k": k, **cache.describe()},
-        sample_sink=getattr(args, "sample", None),
-        flight_record=getattr(args, "flight_record", None),
     )
     return 0
 
 
-def _cmd_restore(args: argparse.Namespace) -> int:
+def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
     if args.epochs < 1:
         raise ConfigurationError(f"--epochs must be >= 1, got {args.epochs}")
-    obs = _obs_begin(args)
     planner = DecorPlanner(
         Rect.square(args.side),
         SensorSpec(args.rs, args.rc),
@@ -615,9 +573,8 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         print(f"survived           : {session.epoch} epochs ({mode}), "
               f"+{total} nodes total, "
               f"{session.deployment.n_alive} alive")
-    if obs:
+    if OBS.enabled:
         bridge_field_stats(planner.field)
-        _obs_finish(args)
     config = _planner_config(args, "restore")
     config.update(
         epochs=args.epochs,
@@ -625,11 +582,7 @@ def _cmd_restore(args: argparse.Namespace) -> int:
         disaster_radius=radius,
         restore_mode=os.environ.get("REPRO_RESTORE", "warm"),
     )
-    _ledger_pend(
-        args, "restore", f"restore-{args.method}-k{args.k}", config,
-        sample_sink=getattr(args, "sample", None),
-        flight_record=getattr(args, "flight_record", None),
-    )
+    row.declare("restore", f"restore-{args.method}-k{args.k}", config)
     return 0
 
 
@@ -691,54 +644,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs.export import (
-        ExpositionServer,
-        load_registry,
-        parse_exposition,
-        prometheus_exposition,
-    )
-
-    if args.obs_command == "serve":
-        if args.once:
-            print(prometheus_exposition(load_registry(args.source)), end="")
-            return 0
-        server = ExpositionServer(
-            lambda: load_registry(args.source),
-            host=args.host, port=args.port,
-        ).start()
-        print(f"serving {args.source} at {server.url} (ctrl-c to stop)")
-        try:
-            server.wait()
-        except KeyboardInterrupt:  # pragma: no cover - interactive only
-            server.stop()
-        return 0
-    if args.obs_command == "scrape":
-        import urllib.request
-
-        with urllib.request.urlopen(args.url) as resp:  # noqa: S310
-            text = resp.read().decode("utf-8")
-        parsed = parse_exposition(text)
-        print(
-            f"{args.url}: valid exposition — {len(parsed['samples'])} "
-            f"samples across {len(parsed['families'])} metric families"
-        )
-        return 0
-    if args.obs_command == "summarize":
-        if args.diff:
-            if len(args.source) != 2:
-                raise ConfigurationError(
-                    "summarize --diff takes exactly two PATH arguments, "
-                    f"got {len(args.source)}"
-                )
-            print(_summarize_sink_diff(*args.source), end="")
-            return 0
-        if len(args.source) != 1:
+    if args.diff:
+        if len(args.source) != 2:
             raise ConfigurationError(
-                "summarize takes one PATH (use --diff to compare two)"
+                "summarize --diff takes exactly two PATH arguments, "
+                f"got {len(args.source)}"
             )
-        print(_summarize_export(args.source[0]), end="")
+        print(_summarize_sink_diff(*args.source), end="")
         return 0
-    raise AssertionError("unreachable")  # pragma: no cover
+    if len(args.source) != 1:
+        raise ConfigurationError(
+            "summarize takes one PATH (use --diff to compare two)"
+        )
+    print(_summarize_export(args.source[0]), end="")
+    return 0
 
 
 def _summarize_export(source: str) -> str:
@@ -746,7 +665,7 @@ def _summarize_export(source: str) -> str:
     import json as _json
 
     from repro.experiments.summary import summarize_trace
-    from repro.obs.top import load_rows, series_table
+    from repro.obs.sampler import load_rows, series_table
 
     text = open(source, encoding="utf-8").read()
     doc: dict | None = None
@@ -794,22 +713,35 @@ def _summarize_export(source: str) -> str:
 
 
 def _summarize_metrics_doc(doc: dict) -> list[str]:
-    """Top counters and histogram quantiles from an as_dict metrics dump."""
-    from repro.obs.export import registry_from_metrics_json
-    from repro.obs.metrics import Histogram
+    """Top counters and histogram quantiles from an as_dict metrics dump.
 
-    registry = registry_from_metrics_json(doc)
+    Each dumped histogram is rebuilt through :meth:`Histogram.combine`
+    so its quantiles come from :meth:`Histogram.quantile`.
+    """
+    from repro.obs.metrics import _BUCKET_EDGES, Histogram
+
+    bucket_index = {f"{edge:g}": i for i, edge in enumerate(_BUCKET_EDGES)}
+    bucket_index["+inf"] = len(_BUCKET_EDGES)
     counters: list[tuple[float, str]] = []
     hists: list[tuple[str, Histogram]] = []
-    for name, labels, kind, payload in registry.dump_state():
-        key = name + (
-            "{" + ",".join(f"{k}={v}" for k, v in labels) + "}" if labels
-            else ""
-        )
-        if kind == "counter":
-            counters.append((float(payload["value"]), key))
-        elif kind == "histogram":
-            hists.append((key, registry.histogram(name, **dict(labels))))
+    for name, series in sorted(doc.items()):
+        for labels, payload in sorted(series.items()):
+            key = f"{name}{{{labels}}}" if labels else name
+            if payload.get("type") == "counter":
+                counters.append((float(payload["value"]), key))
+            elif payload.get("type") == "histogram":
+                buckets = [0] * (len(_BUCKET_EDGES) + 1)
+                for edge, n in payload.get("buckets", {}).items():
+                    buckets[bucket_index[edge]] = int(n)
+                hist = Histogram()
+                hist.combine({
+                    "count": payload["count"],
+                    "sum": payload["sum"],
+                    "min": payload.get("min", hist.min),
+                    "max": payload.get("max", hist.max),
+                    "buckets": buckets,
+                })
+                hists.append((key, hist))
     out: list[str] = []
     if counters:
         out.append("  top counters:")
@@ -832,15 +764,15 @@ def _summarize_sink_diff(path_a: str, path_b: str) -> str:
     Aggregates each sink into the ledger's counter/gauge/histogram
     sections and renders their delta with the same renderer ``decor runs
     diff`` uses, then adds what flat sections cannot express: gauge
-    trajectories (first -> last reading) and histogram quantile shifts.
+    trajectories (first -> last reading).  Sample rows carry only each
+    histogram's count and sum, so histograms report ``n`` and ``mean``.
     """
-    from repro.obs.export import _split_series_key, registry_from_samples
     from repro.obs.ledger import (
         diff_sections,
         render_sections,
         sections_from_sample_rows,
     )
-    from repro.obs.top import load_rows, series_table
+    from repro.obs.sampler import load_rows, series_table
 
     rows_a = load_rows(path_a)
     rows_b = load_rows(path_b)
@@ -866,18 +798,15 @@ def _summarize_sink_diff(path_a: str, path_b: str) -> str:
                 f"  {key}: a {_trajectory(table_a.get(key))}, "
                 f"b {_trajectory(table_b.get(key))}"
             )
-    hist_keys = sorted(
-        set(sections_a["histograms"]) | set(sections_b["histograms"])
-    )
+    hists_a = sections_a["histograms"]
+    hists_b = sections_b["histograms"]
+    hist_keys = sorted(set(hists_a) | set(hists_b))
     if hist_keys:
-        reg_a = registry_from_samples(rows_a)
-        reg_b = registry_from_samples(rows_b)
-        lines.append("histogram quantiles (p50/p95/p99):")
+        lines.append("histograms (n, mean):")
         for key in hist_keys:
-            name, labels = _split_series_key(key)
             lines.append(
-                f"  {key}: a {_quantile_summary(reg_a, name, labels)}, "
-                f"b {_quantile_summary(reg_b, name, labels)}"
+                f"  {key}: a {_mean_summary(hists_a.get(key))}, "
+                f"b {_mean_summary(hists_b.get(key))}"
             )
     return "\n".join(lines) + "\n"
 
@@ -888,31 +817,18 @@ def _trajectory(points: list[tuple[float, float]] | None) -> str:
     return f"{points[0][1]:g} -> {points[-1][1]:g}"
 
 
-def _quantile_summary(registry, name: str, labels: dict) -> str:
-    hist = registry.histogram(name, **labels)
-    if hist.count == 0:
+def _mean_summary(entry: dict | None) -> str:
+    if not entry or not entry["count"]:
         return "empty"
-    return (
-        f"n={hist.count} p50={hist.quantile(0.5):g} "
-        f"p95={hist.quantile(0.95):g} p99={hist.quantile(0.99):g}"
-    )
-
-
-def _ledger_store(args: argparse.Namespace):
-    """The store ``decor runs`` queries: --ledger, the live one, or default."""
-    from repro.obs.ledger import DEFAULT_LEDGER_ROOT, LedgerStore
-
-    if getattr(args, "ledger", None):
-        return LedgerStore(args.ledger)
-    if LEDGER.enabled and LEDGER.store is not None:
-        return LEDGER.store
-    return LedgerStore(DEFAULT_LEDGER_ROOT)
+    return f"n={entry['count']} mean={entry['sum'] / entry['count']:g}"
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.obs.ledger import (
+        DEFAULT_LEDGER_ROOT,
+        LedgerStore,
         RegressOptions,
         baseline_rows,
         diff_is_clean,
@@ -921,7 +837,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         run_detectors,
     )
 
-    store = _ledger_store(args)
+    store = LedgerStore(args.store or DEFAULT_LEDGER_ROOT)
     if args.runs_command == "list":
         rows = store.rows()
         if args.kind:
@@ -973,21 +889,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.top import run_top
-
-    run_top(
-        args.source,
-        follow=args.follow,
-        interval=args.interval,
-        frames=args.frames,
-        width=args.width,
-        limit=args.limit,
-        prefix=args.prefix,
-    )
-    return 0
-
-
 def _cmd_gallery(_: argparse.Namespace) -> int:
     region = Rect.square(100.0)
     spec = SensorSpec(4.0, 8.0)
@@ -1027,15 +928,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if overall_ok(results) else 1
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace, row: _LedgerRow) -> int:
     if args.command == "figure":
-        return _cmd_figure(args)
+        return _cmd_figure(args, row)
     if args.command == "deploy":
-        return _cmd_deploy(args)
+        return _cmd_deploy(args, row)
     if args.command == "summary":
-        return _cmd_summary(args)
+        return _cmd_summary(args, row)
     if args.command == "restore":
-        return _cmd_restore(args)
+        return _cmd_restore(args, row)
     if args.command == "lifetime":
         return _cmd_lifetime(args)
     if args.command == "gallery":
@@ -1044,8 +945,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_obs(args)
     if args.command == "runs":
         return _cmd_runs(args)
-    if args.command == "top":
-        return _cmd_top(args)
     if args.command == "replay":
         return _cmd_replay(args)
     if args.command == "check":
@@ -1059,17 +958,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(raw)
     try:
-        path = getattr(args, "flight_record", None)
-        if path:
-            header = ("cli", {"argv": _flightrec_argv(raw)})
-            with FREC.session(path, header=header) as session:
-                code = _dispatch(args)
-            print(f"wrote {path} ({len(session.records)} flight records)")
-            _ledger_finish(args)
-            return code
-        code = _dispatch(args)
-        _ledger_finish(args)
-        return code
+        with _recording(args, raw) as row:
+            return _dispatch(args, row)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

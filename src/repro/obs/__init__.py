@@ -9,26 +9,26 @@ Three pillars behind one opt-in switch:
 * :mod:`repro.obs.profile` — the ``@profiled(site)`` decorator feeding a
   ``profile_seconds`` histogram.
 
-The live-telemetry layer builds on the metrics pillar:
+The time-series layer builds on the metrics pillar:
 
-* :mod:`repro.obs.sampler` — a bounded ring of timestamped registry deltas
-  (``REPRO_OBS_SAMPLE=<period>`` or the CLI's ``--sample``);
+* :mod:`repro.obs.sampler` — a bounded ring of registry deltas in logical
+  time, always attached while recording, with running totals and a JSONL
+  sink (the CLI's ``--sample``);
 * :mod:`repro.obs.health` — ``health_*`` gauges distilled from live
-  coverage/energy/protocol state;
-* :mod:`repro.obs.export` — Prometheus text exposition, its parser, and
-  the ``decor obs serve`` scrape endpoint;
-* :mod:`repro.obs.top` — the ``decor top`` terminal dashboard.
+  coverage/energy/protocol state.
 
-A fourth pillar has its own switch: :mod:`repro.obs.flightrec`'s
-:data:`FREC` records causal per-node protocol event logs (enable with
-``REPRO_FLIGHTREC=1``, the CLI's ``--flight-record``, or a runner's
-``flight_record=`` kwarg) that :mod:`repro.obs.replay` can deterministically
-re-execute and verify.
+Two more pillars have their own switches: :mod:`repro.obs.flightrec`'s
+:data:`FREC` records causal per-node protocol event logs (the CLI's
+``--flight-record`` or a runner's ``flight_record=`` kwarg) that
+:mod:`repro.obs.replay` can deterministically re-execute and verify, and
+:mod:`repro.obs.ledger`'s :data:`LEDGER` appends one history row per CLI
+invocation (``--ledger``).
 
 Everything instrumented records into the module-level :data:`OBS` runtime,
 which is **off by default**: disabled call sites pay one attribute check.
-Turn it on with ``REPRO_OBS=1``, the CLI's ``--trace``/``--metrics`` flags,
-or ``OBS.enable()``.  See ``docs/observability.md`` for the full guide.
+Turn it on with ``REPRO_OBS=1``, the CLI's ``--trace``/``--metrics``/
+``--sample``/``--ledger`` flags, or ``OBS.enable()``.  See
+``docs/observability.md`` for the full guide.
 
 >>> from repro.obs import OBS
 >>> OBS.enabled                             # off unless opted in
@@ -40,11 +40,6 @@ from repro.obs.bridge import (
     bridge_radio_stats,
     capture_worker_obs,
     merge_worker_obs,
-)
-from repro.obs.export import (
-    ExpositionServer,
-    parse_exposition,
-    prometheus_exposition,
 )
 from repro.obs.flightrec import FREC, FlightRecorder
 from repro.obs.ledger import (
@@ -84,9 +79,6 @@ __all__ = [
     "LedgerStore",
     "config_fingerprint",
     "mask_row",
-    "ExpositionServer",
-    "prometheus_exposition",
-    "parse_exposition",
     "record_coverage_health",
     "record_energy_health",
     "record_protocol_health",

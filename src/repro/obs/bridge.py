@@ -101,7 +101,8 @@ class capture_worker_obs:
     """Context manager recording OBS activity in a worker for shipping back.
 
     On entry (when ``enabled``) the global runtime is switched on with a
-    *fresh* tracer/registry, so the capture covers exactly the wrapped work;
+    *fresh* tracer/registry/sampler, so the capture covers exactly the
+    wrapped work;
     on exit recording stops and :meth:`payload` holds a picklable snapshot.
     When ``enabled`` is false the manager is inert and the payload is
     ``None`` — workers inherit the parent's off switch.
@@ -111,11 +112,8 @@ class capture_worker_obs:
     and :func:`merge_worker_obs` folds them into the parent's stream via
     :meth:`~repro.obs.flightrec.FlightRecorder.absorb`.
 
-    ``sample`` (a period in seconds, ``0`` for logical time) attaches a
-    :class:`~repro.obs.sampler.MetricsSampler` to the worker's fresh
-    runtime; its rows ship back under ``"samples"`` and the parent's
-    sampler renumbers them into its own timeline on merge.  ``None``
-    leaves sampling to the worker's ``REPRO_OBS_SAMPLE`` environment.
+    The fresh runtime's sampler rows ship back under ``"samples"``; the
+    parent's sampler renumbers them into its own timeline on merge.
 
     >>> with capture_worker_obs(True) as cap:
     ...     OBS.counter("demo_total").inc(2)
@@ -129,18 +127,16 @@ class capture_worker_obs:
     True
     """
 
-    __slots__ = ("_enabled", "_flightrec", "_sample", "_payload")
+    __slots__ = ("_enabled", "_flightrec", "_payload")
 
-    def __init__(self, enabled: bool, flightrec: bool = False,
-                 sample: float | None = None) -> None:
+    def __init__(self, enabled: bool, flightrec: bool = False) -> None:
         self._enabled = bool(enabled)
         self._flightrec = bool(flightrec)
-        self._sample = sample
         self._payload: dict[str, Any] | None = None
 
     def __enter__(self) -> "capture_worker_obs":
         if self._enabled:
-            OBS.enable(fresh=True, sample=self._sample)
+            OBS.enable(fresh=True)
         if self._flightrec:
             FREC.enable(fresh=True)
         return self
@@ -158,9 +154,8 @@ class capture_worker_obs:
                 metrics=OBS.metrics.dump_state(),
                 trace=OBS.tracer.records(),
                 dropped=OBS.tracer.dropped,
+                samples=OBS.sampler.rows(),
             )
-            if OBS.sampler is not None:
-                self._payload["samples"] = OBS.sampler.rows()
             OBS.disable()
         if self._flightrec:
             self._payload["records"] = FREC.records()
@@ -200,9 +195,8 @@ def merge_worker_obs(
         target = OBS.tracer if tracer is None else tracer
         registry.absorb(payload["metrics"])
         target.absorb(payload["trace"], dropped=int(payload.get("dropped", 0)))
-        sampler = OBS.sampler if metrics is None else None
-        if sampler is not None and sampler.registry is registry:
-            sampler.absorb(payload.get("samples", []))
-            sampler.resync()
+        if metrics is None:
+            OBS.sampler.absorb(payload.get("samples", []))
+            OBS.sampler.resync()
     if "records" in payload:
         (FREC if flightrec is None else flightrec).absorb(payload["records"])

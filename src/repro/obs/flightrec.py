@@ -510,6 +510,3 @@ class _Session:
 
 #: The process-wide flight recorder all instrumented code emits into.
 FREC = FlightRecorder()
-
-if os.environ.get("REPRO_FLIGHTREC", "") not in ("", "0"):  # pragma: no cover
-    FREC.enable()

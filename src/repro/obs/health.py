@@ -5,8 +5,7 @@ restoration*; this module is the monitoring half.  Each ``record_*`` helper
 reads live domain state (a :class:`~repro.network.coverage.CoverageState`,
 the sim's energy/radio accounting, a cell of protocol nodes) and sets the
 corresponding ``health_*`` gauges in the global metrics registry — which the
-time-series sampler (:mod:`repro.obs.sampler`) then turns into trajectories
-and the exporters (:mod:`repro.obs.export`) serve.
+time-series sampler (:mod:`repro.obs.sampler`) then turns into trajectories.
 
 Gauge catalogue (all unlabelled; one series each):
 

@@ -18,17 +18,16 @@ This module gives the harness a memory between invocations:
     *where* a run happened, never *what* it computed, so it is masked by
     :func:`mask_row` alongside timing;
   - ``wall`` — staged wall timings (also masked);
-  - ``counters`` / ``gauges`` / ``histograms`` — harvested from the
-    :class:`~repro.obs.metrics.MetricsRegistry`, preferring the attached
-    :class:`~repro.obs.sampler.MetricsSampler`'s rows when one exists:
-    sample rows are byte-identical between serial and ``--workers N``
-    runs (the :mod:`repro.obs.bridge` guarantee), so the harvest is too;
+  - ``counters`` / ``gauges`` / ``histograms`` — the running totals of
+    the runtime's :class:`~repro.obs.sampler.MetricsSampler`: its rows
+    are byte-identical between serial and ``--workers N`` runs (the
+    :mod:`repro.obs.bridge` guarantee), so the harvest is too;
   - ``artifacts`` — SHA-256 digests of the figure JSON / flight record /
     sample sink the invocation wrote.
 
 * :data:`LEDGER` — a :class:`RunLedger` null-object runtime mirroring
   :data:`~repro.obs.runtime.OBS`: off by default, enabled by
-  ``REPRO_LEDGER=1`` (or ``=PATH``) or the CLI's ``--ledger [PATH]``.
+  :meth:`RunLedger.enable` or the CLI's ``--ledger [PATH]``.
   Disabled touchpoints cost one attribute check (OBS005 enforces the
   ``if LEDGER.enabled:`` guard; ``LEDGER.stage`` is exempt the same way
   ``OBS.span`` is — it returns a shared null context manager).
@@ -66,8 +65,8 @@ from types import TracebackType
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.sampler import EXCLUDED_PREFIXES, MetricsSampler, series_key
+from repro.obs.runtime import OBS
+from repro.obs.sampler import EXCLUDED_PREFIXES, empty_sections, fold_series
 
 __all__ = [
     "DEFAULT_LEDGER_ROOT",
@@ -88,7 +87,6 @@ __all__ = [
     "diff_is_clean",
     "diff_rows",
     "diff_sections",
-    "harvest_metrics",
     "mask_row",
     "register_detector",
     "render_diff",
@@ -100,21 +98,19 @@ __all__ = [
 #: Row schema version stamped into every ledger row.
 LEDGER_VERSION = 1
 
-#: Where the ledger lives unless ``--ledger PATH`` / ``REPRO_LEDGER=PATH``
-#: says otherwise (relative to the working directory, like ``.git``).
+#: Where the ledger lives unless ``--ledger PATH`` says otherwise
+#: (relative to the working directory, like ``.git``).
 DEFAULT_LEDGER_ROOT = ".decor/ledger"
 
 #: Rows per JSONL segment file before rolling over to a new segment.
 SEGMENT_MAX_ROWS = 512
 
-#: Registry prefixes excluded from harvested counters/gauges on the
-#: registry-dump fallback path: the sampler's own exclusions (build
-#: counters depend on which process first touched a seed; profile buckets
-#: are wall clock) plus series whose *values* are schedule-dependent —
-#: pool bookkeeping exists only in pooled runs, the cache hit/miss split
-#: depends on who computed a cell, and the label-cap overflow counter
-#: depends on registration order.  The sampler path needs none of this
-#: reasoning: sample rows are byte-identical serial vs pooled already.
+#: Series prefixes excluded from harvested counters/gauges: the sampler's
+#: own exclusions (build counters depend on which process first touched a
+#: seed; profile buckets are wall clock) plus series whose *values* are
+#: schedule-dependent — pool bookkeeping exists only in pooled runs, the
+#: cache hit/miss split depends on who computed a cell, and the label-cap
+#: overflow counter depends on registration order.
 HARVEST_EXCLUDED_PREFIXES: tuple[str, ...] = EXCLUDED_PREFIXES + (
     "parallel_",
     "deployment_cache_",
@@ -139,10 +135,7 @@ EXACT_COUNTER_PREFIXES: tuple[str, ...] = (
 CAPTURED_ENV_VARS: tuple[str, ...] = (
     "REPRO_CHECKS",
     "REPRO_FIELD_BACKEND",
-    "REPRO_FLIGHTREC",
-    "REPRO_LEDGER",
     "REPRO_OBS",
-    "REPRO_OBS_SAMPLE",
     "REPRO_RESTORE",
     "REPRO_SCALE",
 )
@@ -202,48 +195,6 @@ def capture_environment(**extra: object) -> dict[str, Any]:
     return out
 
 
-def harvest_metrics(
-    registry: MetricsRegistry | None,
-    sampler: MetricsSampler | None = None,
-    *,
-    exclude: tuple[str, ...] = HARVEST_EXCLUDED_PREFIXES,
-) -> dict[str, Any]:
-    """Terminal counters/gauges/histograms for a ledger row.
-
-    Prefers the sampler's rows when one is attached: counter and
-    histogram deltas are summed, gauges keep their last reading — the
-    exact aggregation :func:`repro.obs.export.registry_from_samples`
-    performs, computed over rows that are byte-identical between serial
-    and pooled runs.  Falls back to the registry dump (minus ``exclude``
-    prefixes, which are process-local or schedule-dependent) when no
-    sampler exists.
-    """
-    if sampler is not None:
-        return sections_from_sample_rows(sampler.rows(), exclude=exclude)
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict[str, float]] = {}
-    if registry is not None:
-        for name, labels, kind, payload in registry.dump_state():
-            flat = _flat_key(name, labels)
-            if flat.startswith(exclude):
-                continue
-            if kind == "counter":
-                counters[flat] = payload["value"]
-            elif kind == "gauge":
-                gauges[flat] = payload["value"]
-            elif kind == "histogram":
-                histograms[flat] = {
-                    "count": int(payload["count"]),
-                    "sum": float(payload["sum"]),
-                }
-    return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(histograms.items())),
-    }
-
-
 def sections_from_sample_rows(
     rows: Iterable[dict[str, Any]],
     *,
@@ -251,38 +202,29 @@ def sections_from_sample_rows(
 ) -> dict[str, Any]:
     """Aggregate raw sample rows into counter/gauge/histogram sections.
 
-    The same fold :func:`repro.obs.export.registry_from_samples` does —
-    counters and histograms sum their deltas, gauges keep the last
-    reading — but into plain flat-keyed dicts, which is what ledger rows
-    and the ``decor obs summarize --diff`` renderer both consume.
+    The fold the sampler's running totals use
+    (:func:`~repro.obs.sampler.fold_series`) over a sink's rows — what
+    the ``decor obs summarize --diff`` renderer consumes.
     """
-    counters: dict[str, float] = {}
-    gauges: dict[str, float] = {}
-    histograms: dict[str, dict[str, float]] = {}
+    sections = empty_sections()
     for row in rows:
-        if row.get("type") != "sample":
-            continue
-        for key, entry in row.get("series", {}).items():
-            if exclude and key.startswith(exclude):
-                continue
-            kind = entry.get("k")
-            if kind == "counter":
-                counters[key] = counters.get(key, 0) + entry["v"]
-            elif kind == "gauge":
-                gauges[key] = entry["v"]
-            elif kind == "histogram":
-                h = histograms.setdefault(key, {"count": 0, "sum": 0.0})
-                h["count"] += int(entry["count"])
-                h["sum"] += float(entry["sum"])
+        if row.get("type") == "sample":
+            fold_series(sections, row.get("series", {}))
+    return _without(sections, exclude)
+
+
+def _without(
+    sections: dict[str, dict[str, Any]], exclude: tuple[str, ...]
+) -> dict[str, Any]:
+    """``sections`` minus keys starting with ``exclude``, keys sorted."""
     return {
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(histograms.items())),
+        section: {
+            key: value
+            for key, value in sorted(values.items())
+            if not key.startswith(exclude)
+        }
+        for section, values in sections.items()
     }
-
-
-def _flat_key(name: str, labels: Iterable[tuple[str, object]]) -> str:
-    return series_key(name, labels)
 
 
 def artifact_digest(path: str | os.PathLike[str]) -> str:
@@ -321,7 +263,7 @@ def build_row(
             "file": pathlib.Path(path).name,
             "sha256": artifact_digest(path) if os.path.exists(path) else None,
         }
-    sections = metrics or {"counters": {}, "gauges": {}, "histograms": {}}
+    sections = metrics or empty_sections()
     return {
         "v": LEDGER_VERSION,
         "kind": kind,
@@ -559,24 +501,19 @@ class RunLedger:
         *,
         wall: dict[str, float] | None = None,
         artifacts: dict[str, str] | None = None,
-        registry: MetricsRegistry | None = None,
-        sampler: MetricsSampler | None = None,
         env: dict[str, Any] | None = None,
     ) -> dict[str, Any] | None:
-        """Harvest the obs runtime and append one row; returns the row.
+        """Harvest the live :data:`OBS` sampler and append one row.
 
-        Call sites must sit under ``if LEDGER.enabled:`` (OBS005) — the
-        internal guard here is belt-and-braces, not licence to skip it.
-        ``registry``/``sampler`` default to the live :data:`OBS` runtime's.
+        The row's counters/gauges/histograms are the sampler's running
+        totals (:meth:`~repro.obs.sampler.MetricsSampler.totals`) minus
+        :data:`HARVEST_EXCLUDED_PREFIXES`.  Returns the row.  Call sites
+        must sit under ``if LEDGER.enabled:`` (OBS005) — the internal
+        guard here is belt-and-braces, not licence to skip it.
         """
         if not self.enabled or self.store is None:
             return None
-        if registry is None and sampler is None:
-            from repro.obs.runtime import OBS
-
-            registry = OBS.metrics
-            sampler = OBS.sampler
-        metrics = harvest_metrics(registry, sampler)
+        metrics = _without(OBS.sampler.totals(), HARVEST_EXCLUDED_PREFIXES)
         _apply_inflation(metrics["counters"])
         merged_wall = dict(self._stages)
         merged_wall.update(wall or {})
@@ -614,10 +551,6 @@ def _apply_inflation(counters: dict[str, float]) -> None:
 
 #: The process-wide run ledger (off by default, like OBS and FREC).
 LEDGER = RunLedger()
-
-_ledger_env = os.environ.get("REPRO_LEDGER", "")
-if _ledger_env not in ("", "0"):  # pragma: no cover - env-dependent
-    LEDGER.enable(None if _ledger_env == "1" else _ledger_env)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ threading tracer/registry handles through every signature.  The contract:
   flags do this) or by setting ``REPRO_OBS=1`` in the environment before
   import — spans, events and metrics record into the runtime's
   :class:`~repro.obs.trace.Tracer` and
-  :class:`~repro.obs.metrics.MetricsRegistry`.
+  :class:`~repro.obs.metrics.MetricsRegistry`, and every ``OBS.sample``
+  hook records a row into its always-attached
+  :class:`~repro.obs.sampler.MetricsSampler`.
 
 The singleton is process-local state in the same sense as NumPy's global
 RNG: fine for a CLI run or a script, and tests that enable it must disable
@@ -102,40 +104,28 @@ class ObsRuntime:
         self.enabled = False
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        #: Attached time-series sampler, or ``None`` (sampling off).
-        self.sampler: MetricsSampler | None = None
+        #: The time-series sampler over :attr:`metrics`; always attached.
+        self.sampler = MetricsSampler(self.metrics)
 
     # ------------------------------------------------------------------
     def enable(self, *, trace_capacity: int = DEFAULT_CAPACITY,
-               fresh: bool = False, sample: float | None = None,
+               fresh: bool = False,
                sample_stream: IO[str] | None = None) -> None:
         """Turn recording on.
 
-        ``fresh=True`` (what the CLI uses per invocation) replaces the tracer
-        and registry so the export covers exactly this run; the default keeps
-        whatever has accumulated.
-
-        ``sample`` attaches a :class:`~repro.obs.sampler.MetricsSampler`
-        with that period (``0`` = logical time, one row per hook).  ``None``
-        defers to the ``REPRO_OBS_SAMPLE`` environment variable; when that
-        is unset too, no sampler is attached and :meth:`sample` is a no-op.
-        ``sample_stream`` additionally mirrors every row to an open text
-        stream (the JSONL sink) as it is recorded.
+        ``fresh=True`` (what the CLI uses per invocation) replaces the tracer,
+        registry and sampler so the export covers exactly this run; the
+        default keeps whatever has accumulated.  ``sample_stream``
+        attaches a new :class:`~repro.obs.sampler.MetricsSampler` that
+        also mirrors every row to an open text stream (the JSONL sink) as
+        it is recorded.
         """
         if fresh or self.tracer.capacity != trace_capacity:
             self.tracer = Tracer(trace_capacity)
         if fresh:
             self.metrics = MetricsRegistry()
-            self.sampler = None
-        env = os.environ.get("REPRO_OBS_SAMPLE", "")
-        env_period = float(env) if env != "" else None
-        if sample is not None or sample_stream is not None:
-            period = sample if sample is not None else (env_period or 0.0)
-            self.sampler = MetricsSampler(
-                self.metrics, period=period, stream=sample_stream
-            )
-        elif env_period is not None and self.sampler is None:
-            self.sampler = MetricsSampler(self.metrics, period=env_period)
+        if fresh or sample_stream is not None:
+            self.sampler = MetricsSampler(self.metrics, stream=sample_stream)
         self.enabled = True
 
     def disable(self) -> None:
@@ -147,7 +137,7 @@ class ObsRuntime:
         self.enabled = False
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
-        self.sampler = None
+        self.sampler = MetricsSampler(self.metrics)
 
     # ------------------------------------------------------------------
     # delegating facade — each call is one attribute check when disabled
@@ -178,10 +168,8 @@ class ObsRuntime:
         return self.metrics.histogram(name, **labels)
 
     def sample(self, tag: str, **ctx: object) -> dict[str, Any] | None:
-        """Record one time-series row if a sampler is attached (else no-op)."""
+        """Record one time-series row (no-op while disabled)."""
         if not self.enabled:
-            return None
-        if self.sampler is None:
             return None
         return self.sampler.sample(tag, **ctx)
 

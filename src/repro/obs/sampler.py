@@ -1,26 +1,26 @@
-"""Time-series sampling of the metrics registry (the live-telemetry core).
+"""Time-series sampling of the metrics registry, and its sink reader.
 
 A :class:`MetricsSampler` turns the cumulative :class:`~repro.obs.metrics.
 MetricsRegistry` into a bounded ring of timestamped *rows*: each row captures
 the series that moved since the previous sample — counters and histograms as
-deltas, gauges as their current reading — so a consumer (`decor top`, the
-JSONL sink, the planned restoration daemon) sees a trajectory instead of one
-end-of-run total.
+deltas, gauges as their current reading — so the JSONL sink and ``decor obs
+summarize`` see a trajectory instead of one end-of-run total.
 
-Two clocks, selected by the sample period:
-
-* ``period == 0`` — **logical time**: every :meth:`sample` call emits a row
-  and the timestamp is the row's sequence number.  Deterministic by
-  construction, which is what makes the serial-vs-workers byte-identity
-  guarantee of :mod:`repro.obs.bridge` extend to sampled series.
-* ``period > 0`` — **wall time**: rows are throttled to at most one per
-  ``period`` seconds and stamped with ``time.monotonic`` offsets from the
-  sampler's creation.  For real long-running processes; not byte-stable.
-
-Sim-time hooks record their own clock in the row *context*
+One clock: **logical time**.  Every :meth:`~MetricsSampler.sample` call
+emits a row and the timestamp is the row's sequence number.  Deterministic
+by construction, which is what makes the serial-vs-workers byte-identity
+guarantee of :mod:`repro.obs.bridge` extend to sampled series.  Sim-time
+hooks record their own clock in the row *context*
 (``sample("sim", sim_t=engine.now)``), so simulated seconds survive into
-the exported series regardless of mode while the ``t`` field stays the
-sampler's own (merge-stable) clock.
+the exported series while the ``t`` field stays the sampler's own
+(merge-stable) clock.
+
+Running totals: the ring keeps at most ``capacity`` rows, but every row
+recorded or absorbed is also folded into running totals (counters and
+histogram count/sum summed, gauges keeping their last reading), and
+:meth:`~MetricsSampler.totals` adds the series touched since the last row.
+The run ledger harvests those totals, so its rows stay complete however
+many rows the ring evicted and whatever moved after the last hook.
 
 Determinism caveat: a few registry series are inherently process-local —
 FieldModel build/hit counters depend on which worker first touched a seed,
@@ -28,15 +28,14 @@ and ``profile_seconds`` buckets wall-clock timings.  Those are excluded
 from rows by default (:data:`EXCLUDED_PREFIXES`); they remain in the full
 registry dump, just not in the sampled trajectory.
 
-This module is wall-clock-exempt like the rest of :mod:`repro.obs`
-(DET002 carve-out): time here feeds telemetry, never results.
+:func:`load_rows` and :func:`series_table` read a written sink back.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from collections import deque
+from pathlib import Path
 from typing import IO, Any, Iterable
 
 from repro.errors import ObservabilityError
@@ -46,10 +45,14 @@ __all__ = [
     "DEFAULT_SAMPLE_CAPACITY",
     "EXCLUDED_PREFIXES",
     "MetricsSampler",
+    "empty_sections",
+    "fold_series",
+    "load_rows",
     "series_key",
+    "series_table",
 ]
 
-#: Ring capacity: plenty for a smoke sweep, bounded for a daemon.
+#: Ring capacity: plenty for a smoke sweep, bounded for long runs.
 DEFAULT_SAMPLE_CAPACITY = 4096
 
 #: Metric-name prefixes excluded from sample rows (see module docstring).
@@ -69,6 +72,39 @@ def series_key(name: str, labels: Iterable[tuple[str, object]]) -> str:
     """
     pairs = ",".join(f"{k}={v}" for k, v in labels)
     return f"{name}{{{pairs}}}" if pairs else name
+
+
+def empty_sections() -> dict[str, dict[str, Any]]:
+    """Empty counter/gauge/histogram sections (the ledger row shape)."""
+    return {"counters": {}, "gauges": {}, "histograms": {}}
+
+
+def fold_series(sections: dict[str, dict[str, Any]], series: dict[str, Any]) -> None:
+    """Fold one row's ``series`` into counter/gauge/histogram sections.
+
+    Counters and histogram count/sum add up, gauges keep the last reading.
+    Histogram entries are replaced, never updated in place, so a shallow
+    copy of ``sections`` can be folded into without touching the original.
+
+    >>> sections = empty_sections()
+    >>> fold_series(sections, {"a_total": {"k": "counter", "v": 2}})
+    >>> fold_series(sections, {"a_total": {"k": "counter", "v": 3}})
+    >>> sections["counters"]
+    {'a_total': 5}
+    """
+    for key, entry in series.items():
+        kind = entry.get("k")
+        if kind == "counter":
+            counters = sections["counters"]
+            counters[key] = counters.get(key, 0) + entry["v"]
+        elif kind == "gauge":
+            sections["gauges"][key] = entry["v"]
+        elif kind == "histogram":
+            prev = sections["histograms"].get(key, {"count": 0, "sum": 0.0})
+            sections["histograms"][key] = {
+                "count": prev["count"] + int(entry["count"]),
+                "sum": prev["sum"] + float(entry["sum"]),
+            }
 
 
 def _scalarize(inst: MCounter | Gauge | Histogram) -> Any:
@@ -92,30 +128,28 @@ class MetricsSampler:
     [3, 2]
     >>> s.rows()[1]["series"]["health_coverage_fraction"]
     {'k': 'gauge', 'v': 0.75}
+    >>> reg.counter("beacons_total").inc(4)     # not sampled yet
+    >>> s.totals()["counters"]
+    {'beacons_total': 9}
     """
 
     def __init__(
         self,
         registry: MetricsRegistry,
         *,
-        period: float = 0.0,
         capacity: int = DEFAULT_SAMPLE_CAPACITY,
         exclude: tuple[str, ...] = EXCLUDED_PREFIXES,
         stream: IO[str] | None = None,
     ) -> None:
-        if period < 0:
-            raise ObservabilityError(f"sample period must be >= 0, got {period}")
         if capacity < 1:
             raise ObservabilityError(f"sample capacity must be >= 1, got {capacity}")
         self.registry = registry
-        self.period = float(period)
         self.exclude = tuple(exclude)
         self._rows: deque[dict[str, Any]] = deque(maxlen=capacity)
         self.dropped = 0
         self.seq = 0
         self._last: dict[tuple, Any] = {}
-        self._t0 = time.monotonic()
-        self._last_wall = -float("inf")
+        self._totals = empty_sections()
         self._stream = stream
         if stream is not None:
             stream.write(json.dumps(self.header(), sort_keys=True) + "\n")
@@ -131,17 +165,17 @@ class MetricsSampler:
 
         ``capacity`` and ``dropped`` make ring overflow visible on
         reload: a sink written after eviction says how many oldest rows
-        are missing (its first sample row's ``seq`` equals ``dropped``),
-        so totals reconstructed from it are knowably partial.  A
-        streaming sink's header is written at attach time (``dropped``
-        is 0 there — the stream itself never evicts).
+        are missing (its first sample row's ``seq`` equals ``dropped``).
+        A streaming sink's header is written at attach time (``dropped``
+        is 0 there — the stream itself never evicts).  ``period`` and
+        ``clock`` are constants kept for sink compatibility.
         """
         return {
             "type": "header",
             "version": SINK_VERSION,
             "kind": "samples",
-            "period": self.period,
-            "clock": "wall" if self.period > 0 else "logical",
+            "period": 0.0,
+            "clock": "logical",
             "exclude": list(self.exclude),
             "capacity": self._rows.maxlen,
             "dropped": self.dropped,
@@ -151,23 +185,12 @@ class MetricsSampler:
         return list(self._rows)
 
     # ------------------------------------------------------------------
-    def sample(self, tag: str, **ctx: object) -> dict[str, Any] | None:
-        """Record one row of deltas since the previous sample.
+    def _deltas(self, *, commit: bool) -> dict[str, Any]:
+        """The series touched since the last row, as a row records them.
 
-        ``tag`` names the hook ("cell", "epoch", "sim", ...); extra keyword
-        context (series name, epoch index, sim time) rides along under
-        ``ctx``.  In wall mode a call inside the throttle window records
-        nothing and returns ``None`` — the touched set keeps accumulating,
-        so the next recorded row still covers every change.
+        ``commit`` advances the delta baseline and clears the registry's
+        touched set; without it the sampler's state is left alone.
         """
-        if self.period > 0:
-            now = time.monotonic() - self._t0
-            if now - self._last_wall < self.period:
-                return None
-            self._last_wall = now
-            stamp = now
-        else:
-            stamp = float(self.seq)
         series: dict[str, Any] = {}
         for name, labels, inst in self.registry.touched():
             if name.startswith(self.exclude):
@@ -175,7 +198,8 @@ class MetricsSampler:
             key = (name, labels)
             cur = _scalarize(inst)
             prev = self._last.get(key)
-            self._last[key] = cur
+            if commit:
+                self._last[key] = cur
             flat = series_key(name, labels)
             if isinstance(inst, Histogram):
                 pc, ps = prev if prev is not None else (0, 0.0)
@@ -188,14 +212,24 @@ class MetricsSampler:
                 series[flat] = {
                     "k": "counter", "v": cur - (prev if prev is not None else 0),
                 }
-        self.registry.clear_touched()
+        if commit:
+            self.registry.clear_touched()
+        return series
+
+    def sample(self, tag: str, **ctx: object) -> dict[str, Any]:
+        """Record one row of deltas since the previous sample.
+
+        ``tag`` names the hook ("cell", "epoch", "sim", ...); extra keyword
+        context (series name, epoch index, sim time) rides along under
+        ``ctx``.
+        """
         row: dict[str, Any] = {
             "type": "sample",
             "seq": self.seq,
-            "t": stamp,
+            "t": float(self.seq),
             "tag": tag,
             "ctx": {k: v for k, v in sorted(ctx.items())},
-            "series": series,
+            "series": self._deltas(commit=True),
         }
         self.seq += 1
         self._push(row)
@@ -205,9 +239,27 @@ class MetricsSampler:
         if len(self._rows) == self._rows.maxlen:
             self.dropped += 1
         self._rows.append(row)
+        fold_series(self._totals, row["series"])
         if self._stream is not None:
             self._stream.write(json.dumps(row, sort_keys=True) + "\n")
             self._stream.flush()
+
+    def totals(self) -> dict[str, dict[str, Any]]:
+        """Counter/gauge/histogram totals over the whole run so far.
+
+        Every recorded or absorbed row, evicted ones included, plus the
+        series touched since the last row — computed as :meth:`sample`
+        would, without recording a row.
+        """
+        out = {section: dict(values) for section, values in self._totals.items()}
+        fold_series(out, self._deltas(commit=False))
+        return out
+
+    def close(self) -> None:
+        """Close and detach the streaming sink; the ring keeps recording."""
+        if self._stream is not None:
+            self._stream.close()
+            self._stream = None
 
     # ------------------------------------------------------------------
     # cross-process merge (the bridge seam)
@@ -215,10 +267,9 @@ class MetricsSampler:
     def absorb(self, rows: Iterable[dict[str, Any]]) -> int:
         """Append a worker's rows, renumbering into this sampler's timeline.
 
-        Sequence numbers continue this sampler's; in logical mode the
-        timestamp is rewritten to the new sequence number so a merged sink
-        is indistinguishable from a serial one.  Header rows are skipped.
-        Returns the number of rows absorbed.
+        Sequence numbers and timestamps continue this sampler's, so a
+        merged sink is indistinguishable from a serial one.  Header rows
+        are skipped.  Returns the number of rows absorbed.
         """
         n = 0
         for row in rows:
@@ -226,8 +277,7 @@ class MetricsSampler:
                 continue
             merged = dict(row)
             merged["seq"] = self.seq
-            if self.period <= 0:
-                merged["t"] = float(self.seq)
+            merged["t"] = float(self.seq)
             self.seq += 1
             self._push(merged)
             n += 1
@@ -263,3 +313,59 @@ class MetricsSampler:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_jsonl())
         return len(self._rows)
+
+
+# ----------------------------------------------------------------------
+# reading a sink back
+# ----------------------------------------------------------------------
+def load_rows(path: str | Path) -> list[dict[str, Any]]:
+    """Parse a sampler sink: JSONL sample rows (header and blanks skipped).
+
+    Tolerates a truncated final line (a run killed mid-append) and a
+    missing file (no rows).
+    """
+    rows: list[dict[str, Any]] = []
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return rows
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(obj, dict) and obj.get("type") == "sample":
+            rows.append(obj)
+    return rows
+
+
+def series_table(
+    rows: Iterable[dict[str, Any]]
+) -> dict[str, list[tuple[float, float]]]:
+    """``{series key: [(t, value), ...]}`` with counters accumulated.
+
+    Counter series integrate their deltas into running totals, gauges keep
+    their readings, histograms plot the mean of each sample's delta (sum
+    over count, skipping empty deltas).
+    """
+    out: dict[str, list[tuple[float, float]]] = {}
+    totals: dict[str, float] = {}
+    for row in rows:
+        t = float(row.get("t", 0.0))
+        for key, entry in row.get("series", {}).items():
+            kind = entry.get("k")
+            if kind == "counter":
+                totals[key] = totals.get(key, 0.0) + float(entry["v"])
+                out.setdefault(key, []).append((t, totals[key]))
+            elif kind == "gauge":
+                out.setdefault(key, []).append((t, float(entry["v"])))
+            elif kind == "histogram":
+                count = int(entry.get("count", 0))
+                if count:
+                    out.setdefault(key, []).append(
+                        (t, float(entry["sum"]) / count)
+                    )
+    return out

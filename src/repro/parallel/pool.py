@@ -196,7 +196,6 @@ def _worker_run_chunk(
     manifests: list[Manifest],
     obs_enabled: bool,
     frec_enabled: bool,
-    obs_sample: float | None,
 ) -> tuple[list[Cell], list["DeploymentResult"], dict[str, Any] | None]:
     """Run one chunk of cells; ship results plus captured telemetry.
 
@@ -212,9 +211,7 @@ def _worker_run_chunk(
         if not cache.has_field(manifest["seed"]):
             cache.adopt_field(manifest["seed"], build_field_model(manifest))
     try:
-        with capture_worker_obs(
-            obs_enabled, frec_enabled, sample=obs_sample
-        ) as cap:
+        with capture_worker_obs(obs_enabled, frec_enabled) as cap:
             results = [cache.get(*cell) for cell in chunk]
     finally:
         cache.drop_results()
@@ -410,13 +407,6 @@ class WorkerPool:
         chunks = plan_chunks(todo, self._workers)
         obs_enabled = OBS.enabled
         frec_enabled = FREC.enabled
-        # the parent's sampling period rides along so worker rows merge
-        # into the same timeline; the sampler is only touched via the bridge
-        obs_sample = (
-            OBS.sampler.period
-            if obs_enabled and OBS.sampler is not None
-            else None
-        )
         bytes_before = self._store.shared_bytes
         with OBS.span("prefill", cells=len(todo), workers=self._workers):
             partitions = _grid_partitions(self._setup, todo)
@@ -442,7 +432,6 @@ class WorkerPool:
                         [manifests[s] for s in sorted({c[2] for c in chunk})],
                         obs_enabled,
                         frec_enabled,
-                        obs_sample,
                     )
                     for chunk in chunks
                 ]

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _flightrec_argv, build_parser, main
+from repro.obs import FREC, LEDGER, OBS
+from repro.obs.ledger import LedgerStore
 
 
 class TestParser:
@@ -102,6 +104,71 @@ class TestSummaryRestoreLifetime:
         assert "shift rotation" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["figure", "8", "--ledger", "--seeds", "1"],
+        ["figure", "8", "--seeds", "1", "--ledger"],
+        ["figure", "8", "--ledger", "runs/ledger", "--seeds", "1"],
+        ["figure", "8", "--ledger=runs/ledger", "--seeds", "1"],
+    ],
+    ids=["bare-before-flag", "bare-last", "with-path", "with-equals"],
+)
+def test_flightrec_argv_strips_ledger(argv):
+    """``--ledger`` takes an optional value: the next token is only its
+    value when argparse would have consumed it."""
+    assert _flightrec_argv(argv) == ["figure", "8", "--seeds", "1"]
+
+
+class TestRecordingSession:
+    @pytest.fixture(autouse=True)
+    def _pristine(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.chdir(tmp_path)
+        OBS.reset()
+        LEDGER.reset()
+        FREC.reset()
+        yield
+        OBS.reset()
+        LEDGER.reset()
+        FREC.reset()
+
+    @staticmethod
+    def _switches():
+        return (OBS.enabled, LEDGER.enabled, FREC.enabled)
+
+    def test_bare_ledger_recording_replays(self, capsys):
+        assert main([
+            "figure", "8", "--ledger", "--seeds", "1",
+            "--flight-record", "flight.jsonl",
+        ]) == 0
+        assert len(LedgerStore(".decor/ledger").rows()) == 1
+        capsys.readouterr()
+        assert main(["replay", "flight.jsonl"]) == 0
+        assert "reproduced byte-identically" in capsys.readouterr().out
+
+    def test_failed_command_restores_switches(self, capsys):
+        before = self._switches()
+        code = main([
+            "deploy", "--k", "0", "--side", "20", "--points", "100",
+            "--trace", "t.jsonl", "--sample", "s.jsonl", "--ledger", "d",
+        ])
+        assert code == 2
+        assert self._switches() == before
+        assert LedgerStore("d").rows() == []
+
+    def test_recording_does_not_outlive_main(self, capsys):
+        before = self._switches()
+        deploy = ["deploy", "--k", "1", "--side", "20", "--points", "100"]
+        assert main([*deploy, "--ledger", "d"]) == 0
+        assert self._switches() == before
+        capsys.readouterr()
+        assert main(deploy) == 0
+        assert "Trace summary" not in capsys.readouterr().out
+        assert self._switches() == before
+        assert len(LedgerStore("d").rows()) == 1
+
+
 def test_gallery(capsys):
     code = main(["gallery"])
     out = capsys.readouterr().out
@@ -133,9 +200,9 @@ def modules_after_cli_import() -> set[str]:
 
 @pytest.mark.parametrize("module", ["networkx", "scipy", "http.server", "ssl"])
 def test_import_leaves_module_unloaded(modules_after_cli_import, module):
-    """Only the analyses (networkx, scipy), the opt-in kd-tree backend
-    (scipy) and ``decor obs serve`` (http.server, ssl) need these, so
-    importing the CLI must not load them."""
+    """Only the analyses (networkx, scipy) and the opt-in kd-tree backend
+    (scipy) need networkx and scipy, and nothing needs http.server or ssl,
+    so importing the CLI must not load any of them."""
     assert module not in modules_after_cli_import
 
 

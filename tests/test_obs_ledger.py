@@ -18,6 +18,7 @@ from repro.errors import ObservabilityError
 from repro.experiments import DeploymentCache, ExperimentSetup
 from repro.obs import LEDGER, OBS
 from repro.obs.ledger import (
+    HARVEST_EXCLUDED_PREFIXES,
     LedgerStore,
     RegressOptions,
     baseline_rows,
@@ -342,6 +343,39 @@ class TestCliEndToEnd:
             key.startswith("decor_placements_total")
             for key in rows[0]["counters"]
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["deploy", "--k", "2", "--method", "grid"],
+            ["figure", "8"],
+            ["restore", "--epochs", "3"],
+        ],
+        ids=["deploy", "figure8", "restore-epochs"],
+    )
+    def test_row_sections_equal_metrics_dump(self, tmp_path, capsys, argv):
+        """The harvested row is the whole run: the ``--metrics`` dump minus
+        the excluded prefixes, however few sample hooks the command has."""
+        ledger = tmp_path / "ledger"
+        dump = tmp_path / "metrics.json"
+        assert main([*argv, "--ledger", str(ledger), "--metrics", str(dump)]) == 0
+        (row,) = LedgerStore(ledger).rows()
+        expected = {"counters": {}, "gauges": {}, "histograms": {}}
+        for name, series in json.loads(dump.read_text()).items():
+            for labels, payload in series.items():
+                key = f"{name}{{{labels}}}" if labels else name
+                if key.startswith(HARVEST_EXCLUDED_PREFIXES):
+                    continue
+                if payload["type"] == "counter":
+                    expected["counters"][key] = payload["value"]
+                elif payload["type"] == "gauge":
+                    expected["gauges"][key] = payload["value"]
+                else:
+                    expected["histograms"][key] = {
+                        "count": payload["count"], "sum": payload["sum"],
+                    }
+        assert expected["counters"]
+        assert {section: row[section] for section in expected} == expected
 
     def test_runs_diff_and_regress_exit_codes(self, tmp_path, capsys,
                                               monkeypatch):

@@ -1,17 +1,15 @@
-"""Tests for the live-telemetry pipeline (PR 7).
+"""Tests for the time-series telemetry pipeline.
 
-Covers the sampler (delta rows, clocks, ring bounds), the label-cardinality
-cap, the exporters (Prometheus exposition round-trip, sink reloading, the
-scrape endpoint), the domain health gauges, the `decor top` dashboard, and
-the merge guarantee: serial and multi-worker runs produce byte-identical
-sampled series.
+Covers the sampler (delta rows, the logical clock, ring bounds, running
+totals), the label-cardinality cap, the sink reader, the domain health
+gauges, `decor obs summarize`, and the merge guarantee: serial and
+multi-worker runs produce byte-identical sampled series.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import urllib.request
 
 import numpy as np
 import pytest
@@ -23,26 +21,21 @@ from repro.experiments.setup import ExperimentSetup
 from repro.network.coverage import CoverageState
 from repro.obs import (
     OBS,
-    ExpositionServer,
     MetricsRegistry,
     MetricsSampler,
-    parse_exposition,
-    prometheus_exposition,
     record_coverage_health,
     record_energy_health,
     record_protocol_health,
 )
-from repro.obs.export import (
-    load_registry,
-    registry_from_metrics_json,
-    registry_from_samples,
-)
 from repro.obs.health import coverage_health
 from repro.obs.metrics import LABELS_DROPPED_METRIC
-from repro.obs.sampler import EXCLUDED_PREFIXES, series_key
-from repro.obs.top import load_rows, render_top, run_top, series_table
+from repro.obs.sampler import (
+    EXCLUDED_PREFIXES,
+    load_rows,
+    series_key,
+    series_table,
+)
 from repro.parallel import prefill_cache
-from repro.viz.sparkline import sparkline
 
 
 @pytest.fixture(autouse=True)
@@ -235,23 +228,31 @@ class TestMetricsSampler:
         assert s.dropped == 2
         assert [r["ctx"]["i"] for r in s.rows()] == [2, 3, 4]
 
-    def test_wall_mode_throttles(self):
+    def test_totals_survive_eviction(self):
+        # running totals cover evicted rows and the series touched since
+        # the last row, so they equal the registry however small the ring
         reg = MetricsRegistry()
-        s = MetricsSampler(reg, period=3600.0)
-        reg.counter("a_total").inc()
-        first = s.sample("t")
-        reg.counter("a_total").inc()
-        second = s.sample("t")
-        assert first is not None
-        assert second is None  # inside the throttle window
-        assert s.n_rows == 1
-        # the touched set keeps accumulating for the next recorded row
+        s = MetricsSampler(reg, capacity=3)
+        for i in range(5):
+            reg.counter("a_total").inc(i + 1)
+            reg.gauge("g").set(float(i))
+            reg.histogram("h").observe(float(i))
+            s.sample("t", i=i)
+        reg.counter("a_total").inc(10)
+        assert s.dropped == 2
+        totals = s.totals()
+        assert totals["counters"] == {"a_total": reg.value("a_total")}
+        assert totals["gauges"] == {"g": reg.value("g")}
+        hist = reg.histogram("h")
+        assert totals["histograms"] == {
+            "h": {"count": hist.count, "sum": hist.sum}
+        }
+        # reading the totals records nothing
+        assert s.seq == 5
         assert reg.touched()
 
     def test_invalid_args_rejected(self):
         reg = MetricsRegistry()
-        with pytest.raises(ObservabilityError):
-            MetricsSampler(reg, period=-1.0)
         with pytest.raises(ObservabilityError):
             MetricsSampler(reg, capacity=0)
 
@@ -317,184 +318,11 @@ class TestRuntimeSampling:
         assert OBS.sample("t") is None
 
     def test_enable_with_sample_creates_sampler(self):
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         OBS.counter("a_total").inc()
         row = OBS.sample("t")
         assert row is not None
         assert OBS.sampler.n_rows == 1
-
-    def test_env_var_enables_sampler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS_SAMPLE", "0")
-        OBS.enable(fresh=True)
-        assert OBS.sampler is not None
-        assert OBS.sampler.period == 0.0
-
-    def test_enabled_without_sampler_records_nothing(self):
-        OBS.enable(fresh=True)
-        assert OBS.sampler is None
-        assert OBS.sample("t") is None
-
-
-# ----------------------------------------------------------------------
-# exporters
-# ----------------------------------------------------------------------
-class TestExposition:
-    GOLDEN = (
-        "# TYPE decor_messages_total counter\n"
-        'decor_messages_total{kind="border"} 3\n'
-        "# TYPE health_coverage_fraction gauge\n"
-        "health_coverage_fraction 0.75\n"
-    )
-
-    def test_golden(self):
-        reg = MetricsRegistry()
-        reg.counter("decor_messages_total", kind="border").inc(3)
-        reg.gauge("health_coverage_fraction").set(0.75)
-        assert prometheus_exposition(reg) == self.GOLDEN
-
-    def test_histogram_buckets_cumulative(self):
-        reg = MetricsRegistry()
-        reg.histogram("lat").observe(0.3)
-        reg.histogram("lat").observe(3.0)
-        parsed = parse_exposition(prometheus_exposition(reg))
-        assert parsed["families"] == {"lat": "histogram"}
-        buckets = {
-            s[1]["le"]: s[2] for s in parsed["samples"]
-            if s[0] == "lat_bucket"
-        }
-        assert buckets["+Inf"] == 2.0
-        assert buckets["0.5"] == 1.0
-        final = {s[0]: s[2] for s in parsed["samples"]}
-        assert final["lat_count"] == 2.0
-        assert final["lat_sum"] == pytest.approx(3.3)
-
-    def test_round_trip_parse(self):
-        reg = MetricsRegistry()
-        reg.counter("a_total", x="1").inc(2)
-        reg.gauge("g").set(-1.5)
-        parsed = parse_exposition(prometheus_exposition(reg))
-        assert ("a_total", {"x": "1"}, 2.0) in parsed["samples"]
-        assert ("g", {}, -1.5) in parsed["samples"]
-
-    def test_label_escaping_round_trips(self):
-        reg = MetricsRegistry()
-        reg.counter("a_total", msg='say "hi"\nok').inc()
-        parsed = parse_exposition(prometheus_exposition(reg))
-        assert parsed["samples"][0][1] == {"msg": 'say "hi"\nok'}
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "# TYPE a\n",  # malformed TYPE
-            "# TYPE a wat\n",  # unknown family
-            "1bad 3\n",  # bad metric name
-            "ok{x=3} 1\n",  # unquoted label value
-            "ok nope\n",  # non-numeric value
-            'ok{x="unterminated 1\n',
-        ],
-    )
-    def test_grammar_violations_raise(self, text):
-        with pytest.raises(ObservabilityError):
-            parse_exposition(text)
-
-
-class TestSinkReloading:
-    def test_samples_parse_back_to_registry_totals(self, tmp_path):
-        OBS.enable(fresh=True, sample=0.0)
-        OBS.counter("msgs_total", kind="a").inc(3)
-        OBS.gauge("health_coverage_fraction").set(0.5)
-        OBS.histogram("lat").observe(2.0)
-        OBS.sample("t")
-        OBS.counter("msgs_total", kind="a").inc(4)
-        OBS.gauge("health_coverage_fraction").set(0.75)
-        OBS.sample("t")
-        sink = tmp_path / "sink.jsonl"
-        OBS.sampler.write_jsonl(str(sink))
-        reloaded = load_registry(sink)
-        assert reloaded.value("msgs_total", kind="a") == 7
-        assert reloaded.value("health_coverage_fraction") == 0.75
-        assert reloaded.histogram("lat").count == 1
-        assert reloaded.histogram("lat").sum == 2.0
-
-    def test_reloaded_histogram_quantiles_report_mean(self, tmp_path):
-        # sample rows carry (count, sum) deltas only; the synthesized
-        # state places the mass at the mean, so reloaded quantiles are
-        # the mean instead of collapsing to zero
-        OBS.enable(fresh=True, sample=0.0)
-        OBS.histogram("lat").observe(2.0)
-        OBS.histogram("lat").observe(4.0)
-        OBS.sample("t")
-        sink = tmp_path / "sink.jsonl"
-        OBS.sampler.write_jsonl(str(sink))
-        reloaded = load_registry(sink)
-        h = reloaded.histogram("lat")
-        assert h.mean == pytest.approx(3.0)
-        for q in (0.0, 0.5, 0.95):
-            assert h.quantile(q) == pytest.approx(3.0)
-
-    def test_metrics_json_round_trip(self, tmp_path):
-        OBS.enable(fresh=True)
-        OBS.counter("a_total", k="1").inc(5)
-        OBS.histogram("lat").observe(0.3)
-        path = tmp_path / "metrics.json"
-        OBS.metrics.write_json(str(path))
-        reloaded = load_registry(path)
-        assert reloaded.value("a_total", k="1") == 5
-        assert reloaded.histogram("lat").count == 1
-        assert reloaded.histogram("lat").sum == pytest.approx(0.3)
-        # bucket shape survives the metrics-JSON round trip exactly
-        assert prometheus_exposition(reloaded) == prometheus_exposition(
-            OBS.metrics
-        )
-
-    def test_registry_from_samples_rejects_unknown_kind(self):
-        rows = [{"type": "sample", "seq": 0,
-                 "series": {"x": {"k": "wat", "v": 1}}}]
-        with pytest.raises(ObservabilityError):
-            registry_from_samples(rows)
-
-    def test_metrics_json_rejects_unknown_type(self):
-        with pytest.raises(ObservabilityError):
-            registry_from_metrics_json({"m": {"": {"type": "wat"}}})
-
-    def test_empty_file_loads_empty_registry(self, tmp_path):
-        path = tmp_path / "empty.json"
-        path.write_text("")
-        assert len(load_registry(path)) == 0
-
-
-class TestExpositionServer:
-    def test_scrape_round_trip(self):
-        reg = MetricsRegistry()
-        reg.counter("up_total").inc()
-        with ExpositionServer(lambda: reg) as server:
-            resp = urllib.request.urlopen(server.url)
-            assert resp.headers["Content-Type"].startswith("text/plain")
-            parsed = parse_exposition(resp.read().decode("utf-8"))
-        assert ("up_total", {}, 1.0) in parsed["samples"]
-
-    def test_healthz_and_404(self):
-        with ExpositionServer(MetricsRegistry) as server:
-            base = server.url.rsplit("/", 1)[0]
-            assert urllib.request.urlopen(base + "/healthz").read() == b"ok\n"
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(base + "/nope")
-
-    def test_source_error_becomes_500(self):
-        def boom():
-            raise ValueError("no registry for you")
-
-        with ExpositionServer(boom) as server:
-            with pytest.raises(urllib.error.HTTPError) as err:
-                urllib.request.urlopen(server.url)
-            assert err.value.code == 500
-
-    def test_double_start_rejected(self):
-        server = ExpositionServer(MetricsRegistry)
-        with server:
-            with pytest.raises(ObservabilityError):
-                server.start()
-
 
 # ----------------------------------------------------------------------
 # health gauges
@@ -589,7 +417,7 @@ class TestEpochHealthSampling:
             Rect.square(30.0), SensorSpec(4.0, 8.0), n_points=250, seed=3
         )
         result = planner.deploy(1, method="centralized")
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         session = planner.session(result, method="centralized", warm=True)
         for epoch in range(2):
             event = epoch_failure(
@@ -620,7 +448,7 @@ class TestEpochHealthSampling:
     def test_sim_engine_stamps_sim_time_in_ctx(self):
         from repro.sim.engine import Simulator
 
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         sim = Simulator()
         sim.schedule(2.5, lambda: None)
         sim.run()
@@ -638,12 +466,12 @@ class TestSampledSeriesMergeIdentity:
     def test_serial_and_workers_byte_identical(self, setup):
         cells = cells_for_figure(setup, 8)
 
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         prefill_cache(DeploymentCache(setup), cells)
         OBS.disable()
         serial = OBS.sampler.to_jsonl()
 
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         prefill_cache(DeploymentCache(setup), cells, workers=2)
         OBS.disable()
         parallel = OBS.sampler.to_jsonl()
@@ -658,7 +486,7 @@ class TestSampledSeriesMergeIdentity:
 
     def test_parent_does_not_rereport_absorbed_deltas(self, setup):
         cells = [("random", 1, 0), ("random", 1, 1)]
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         prefill_cache(DeploymentCache(setup), cells, workers=2)
         row = OBS.sample("post-merge")
         OBS.disable()
@@ -672,21 +500,9 @@ class TestSampledSeriesMergeIdentity:
 
 
 # ----------------------------------------------------------------------
-# decor top
+# reading a sink back
 # ----------------------------------------------------------------------
-class TestSparkline:
-    def test_scaling(self):
-        assert sparkline([0, 1, 2, 3]) == "▁▃▆█"
-        assert sparkline([5, 5, 5]) == "▄▄▄"
-        assert sparkline([]) == ""
-
-    def test_resampling_to_width(self):
-        out = sparkline(list(range(100)), width=10)
-        assert len(out) == 10
-        assert out[0] == "▁" and out[-1] == "█"
-
-
-class TestTopDashboard:
+class TestSinkReader:
     @staticmethod
     def _rows():
         return [
@@ -706,21 +522,6 @@ class TestTopDashboard:
         assert [v for _, v in table["lat"]] == [0.0, 1.0, 2.0, 3.0]
         assert table["health_coverage_fraction"][-1] == (3.0, 0.8)
 
-    def test_render_health_first(self):
-        out = render_top(self._rows())
-        lines = out.splitlines()
-        assert lines[0].startswith("4 samples")
-        assert lines[1].startswith("health_coverage_fraction")
-
-    def test_render_prefix_and_limit(self):
-        out = render_top(self._rows(), prefix="health_")
-        assert "msgs_total" not in out
-        out = render_top(self._rows(), limit=1)
-        assert "more series" in out
-
-    def test_render_empty(self):
-        assert render_top([]) == "no samples yet\n"
-
     def test_load_rows_tolerates_truncation(self, tmp_path):
         path = tmp_path / "sink.jsonl"
         good = json.dumps(self._rows()[0])
@@ -732,14 +533,6 @@ class TestTopDashboard:
         assert len(rows) == 1
         assert load_rows(tmp_path / "missing.jsonl") == []
 
-    def test_run_top_renders_frames(self, tmp_path):
-        path = tmp_path / "sink.jsonl"
-        path.write_text("\n".join(json.dumps(r) for r in self._rows()))
-        out = io.StringIO()
-        drawn = run_top(path, frames=2, interval=0.0, out=out)
-        assert drawn == 2
-        assert out.getvalue().count("4 samples") == 2
-
 
 # ----------------------------------------------------------------------
 # CLI surface
@@ -747,7 +540,7 @@ class TestTopDashboard:
 class TestCliTelemetry:
     @staticmethod
     def _write_sink(tmp_path):
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         OBS.counter("msgs_total").inc(3)
         OBS.gauge("health_coverage_fraction").set(0.5)
         OBS.sample("cell")
@@ -755,24 +548,6 @@ class TestCliTelemetry:
         OBS.sampler.write_jsonl(str(sink))
         OBS.reset()
         return sink
-
-    def test_obs_serve_once(self, tmp_path, capsys):
-        from repro.cli import main
-
-        sink = self._write_sink(tmp_path)
-        assert main(["obs", "serve", str(sink), "--once"]) == 0
-        out = capsys.readouterr().out
-        parsed = parse_exposition(out)
-        assert ("msgs_total", {}, 3.0) in parsed["samples"]
-
-    def test_obs_scrape(self, tmp_path, capsys):
-        from repro.cli import main
-
-        reg = MetricsRegistry()
-        reg.counter("up_total").inc()
-        with ExpositionServer(lambda: reg) as server:
-            assert main(["obs", "scrape", server.url]) == 0
-        assert "valid exposition" in capsys.readouterr().out
 
     def test_obs_summarize_samples(self, tmp_path, capsys):
         from repro.cli import main
@@ -797,14 +572,25 @@ class TestCliTelemetry:
         assert "top counters" in out
         assert "p95" in out
 
-    def test_top_command(self, tmp_path, capsys):
+    def test_obs_summarize_diff_reports_histogram_mean(self, tmp_path, capsys):
+        # sample rows carry only a histogram's count and sum: the diff
+        # reports n and mean, never quantiles it cannot know
         from repro.cli import main
 
-        sink = self._write_sink(tmp_path)
-        assert main(["top", str(sink), "--prefix", "health_"]) == 0
+        sinks = []
+        for name, values in (("a", (2.0, 4.0)), ("b", (1.0,))):
+            OBS.enable(fresh=True)
+            for value in values:
+                OBS.histogram("lat").observe(value)
+            OBS.sample("cell")
+            sink = tmp_path / f"{name}.jsonl"
+            OBS.sampler.write_jsonl(str(sink))
+            OBS.reset()
+            sinks.append(str(sink))
+        assert main(["obs", "summarize", "--diff", *sinks]) == 0
         out = capsys.readouterr().out
-        assert "health_coverage_fraction" in out
-        assert "msgs_total" not in out
+        assert "lat: a n=2 mean=3, b n=1 mean=1" in out
+        assert "p95" not in out
 
     def test_sample_flag_writes_sink(self, tmp_path, capsys, monkeypatch):
         from repro.cli import main

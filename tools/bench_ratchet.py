@@ -150,7 +150,7 @@ def measure_telemetry(root: Path, *, rounds: int = 3) -> dict:
         prefill_cache(DeploymentCache(setup), cells)
         walls["off"].append(time.perf_counter() - t0)
 
-        OBS.enable(fresh=True, sample=0.0)
+        OBS.enable(fresh=True)
         t0 = time.perf_counter()
         try:
             prefill_cache(DeploymentCache(setup), cells)
