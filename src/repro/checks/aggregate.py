@@ -2,10 +2,9 @@
 
 Aggregates the project's correctness gates —
 
-* **flow** — the interprocedural effect analyzer
-  (:mod:`repro.checks.flow`) against the grow-only baseline;
 * **lint** — the per-file AST linter (full rules on ``src``/``tests``,
-  relaxed subset on ``benchmarks``/``tools``);
+  relaxed subset on ``benchmarks``/``tools``), which alone decides how
+  the determinism, worker-purity and guard contracts are enforced;
 * **typing** — ``tools/typing_ratchet.py`` (the strict-mypy set only
   grows);
 * **mypy** — the configured mypy run, when mypy is importable;
@@ -57,46 +56,6 @@ class GateResult:
         if self.skipped:
             return "skip"
         return "ok" if self.ok else "FAIL"
-
-
-def _flow_gate() -> GateResult:
-    from repro.checks.flow.baseline import (
-        DEFAULT_BASELINE,
-        check_baseline,
-        load_baseline,
-    )
-    from repro.checks.flow.effects import analyze_paths
-    from repro.checks.flow.rules import apply_suppressions, flow_findings
-
-    analysis = analyze_paths(["src"])
-    findings = apply_suppressions(flow_findings(analysis))
-    report = check_baseline(findings, load_baseline(DEFAULT_BASELINE))
-    located = [ff.finding for ff in report.new]
-    for key in report.stale:
-        located.append(
-            Finding(
-                path=str(DEFAULT_BASELINE),
-                line=1,
-                col=1,
-                rule="FLOW-BASELINE",
-                message=(
-                    f"stale baseline entry `{key}` — the finding is gone; "
-                    "remove the entry (the baseline may only shrink)"
-                ),
-            )
-        )
-    detail = (
-        f"{analysis.n_functions} functions, {analysis.n_edges} edges, "
-        f"{analysis.n_sccs} SCCs; {len(report.new)} new, "
-        f"{len(report.matched)} baselined, {len(report.stale)} stale"
-    )
-    return GateResult(
-        name="flow",
-        ok=report.ok,
-        skipped=False,
-        detail=detail,
-        findings=located,
-    )
 
 
 def _lint_gate() -> GateResult:
@@ -167,7 +126,6 @@ def _mypy_gate() -> GateResult:
 
 
 _GATES: dict[str, Callable[[], GateResult]] = {
-    "flow": _flow_gate,
     "lint": _lint_gate,
     "typing": _typing_gate,
     "mypy": _mypy_gate,
@@ -241,17 +199,11 @@ def render_json(results: Sequence[GateResult]) -> str:
 
 
 def _rule_catalogue() -> list[dict[str, object]]:
-    from repro.checks.flow.rules import FLOW_RULE_SUMMARIES
-
     rules: dict[str, str] = {}
     for rule_cls in ALL_RULES:
         rules[rule_cls.code] = rule_cls.summary
     rules[SUPPRESSION_RULE] = (
         "unused `# checks: ignore[...]` suppressions are errors"
-    )
-    rules.update(FLOW_RULE_SUMMARIES)
-    rules["FLOW-BASELINE"] = (
-        "the flow baseline may only shrink; stale entries must be removed"
     )
     return [
         {"id": code, "shortDescription": {"text": rules[code]}}

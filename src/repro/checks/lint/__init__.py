@@ -9,21 +9,24 @@ Run as ``python -m repro.checks.lint`` (CI does) or call
 code      enforces
 ========  ==========================================================
 DET001    no legacy global-RNG calls (np.random.<fn>, random.<fn>)
+          and no un-seeded default_rng()/SeedSequence()/Random()
 DET002    no wall-clock/entropy reads in library code outside repro.obs
+DET003    no un-sorted() set iteration in library code
 ALIAS001  no in-place mutation of FieldModel/engine cached values
 OBS001    OBS metric/event touchpoints guarded by ``if OBS.enabled:``
 OBS002    ``@profiled`` site names unique across the library
 OBS003    flight-recorder touchpoints guarded by ``if FREC.enabled:``
 OBS004    telemetry touchpoints (OBS.sample, record_*_health) guarded
 OBS005    run-ledger recording guarded by ``if LEDGER.enabled:``
+OBS006    OBS/FREC/LEDGER switches flipped only in repro.obs/repro.cli
 API001    no exact float ==/!= on coordinates or benefits
 SUP001    every ``# checks: ignore`` suppression must match a finding
 ========  ==========================================================
 
-PAR001 (worker discipline in ``repro.parallel``) moved to the
-interprocedural analyzer: :mod:`repro.checks.flow` computes it from
-effect summaries instead of per-file heuristics, alongside the
-transitive FLOW001–FLOW003/DET003 rules.
+Every rule reports at the offending line.  Worker discipline needs no
+call graph: DET001, DET002 and DET003 hold in every library function,
+so in every function a ``repro.parallel`` worker can reach, and OBS006
+keeps the observability switches out of all of them.
 
 Two rule sets are registered: :data:`ALL_RULES` (library and test code)
 and :data:`RELAXED_RULES` (``benchmarks/`` and ``tools/`` — scripts that
@@ -43,12 +46,17 @@ from repro.checks.lint.framework import (
 )
 from repro.checks.lint.rules_alias import NoInPlaceOnCachedViews
 from repro.checks.lint.rules_api import NoFloatEqualityOnCoordinates
-from repro.checks.lint.rules_det import NoLegacyGlobalRng, NoWallClockInLibrary
+from repro.checks.lint.rules_det import (
+    NoLegacyGlobalRng,
+    NoSetIteration,
+    NoWallClockInLibrary,
+)
 from repro.checks.lint.rules_obs import (
     FlightRecorderGuarded,
     LedgerTouchpointsGuarded,
     ObsTouchpointsGuarded,
     ProfiledSitesUnique,
+    SwitchesConfined,
     TelemetryTouchpointsGuarded,
 )
 
@@ -65,12 +73,14 @@ __all__ = [
     "parse_suppressions",
     "NoLegacyGlobalRng",
     "NoWallClockInLibrary",
+    "NoSetIteration",
     "NoInPlaceOnCachedViews",
     "ObsTouchpointsGuarded",
     "ProfiledSitesUnique",
     "FlightRecorderGuarded",
     "TelemetryTouchpointsGuarded",
     "LedgerTouchpointsGuarded",
+    "SwitchesConfined",
     "NoFloatEqualityOnCoordinates",
 ]
 
@@ -78,12 +88,14 @@ __all__ = [
 ALL_RULES: tuple[type[Rule], ...] = (
     NoLegacyGlobalRng,
     NoWallClockInLibrary,
+    NoSetIteration,
     NoInPlaceOnCachedViews,
     ObsTouchpointsGuarded,
     ProfiledSitesUnique,
     FlightRecorderGuarded,
     TelemetryTouchpointsGuarded,
     LedgerTouchpointsGuarded,
+    SwitchesConfined,
     NoFloatEqualityOnCoordinates,
 )
 

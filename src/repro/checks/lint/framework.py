@@ -70,6 +70,10 @@ class Finding:
 class ImportMap:
     """Local-name -> qualified-dotted-path resolution for one module.
 
+    Rules match what is called, guarded or stored to by its resolved
+    path, whatever the local spelling: after ``from repro.obs import OBS
+    as TELEMETRY``, ``TELEMETRY`` resolves to ``repro.obs.OBS``.
+
     >>> tree = ast.parse(
     ...     "import numpy as np\\nfrom time import perf_counter as pc\\n"
     ... )
@@ -84,16 +88,6 @@ class ImportMap:
 
     def __init__(self, aliases: dict[str, str]) -> None:
         self._aliases = aliases
-
-    @property
-    def aliases(self) -> dict[str, str]:
-        """Local name -> qualified dotted path, as imported by this module.
-
-        The flow analyzer (:mod:`repro.checks.flow`) walks these maps to
-        chase re-export chains (``repro.obs.OBS`` ->
-        ``repro.obs.runtime.OBS``) across module boundaries.
-        """
-        return dict(self._aliases)
 
     @classmethod
     def of(cls, tree: ast.AST) -> "ImportMap":

@@ -1,18 +1,27 @@
-"""Determinism rules: DET001 (legacy global RNG), DET002 (wall clock/entropy).
+"""Determinism rules: DET001 (RNG), DET002 (wall clock), DET003 (set order).
 
 The paper's figures are averages over seeded trials; every run must be
-bit-reproducible from its seed.  Two things silently break that:
+bit-reproducible from its seed.  Three things silently break that:
 
 * the *legacy global RNG* (``np.random.rand``/``np.random.seed``, stdlib
   ``random.random`` & co.) — hidden process state that any import can
-  perturb.  Only explicit ``np.random.Generator`` objects, created with
-  ``np.random.default_rng(seed)`` and threaded through call sites, are
+  perturb — and *un-seeded* generator construction
+  (``np.random.default_rng()``, ``np.random.SeedSequence()``,
+  ``random.Random()`` with no argument draw OS entropy).  Only explicit
+  generators built from a seed and threaded through call sites are
   allowed (DET001);
 * *wall-clock and entropy reads* in library code — ``time.time``,
   ``perf_counter``, ``uuid``, ``os.urandom`` — which make behaviour (or
   recorded artifacts) differ between identical runs.  Only ``repro.obs``
   may read the clock, because instrumentation never changes results
-  (DET002).
+  (DET002);
+* *set iteration* in library code.  String hashing is randomised per
+  process, so iterating a ``set`` (literal, ``set()``/``frozenset()``
+  call, set comprehension, or a local assigned from one) visits its
+  members in an order that can differ between two runs of the same
+  seed — exactly where silent tie-break drift enters.  Wrapping the
+  iterable in ``sorted(...)`` releases it; dicts are exempt, they keep
+  insertion order (DET003).
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from typing import Iterator
 
 from repro.checks.lint.framework import FileContext, Finding, Rule
 
-__all__ = ["NoLegacyGlobalRng", "NoWallClockInLibrary"]
+__all__ = ["NoLegacyGlobalRng", "NoSetIteration", "NoWallClockInLibrary"]
 
 #: Constructors of the modern, explicitly-seeded numpy RNG machinery.
 _NUMPY_RANDOM_ALLOWED = frozenset(
@@ -41,6 +50,11 @@ _NUMPY_RANDOM_ALLOWED = frozenset(
 
 #: Stdlib ``random`` attributes that are explicit instances, not global state.
 _STDLIB_RANDOM_ALLOWED = frozenset({"Random"})
+
+#: Generator constructors that draw OS entropy when called with no argument.
+_ENTROPY_WITHOUT_SEED = frozenset(
+    {"numpy.random.default_rng", "numpy.random.SeedSequence", "random.Random"}
+)
 
 #: Qualified callables that read the wall clock or OS entropy.
 _WALL_CLOCK_OR_ENTROPY = frozenset(
@@ -75,8 +89,9 @@ class NoLegacyGlobalRng(Rule):
 
     code = "DET001"
     summary = (
-        "legacy global RNG (np.random.<fn> / random.<fn>) is forbidden; "
-        "thread a seeded np.random.Generator through call sites"
+        "legacy global RNG (np.random.<fn> / random.<fn>) and un-seeded "
+        "generator construction (default_rng(), SeedSequence(), Random()) "
+        "are forbidden; thread a seeded np.random.Generator through call sites"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -86,7 +101,15 @@ class NoLegacyGlobalRng(Rule):
             qual = ctx.imports.resolve(node.func)
             if qual is None:
                 continue
-            if qual.startswith("numpy.random."):
+            if qual in _ENTROPY_WITHOUT_SEED:
+                if not node.args and not node.keywords:
+                    yield ctx.finding(
+                        self.code,
+                        node,
+                        f"un-seeded `{qual}()` draws OS entropy; pass a "
+                        "seed so two runs of the same sweep agree",
+                    )
+            elif qual.startswith("numpy.random."):
                 tail = qual.split(".")[-1]
                 if tail not in _NUMPY_RANDOM_ALLOWED:
                     yield ctx.finding(
@@ -136,3 +159,83 @@ class NoWallClockInLibrary(Rule):
                     f"`{ctx.module}`; runs must be bit-reproducible from "
                     "their seed (only repro.obs may read the clock)",
                 )
+
+
+class NoSetIteration(Rule):
+    """DET003: no iteration over a ``set`` in library code."""
+
+    code = "DET003"
+    summary = (
+        "no un-sorted() set iteration in library code; set order varies "
+        "across processes"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.in_library:
+            return
+        scopes: list[ast.AST] = [ctx.tree]
+        scopes.extend(
+            node
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        )
+        for scope in scopes:
+            set_vars = _set_typed_locals(scope)
+            for node in _own_nodes(scope):
+                if isinstance(node, (ast.For, ast.AsyncFor)):
+                    iters = [node.iter]
+                elif isinstance(
+                    node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+                ):
+                    iters = [gen.iter for gen in node.generators]
+                else:
+                    continue
+                for it in iters:
+                    if _is_set_expr(it):
+                        what = "a `set` expression"
+                    elif isinstance(it, ast.Name) and it.id in set_vars:
+                        what = f"the `set` local `{it.id}`"
+                    else:
+                        continue
+                    yield ctx.finding(
+                        self.code,
+                        it,
+                        f"iteration over {what}; set order varies across "
+                        "processes — wrap the iterable in `sorted(...)`",
+                    )
+
+
+def _own_nodes(root: ast.AST) -> Iterator[ast.AST]:
+    """Walk one scope without descending into nested ``def``s."""
+    stack: list[ast.AST] = list(ast.iter_child_nodes(root))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _is_set_expr(expr: ast.AST) -> bool:
+    if isinstance(expr, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(expr, ast.Call)
+        and isinstance(expr.func, ast.Name)
+        and expr.func.id in ("set", "frozenset")
+    )
+
+
+def _set_typed_locals(root: ast.AST) -> set[str]:
+    """Names a scope assigns from a set literal/constructor/comprehension."""
+    names: set[str] = set()
+    for node in _own_nodes(root):
+        value: ast.expr | None = None
+        targets: list[ast.expr] = []
+        if isinstance(node, ast.Assign):
+            value, targets = node.value, list(node.targets)
+        elif isinstance(node, ast.AnnAssign):
+            value, targets = node.value, [node.target]
+        if value is not None and _is_set_expr(value):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names

@@ -1,4 +1,4 @@
-"""Observability discipline rules: OBS001/OBS003 (guards), OBS002 (sites).
+"""Observability discipline rules: OBS001/3/4/5 (guards), OBS002, OBS006.
 
 The ``repro.obs`` layer promises that disabled instrumentation costs one
 attribute check per touchpoint (the <3% CI gate in
@@ -26,9 +26,29 @@ evaluated and formatted — sit inside an enabled guard:
   no disabled invocation may pay for.  ``LEDGER.stage`` is exempt for
   the same reason ``OBS.span`` is (shared null context when disabled).
 
+A test *guards* only if it is ``X.enabled`` or an ``and`` with a
+guarding operand; ``if verbose or OBS.enabled:`` and ``if OBS.enabled is
+False:`` do not.  An early exit guards the rest of its block only if its
+test is ``not <guard>`` (or an ``or`` with such an operand) and its body
+ends in ``return``/``raise``/``continue``/``break``.  Receivers, guards
+and the health helpers are matched by spelling *and* by resolved import,
+so ``from repro.obs import OBS as TELEMETRY`` cannot slip a touchpoint
+past the rule.
+
 ``@profiled(site)`` site names feed the ``profile_seconds{site=...}``
 histogram; two call sites sharing a name silently merge their timings, so
 site names must be unique across the library (OBS002).
+
+OBS006 confines the runtime switches: ``.enable()``/``.disable()``/
+``.reset()`` calls on ``OBS``, ``FREC`` or ``LEDGER``, and attribute
+stores through them, belong to ``repro.obs`` and the CLI's recording
+session (``repro.cli``).  Anywhere else in the library — above all in
+code a ``repro.parallel`` worker runs — flipping them would make two
+workers (or two runs) record differently; worker state crosses the
+process boundary only through the :mod:`repro.obs.bridge`
+capture/merge seam.  The invariant-checks switch (``CHECKS.enable()``
+in the pool's worker initializer) is not an observability runtime and
+stays legal.
 """
 
 from __future__ import annotations
@@ -43,29 +63,26 @@ __all__ = [
     "LedgerTouchpointsGuarded",
     "ObsTouchpointsGuarded",
     "ProfiledSitesUnique",
+    "SwitchesConfined",
     "TelemetryTouchpointsGuarded",
 ]
 
+#: Import paths of each runtime singleton: the ``repro.obs`` re-export and
+#: its defining module.
+_SINGLETON_QUALS: dict[str, frozenset[str]] = {
+    "OBS": frozenset({"repro.obs.OBS", "repro.obs.runtime.OBS"}),
+    "FREC": frozenset({"repro.obs.FREC", "repro.obs.flightrec.FREC"}),
+    "LEDGER": frozenset({"repro.obs.LEDGER", "repro.obs.ledger.LEDGER"}),
+}
 
-def _mentions_enabled(node: ast.AST, singleton: str) -> bool:
-    """Does this expression read ``<singleton>.enabled`` (however nested)?"""
-    for sub in ast.walk(node):
-        if (
-            isinstance(sub, ast.Attribute)
-            and sub.attr == "enabled"
-            and isinstance(sub.value, ast.Name)
-            and sub.value.id == singleton
-        ):
-            return True
-    return False
+#: Every import path of a runtime singleton (OBS006).
+_SWITCH_QUALS = frozenset(q for quals in _SINGLETON_QUALS.values() for q in quals)
 
+#: Singleton methods that swap global runtime state (OBS006).
+_SWITCH_METHODS = frozenset({"enable", "disable", "reset"})
 
-def _is_negated_guard(test: ast.AST, singleton: str) -> bool:
-    return (
-        isinstance(test, ast.UnaryOp)
-        and isinstance(test.op, ast.Not)
-        and _mentions_enabled(test.operand, singleton)
-    )
+#: Modules a health helper resolves into: the re-export and its home.
+_HEALTH_MODULES = ("repro.obs", "repro.obs.health")
 
 
 def _terminates(block: list[ast.stmt]) -> bool:
@@ -78,9 +95,11 @@ class _TouchpointsGuarded(Rule):
     """Shared guard walker: ``<singleton>.<method>`` under an enabled check.
 
     Subclasses pin ``singleton`` (the runtime's conventional name at call
-    sites), ``guarded_methods`` and the finding ``consequence`` text.
-    ``guarded_functions`` additionally matches bare-name helper calls
-    (``record_coverage_health(...)``) that must sit under the same guard.
+    sites, also the key of its import paths in ``_SINGLETON_QUALS``),
+    ``guarded_methods`` and the finding ``consequence`` text.
+    ``guarded_functions`` additionally matches helper calls
+    (``record_coverage_health(...)``, bare or resolved into
+    :mod:`repro.obs`) that must sit under the same guard.
     """
 
     singleton = ""
@@ -93,18 +112,42 @@ class _TouchpointsGuarded(Rule):
             return
         yield from self._walk_body(ctx, ctx.tree.body, guarded=False)
 
+    def _is_singleton(self, ctx: FileContext, node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Name) and node.id == self.singleton
+        ) or ctx.imports.resolve(node) in _SINGLETON_QUALS[self.singleton]
+
+    def _guards(self, ctx: FileContext, test: ast.AST) -> bool:
+        """Does ``test`` hold only while the singleton is enabled?"""
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+            return any(self._guards(ctx, value) for value in test.values)
+        return (
+            isinstance(test, ast.Attribute)
+            and test.attr == "enabled"
+            and self._is_singleton(ctx, test.value)
+        )
+
+    def _holds_when_disabled(self, ctx: FileContext, test: ast.AST) -> bool:
+        """Is ``test`` true whenever the singleton is disabled?"""
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+            return any(self._holds_when_disabled(ctx, v) for v in test.values)
+        return (
+            isinstance(test, ast.UnaryOp)
+            and isinstance(test.op, ast.Not)
+            and self._guards(ctx, test.operand)
+        )
+
     def _walk_body(
         self, ctx: FileContext, body: list[ast.stmt], guarded: bool
     ) -> Iterator[Finding]:
-        name = self.singleton
         for stmt in body:
             if isinstance(stmt, ast.If):
-                if _mentions_enabled(stmt.test, name) and not _is_negated_guard(
-                    stmt.test, name
-                ):
+                if self._guards(ctx, stmt.test):
                     yield from self._walk_body(ctx, stmt.body, guarded=True)
                     yield from self._walk_body(ctx, stmt.orelse, guarded=guarded)
-                elif _is_negated_guard(stmt.test, name) and _terminates(stmt.body):
+                elif self._holds_when_disabled(ctx, stmt.test) and _terminates(
+                    stmt.body
+                ):
                     # ``if not X.enabled: return`` -- the rest of this
                     # block runs only when enabled
                     yield from self._walk_body(ctx, stmt.body, guarded=guarded)
@@ -155,30 +198,25 @@ class _TouchpointsGuarded(Rule):
         for node in ast.walk(root):
             if not isinstance(node, ast.Call):
                 continue
+            func = node.func
             if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.guarded_methods
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == self.singleton
+                isinstance(func, ast.Attribute)
+                and func.attr in self.guarded_methods
+                and self._is_singleton(ctx, func.value)
             ):
-                yield ctx.finding(
-                    self.code,
-                    node,
-                    f"`{self.singleton}.{node.func.attr}(...)` is not inside "
-                    f"an `if {self.singleton}.enabled:` guard; "
-                    f"{self.consequence}",
-                )
-            elif (
-                isinstance(node.func, ast.Name)
-                and node.func.id in self.guarded_functions
-            ):
-                yield ctx.finding(
-                    self.code,
-                    node,
-                    f"`{node.func.id}(...)` is not inside an "
-                    f"`if {self.singleton}.enabled:` guard; "
-                    f"{self.consequence}",
-                )
+                touched = f"{self.singleton}.{func.attr}"
+            elif isinstance(func, ast.Name) and func.id in self.guarded_functions:
+                touched = func.id
+            else:
+                module, _, touched = (ctx.imports.resolve(func) or "").rpartition(".")
+                if touched not in self.guarded_functions or module not in _HEALTH_MODULES:
+                    continue
+            yield ctx.finding(
+                self.code,
+                node,
+                f"`{touched}(...)` is not inside an "
+                f"`if {self.singleton}.enabled:` guard; {self.consequence}",
+            )
 
 
 class ObsTouchpointsGuarded(_TouchpointsGuarded):
@@ -312,3 +350,67 @@ class ProfiledSitesUnique(Rule):
 
     def finish(self) -> Iterator[Finding]:
         yield from self._dupes
+
+
+class SwitchesConfined(Rule):
+    """OBS006: runtime switches flip only in repro.obs and repro.cli."""
+
+    code = "OBS006"
+    summary = (
+        "OBS/FREC/LEDGER .enable()/.disable()/.reset() calls and attribute "
+        "stores belong to repro.obs and repro.cli; worker state crosses "
+        "processes only through the repro.obs.bridge seam"
+    )
+
+    def check(self, ctx: FileContext) -> Iterator[Finding]:
+        if not ctx.in_library or any(
+            ctx.in_package(pkg) for pkg in ("repro.obs", "repro.cli")
+        ):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = ctx.imports.resolve(node.func.value)
+                if owner not in _SWITCH_QUALS or node.func.attr not in _SWITCH_METHODS:
+                    continue
+                what = f"`{owner}.{node.func.attr}()`"
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                owners = [_store_owner(ctx, t) for t in _store_targets(node)]
+                owner = next((o for o in owners if o is not None), None)
+                if owner is None:
+                    continue
+                what = f"store through `{owner}`"
+            else:
+                continue
+            yield ctx.finding(
+                self.code,
+                node,
+                f"{what} flips a global observability runtime outside "
+                "repro.obs and repro.cli; worker state may only cross "
+                "processes through the repro.obs.bridge capture/merge seam",
+            )
+
+
+def _store_targets(node: ast.Assign | ast.AugAssign | ast.AnnAssign) -> list[ast.expr]:
+    """The store targets of an assignment, tuple/list unpacking flattened."""
+    stack: list[ast.expr] = (
+        list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+    )
+    out: list[ast.expr] = []
+    while stack:
+        target = stack.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            stack.extend(target.elts)
+        else:
+            out.append(target)
+    return out
+
+
+def _store_owner(ctx: FileContext, target: ast.expr) -> str | None:
+    """The runtime singleton a store to ``target`` writes into, if any."""
+    node: ast.expr = target
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        node = node.value
+        qual = ctx.imports.resolve(node)
+        if qual in _SWITCH_QUALS:
+            return qual
+    return None

@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     strat.add_argument(
         "--warm", dest="warm", action="store_true", default=None,
         help="keep the benefit engine warm across epochs "
-             "(undo only the failed rows; default, see REPRO_RESTORE)",
+             "(undo only the failed rows; the default)",
     )
     strat.add_argument(
         "--cold", dest="warm", action="store_false",
@@ -381,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser(
         "check",
-        help="run every static gate: flow, lint, typing, mypy, bench",
+        help="run every static gate: lint, typing, mypy, bench",
     )
     p_chk.add_argument(
         "--output", choices=["text", "json", "sarif"], default="text",
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chk.add_argument(
         "--skip", action="append", default=[], metavar="GATE",
-        choices=["flow", "lint", "typing", "mypy", "bench"],
+        choices=["lint", "typing", "mypy", "bench"],
         help="skip a gate (repeatable; e.g. --skip bench for pre-commit)",
     )
 
@@ -405,6 +405,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--run", type=int, default=1, metavar="N",
                        help="run block to render with --timeline (default 1)")
     return parser
+
+
+def _validate_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range flag values before any work starts."""
+    workers = getattr(args, "workers", None)
+    if workers is not None and workers < 0:
+        raise ConfigurationError(f"--workers must be >= 0, got {workers}")
+    radius = getattr(args, "disaster_radius", None)
+    if radius is not None and not radius > 0:
+        raise ConfigurationError(f"--disaster-radius must be > 0, got {radius:g}")
+    epochs = getattr(args, "epochs", None)
+    if epochs is not None and epochs < 1:
+        raise ConfigurationError(f"--epochs must be >= 1, got {epochs}")
 
 
 def _setup_from_args(args: argparse.Namespace) -> ExperimentSetup:
@@ -521,8 +534,6 @@ def _cmd_summary(args: argparse.Namespace, row: _LedgerRow) -> int:
 
 
 def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
-    if args.epochs < 1:
-        raise ConfigurationError(f"--epochs must be >= 1, got {args.epochs}")
     planner = DecorPlanner(
         Rect.square(args.side),
         SensorSpec(args.rs, args.rc),
@@ -533,7 +544,9 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
         result = planner.deploy(
             args.k, method=args.method, cell_size=args.cell_size
         )
-    radius = args.disaster_radius or 0.24 * args.side
+    radius = (
+        0.24 * args.side if args.disaster_radius is None else args.disaster_radius
+    )
     print(f"deployed           : {result.total_alive} nodes (k={args.k}, "
           f"{args.method})")
     if args.epochs == 1 and args.warm is None:
@@ -552,7 +565,7 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
         from repro.experiments.epochs import epoch_failure
 
         session = planner.session(
-            result, method=args.method, warm=args.warm,
+            result, method=args.method, warm=args.warm is not False,
             cell_size=args.cell_size,
         )
         total = 0
@@ -576,12 +589,7 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
     if OBS.enabled:
         bridge_field_stats(planner.field)
     config = _planner_config(args, "restore")
-    config.update(
-        epochs=args.epochs,
-        warm=args.warm,
-        disaster_radius=radius,
-        restore_mode=os.environ.get("REPRO_RESTORE", "warm"),
-    )
+    config.update(epochs=args.epochs, warm=args.warm, disaster_radius=radius)
     row.declare("restore", f"restore-{args.method}-k{args.k}", config)
     return 0
 
@@ -958,6 +966,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(raw)
     try:
+        _validate_args(args)
         with _recording(args, raw) as row:
             return _dispatch(args, row)
     except ReproError as exc:

@@ -31,7 +31,6 @@ from repro.core.redundancy import redundant_nodes, redundancy_fraction
 from repro.core.restoration import (
     RestorationReport,
     RestorationSession,
-    default_restore_strategy,
     restore,
 )
 from repro.core.planner import DecorPlanner, METHODS, run_method
@@ -70,7 +69,6 @@ __all__ = [
     "restore",
     "RestorationReport",
     "RestorationSession",
-    "default_restore_strategy",
     "DecorPlanner",
     "METHODS",
     "run_method",

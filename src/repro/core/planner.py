@@ -214,16 +214,16 @@ class DecorPlanner:
         result: DeploymentResult,
         method: str = "voronoi",
         *,
-        warm: bool | None = None,
+        warm: bool = True,
         cell_size: float | None = None,
         max_nodes: int | None = None,
     ) -> RestorationSession:
         """A :class:`RestorationSession` maintaining ``result``'s network.
 
         The session shares the planner's field model, region and RNG; in
-        warm mode (the default, see ``REPRO_RESTORE``) its benefit engine
-        persists across failure epochs so each repair re-examines only the
-        damaged region.
+        warm mode (the default; ``warm=False`` is the paper's cold loop) its
+        benefit engine persists across failure epochs so each repair
+        re-examines only the damaged region.
         """
         return RestorationSession(
             self.field,

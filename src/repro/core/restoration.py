@@ -26,14 +26,13 @@ byte-equality of deployments, figure payloads and flight-recorder streams
 across epochs; the runtime sanitizer additionally cross-checks warm state
 against a cold rebuild every epoch when ``REPRO_CHECKS=1``).
 
-The ``warm=`` parameter overrides the ``REPRO_RESTORE`` environment
-variable (``"warm"``, the default, or ``"cold"``).
+Sessions are warm by default; ``warm=False`` selects the paper's
+rebuild-every-epoch loop.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,28 +53,9 @@ from repro.obs import FREC, OBS, record_coverage_health
 __all__ = [
     "RestorationReport",
     "RestorationSession",
-    "default_restore_strategy",
     "restore",
     "coverage_after_failure",
 ]
-
-#: Valid values of ``REPRO_RESTORE`` / the session ``warm=`` selection.
-_RESTORE_STRATEGIES = ("warm", "cold")
-
-
-def default_restore_strategy() -> str:
-    """Session-wide default restoration strategy (env-overridable).
-
-    Reads ``REPRO_RESTORE`` (``"warm"`` or ``"cold"``, default ``"warm"``).
-    """
-    value = os.environ.get("REPRO_RESTORE", "warm")
-    if value not in _RESTORE_STRATEGIES:
-        raise ExperimentError(
-            f"REPRO_RESTORE must be one of {_RESTORE_STRATEGIES}, "
-            f"got {value!r}"
-        )
-    return value
-
 
 @dataclass(frozen=True)
 class RestorationReport:
@@ -246,8 +226,8 @@ class RestorationSession:
     method:
         Repair method name from :data:`repro.core.planner.METHODS`.
     warm:
-        ``True``/``False`` select the strategy explicitly; ``None`` (the
-        default) reads ``REPRO_RESTORE`` (default ``"warm"``).
+        ``True`` (the default) keeps one benefit engine across epochs;
+        ``False`` rebuilds all placement state each epoch.
     region, rng, cell_size:
         Method parameters, validated eagerly (``"grid"`` needs ``region``
         and ``cell_size``; ``"random"`` needs ``rng``).
@@ -280,7 +260,7 @@ class RestorationSession:
         k: int,
         method: str = "voronoi",
         *,
-        warm: bool | None = None,
+        warm: bool = True,
         region: Rect | None = None,
         rng: np.random.Generator | None = None,
         cell_size: float | None = None,
@@ -296,8 +276,6 @@ class RestorationSession:
             raise ConfigurationError("grid restoration needs region= and cell_size=")
         if method == "random" and rng is None:
             raise ConfigurationError("random restoration needs rng=")
-        if warm is None:
-            warm = default_restore_strategy() == "warm"
         self._field = as_field_model(field_points)
         self._spec = spec
         self._k = int(k)

@@ -159,7 +159,7 @@ def run_epoch_sweep(
     seed: int,
     *,
     epochs: int = 3,
-    warm: bool | None = None,
+    warm: bool = True,
     cache: DeploymentCache | None = None,
 ) -> EpochSweepResult:
     """Deploy one series and survive ``epochs`` failure/repair cycles.
@@ -168,7 +168,7 @@ def run_epoch_sweep(
     :class:`~repro.experiments.runner.DeploymentCache` (same cell the
     figures use), then a :class:`~repro.core.restoration.RestorationSession`
     repairs the scheduled failures of :func:`epoch_failure` one epoch at a
-    time.  ``warm=None`` defers to ``REPRO_RESTORE``.
+    time, warm by default (``warm=False`` rebuilds every epoch).
     """
     if epochs < 1:
         raise ExperimentError(f"need at least one epoch, got {epochs}")
@@ -223,7 +223,7 @@ def epoch_series(
     k: int,
     *,
     epochs: int = 3,
-    warm: bool | None = None,
+    warm: bool = True,
     cache: DeploymentCache | None = None,
     series_names: tuple[str, ...] | None = None,
 ) -> FigureResult:

@@ -94,14 +94,23 @@ class ExperimentSetup:
     disaster_radius_fraction: float = 0.24  # radius 24 on the 100-side field
 
     def __post_init__(self) -> None:
-        if self.field_side <= 0 or self.n_points < 1 or self.rs <= 0:
-            raise ConfigurationError("invalid field parameters")
-        if self.rc_small < self.rs or self.rc_big < self.rs:
-            raise ConfigurationError("communication radii must be >= rs")
-        if self.n_seeds < 1 or self.n_initial < 0:
-            raise ConfigurationError("invalid run parameters")
+        for name, bad, rule in (
+            ("field_side", not self.field_side > 0, "> 0"),
+            ("n_points", self.n_points < 1, ">= 1"),
+            ("rs", not self.rs > 0, "> 0"),
+            ("rc_small", not self.rc_small >= self.rs, f">= rs ({self.rs:g})"),
+            ("rc_big", not self.rc_big >= self.rs, f">= rs ({self.rs:g})"),
+            ("n_seeds", self.n_seeds < 1, ">= 1"),
+            ("n_initial", self.n_initial < 0, ">= 0"),
+        ):
+            if bad:
+                raise ConfigurationError(
+                    f"{name} must be {rule}, got {getattr(self, name)!r}"
+                )
         if not self.k_values or min(self.k_values) < 1:
-            raise ConfigurationError("k_values must be positive")
+            raise ConfigurationError(
+                f"k_values must be non-empty and >= 1, got {self.k_values!r}"
+            )
 
     # ------------------------------------------------------------------
     @classmethod

@@ -17,9 +17,8 @@ This module is also the *only* sanctioned seam between
 singleton: a worker process wraps its work in :class:`capture_worker_obs`
 and ships the resulting payload back; the parent folds it in with
 :func:`merge_worker_obs`.  Keeping the OBS mutation here (where obs owns
-its own state) is what lets the PAR001 flow check (and its
-interprocedural closure FLOW002 in :mod:`repro.checks.flow`) forbid it
-everywhere in ``repro.parallel`` itself.
+its own state) is what lets lint rule OBS006 forbid switching the
+runtimes anywhere in the library outside :mod:`repro.obs` and the CLI.
 """
 
 from __future__ import annotations

@@ -136,7 +136,6 @@ CAPTURED_ENV_VARS: tuple[str, ...] = (
     "REPRO_CHECKS",
     "REPRO_FIELD_BACKEND",
     "REPRO_OBS",
-    "REPRO_RESTORE",
     "REPRO_SCALE",
 )
 

@@ -23,15 +23,15 @@ Design rules, each load-bearing for reproducibility:
 * **Per-worker state.**  Each worker owns a private ``DeploymentCache``;
   only read-only shared-memory array views are shared.
 * **No hidden randomness.**  Workers derive every stochastic choice
-  from the cell's seed, exactly as the serial path does.  The PAR001
-  flow check forbids un-seeded RNG construction anywhere in this
-  package, and FLOW002 (:mod:`repro.checks.flow`) extends the ban down
-  the whole call tree of every worker-submitted function.
+  from the cell's seed, exactly as the serial path does.  The linter's
+  DET001 forbids un-seeded RNG construction, and DET002 wall-clock
+  reads, in every library module, so in every function a worker can
+  reach.
 * **OBS by seam only.**  Workers capture their telemetry through
   :class:`~repro.obs.bridge.capture_worker_obs` and the parent folds it
-  in with :func:`~repro.obs.bridge.merge_worker_obs`; this package
-  never enables, disables or resets the global runtime itself (also
-  PAR001).
+  in with :func:`~repro.obs.bridge.merge_worker_obs`; no library code
+  outside :mod:`repro.obs` and :mod:`repro.cli` enables, disables or
+  resets the global runtimes (lint rule OBS006).
 
 Serial semantics are the default: ``workers=None`` (or ``<= 1``, or a
 single pending cell) runs in-process with no executor, so the parallel

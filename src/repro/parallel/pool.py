@@ -21,10 +21,10 @@ per-batch executor, each attacking a measured cost:
   and the merge order (hence every figure byte and telemetry stream)
   is identical to a serial run.
 
-The reproducibility rules of the original module are unchanged and
-still enforced by PAR001/FLOW002: deterministic submission-order merge,
-per-worker private caches, no hidden randomness, worker OBS state moves
-only through the :mod:`repro.obs.bridge` seam.
+The reproducibility rules of the original module are unchanged:
+deterministic submission-order merge, per-worker private caches, no
+hidden randomness (lint rules DET001/DET002), worker OBS state moves
+only through the :mod:`repro.obs.bridge` seam (lint rule OBS006).
 """
 
 from __future__ import annotations

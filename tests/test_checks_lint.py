@@ -5,17 +5,31 @@ suppression machinery (``# checks: ignore[CODE]``) is tested for matched,
 unused and unknown codes.  Snippets are written into a ``src/repro/...``
 layout under ``tmp_path`` so module-scoped rules (DET002, OBS001, OBS002)
 see them as library code.
+
+Multi-module fixtures (a clock read three frames below a worker, an
+unguarded touchpoint inside a helper, a switch flipped by a helper a
+worker calls) pin the contract that every violation is reported at its
+own source line, however far up the call chain its callers sit.
 """
 
 from __future__ import annotations
 
+import ast
+import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.checks.lint import ALL_RULES, SUPPRESSION_RULE, lint_paths
 from repro.checks.lint.__main__ import main as lint_main
-from repro.checks.lint.framework import iter_python_files, module_name_for
+from repro.checks.lint.framework import (
+    iter_python_files,
+    module_name_for,
+    parse_suppressions,
+)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _write(tmp_path, code, *, library=True, name="fixture_mod.py"):
@@ -36,6 +50,32 @@ def _codes(findings):
 def lint_snippet(tmp_path, code, **kwargs):
     _write(tmp_path, code, **kwargs)
     return lint_paths([tmp_path])
+
+
+def lint_tree(tmp_path, files):
+    """Materialise {relpath: code} under src/repro/ and lint the tree."""
+    for rel, code in files.items():
+        path = tmp_path / "src" / "repro" / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(code), encoding="utf-8")
+    return lint_paths([tmp_path])
+
+
+def _located(tmp_path, findings):
+    """(path under src/repro, line, code) of each finding."""
+    root = tmp_path / "src" / "repro"
+    return [
+        (Path(f.path).relative_to(root).as_posix(), f.line, f.rule)
+        for f in findings
+    ]
+
+
+def _line_of(code, needle):
+    """1-based line of the only line of dedented ``code`` holding ``needle``."""
+    lines = textwrap.dedent(code).splitlines()
+    hits = [i + 1 for i, line in enumerate(lines) if needle in line]
+    assert len(hits) == 1, (needle, hits)
+    return hits[0]
 
 
 # ----------------------------------------------------------------------
@@ -98,6 +138,87 @@ class TestDet001:
         )
         assert _codes(findings) == ["DET001"]
 
+    PARALLEL_UNSEEDED = {
+        "numpy.random.default_rng": """
+            import numpy as np
+
+            def jitter():
+                return np.random.default_rng().random()
+            """,
+        "random.Random": """
+            from random import Random
+
+            def jitter():
+                return Random().random()
+            """,
+        "numpy.random.SeedSequence": """
+            import numpy as np
+
+            def spawn():
+                return np.random.SeedSequence().spawn(2)
+            """,
+    }
+
+    @pytest.mark.parametrize("qual", sorted(PARALLEL_UNSEEDED))
+    def test_unseeded_constructor_flagged(self, tmp_path, qual):
+        code = self.PARALLEL_UNSEEDED[qual]
+        findings = lint_tree(tmp_path, {"parallel/__init__.py": code})
+        assert _located(tmp_path, findings) == [
+            ("parallel/__init__.py", _line_of(code, "()."), "DET001")
+        ]
+        assert f"un-seeded `{qual}()`" in findings[0].message
+
+    def test_unseeded_constructor_flagged_in_any_module(self, tmp_path):
+        # the contract holds in every module, not only in repro.parallel
+        code = self.PARALLEL_UNSEEDED["numpy.random.default_rng"]
+        findings = lint_tree(tmp_path, {"elsewhere.py": code})
+        assert _located(tmp_path, findings) == [
+            ("elsewhere.py", _line_of(code, "()."), "DET001")
+        ]
+
+    def test_seeded_rng_clean(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "parallel/__init__.py": """
+                from random import Random
+
+                import numpy as np
+
+                def sample(seed):
+                    return np.random.default_rng(seed).random()
+
+                def sample_kw(seed):
+                    return np.random.default_rng(seed=seed).random()
+
+                def spawn(seed):
+                    return np.random.SeedSequence(seed).spawn(2), Random(seed)
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_seeded_worker_tree_clean(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "parallel/__init__.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                import numpy as np
+
+                def _worker(cell):
+                    rng = np.random.default_rng(cell)
+                    return rng.random()
+
+                def sweep(cells):
+                    with ProcessPoolExecutor() as pool:
+                        return [pool.submit(_worker, c) for c in cells]
+                """,
+            },
+        )
+        assert findings == []
+
 
 # ----------------------------------------------------------------------
 # DET002 - wall clock / entropy in library code
@@ -151,6 +272,169 @@ class TestDet002:
             tmp_path, self.VIOLATION, library=False, name="bench_helper.py"
         )
         assert findings == []
+
+    UTIL = """
+    import time
+
+    def now():
+        return time.time()
+    """
+
+    def test_clock_read_flagged_at_source_not_at_callers(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "util.py": self.UTIL,
+                "core/__init__.py": """
+                from repro.util import now
+
+                def select(xs):
+                    return now() + len(xs)
+
+                def wrapper(xs):
+                    return select(xs)
+                """,
+            },
+        )
+        assert _located(tmp_path, findings) == [
+            ("util.py", _line_of(self.UTIL, "time.time()"), "DET002")
+        ]
+
+    def test_clean_protected_package(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "core/__init__.py": """
+                def select(xs):
+                    return sorted(xs)[0]
+                """,
+            },
+        )
+        assert findings == []
+
+    LEVELS = """
+    import time
+
+    def level3():
+        return time.time()
+
+    def level2():
+        return level3() + 1.0
+
+    def level1():
+        return level2() * 2.0
+    """
+
+    def test_clock_three_frames_below_submit_flagged_at_source(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "util.py": self.LEVELS,
+                "parallel/__init__.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                from repro.util import level1
+
+                def _worker(cell):
+                    return level1() + cell
+
+                def sweep(cells):
+                    with ProcessPoolExecutor() as pool:
+                        futs = [pool.submit(_worker, c) for c in cells]
+                    return [f.result() for f in futs]
+                """,
+            },
+        )
+        assert _located(tmp_path, findings) == [
+            ("util.py", _line_of(self.LEVELS, "time.time()"), "DET002")
+        ]
+        assert "time.time" in findings[0].message
+
+
+# ----------------------------------------------------------------------
+# DET003 - set iteration in library code
+# ----------------------------------------------------------------------
+class TestDet003:
+    def test_set_iteration_flagged(self, tmp_path):
+        code = """
+        def tally(xs):
+            seen = set(xs)
+            total = 0
+            for x in seen:
+                total += x
+            return total
+        """
+        findings = lint_tree(tmp_path, {"pure.py": code})
+        assert _located(tmp_path, findings) == [
+            ("pure.py", _line_of(code, "for x in seen"), "DET003")
+        ]
+        assert "seen" in findings[0].message
+
+    def test_comprehension_over_set_literal_flagged(self, tmp_path):
+        code = """
+        def names():
+            return [n for n in {"b", "a"}]
+        """
+        findings = lint_tree(tmp_path, {"pure.py": code})
+        assert _located(tmp_path, findings) == [
+            ("pure.py", _line_of(code, "for n in"), "DET003")
+        ]
+
+    def test_sorted_set_iteration_clean(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "pure.py": """
+                def tally(xs):
+                    seen = set(xs)
+                    return [x for x in sorted(seen)]
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_effectful_function_flagged(self, tmp_path):
+        # set order leaks into output as surely as into results
+        code = """
+        def dump(xs):
+            seen = set(xs)
+            for x in seen:
+                print(x)
+        """
+        findings = lint_tree(tmp_path, {"io_mod.py": code})
+        assert _located(tmp_path, findings) == [
+            ("io_mod.py", _line_of(code, "for x in seen"), "DET003")
+        ]
+
+    def test_dict_iteration_exempt(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "pure.py": """
+                def tally(d):
+                    total = 0
+                    for k in d:
+                        total += d[k]
+                    return total
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_suppression_silences_finding(self, tmp_path):
+        marker = "  # checks: ignore[DET003]"
+        code = f"""
+        def tally(xs):
+            seen = set(xs)
+            return [x for x in seen]{marker}
+        """
+        # a matched suppression leaves nothing, not even SUP001
+        assert lint_tree(tmp_path, {"pure.py": code}) == []
+        bare = code.replace(marker, "")
+        findings = lint_tree(tmp_path, {"pure.py": bare})
+        assert _located(tmp_path, findings) == [
+            ("pure.py", _line_of(bare, "for x in seen"), "DET003")
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +622,80 @@ class TestObs001:
         )
         assert findings == []
 
+    LIB = """
+    from repro.obs import OBS
+
+    def emit_hit():
+        OBS.event("hit")
+
+    def bad_caller():
+        emit_hit()
+
+    def good_caller():
+        if OBS.enabled:
+            emit_hit()
+    """
+
+    def test_unguarded_helper_flagged_at_touchpoint(self, tmp_path):
+        findings = lint_tree(tmp_path, {"lib.py": self.LIB})
+        assert _located(tmp_path, findings) == [
+            ("lib.py", _line_of(self.LIB, 'OBS.event("hit")'), "OBS001")
+        ]
+
+    def test_aliased_receiver_resolved(self, tmp_path):
+        code = """
+        from repro.obs import OBS as TELEMETRY
+
+        def f():
+            TELEMETRY.event("hit")
+            if TELEMETRY.enabled:
+                TELEMETRY.counter("x").inc()
+        """
+        findings = lint_tree(tmp_path, {"lib.py": code})
+        assert _located(tmp_path, findings) == [
+            ("lib.py", _line_of(code, 'TELEMETRY.event("hit")'), "OBS001")
+        ]
+
+
+# ----------------------------------------------------------------------
+# what counts as a guard (shared by OBS001/OBS003/OBS004/OBS005)
+# ----------------------------------------------------------------------
+class TestGuardForms:
+    FORMS = {
+        "or-with-guard": (
+            "if verbose or OBS.enabled:\n    OBS.counter('x').inc()",
+            ["OBS001"],
+        ),
+        "enabled-is-false": (
+            "if OBS.enabled is False:\n    OBS.counter('x').inc()",
+            ["OBS001"],
+        ),
+        "other-runtime-guard": (
+            "if FREC.enabled or OBS.enabled:\n    FREC.emit('e', 0, t=0.0)",
+            ["OBS003"],
+        ),
+        "and-with-guard": (
+            "if OBS.enabled and verbose:\n    OBS.counter('x').inc()",
+            [],
+        ),
+        "or-early-exit": (
+            "if not OBS.enabled or verbose:\n    return\n"
+            "OBS.counter('x').inc()",
+            [],
+        ),
+    }
+
+    @pytest.mark.parametrize("form", list(FORMS))
+    def test_only_real_guards_guard(self, tmp_path, form):
+        body, expected = self.FORMS[form]
+        code = (
+            "from repro.obs import FREC, OBS\n\n\ndef f(verbose):\n"
+            + textwrap.indent(body, "    ")
+            + "\n"
+        )
+        findings = lint_tree(tmp_path, {"lib.py": code})
+        assert _codes(findings) == expected
+
 
 # ----------------------------------------------------------------------
 # OBS004 - guarded telemetry touchpoints
@@ -366,6 +724,20 @@ class TestObs004:
             """,
         )
         assert _codes(findings) == ["OBS004"]
+
+    def test_health_helper_resolved_through_module_alias(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            from repro.obs import health
+            from repro.obs.health import record_energy_health as energy
+
+            def f(coverage, k, profile, stats):
+                health.record_coverage_health(coverage, k)
+                energy(profile, stats)
+            """,
+        )
+        assert _codes(findings) == ["OBS004", "OBS004"]
 
     def test_guarded_telemetry_clean(self, tmp_path):
         findings = lint_snippet(
@@ -639,6 +1011,184 @@ class TestObs003:
 
 
 # ----------------------------------------------------------------------
+# OBS006 - runtime switches flipped only in repro.obs and repro.cli
+# ----------------------------------------------------------------------
+class TestObs006:
+    def test_obs_mutation_below_worker_flagged(self, tmp_path):
+        helpers = """
+        from repro.obs import OBS
+
+        def switch_on():
+            OBS.enable()
+        """
+        findings = lint_tree(
+            tmp_path,
+            {
+                "helpers.py": helpers,
+                "parallel/__init__.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                from repro.helpers import switch_on
+
+                def _worker(cell):
+                    switch_on()
+                    return cell
+
+                def sweep(cells):
+                    with ProcessPoolExecutor() as pool:
+                        return [pool.submit(_worker, c) for c in cells]
+                """,
+            },
+        )
+        assert _located(tmp_path, findings) == [
+            ("helpers.py", _line_of(helpers, "OBS.enable()"), "OBS006")
+        ]
+        assert "bridge" in findings[0].message
+
+    def test_obs_mutator_calls_flagged(self, tmp_path):
+        code = """
+        from repro.obs import OBS
+        from repro.obs.flightrec import FREC as RECORDER
+
+        def worker():
+            OBS.disable()
+            RECORDER.reset()
+        """
+        findings = lint_tree(tmp_path, {"parallel/__init__.py": code})
+        assert _located(tmp_path, findings) == [
+            ("parallel/__init__.py", _line_of(code, "OBS.disable()"), "OBS006"),
+            ("parallel/__init__.py", _line_of(code, "RECORDER.reset()"), "OBS006"),
+        ]
+        assert "repro.obs.flightrec.FREC.reset()" in findings[1].message
+
+    def test_obs_attribute_store_flagged(self, tmp_path):
+        code = """
+        from repro.obs import LEDGER, OBS
+
+        def worker(saved):
+            OBS.enabled = True
+            OBS.enabled, LEDGER.enabled = saved
+        """
+        findings = lint_tree(tmp_path, {"parallel/__init__.py": code})
+        assert _located(tmp_path, findings) == [
+            ("parallel/__init__.py", _line_of(code, "= True"), "OBS006"),
+            ("parallel/__init__.py", _line_of(code, "= saved"), "OBS006"),
+        ]
+
+    def test_checks_enable_in_worker_initializer_clean(self, tmp_path):
+        findings = lint_tree(
+            tmp_path,
+            {
+                "parallel/pool.py": """
+                from concurrent.futures import ProcessPoolExecutor
+
+                from repro.checks import CHECKS
+
+                def _worker_init(checks_on):
+                    if checks_on:
+                        CHECKS.enable()
+
+                def make_pool(checks_on):
+                    return ProcessPoolExecutor(
+                        initializer=_worker_init, initargs=(checks_on,)
+                    )
+                """,
+            },
+        )
+        assert findings == []
+
+    @pytest.mark.parametrize("module", ["obs/bridge.py", "cli.py"])
+    def test_switch_owners_exempt(self, tmp_path, module):
+        findings = lint_tree(
+            tmp_path,
+            {
+                module: """
+                from repro.obs import FREC, LEDGER, OBS
+
+                def session(saved):
+                    OBS.enable(fresh=True)
+                    FREC.reset()
+                    OBS.enabled, LEDGER.enabled = saved
+                """,
+            },
+        )
+        assert findings == []
+
+    def test_non_library_exempt(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            from repro.obs import OBS
+            OBS.enable()
+            OBS.enabled = False
+            """,
+            library=False,
+            name="test_switches.py",
+        )
+        assert findings == []
+
+
+# ----------------------------------------------------------------------
+# the real worker entry points
+# ----------------------------------------------------------------------
+class TestWorkerEntryPoints:
+    """Worker purity rests on the rules' scope, not on reachability.
+
+    The functions the pool runs in worker processes are clean as shipped,
+    and a clock read, an un-seeded RNG or a switch flip planted in any of
+    them is flagged at the planted line.
+    """
+
+    ENTRY_POINTS = {
+        "parallel/pool.py": ("_worker_init", "_worker_run_chunk"),
+        "parallel/shm.py": ("attach_array",),
+    }
+    PLANTED = {
+        "DET001": ("import numpy", "numpy.random.default_rng().random()"),
+        "DET002": ("import time", "time.time()"),
+        "OBS006": ("from repro.obs import OBS", "OBS.enable()"),
+    }
+
+    @staticmethod
+    def _plant(source, func, lines):
+        """``source`` with ``lines`` opening ``func``'s body; 1-based line."""
+        tree = ast.parse(source)
+        node = next(
+            n for n in tree.body
+            if isinstance(n, ast.FunctionDef) and n.name == func
+        )
+        body = node.body
+        first = body[1] if ast.get_docstring(node) is not None else body[0]
+        indent = " " * first.col_offset
+        src_lines = source.splitlines()
+        at = first.lineno - 1
+        src_lines[at:at] = [indent + line for line in lines]
+        return "\n".join(src_lines) + "\n", first.lineno + len(lines) - 1
+
+    def test_real_parallel_workers_are_pure(self, tmp_path):
+        real = {
+            rel: (REPO / "src" / "repro" / rel).read_text(encoding="utf-8")
+            for rel in self.ENTRY_POINTS
+        }
+        findings = lint_paths([REPO / "src" / "repro" / rel for rel in real])
+        assert findings == [], "\n".join(f.render() for f in findings)
+        for rel, funcs in self.ENTRY_POINTS.items():
+            for func in funcs:
+                for code, lines in self.PLANTED.items():
+                    planted, line = self._plant(real[rel], func, lines)
+                    case = tmp_path / f"{func}_{code}"
+                    path = case / "src" / "repro" / rel
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_text(planted, encoding="utf-8")
+                    located = [
+                        (Path(f.path).relative_to(case / "src" / "repro")
+                         .as_posix(), f.line, f.rule)
+                        for f in lint_paths([case])
+                    ]
+                    assert located == [(rel, line, code)], (func, code)
+
+
+# ----------------------------------------------------------------------
 # API001 - exact float equality on coordinates/benefits
 # ----------------------------------------------------------------------
 class TestApi001:
@@ -818,8 +1368,83 @@ class TestFramework:
 
     def test_repo_src_is_clean(self):
         """The shipped tree must satisfy its own linter (no baselines)."""
-        import pathlib
-
-        repo = pathlib.Path(__file__).resolve().parent.parent
-        findings = lint_paths([repo / "src"])
+        findings = lint_paths([REPO / "src"])
         assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_cli_repo_tree_is_clean(self, monkeypatch, capsys):
+        """The CI gate: the lint CLI over every tree it covers exits 0."""
+        monkeypatch.chdir(REPO)
+        code = lint_main(["src", "tests", "benchmarks", "tools"])
+        assert code == 0, capsys.readouterr().out
+
+    def test_repo_src_carries_no_suppressions(self):
+        """No `# checks: ignore` in src/repro: a clean lint means no finding."""
+        suppressed = {
+            str(path.relative_to(REPO)): found
+            for path in iter_python_files([REPO / "src" / "repro"])
+            if (found := parse_suppressions(path.read_text(encoding="utf-8")))
+        }
+        assert suppressed == {}
+
+
+# ----------------------------------------------------------------------
+# decor check aggregate
+# ----------------------------------------------------------------------
+class TestAggregate:
+    def test_gate_rendering_and_skip(self):
+        from repro.checks.aggregate import (
+            GateResult,
+            overall_ok,
+            render_json,
+            render_sarif,
+            render_text,
+        )
+        from repro.checks.lint.framework import Finding
+
+        results = [
+            GateResult(
+                name="lint",
+                ok=False,
+                skipped=False,
+                detail="1 finding(s)",
+                findings=[
+                    Finding(
+                        path="src/repro/x.py",
+                        line=3,
+                        col=1,
+                        rule="DET001",
+                        message="legacy RNG",
+                    )
+                ],
+            ),
+            GateResult(name="bench", ok=True, skipped=True, detail="skipped"),
+        ]
+        assert not overall_ok(results)
+        text = render_text(results)
+        assert "FAIL" in text and "DET001" in text
+        payload = json.loads(render_json(results))
+        assert payload["ok"] is False
+        assert payload["gates"][0]["findings"][0]["rule"] == "DET001"
+        sarif = json.loads(render_sarif(results))
+        assert sarif["version"] == "2.1.0"
+        result = sarif["runs"][0]["results"][0]
+        assert result["ruleId"] == "DET001"
+        region = result["locations"][0]["physicalLocation"]["region"]
+        assert region["startLine"] == 3
+        ids = {r["id"] for r in sarif["runs"][0]["tool"]["driver"]["rules"]}
+        assert {"DET003", "OBS006", SUPPRESSION_RULE} <= ids
+        assert not any(i.startswith("FLOW") for i in ids)
+
+    def test_cli_check_command_wired(self, monkeypatch, capsys):
+        from repro.cli import main as cli_main
+
+        monkeypatch.chdir(REPO)
+        code = cli_main(
+            ["check", "--skip", "bench", "--skip", "mypy", "--skip",
+             "typing", "--output", "json"]
+        )
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert payload["ok"] is True
+        names = [g["name"] for g in payload["gates"]]
+        assert names == ["lint", "typing", "mypy", "bench"]

@@ -104,6 +104,29 @@ class TestSummaryRestoreLifetime:
         assert "shift rotation" in out
 
 
+_SMALL_RESTORE = ["restore", "--k", "1", "--side", "25", "--points", "150"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "names"),
+    [
+        (["figure", "8", "--workers", "-1"], "--workers"),
+        (["summary", "--workers", "-2"], "--workers"),
+        ([*_SMALL_RESTORE, "--disaster-radius", "0"], "--disaster-radius"),
+        ([*_SMALL_RESTORE, "--disaster-radius", "-3"], "--disaster-radius"),
+        (["figure", "8", "--seeds", "0"], "n_seeds"),
+    ],
+    ids=["figure-workers", "summary-workers", "radius-zero", "radius-negative",
+         "seeds-zero"],
+)
+def test_invalid_inputs_rejected_before_work(argv, names, capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_SCALE", "smoke")
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert names in err
+    assert "deployed" not in out
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,7 +17,7 @@ import pytest
 
 from repro.checks import CHECKS
 from repro.core import BenefitEngine, DecorPlanner, centralized_greedy, restore
-from repro.core.restoration import RestorationSession, default_restore_strategy
+from repro.core.restoration import RestorationSession
 from repro.errors import (
     ConfigurationError,
     CoverageError,
@@ -130,7 +130,7 @@ class TestWarmEqualsCold:
     def test_epoch_counter_and_views(self):
         planner = _planner()
         result = planner.deploy(1, method="voronoi")
-        session = planner.session(result, method="voronoi", warm=True)
+        session = planner.session(result, method="voronoi")  # warm by default
         assert (session.epoch, session.warm, session.method) == (0, True, "voronoi")
         assert session.engine is not None
         _drive(session, planner.region, epochs=2)
@@ -299,25 +299,6 @@ class TestBudgetTolerance:
         )
         assert report.complete
         assert report.covered_after_repair == pytest.approx(1.0)
-
-
-class TestRestoreStrategyEnv:
-    def test_default_is_warm(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESTORE", raising=False)
-        assert default_restore_strategy() == "warm"
-
-    @pytest.mark.parametrize("value,expect", [("warm", True), ("cold", False)])
-    def test_env_selects_session_mode(self, value, expect, monkeypatch):
-        monkeypatch.setenv("REPRO_RESTORE", value)
-        planner = _planner()
-        result = planner.deploy(1, method="centralized")
-        session = planner.session(result, method="centralized")
-        assert session.warm is expect
-
-    def test_invalid_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESTORE", "lukewarm")
-        with pytest.raises(ExperimentError):
-            default_restore_strategy()
 
 
 class TestSessionValidation:
