@@ -29,12 +29,12 @@ import time
 
 from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import SERIES
-from repro.obs import FREC, LEDGER, OBS
+from repro.obs import FREC, OBS
 
-# every guard site (an ``if OBS.enabled:`` block, a span context, a
-# profiled wrapper) produces at least one trace record or metric op when
-# enabled, so the enabled-run touchpoint count upper-bounds the number of
-# disabled-mode guard evaluations
+# every guard site (an ``if OBS.enabled:`` block or a span context)
+# produces at least one trace record or metric op when enabled, so the
+# enabled-run touchpoint count upper-bounds the number of disabled-mode
+# guard evaluations
 GUARDS_PER_TOUCHPOINT = 1
 MAX_DISABLED_OVERHEAD = 0.03
 
@@ -214,48 +214,5 @@ def test_sampler_disabled_overhead_within_bound(benchmark, setup):
     assert bound < MAX_DISABLED_OVERHEAD, (
         f"disabled-mode sampler overhead bound {bound:.2%} exceeds "
         f"{MAX_DISABLED_OVERHEAD:.0%} ({touchpoints} telemetry touchpoints, "
-        f"{per_guard * 1e9:.0f} ns/guard, sweep {sweep_time:.2f}s)"
-    )
-
-
-def test_ledger_disabled_overhead_within_bound(benchmark, setup):
-    """CI gate: the disabled run ledger costs < 3% of a smoke sweep.
-
-    The ledger has an order of magnitude fewer touchpoints than the
-    other pillars — a handful of ``LEDGER.stage`` contexts plus one
-    guarded ``record_run`` per *invocation*, not per cell — so the same
-    analytic bound holds with room to spare.  The touchpoint count is a
-    deliberately pessimistic constant (far above the per-invocation
-    reality) rather than a measured volume.
-    """
-    # 1. generous touchpoint allowance: real invocations enter a few
-    # stage contexts and one record_run guard; budget three per cell
-    touchpoints = 3 * len(SERIES) * len(setup.k_values)
-
-    # 2. microbenchmark the disabled path (pessimistic: the full null
-    # stage context entry/exit plus the OBS005 guard per site)
-    def guard_block(n=1000):
-        for _ in range(n):
-            with LEDGER.stage("x"):
-                pass
-            if LEDGER.enabled:  # pragma: no cover - disabled here by design
-                LEDGER.record_run("bench", "x", {})
-        return n
-
-    assert not LEDGER.enabled
-    per_guard = _best_of(guard_block, 5) / 1000.0
-
-    # 3. time the disabled sweep itself (best of 3)
-    sweep_time = _best_of(lambda: _sweep(setup), 3)
-
-    bound = touchpoints * GUARDS_PER_TOUCHPOINT * per_guard / sweep_time
-    benchmark.extra_info["ledger_touchpoints"] = touchpoints
-    benchmark.extra_info["per_guard_seconds"] = per_guard
-    benchmark.extra_info["sweep_seconds"] = sweep_time
-    benchmark.extra_info["disabled_overhead_bound"] = bound
-    benchmark.pedantic(lambda: guard_block(100), rounds=3, iterations=1)
-    assert bound < MAX_DISABLED_OVERHEAD, (
-        f"disabled-mode ledger overhead bound {bound:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} ({touchpoints} ledger touchpoints, "
         f"{per_guard * 1e9:.0f} ns/guard, sweep {sweep_time:.2f}s)"
     )

@@ -14,19 +14,18 @@ DET002    no wall-clock/entropy reads in library code outside repro.obs
 DET003    no un-sorted() set iteration in library code
 ALIAS001  no in-place mutation of FieldModel/engine cached values
 OBS001    OBS metric/event touchpoints guarded by ``if OBS.enabled:``
-OBS002    ``@profiled`` site names unique across the library
 OBS003    flight-recorder touchpoints guarded by ``if FREC.enabled:``
 OBS004    telemetry touchpoints (OBS.sample, record_*_health) guarded
-OBS005    run-ledger recording guarded by ``if LEDGER.enabled:``
-OBS006    OBS/FREC/LEDGER switches flipped only in repro.obs/repro.cli
+OBS006    OBS/FREC switches flipped only in repro.obs/repro.cli
 API001    no exact float ==/!= on coordinates or benefits
 SUP001    every ``# checks: ignore`` suppression must match a finding
 ========  ==========================================================
 
-Every rule reports at the offending line.  Worker discipline needs no
-call graph: DET001, DET002 and DET003 hold in every library function,
-so in every function a ``repro.parallel`` worker can reach, and OBS006
-keeps the observability switches out of all of them.
+Every rule checks one file at a time and reports at the offending line.
+Worker discipline needs no call graph: DET001, DET002 and DET003 hold in
+every library function, so in every function a ``repro.parallel`` worker
+can reach, and OBS006 keeps the observability switches out of all of
+them.
 
 Two rule sets are registered: :data:`ALL_RULES` (library and test code)
 and :data:`RELAXED_RULES` (``benchmarks/`` and ``tools/`` — scripts that
@@ -53,9 +52,7 @@ from repro.checks.lint.rules_det import (
 )
 from repro.checks.lint.rules_obs import (
     FlightRecorderGuarded,
-    LedgerTouchpointsGuarded,
     ObsTouchpointsGuarded,
-    ProfiledSitesUnique,
     SwitchesConfined,
     TelemetryTouchpointsGuarded,
 )
@@ -76,10 +73,8 @@ __all__ = [
     "NoSetIteration",
     "NoInPlaceOnCachedViews",
     "ObsTouchpointsGuarded",
-    "ProfiledSitesUnique",
     "FlightRecorderGuarded",
     "TelemetryTouchpointsGuarded",
-    "LedgerTouchpointsGuarded",
     "SwitchesConfined",
     "NoFloatEqualityOnCoordinates",
 ]
@@ -91,10 +86,8 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NoSetIteration,
     NoInPlaceOnCachedViews,
     ObsTouchpointsGuarded,
-    ProfiledSitesUnique,
     FlightRecorderGuarded,
     TelemetryTouchpointsGuarded,
-    LedgerTouchpointsGuarded,
     SwitchesConfined,
     NoFloatEqualityOnCoordinates,
 )

@@ -15,11 +15,10 @@ determinism contract, the FieldModel shared-cache aliasing rules, the
   that matches no finding is itself an error (``SUP001``), so stale
   ignores cannot accumulate;
 * :func:`lint_paths` — the runner (file discovery, per-file rule pass,
-  cross-file ``finish`` pass, suppression filtering).
+  suppression filtering).
 
 Adding a rule: subclass :class:`Rule`, set ``code``/``summary``, implement
-``check`` (yield findings for one file) and optionally ``finish`` (yield
-findings needing cross-file state), then register it in
+``check`` (yield findings for one file), then register it in
 ``repro.checks.lint.ALL_RULES``.  See ``docs/static_analysis.md``.
 """
 
@@ -166,10 +165,6 @@ class Rule:
         """Yield findings for one file."""
         return iter(())
 
-    def finish(self) -> Iterator[Finding]:
-        """Yield findings that needed state from every checked file."""
-        return iter(())
-
 
 def module_name_for(path: Path) -> str | None:
     """Dotted module name for files under a ``src/`` tree, else None.
@@ -305,6 +300,4 @@ def lint_paths(
         suppressions[ctx.path] = parse_suppressions(source)
         for rule in rule_objs:
             findings.extend(rule.check(ctx))
-    for rule in rule_objs:
-        findings.extend(rule.finish())
     return _apply_suppressions(findings, suppressions)

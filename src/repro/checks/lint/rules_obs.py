@@ -1,4 +1,4 @@
-"""Observability discipline rules: OBS001/3/4/5 (guards), OBS002, OBS006.
+"""Observability discipline rules: OBS001/3/4 (guards) and OBS006.
 
 The ``repro.obs`` layer promises that disabled instrumentation costs one
 attribute check per touchpoint (the <3% CI gate in
@@ -20,11 +20,6 @@ evaluated and formatted — sit inside an enabled guard:
   ``if OBS.enabled:``.  The health helpers recompute domain gauges
   (holes, energy profiles) — real work, not just argument formatting —
   so an unguarded call would charge disabled runs for it.
-* OBS005 — the run ledger's recording touchpoint
-  (``LEDGER.record_run``) under ``if LEDGER.enabled:``: it harvests the
-  whole metrics registry and digests artifact files — heavyweight work
-  no disabled invocation may pay for.  ``LEDGER.stage`` is exempt for
-  the same reason ``OBS.span`` is (shared null context when disabled).
 
 A test *guards* only if it is ``X.enabled`` or an ``and`` with a
 guarding operand; ``if verbose or OBS.enabled:`` and ``if OBS.enabled is
@@ -35,12 +30,8 @@ and the health helpers are matched by spelling *and* by resolved import,
 so ``from repro.obs import OBS as TELEMETRY`` cannot slip a touchpoint
 past the rule.
 
-``@profiled(site)`` site names feed the ``profile_seconds{site=...}``
-histogram; two call sites sharing a name silently merge their timings, so
-site names must be unique across the library (OBS002).
-
 OBS006 confines the runtime switches: ``.enable()``/``.disable()``/
-``.reset()`` calls on ``OBS``, ``FREC`` or ``LEDGER``, and attribute
+``.reset()`` calls on ``OBS`` or ``FREC``, and attribute
 stores through them, belong to ``repro.obs`` and the CLI's recording
 session (``repro.cli``).  Anywhere else in the library — above all in
 code a ``repro.parallel`` worker runs — flipping them would make two
@@ -60,9 +51,7 @@ from repro.checks.lint.framework import FileContext, Finding, Rule
 
 __all__ = [
     "FlightRecorderGuarded",
-    "LedgerTouchpointsGuarded",
     "ObsTouchpointsGuarded",
-    "ProfiledSitesUnique",
     "SwitchesConfined",
     "TelemetryTouchpointsGuarded",
 ]
@@ -72,7 +61,6 @@ __all__ = [
 _SINGLETON_QUALS: dict[str, frozenset[str]] = {
     "OBS": frozenset({"repro.obs.OBS", "repro.obs.runtime.OBS"}),
     "FREC": frozenset({"repro.obs.FREC", "repro.obs.flightrec.FREC"}),
-    "LEDGER": frozenset({"repro.obs.LEDGER", "repro.obs.ledger.LEDGER"}),
 }
 
 #: Every import path of a runtime singleton (OBS006).
@@ -283,81 +271,12 @@ class TelemetryTouchpointsGuarded(_TouchpointsGuarded):
     )
 
 
-class LedgerTouchpointsGuarded(_TouchpointsGuarded):
-    """OBS005: LEDGER.record_run under ``if LEDGER.enabled:``."""
-
-    code = "OBS005"
-    summary = (
-        "run-ledger recording touchpoints must sit inside an "
-        "`if LEDGER.enabled:` guard so disabled runs never harvest the "
-        "registry or digest artifacts"
-    )
-    singleton = "LEDGER"
-    guarded_methods = frozenset({"record_run"})
-    consequence = (
-        "disabled runs would still harvest the metrics registry, hash "
-        "artifact files and build the row dict"
-    )
-
-
-class ProfiledSitesUnique(Rule):
-    """OBS002: ``@profiled(site)`` names are unique across the library."""
-
-    code = "OBS002"
-    summary = (
-        "@profiled site names must be unique; duplicates silently merge "
-        "their timings in profile_seconds{site=...}"
-    )
-
-    def __init__(self) -> None:
-        self._sites: dict[str, tuple[str, int]] = {}
-        self._dupes: list[Finding] = []
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_library:
-            return
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and (
-                    (isinstance(node.func, ast.Name) and node.func.id == "profiled")
-                    or (
-                        isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "profiled"
-                    )
-                )
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                continue
-            site = node.args[0].value
-            if site in self._sites:
-                first_path, first_line = self._sites[site]
-                self._dupes.append(
-                    ctx.finding(
-                        self.code,
-                        node,
-                        f"duplicate @profiled site {site!r} (first used at "
-                        f"{first_path}:{first_line}); timings would merge "
-                        "into one histogram series",
-                    )
-                )
-            else:
-                self._sites[site] = (ctx.path, node.lineno)
-        return
-        yield  # pragma: no cover - makes check a generator
-
-    def finish(self) -> Iterator[Finding]:
-        yield from self._dupes
-
-
 class SwitchesConfined(Rule):
     """OBS006: runtime switches flip only in repro.obs and repro.cli."""
 
     code = "OBS006"
     summary = (
-        "OBS/FREC/LEDGER .enable()/.disable()/.reset() calls and attribute "
+        "OBS/FREC .enable()/.disable()/.reset() calls and attribute "
         "stores belong to repro.obs and repro.cli; worker state crosses "
         "processes only through the repro.obs.bridge seam"
     )

@@ -40,7 +40,7 @@ sinks).  See ``docs/observability.md``.
 
 Run ledger: ``--ledger [PATH]`` appends one structured history row per
 figure/deploy/summary/restore invocation — config fingerprint,
-environment, staged wall timings, harvested counters/gauges, artifact
+environment, per-layer span walls, the run's counters/gauges, artifact
 digests — to an append-only JSONL store (default ``.decor/ledger``).
 Query it with ``decor runs list|show|diff|regress``; ``diff --exit-code``
 and ``regress`` return nonzero on semantic drift, which is the CI
@@ -72,7 +72,7 @@ from repro.experiments.setup import ExperimentSetup
 from repro.geometry.region import Rect
 from repro.network.failures import area_failure
 from repro.network.spec import SensorSpec
-from repro.obs import FREC, LEDGER, OBS, bridge_field_stats
+from repro.obs import FREC, OBS, bridge_field_stats, record_coverage_health
 from repro.viz.ascii_field import render_coverage, render_deployment, render_points
 
 __all__ = ["main", "build_parser"]
@@ -139,6 +139,16 @@ def _flightrec_argv(argv: list[str]) -> list[str]:
     return out
 
 
+#: Span names whose totals make up a ledger row's ``wall``, per command;
+#: the pool's spans appear only when the command ran a parallel prefill.
+_WALL_SPANS: dict[str, tuple[str, ...]] = {
+    "figure": ("figure", "pool_publish", "pool_compute"),
+    "deploy": ("deploy",),
+    "summary": ("summary", "pool_publish", "pool_compute"),
+    "restore": ("deploy", "restore"),
+}
+
+
 class _LedgerRow:
     """What a recording command declares about its run-ledger row."""
 
@@ -164,13 +174,13 @@ def _recording(args: argparse.Namespace, argv: list[str]) -> Iterator[_LedgerRow
     The only reader of ``--trace``, ``--metrics``, ``--sample``,
     ``--flight-record`` and ``--ledger``.  On entry it enables what they
     ask for: any of trace/metrics/sample/ledger records into a fresh
-    :data:`OBS` runtime (the ledger harvests its counters there).  On a
-    clean exit, after the command's own output, it writes the trace,
-    metrics and sample exports with their ``wrote`` lines and the trace
-    summary, then the flight record, then the ledger row.  However the
-    command ends, the sample sink is closed and ``OBS.enabled`` /
-    ``LEDGER.enabled`` go back to their values on entry; the flight
-    recorder's session restores its own state.
+    :data:`OBS` runtime.  On a clean exit, after the command's own output,
+    it writes the trace, metrics and sample exports with their ``wrote``
+    lines and the trace summary, then the flight record, then the ledger
+    row, built from :data:`OBS`'s span totals and metrics registry.
+    However the command ends, the sample sink is closed and
+    ``OBS.enabled`` goes back to its value on entry; the flight recorder's
+    session restores its own state.
     """
     trace = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", None)
@@ -178,12 +188,10 @@ def _recording(args: argparse.Namespace, argv: list[str]) -> Iterator[_LedgerRow
     flight_record = getattr(args, "flight_record", None)
     ledger = getattr(args, "ledger", None)
     record = bool(trace or metrics or sample or ledger is not None)
-    saved = (OBS.enabled, LEDGER.enabled)
+    saved = OBS.enabled
     sink = None
     row = _LedgerRow()
     try:
-        if ledger is not None:
-            LEDGER.enable(ledger or None)
         if record:
             stream = open(sample, "w", encoding="utf-8") if sample else None
             OBS.enable(fresh=True, sample_stream=stream)
@@ -201,29 +209,46 @@ def _recording(args: argparse.Namespace, argv: list[str]) -> Iterator[_LedgerRow
                 _write_exports(trace, metrics, sample)
         if frec is not None:
             print(f"wrote {flight_record} ({len(frec.records)} flight records)")
-        if LEDGER.enabled and ledger is not None and row.parts is not None:
-            from repro.obs.ledger import capture_environment
-
-            written = {
-                **row.parts["artifacts"],
-                "sample_sink": sample,
-                "flight_record": flight_record,
-            }
-            entry = LEDGER.record_run(
-                row.parts["kind"],
-                row.parts["label"],
-                row.parts["config"],
-                artifacts={k: v for k, v in written.items() if v},
-                env=capture_environment(
-                    workers=getattr(args, "workers", None) or 1
-                ),
+        if ledger is not None and row.parts is not None:
+            _append_ledger_row(
+                ledger or None, row.parts,
+                {"sample_sink": sample, "flight_record": flight_record},
+                workers=getattr(args, "workers", None) or 1,
             )
-            if entry is not None and LEDGER.store is not None:
-                print(f"ledger: recorded {entry['run_id']} -> {LEDGER.store.root}")
     finally:
         if sink is not None:
             sink.close()
-        OBS.enabled, LEDGER.enabled = saved
+        OBS.enabled = saved
+
+
+def _append_ledger_row(
+    root: str | None, parts: dict[str, Any], recorded: dict[str, str | None],
+    *, workers: int,
+) -> None:
+    """Build the run's ledger row from :data:`OBS` and append it."""
+    from repro.obs.ledger import (
+        DEFAULT_LEDGER_ROOT,
+        LedgerStore,
+        build_row,
+        capture_environment,
+        harvest,
+    )
+
+    tracer = OBS.tracer
+    names = _WALL_SPANS[parts["kind"]]
+    written = {**parts["artifacts"], **recorded}
+    entry = build_row(
+        parts["kind"],
+        parts["label"],
+        parts["config"],
+        metrics=harvest(OBS.metrics),
+        wall={n: tracer.total(n) for n in names if n in tracer.span_stats},
+        artifacts={k: v for k, v in written.items() if v},
+        env=capture_environment(workers=workers),
+    )
+    store = LedgerStore(root or DEFAULT_LEDGER_ROOT)
+    store.append(entry)
+    print(f"ledger: recorded {entry['run_id']} -> {store.root}")
 
 
 def _write_exports(trace: str | None, metrics: str | None, sample: str | None) -> None:
@@ -418,6 +443,14 @@ def _validate_args(args: argparse.Namespace) -> None:
     epochs = getattr(args, "epochs", None)
     if epochs is not None and epochs < 1:
         raise ConfigurationError(f"--epochs must be >= 1, got {epochs}")
+    window = getattr(args, "window", None)
+    if window is not None and window < 1:
+        raise ConfigurationError(f"--window must be >= 1, got {window}")
+    for name in ("tolerance", "wall_tolerance"):
+        value = getattr(args, name, None)
+        if value is not None and not value >= 0:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigurationError(f"{flag} must be >= 0, got {value:g}")
 
 
 def _setup_from_args(args: argparse.Namespace) -> ExperimentSetup:
@@ -433,14 +466,7 @@ def _cmd_figure(args: argparse.Namespace, row: _LedgerRow) -> int:
 
     setup = _setup_from_args(args)
     cache = DeploymentCache(setup)
-    with LEDGER.stage("figure"):
-        if args.workers is not None and args.workers > 1:
-            from repro.parallel import WorkerPool
-
-            with WorkerPool.for_cache(cache, workers=args.workers) as pool:
-                result = run_figure(setup, args.number, cache, pool=pool)
-        else:
-            result = run_figure(setup, args.number, cache)
+    result = run_figure(setup, args.number, cache, workers=args.workers)
     print(format_figure_table(result))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -480,10 +506,7 @@ def _cmd_deploy(args: argparse.Namespace, row: _LedgerRow) -> int:
         n_points=args.points,
         seed=args.seed,
     )
-    with LEDGER.stage("deploy"):
-        result = planner.deploy(
-            args.k, method=args.method, cell_size=args.cell_size
-        )
+    result = planner.deploy(args.k, method=args.method, cell_size=args.cell_size)
     metrics = evaluate_deployment(result, area=planner.region.area)
     for key, value in metrics.as_row().items():
         print(f"{key:>18}: {value}")
@@ -498,11 +521,24 @@ def _cmd_deploy(args: argparse.Namespace, row: _LedgerRow) -> int:
         )
     if OBS.enabled:
         bridge_field_stats(planner.field)
+    _closing_sample(result.coverage, args)
     row.declare(
         "deploy", f"deploy-{args.method}-k{args.k}",
         _planner_config(args, "deploy"),
     )
     return 0
+
+
+def _closing_sample(coverage: Any, args: argparse.Namespace) -> None:
+    """The one sample row of a command with no sample hooks of its own.
+
+    ``deploy`` and the one-shot ``restore`` write it to their ``--sample``
+    sink: the run's counters and the final coverage health.  Neither takes
+    ``--workers``, so serial and pooled sinks cannot diverge here.
+    """
+    if OBS.enabled and args.sample:
+        record_coverage_health(coverage, args.k)
+        OBS.sample(args.command, method=args.method, k=args.k)
 
 
 def _cmd_summary(args: argparse.Namespace, row: _LedgerRow) -> int:
@@ -512,18 +548,14 @@ def _cmd_summary(args: argparse.Namespace, row: _LedgerRow) -> int:
     setup = _setup_from_args(args)
     k = min(args.k, max(setup.k_values))
     cache = DeploymentCache(setup)
-    with LEDGER.stage("summary"):
+    with OBS.span("summary", k=k):
         if args.workers is not None and args.workers > 1:
             from repro.experiments.setup import SERIES
-            from repro.parallel import WorkerPool
 
-            cells = [
-                (s.name, k, seed)
-                for s in SERIES
-                for seed in range(setup.n_seeds)
-            ]
-            with WorkerPool.for_cache(cache, workers=args.workers) as pool:
-                cache.prefill(cells, pool=pool)
+            cache.prefill(
+                [(s.name, k, seed) for s in SERIES for seed in range(setup.n_seeds)],
+                workers=args.workers,
+            )
         rows = method_summary(setup, k, cache)
     print(format_summary_table(rows))
     row.declare(
@@ -540,10 +572,7 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
         n_points=args.points,
         seed=args.seed,
     )
-    with LEDGER.stage("deploy"):
-        result = planner.deploy(
-            args.k, method=args.method, cell_size=args.cell_size
-        )
+    result = planner.deploy(args.k, method=args.method, cell_size=args.cell_size)
     radius = (
         0.24 * args.side if args.disaster_radius is None else args.disaster_radius
     )
@@ -552,24 +581,25 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
     if args.epochs == 1 and args.warm is None:
         # the classic one-shot flow: one disaster disc, one repair
         event = area_failure(result.deployment, planner.region.center, radius)
-        with LEDGER.stage("restore"):
-            report = planner.restore_after(
-                result, event, method=args.method, cell_size=args.cell_size
-            )
+        report = planner.restore_after(
+            result, event, method=args.method, cell_size=args.cell_size
+        )
         print(f"disaster           : radius {radius:g}, "
               f"{event.n_failed} nodes lost")
         print(f"coverage after loss: {report.covered_after_failure:.1%}")
         print(f"repair             : +{report.extra_nodes} nodes -> "
               f"{report.covered_after_repair:.0%} k-covered")
+        _closing_sample(report.repair.coverage, args)
     else:
         from repro.experiments.epochs import epoch_failure
 
-        session = planner.session(
-            result, method=args.method, warm=args.warm is not False,
-            cell_size=args.cell_size,
-        )
         total = 0
-        with LEDGER.stage("restore"):
+        with OBS.span("restore", method=args.method, k=args.k,
+                      epochs=args.epochs):
+            session = planner.session(
+                result, method=args.method, warm=args.warm is not False,
+                cell_size=args.cell_size,
+            )
             for epoch in range(args.epochs):
                 event = epoch_failure(
                     session.deployment, planner.region, epoch, args.seed,

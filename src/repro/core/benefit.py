@@ -35,7 +35,7 @@ from repro.field.csr import sorted_unique
 from repro.field.model import same_cell_adjacency_of
 from repro.geometry.points import as_point
 from repro.network.coverage import CoverageState
-from repro.obs import OBS, profiled
+from repro.obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from scipy import sparse
@@ -131,7 +131,6 @@ class BenefitEngine:
     [0.0, 0.0, 1.0]
     """
 
-    @profiled("core.benefit_engine_init")
     def __init__(
         self,
         field_points: np.ndarray | FieldModel,
@@ -142,52 +141,53 @@ class BenefitEngine:
         benefit_adjacency: Adjacency | sparse.spmatrix | sparse.sparray | None = None,
         benefit_mode: str = "deficiency",
     ):
-        if benefit_mode not in ("deficiency", "binary"):
-            raise CoverageError(
-                f"benefit_mode must be 'deficiency' or 'binary', got {benefit_mode!r}"
-            )
-        self._mode = benefit_mode
-        self._rows: list[np.ndarray] = []
-        self._field = as_field_model(field_points)
-        self._points = self._field.points
-        self._rs = float(sensing_radius)
-        n = self._points.shape[0]
-        # k may be a scalar (the paper's uniform requirement) or a per-point
-        # array (differentiated reliability zones); stored as an array, with
-        # the scalar remembered for the .k property
-        k_arr = np.asarray(k, dtype=np.int64)
-        if k_arr.ndim == 0:
-            if int(k_arr) < 1:
+        with OBS.span("benefit-init"):
+            if benefit_mode not in ("deficiency", "binary"):
                 raise CoverageError(
-                    f"coverage requirement k must be >= 1, got {int(k_arr)}"
+                    f"benefit_mode must be 'deficiency' or 'binary', got {benefit_mode!r}"
                 )
-            self._k_scalar: int | None = int(k_arr)
-            self._karr = np.full(n, int(k_arr), dtype=np.int64)
-        else:
-            if k_arr.shape != (n,):
-                raise CoverageError(
-                    f"per-point k must have shape ({n},), got {k_arr.shape}"
-                )
-            if k_arr.min(initial=0) < 0:
-                raise CoverageError("per-point k must be non-negative")
-            if not np.any(k_arr >= 1):
-                raise CoverageError("at least one point must require coverage")
-            self._k_scalar = None
-            self._karr = k_arr.copy()
-        self._cov = self._field.adjacency(self._rs)
-        if benefit_adjacency is None:
-            self._ben = self._cov
-        else:
-            self._ben = self._validated_benefit_adjacency(benefit_adjacency, n)
-        if initial_counts is None:
-            self._counts = np.zeros(n, dtype=np.int64)
-        else:
-            counts = np.asarray(initial_counts, dtype=np.int64)
-            if counts.shape != (n,) or counts.min(initial=0) < 0:
-                raise CoverageError("invalid initial counts")
-            self._counts = counts.copy()
-        self._n_kcovered = int(np.count_nonzero(self._counts >= self._karr))
-        self._benefit = self._ben @ self._weights()
+            self._mode = benefit_mode
+            self._rows: list[np.ndarray] = []
+            self._field = as_field_model(field_points)
+            self._points = self._field.points
+            self._rs = float(sensing_radius)
+            n = self._points.shape[0]
+            # k may be a scalar (the paper's uniform requirement) or a per-point
+            # array (differentiated reliability zones); stored as an array, with
+            # the scalar remembered for the .k property
+            k_arr = np.asarray(k, dtype=np.int64)
+            if k_arr.ndim == 0:
+                if int(k_arr) < 1:
+                    raise CoverageError(
+                        f"coverage requirement k must be >= 1, got {int(k_arr)}"
+                    )
+                self._k_scalar: int | None = int(k_arr)
+                self._karr = np.full(n, int(k_arr), dtype=np.int64)
+            else:
+                if k_arr.shape != (n,):
+                    raise CoverageError(
+                        f"per-point k must have shape ({n},), got {k_arr.shape}"
+                    )
+                if k_arr.min(initial=0) < 0:
+                    raise CoverageError("per-point k must be non-negative")
+                if not np.any(k_arr >= 1):
+                    raise CoverageError("at least one point must require coverage")
+                self._k_scalar = None
+                self._karr = k_arr.copy()
+            self._cov = self._field.adjacency(self._rs)
+            if benefit_adjacency is None:
+                self._ben = self._cov
+            else:
+                self._ben = self._validated_benefit_adjacency(benefit_adjacency, n)
+            if initial_counts is None:
+                self._counts = np.zeros(n, dtype=np.int64)
+            else:
+                counts = np.asarray(initial_counts, dtype=np.int64)
+                if counts.shape != (n,) or counts.min(initial=0) < 0:
+                    raise CoverageError("invalid initial counts")
+                self._counts = counts.copy()
+            self._n_kcovered = int(np.count_nonzero(self._counts >= self._karr))
+            self._benefit = self._ben @ self._weights()
 
     @staticmethod
     def _validated_benefit_adjacency(

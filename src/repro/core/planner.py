@@ -24,7 +24,7 @@ from repro.geometry.region import Rect
 from repro.network.failures import FailureEvent
 from repro.network.reliability import required_k
 from repro.network.spec import SensorSpec
-from repro.obs import OBS, profiled
+from repro.obs import OBS
 
 __all__ = ["METHODS", "run_method", "DecorPlanner"]
 
@@ -32,7 +32,6 @@ __all__ = ["METHODS", "run_method", "DecorPlanner"]
 METHODS: tuple[str, ...] = ("centralized", "grid", "voronoi", "random")
 
 
-@profiled("core.run_method")
 def run_method(
     name: str,
     field_points: np.ndarray | FieldModel,
@@ -199,7 +198,7 @@ class DecorPlanner:
             return restore(
                 self.field,
                 self.spec,
-                result.deployment,
+                result,
                 failure,
                 result.k,
                 method,

@@ -36,7 +36,6 @@ from repro.core.restoration import restore
 from repro.errors import ExperimentError
 from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import DECOR_SERIES, SERIES, ExperimentSetup
-from repro.network.coverage import CoverageState
 from repro.network.failures import area_failure
 from repro.obs import OBS
 
@@ -88,8 +87,9 @@ class FigureResult:
 def _figure_span(figure_id: str):
     """Wrap a figure function in an ``OBS.span("figure", ...)``.
 
-    Applied at definition so both entry paths — direct calls and the
-    :data:`FIGURES` dispatch — produce the figure → series → k hierarchy.
+    Applied at definition so direct calls produce the figure → series → k
+    hierarchy; :func:`run_figure` opens the span itself, around the
+    parallel prefill too, and calls the wrapped function inside it.
     """
 
     def decorate(fn):
@@ -361,12 +361,9 @@ def fig13_area_failure(
             for seed in _seeds(setup):
                 result = cache.get(series, k, seed)
                 event = _disaster(setup, result)
-                survivor = result.deployment.copy()
-                survivor.fail(event.node_ids)
-                cov = CoverageState.from_deployment(
-                    result.coverage.field, setup.rs, survivor
+                vals.append(
+                    result.coverage.covered_fraction_without(event.node_ids, k)
                 )
-                vals.append(cov.covered_fraction(k))
             ys.append(100.0 * float(np.mean(vals)))
         out[series.name] = (ks.copy(), np.asarray(ys))
     return FigureResult(
@@ -400,7 +397,7 @@ def fig14_restoration(
                 report = restore(
                     pts,
                     setup.spec_for(series),
-                    result.deployment,
+                    result,
                     event,
                     k,
                     series.method,
@@ -477,15 +474,18 @@ def run_figure(
     ``FIGURES[number](setup, cache)``; otherwise the figure's deployment
     cells are computed across worker processes first (deterministic merge,
     bit-identical results) and the serial figure code runs on the warm
-    cache.  A ``pool`` (:class:`repro.parallel.WorkerPool`) reuses its
-    persistent workers and shared-memory fields across figures — the CLI
-    creates one per invocation; longer-lived callers should too.
+    cache.  ``workers`` alone runs the prefill on a pool torn down before
+    the figure code runs (the CLI's one prefill per invocation); a
+    ``pool`` (:class:`repro.parallel.WorkerPool`) reuses its persistent
+    workers and shared-memory fields across figures.  One ``figure`` span
+    covers the prefill and the figure code.
     """
     if number not in FIGURES:
         raise ExperimentError(f"unknown figure {number}; know {sorted(FIGURES)}")
     cache = cache if cache is not None else DeploymentCache(setup)
-    if pool is not None or (workers is not None and workers > 1):
-        cache.prefill(
-            cells_for_figure(setup, number), workers=workers, pool=pool
-        )
-    return FIGURES[number](setup, cache)
+    with OBS.span("figure", figure=f"fig{number:02d}"):
+        if pool is not None or (workers is not None and workers > 1):
+            cache.prefill(
+                cells_for_figure(setup, number), workers=workers, pool=pool
+            )
+        return FIGURES[number].__wrapped__(setup, cache)

@@ -14,6 +14,7 @@ counts, rendered by :meth:`TraceSummary.format`.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 
@@ -23,9 +24,10 @@ from repro.analysis.survival import max_tolerable_failure_fraction
 from repro.core.redundancy import redundancy_fraction
 from repro.core.restoration import restore
 from repro.experiments.figures import _disaster
-from repro.experiments.runner import DeploymentCache, field_for_seed
+from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import SERIES, ExperimentSetup
 from repro.errors import ExperimentError
+from repro.obs.trace import SpanStats, Tracer
 
 __all__ = [
     "MethodSummary",
@@ -90,9 +92,9 @@ def method_summary(
             )
             event = _disaster(setup, result)
             report = restore(
-                field_for_seed(setup, seed),
+                cache.field(seed),
                 setup.spec_for(series),
-                result.deployment,
+                result,
                 event,
                 k,
                 series.method,
@@ -154,26 +156,6 @@ def format_summary_table(rows: list[MethodSummary]) -> str:
 # trace digests
 # ----------------------------------------------------------------------
 @dataclass
-class SpanStats:
-    """Aggregated timings of all spans sharing one name."""
-
-    name: str
-    count: int = 0
-    total: float = 0.0
-    max: float = 0.0
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def add(self, duration: float) -> None:
-        self.count += 1
-        self.total += duration
-        if duration > self.max:
-            self.max = duration
-
-
-@dataclass
 class TraceSummary:
     """Per-span-name and per-event-name digest of one trace.
 
@@ -187,7 +169,9 @@ class TraceSummary:
         Deepest span nesting observed (0-based; a lone span has depth 0).
     n_records / dropped:
         Records summarised, and records the ring buffer evicted before
-        export (the summary only sees what survived).
+        export.  Summarising a live :class:`~repro.obs.Tracer` takes its
+        per-name span totals, which count evicted spans too; a trace file
+        holds only what survived.
     """
 
     spans: dict[str, SpanStats] = field(default_factory=dict)
@@ -238,9 +222,8 @@ def summarize_trace(source) -> TraceSummary:
         path to a JSON-lines trace file written by ``--trace`` /
         :meth:`~repro.obs.Tracer.write_jsonl`.
     """
-    dropped = 0
-    if hasattr(source, "records"):  # a Tracer
-        dropped = source.dropped
+    live = isinstance(source, Tracer)
+    if live:
         records = source.records()
     elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, encoding="utf-8") as fh:
@@ -248,15 +231,20 @@ def summarize_trace(source) -> TraceSummary:
     else:
         records = list(source)
 
-    summary = TraceSummary(dropped=dropped)
+    summary = TraceSummary(dropped=source.dropped if live else 0)
+    if live:
+        summary.spans = {
+            name: copy.copy(stats) for name, stats in source.span_stats.items()
+        }
     for rec in records:
         kind = rec.get("type")
         if kind == "span":
             summary.n_records += 1
             name = str(rec.get("name", "?"))
-            summary.spans.setdefault(name, SpanStats(name)).add(
-                float(rec.get("dur", 0.0))
-            )
+            if not live:
+                summary.spans.setdefault(name, SpanStats(name)).add(
+                    float(rec.get("dur", 0.0))
+                )
             summary.max_depth = max(summary.max_depth, int(rec.get("depth", 0)))
         elif kind == "event":
             summary.n_records += 1

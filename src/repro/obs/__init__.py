@@ -1,28 +1,28 @@
-"""Zero-dependency observability: tracing, metrics and profiling.
+"""Zero-dependency observability: tracing and metrics.
 
-Three pillars behind one opt-in switch:
+Two pillars behind one opt-in switch:
 
 * :mod:`repro.obs.trace` — nested spans + events into a ring buffer with
-  JSON-lines export;
+  JSON-lines export; spans are the one wall clock, and the tracer keeps
+  per-name span totals that outlive its ring;
 * :mod:`repro.obs.metrics` — labelled counters/gauges/histograms exported
-  as one JSON document;
-* :mod:`repro.obs.profile` — the ``@profiled(site)`` decorator feeding a
-  ``profile_seconds`` histogram.
+  as one JSON document; the one place that holds a run's counters.
 
 The time-series layer builds on the metrics pillar:
 
 * :mod:`repro.obs.sampler` — a bounded ring of registry deltas in logical
-  time, always attached while recording, with running totals and a JSONL
-  sink (the CLI's ``--sample``);
+  time, always attached while recording, with a JSONL sink (the CLI's
+  ``--sample``);
 * :mod:`repro.obs.health` — ``health_*`` gauges distilled from live
   coverage/energy/protocol state.
 
-Two more pillars have their own switches: :mod:`repro.obs.flightrec`'s
+The flight recorder has its own switch: :mod:`repro.obs.flightrec`'s
 :data:`FREC` records causal per-node protocol event logs (the CLI's
 ``--flight-record`` or a runner's ``flight_record=`` kwarg) that
-:mod:`repro.obs.replay` can deterministically re-execute and verify, and
-:mod:`repro.obs.ledger`'s :data:`LEDGER` appends one history row per CLI
-invocation (``--ledger``).
+:mod:`repro.obs.replay` can deterministically re-execute and verify.
+:mod:`repro.obs.ledger` is not a runtime: the CLI's ``--ledger`` builds
+one history row from :data:`OBS` when a command ends and appends it to a
+:class:`~repro.obs.ledger.LedgerStore` (``decor runs`` queries it).
 
 Everything instrumented records into the module-level :data:`OBS` runtime,
 which is **off by default**: disabled call sites pay one attribute check.
@@ -42,23 +42,15 @@ from repro.obs.bridge import (
     merge_worker_obs,
 )
 from repro.obs.flightrec import FREC, FlightRecorder
-from repro.obs.ledger import (
-    LEDGER,
-    LedgerStore,
-    RunLedger,
-    config_fingerprint,
-    mask_row,
-)
 from repro.obs.health import (
     record_coverage_health,
     record_energy_health,
     record_protocol_health,
 )
 from repro.obs.metrics import Gauge, Histogram, MCounter, MetricsRegistry
-from repro.obs.profile import profiled
 from repro.obs.runtime import NULL_SPAN, OBS, ObsRuntime
 from repro.obs.sampler import MetricsSampler
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import Span, SpanStats, Tracer
 
 __all__ = [
     "OBS",
@@ -68,17 +60,12 @@ __all__ = [
     "FlightRecorder",
     "Tracer",
     "Span",
+    "SpanStats",
     "MetricsRegistry",
     "MCounter",
     "Gauge",
     "Histogram",
-    "profiled",
     "MetricsSampler",
-    "LEDGER",
-    "RunLedger",
-    "LedgerStore",
-    "config_fingerprint",
-    "mask_row",
     "record_coverage_health",
     "record_energy_health",
     "record_protocol_health",

@@ -1,14 +1,17 @@
 """Persistent run ledger: cross-run history and regression detection.
 
-Every other pillar of :mod:`repro.obs` observes *one* invocation — the
+Every other part of :mod:`repro.obs` observes *one* invocation — the
 tracer, registry, sampler and flight recorder all die with the process.
 The paper's evaluation, though, is a *trajectory*: the same sweeps re-run
 across seeds, k values and failure epochs and compared against each other.
-This module gives the harness a memory between invocations:
+This module gives the harness a memory between invocations.  It is not a
+runtime: the CLI's recording session builds one row from ``OBS`` when a
+command ends (:func:`harvest` + :func:`build_row`) and appends it to a
+:class:`LedgerStore`.
 
 * :class:`LedgerStore` — an append-only store of JSONL *segments* under
   ``.decor/ledger/`` (stdlib-only, like everything in ``repro.obs``).
-  One structured row per figure/deploy/restore/bench invocation:
+  One structured row per figure/deploy/summary/restore/bench invocation:
 
   - ``config`` + ``fingerprint`` — the semantic parameters of the run
     (series, k values, seeds, method, field backend) hashed
@@ -17,27 +20,20 @@ This module gives the harness a memory between invocations:
     ``REPRO_*`` environment and the worker count.  Environment describes
     *where* a run happened, never *what* it computed, so it is masked by
     :func:`mask_row` alongside timing;
-  - ``wall`` — staged wall timings (also masked);
-  - ``counters`` / ``gauges`` / ``histograms`` — the running totals of
-    the runtime's :class:`~repro.obs.sampler.MetricsSampler`: its rows
-    are byte-identical between serial and ``--workers N`` runs (the
-    :mod:`repro.obs.bridge` guarantee), so the harvest is too;
+  - ``wall`` — per-layer wall seconds, each the total of the spans of one
+    name in the run's tracer (also masked);
+  - ``counters`` / ``gauges`` / ``histograms`` — the run's metrics
+    registry (:func:`harvest`): byte-identical between serial and
+    ``--workers N`` runs (the :mod:`repro.obs.bridge` guarantee);
   - ``artifacts`` — SHA-256 digests of the figure JSON / flight record /
     sample sink the invocation wrote.
 
-* :data:`LEDGER` — a :class:`RunLedger` null-object runtime mirroring
-  :data:`~repro.obs.runtime.OBS`: off by default, enabled by
-  :meth:`RunLedger.enable` or the CLI's ``--ledger [PATH]``.
-  Disabled touchpoints cost one attribute check (OBS005 enforces the
-  ``if LEDGER.enabled:`` guard; ``LEDGER.stage`` is exempt the same way
-  ``OBS.span`` is — it returns a shared null context manager).
-
 * a query/compare layer — :func:`diff_rows` renders config-aware deltas
-  between two runs, and :func:`run_detectors` applies pluggable
-  regression detectors (relative thresholds on wall medians and counter
-  multisets, strict equality on determinism-relevant counters) against
-  the median of a run's config-matching predecessors.  ``decor runs``
-  is the CLI over both.
+  between two runs, and :func:`run_detectors` applies the regression
+  detectors (relative thresholds on wall medians and counter multisets,
+  strict equality on determinism-relevant counters) against the median
+  of a run's config-matching predecessors.  ``decor runs`` is the CLI
+  over both.
 
 Determinism contract: two rows from the same config are **byte-identical
 after masking** (:func:`mask_row` strips ``run_id``/``ts``/``env``/
@@ -61,24 +57,27 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
-from types import TracebackType
-from typing import Any, Callable, Iterable, Iterator
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.errors import ObservabilityError
-from repro.obs.runtime import OBS
-from repro.obs.sampler import EXCLUDED_PREFIXES, empty_sections, fold_series
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.sampler import (
+    EXCLUDED_PREFIXES,
+    empty_sections,
+    fold_series,
+    series_key,
+)
 
 __all__ = [
     "DEFAULT_LEDGER_ROOT",
     "EXACT_COUNTER_PREFIXES",
     "HARVEST_EXCLUDED_PREFIXES",
-    "LEDGER",
     "LEDGER_VERSION",
     "LedgerStore",
     "MASKED_FIELDS",
     "RegressFinding",
     "RegressOptions",
-    "RunLedger",
     "artifact_digest",
     "baseline_rows",
     "build_row",
@@ -87,8 +86,8 @@ __all__ = [
     "diff_is_clean",
     "diff_rows",
     "diff_sections",
+    "harvest",
     "mask_row",
-    "register_detector",
     "render_diff",
     "render_sections",
     "run_detectors",
@@ -107,10 +106,10 @@ SEGMENT_MAX_ROWS = 512
 
 #: Series prefixes excluded from harvested counters/gauges: the sampler's
 #: own exclusions (build counters depend on which process first touched a
-#: seed; profile buckets are wall clock) plus series whose *values* are
-#: schedule-dependent — pool bookkeeping exists only in pooled runs, the
-#: cache hit/miss split depends on who computed a cell, and the label-cap
-#: overflow counter depends on registration order.
+#: seed) plus series whose *values* are schedule-dependent — pool
+#: bookkeeping exists only in pooled runs, the cache hit/miss split
+#: depends on who computed a cell, and the label-cap overflow counter
+#: depends on registration order.
 HARVEST_EXCLUDED_PREFIXES: tuple[str, ...] = EXCLUDED_PREFIXES + (
     "parallel_",
     "deployment_cache_",
@@ -201,15 +200,62 @@ def sections_from_sample_rows(
 ) -> dict[str, Any]:
     """Aggregate raw sample rows into counter/gauge/histogram sections.
 
-    The fold the sampler's running totals use
-    (:func:`~repro.obs.sampler.fold_series`) over a sink's rows — what
-    the ``decor obs summarize --diff`` renderer consumes.
+    :func:`~repro.obs.sampler.fold_series` over a sink's rows — what the
+    ``decor obs summarize --diff`` renderer consumes.
     """
     sections = empty_sections()
     for row in rows:
         if row.get("type") == "sample":
             fold_series(sections, row.get("series", {}))
     return _without(sections, exclude)
+
+
+def harvest(registry: MetricsRegistry) -> dict[str, Any]:
+    """A run's counter/gauge/histogram sections, as its ledger row holds them.
+
+    Every registry series minus :data:`HARVEST_EXCLUDED_PREFIXES`, keyed
+    like sample rows (:func:`~repro.obs.sampler.series_key`); histograms
+    keep their count and sum.  The ``REPRO_LEDGER_INFLATE`` self-test
+    hook, when set, scales the matching counters.
+
+    >>> reg = MetricsRegistry()
+    >>> reg.counter("decor_placements_total", method="grid").inc(3)
+    >>> reg.counter("parallel_cells_total").inc(8)
+    >>> harvest(reg)["counters"]
+    {'decor_placements_total{method=grid}': 3}
+    """
+    sections = empty_sections()
+    for name, labels, kind, payload in registry.dump_state():
+        key = series_key(name, labels)
+        if kind == "counter":
+            sections["counters"][key] = payload["value"]
+        elif kind == "gauge":
+            sections["gauges"][key] = payload["value"]
+        else:
+            sections["histograms"][key] = {
+                "count": payload["count"], "sum": payload["sum"],
+            }
+    harvested = _without(sections, HARVEST_EXCLUDED_PREFIXES)
+    _apply_inflation(harvested["counters"])
+    return harvested
+
+
+def _apply_inflation(counters: dict[str, float]) -> None:
+    """Apply the ``REPRO_LEDGER_INFLATE`` self-test hook, if set."""
+    spec = os.environ.get(INFLATE_ENV_VAR, "")
+    if not spec:
+        return
+    prefix, _, factor_text = spec.partition(":")
+    try:
+        factor = float(factor_text)
+    except ValueError as exc:
+        raise ObservabilityError(
+            f"{INFLATE_ENV_VAR} must look like '<key-prefix>:<factor>', "
+            f"got {spec!r}"
+        ) from exc
+    for key in list(counters):
+        if key.startswith(prefix):
+            counters[key] = type(counters[key])(counters[key] * factor)
 
 
 def _without(
@@ -373,13 +419,22 @@ class LedgerStore:
         """A row by reference: run-id prefix, ``latest`` or ``latest~N``.
 
         Raises :class:`~repro.errors.ObservabilityError` when the
-        reference matches no run or is ambiguous.
+        reference is malformed (``N`` must be a non-negative integer),
+        matches no run or is ambiguous.
         """
+        back = 0
+        if ref.startswith("latest~"):
+            offset = ref[len("latest~"):]
+            if not offset.isdigit():
+                raise ObservabilityError(
+                    f"{ref!r}: the N in 'latest~N' must be a non-negative "
+                    "integer"
+                )
+            back = int(offset)
         rows = self.rows()
         if not rows:
             raise ObservabilityError(f"ledger at {self.root} is empty")
         if ref == "latest" or ref.startswith("latest~"):
-            back = int(ref.split("~")[1]) if "~" in ref else 0
             if back >= len(rows):
                 raise ObservabilityError(
                     f"{ref}: only {len(rows)} runs recorded"
@@ -396,160 +451,6 @@ class LedgerStore:
                 f"{ref!r} is ambiguous ({len(matches)} matches: {ids}...)"
             )
         return matches[0]
-
-
-# ----------------------------------------------------------------------
-# the runtime (null-object, like OBS/FREC)
-# ----------------------------------------------------------------------
-class _NullStage:
-    """Shared no-op stage context when the ledger is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> _NullStage:
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        return False
-
-
-_NULL_STAGE = _NullStage()
-
-
-class _Stage:
-    """Accumulates one named wall-clock stage into the ledger runtime."""
-
-    __slots__ = ("_ledger", "_name", "_t0")
-
-    def __init__(self, ledger: RunLedger, name: str) -> None:
-        self._ledger = ledger
-        self._name = name
-        self._t0 = 0.0
-
-    def __enter__(self) -> _Stage:
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        elapsed = time.perf_counter() - self._t0
-        stages = self._ledger._stages
-        stages[self._name] = stages.get(self._name, 0.0) + elapsed
-        return False
-
-
-class RunLedger:
-    """Switchable facade over a :class:`LedgerStore`.
-
-    Mirrors the :data:`~repro.obs.runtime.OBS` contract: disabled (the
-    default) every touchpoint pays one attribute check and records
-    nothing; enabled, :meth:`record_run` harvests the obs runtime and
-    appends one row.  ``stage`` is the span-shaped touchpoint — a null
-    context manager when disabled, so it needs no guard (OBS005 exempts
-    it the way OBS001 exempts ``OBS.span``).
-
-    >>> ledger = RunLedger()
-    >>> ledger.enabled
-    False
-    >>> ledger.record_run("test", "noop", {}) is None
-    True
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.store: LedgerStore | None = None
-        self._stages: dict[str, float] = {}
-
-    def enable(self, path: str | os.PathLike[str] | None = None) -> None:
-        """Attach a store (``path`` or :data:`DEFAULT_LEDGER_ROOT`)."""
-        self.store = LedgerStore(path if path is not None else DEFAULT_LEDGER_ROOT)
-        self._stages = {}
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Disable and detach (test teardown)."""
-        self.enabled = False
-        self.store = None
-        self._stages = {}
-
-    # ------------------------------------------------------------------
-    def stage(self, name: str) -> _Stage | _NullStage:
-        """Time a named phase of the current invocation (``with`` block)."""
-        if not self.enabled:
-            return _NULL_STAGE
-        return _Stage(self, name)
-
-    # ------------------------------------------------------------------
-    def record_run(
-        self,
-        kind: str,
-        label: str,
-        config: dict[str, Any],
-        *,
-        wall: dict[str, float] | None = None,
-        artifacts: dict[str, str] | None = None,
-        env: dict[str, Any] | None = None,
-    ) -> dict[str, Any] | None:
-        """Harvest the live :data:`OBS` sampler and append one row.
-
-        The row's counters/gauges/histograms are the sampler's running
-        totals (:meth:`~repro.obs.sampler.MetricsSampler.totals`) minus
-        :data:`HARVEST_EXCLUDED_PREFIXES`.  Returns the row.  Call sites
-        must sit under ``if LEDGER.enabled:`` (OBS005) — the internal
-        guard here is belt-and-braces, not licence to skip it.
-        """
-        if not self.enabled or self.store is None:
-            return None
-        metrics = _without(OBS.sampler.totals(), HARVEST_EXCLUDED_PREFIXES)
-        _apply_inflation(metrics["counters"])
-        merged_wall = dict(self._stages)
-        merged_wall.update(wall or {})
-        self._stages = {}
-        row = build_row(
-            kind,
-            label,
-            config,
-            metrics=metrics,
-            wall=merged_wall,
-            artifacts=artifacts,
-            env=env,
-        )
-        self.store.append(row)
-        return row
-
-
-def _apply_inflation(counters: dict[str, float]) -> None:
-    """Apply the ``REPRO_LEDGER_INFLATE`` self-test hook, if set."""
-    spec = os.environ.get(INFLATE_ENV_VAR, "")
-    if not spec:
-        return
-    prefix, _, factor_text = spec.partition(":")
-    try:
-        factor = float(factor_text)
-    except ValueError as exc:
-        raise ObservabilityError(
-            f"{INFLATE_ENV_VAR} must look like '<key-prefix>:<factor>', "
-            f"got {spec!r}"
-        ) from exc
-    for key in list(counters):
-        if key.startswith(prefix):
-            counters[key] = type(counters[key])(counters[key] * factor)
-
-
-#: The process-wide run ledger (off by default, like OBS and FREC).
-LEDGER = RunLedger()
 
 
 # ----------------------------------------------------------------------
@@ -703,11 +604,11 @@ class RegressOptions:
 
     #: Relative tolerance for the counter/gauge multiset detector.
     tolerance: float = 0.1
-    #: Relative tolerance for wall-stage medians (walls are noisy).
+    #: Relative tolerance for wall medians (walls are noisy).
     wall_tolerance: float = 0.5
     #: Counter-key prefixes held to strict equality.
     exact_prefixes: tuple[str, ...] = EXACT_COUNTER_PREFIXES
-    #: Detector names to run (``None`` = all registered).
+    #: Detector names to run (``None`` = all of :data:`DETECTORS`).
     detectors: tuple[str, ...] | None = None
 
 
@@ -732,16 +633,6 @@ Detector = Callable[
     [dict[str, Any], list[dict[str, Any]], RegressOptions],
     list[RegressFinding],
 ]
-
-#: Pluggable detector registry; extend via :func:`register_detector`.
-DETECTORS: dict[str, Detector] = {}
-
-
-def register_detector(name: str, fn: Detector) -> Detector:
-    """Register a detector under ``name`` (later wins, like routes)."""
-    DETECTORS[name] = fn
-    return fn
-
 
 def _median_of(values: list[float]) -> float:
     return float(statistics.median(values))
@@ -822,7 +713,7 @@ def _detect_wall_regression(
     baseline: list[dict[str, Any]],
     options: RegressOptions,
 ) -> list[RegressFinding]:
-    """Relative threshold on wall-stage medians (slower only — a faster
+    """Relative threshold on wall medians (slower only — a faster
     run is a win, not a regression)."""
     findings: list[RegressFinding] = []
     current = run.get("wall", {})
@@ -850,9 +741,14 @@ def _detect_wall_regression(
     return findings
 
 
-register_detector("exact-counters", _detect_exact_counters)
-register_detector("counter-drift", _detect_counter_drift)
-register_detector("wall-regression", _detect_wall_regression)
+#: The regression detectors by name, in the order they run.
+DETECTORS: Mapping[str, Detector] = MappingProxyType(
+    {
+        "exact-counters": _detect_exact_counters,
+        "counter-drift": _detect_counter_drift,
+        "wall-regression": _detect_wall_regression,
+    }
+)
 
 
 def baseline_rows(
@@ -885,7 +781,7 @@ def run_detectors(
     baseline: list[dict[str, Any]],
     options: RegressOptions | None = None,
 ) -> list[RegressFinding]:
-    """Apply the registered detectors; empty baseline finds nothing."""
+    """Apply the detectors; an empty baseline finds nothing."""
     opts = options or RegressOptions()
     if not baseline:
         return []
@@ -896,7 +792,7 @@ def run_detectors(
             detector = DETECTORS[name]
         except KeyError as exc:
             raise ObservabilityError(
-                f"unknown detector {name!r}; registered: {sorted(DETECTORS)}"
+                f"unknown detector {name!r}; known: {sorted(DETECTORS)}"
             ) from exc
         findings.extend(detector(run, baseline, opts))
     return findings

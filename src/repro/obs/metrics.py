@@ -418,23 +418,25 @@ class MetricsRegistry:
     def absorb(self, state: list[tuple[str, tuple, str, dict]]) -> None:
         """Fold a :meth:`dump_state` payload into this registry.
 
-        Counter values add, gauge values add (a worker's gauge reading is
-        treated as its contribution), histogram states merge bucketwise.
+        Counter values add and histogram states merge bucketwise.  A gauge
+        takes the payload's reading: absorbed in submission order, the last
+        worker's reading wins, as the last reading does in a serial run.
         Absorbing the same payload twice double-counts — callers own the
         once-per-worker discipline.
 
         >>> a, b = MetricsRegistry(), MetricsRegistry()
         >>> a.counter("x_total").inc(2); b.counter("x_total").inc(5)
+        >>> a.gauge("coverage").set(0.5); b.gauge("coverage").set(1.0)
         >>> a.absorb(b.dump_state())
-        >>> a.value("x_total")
-        7
+        >>> (a.value("x_total"), a.value("coverage"))
+        (7, 1.0)
         """
         for name, labels, kind, payload in state:
             labels_dict = dict(labels)
             if kind == "counter":
                 self.counter(name, **labels_dict).inc(payload["value"])
             elif kind == "gauge":
-                self.gauge(name, **labels_dict).add(payload["value"])
+                self.gauge(name, **labels_dict).set(payload["value"])
             elif kind == "histogram":
                 self.histogram(name, **labels_dict).combine(payload)
             else:  # pragma: no cover - payload corruption

@@ -30,7 +30,7 @@ from typing import IO, Any
 
 from repro.obs.metrics import Gauge, Histogram, MCounter, MetricsRegistry
 from repro.obs.sampler import MetricsSampler
-from repro.obs.trace import DEFAULT_CAPACITY, Span, Tracer
+from repro.obs.trace import Span, Tracer
 
 __all__ = ["ObsRuntime", "OBS", "NULL_SPAN"]
 
@@ -108,8 +108,7 @@ class ObsRuntime:
         self.sampler = MetricsSampler(self.metrics)
 
     # ------------------------------------------------------------------
-    def enable(self, *, trace_capacity: int = DEFAULT_CAPACITY,
-               fresh: bool = False,
+    def enable(self, *, fresh: bool = False,
                sample_stream: IO[str] | None = None) -> None:
         """Turn recording on.
 
@@ -120,9 +119,8 @@ class ObsRuntime:
         also mirrors every row to an open text stream (the JSONL sink) as
         it is recorded.
         """
-        if fresh or self.tracer.capacity != trace_capacity:
-            self.tracer = Tracer(trace_capacity)
         if fresh:
+            self.tracer = Tracer()
             self.metrics = MetricsRegistry()
         if fresh or sample_stream is not None:
             self.sampler = MetricsSampler(self.metrics, stream=sample_stream)

@@ -15,20 +15,17 @@ hooks record their own clock in the row *context*
 the exported series while the ``t`` field stays the sampler's own
 (merge-stable) clock.
 
-Running totals: the ring keeps at most ``capacity`` rows, but every row
-recorded or absorbed is also folded into running totals (counters and
-histogram count/sum summed, gauges keeping their last reading), and
-:meth:`~MetricsSampler.totals` adds the series touched since the last row.
-The run ledger harvests those totals, so its rows stay complete however
-many rows the ring evicted and whatever moved after the last hook.
+The ring keeps at most ``capacity`` rows.  A run's totals live in the
+registry, which the run ledger harvests, so an evicted row loses only its
+place in the trajectory.
 
-Determinism caveat: a few registry series are inherently process-local —
-FieldModel build/hit counters depend on which worker first touched a seed,
-and ``profile_seconds`` buckets wall-clock timings.  Those are excluded
+Determinism caveat: FieldModel build/hit counters are process-local —
+they depend on which worker first touched a seed.  They are excluded
 from rows by default (:data:`EXCLUDED_PREFIXES`); they remain in the full
 registry dump, just not in the sampled trajectory.
 
-:func:`load_rows` and :func:`series_table` read a written sink back.
+:func:`load_rows` and :func:`series_table` read a written sink back, and
+:func:`fold_series` aggregates its rows.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ __all__ = [
 DEFAULT_SAMPLE_CAPACITY = 4096
 
 #: Metric-name prefixes excluded from sample rows (see module docstring).
-EXCLUDED_PREFIXES: tuple[str, ...] = ("field_model_", "profile_seconds")
+EXCLUDED_PREFIXES: tuple[str, ...] = ("field_model_",)
 
 #: Schema version stamped into the sink header row.
 SINK_VERSION = 1
@@ -83,8 +80,6 @@ def fold_series(sections: dict[str, dict[str, Any]], series: dict[str, Any]) -> 
     """Fold one row's ``series`` into counter/gauge/histogram sections.
 
     Counters and histogram count/sum add up, gauges keep the last reading.
-    Histogram entries are replaced, never updated in place, so a shallow
-    copy of ``sections`` can be folded into without touching the original.
 
     >>> sections = empty_sections()
     >>> fold_series(sections, {"a_total": {"k": "counter", "v": 2}})
@@ -100,11 +95,9 @@ def fold_series(sections: dict[str, dict[str, Any]], series: dict[str, Any]) -> 
         elif kind == "gauge":
             sections["gauges"][key] = entry["v"]
         elif kind == "histogram":
-            prev = sections["histograms"].get(key, {"count": 0, "sum": 0.0})
-            sections["histograms"][key] = {
-                "count": prev["count"] + int(entry["count"]),
-                "sum": prev["sum"] + float(entry["sum"]),
-            }
+            hist = sections["histograms"].setdefault(key, {"count": 0, "sum": 0.0})
+            hist["count"] += int(entry["count"])
+            hist["sum"] += float(entry["sum"])
 
 
 def _scalarize(inst: MCounter | Gauge | Histogram) -> Any:
@@ -128,9 +121,6 @@ class MetricsSampler:
     [3, 2]
     >>> s.rows()[1]["series"]["health_coverage_fraction"]
     {'k': 'gauge', 'v': 0.75}
-    >>> reg.counter("beacons_total").inc(4)     # not sampled yet
-    >>> s.totals()["counters"]
-    {'beacons_total': 9}
     """
 
     def __init__(
@@ -149,7 +139,6 @@ class MetricsSampler:
         self.dropped = 0
         self.seq = 0
         self._last: dict[tuple, Any] = {}
-        self._totals = empty_sections()
         self._stream = stream
         if stream is not None:
             stream.write(json.dumps(self.header(), sort_keys=True) + "\n")
@@ -185,12 +174,9 @@ class MetricsSampler:
         return list(self._rows)
 
     # ------------------------------------------------------------------
-    def _deltas(self, *, commit: bool) -> dict[str, Any]:
-        """The series touched since the last row, as a row records them.
-
-        ``commit`` advances the delta baseline and clears the registry's
-        touched set; without it the sampler's state is left alone.
-        """
+    def _deltas(self) -> dict[str, Any]:
+        """The series touched since the last row, as a row records them;
+        advances the delta baseline and clears the registry's touched set."""
         series: dict[str, Any] = {}
         for name, labels, inst in self.registry.touched():
             if name.startswith(self.exclude):
@@ -198,8 +184,7 @@ class MetricsSampler:
             key = (name, labels)
             cur = _scalarize(inst)
             prev = self._last.get(key)
-            if commit:
-                self._last[key] = cur
+            self._last[key] = cur
             flat = series_key(name, labels)
             if isinstance(inst, Histogram):
                 pc, ps = prev if prev is not None else (0, 0.0)
@@ -212,8 +197,7 @@ class MetricsSampler:
                 series[flat] = {
                     "k": "counter", "v": cur - (prev if prev is not None else 0),
                 }
-        if commit:
-            self.registry.clear_touched()
+        self.registry.clear_touched()
         return series
 
     def sample(self, tag: str, **ctx: object) -> dict[str, Any]:
@@ -229,7 +213,7 @@ class MetricsSampler:
             "t": float(self.seq),
             "tag": tag,
             "ctx": {k: v for k, v in sorted(ctx.items())},
-            "series": self._deltas(commit=True),
+            "series": self._deltas(),
         }
         self.seq += 1
         self._push(row)
@@ -239,21 +223,9 @@ class MetricsSampler:
         if len(self._rows) == self._rows.maxlen:
             self.dropped += 1
         self._rows.append(row)
-        fold_series(self._totals, row["series"])
         if self._stream is not None:
             self._stream.write(json.dumps(row, sort_keys=True) + "\n")
             self._stream.flush()
-
-    def totals(self) -> dict[str, dict[str, Any]]:
-        """Counter/gauge/histogram totals over the whole run so far.
-
-        Every recorded or absorbed row, evicted ones included, plus the
-        series touched since the last row — computed as :meth:`sample`
-        would, without recording a row.
-        """
-        out = {section: dict(values) for section, values in self._totals.items()}
-        fold_series(out, self._deltas(commit=False))
-        return out
 
     def close(self) -> None:
         """Close and detach the streaming sink; the ring keeps recording."""

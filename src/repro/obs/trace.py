@@ -15,6 +15,11 @@ line, greppable and streamable, no schema registry needed.  Span records
 are appended when the span *closes*, so a trace file lists children before
 their parents (the usual post-order of tracing backends).
 
+Spans are the one wall clock of a run.  Besides the ring, the tracer keeps
+per-name totals (:attr:`Tracer.span_stats`) of every span it closed or
+absorbed, evicted ones included, so the CLI's trace summary and a ledger
+row's ``wall`` section stay whole however long the run.
+
 The tracer assumes single-threaded, well-nested use — the same assumption
 the rest of the reproduction makes.  Attribute values are scrubbed to
 JSON-safe types at record time (NumPy scalars unwrapped, arrays listed,
@@ -34,7 +39,7 @@ import numpy as np
 
 from repro.errors import ObservabilityError
 
-__all__ = ["Span", "Tracer", "scrub"]
+__all__ = ["Span", "SpanStats", "Tracer", "scrub"]
 
 #: Default ring-buffer capacity (records, spans + events).
 DEFAULT_CAPACITY = 65536
@@ -68,6 +73,28 @@ def scrub(value: object) -> object:
     if isinstance(value, (list, tuple)):
         return [scrub(v) for v in value]
     return repr(value)
+
+
+class SpanStats:
+    """Count, total and max seconds of all spans sharing one name."""
+
+    __slots__ = ("name", "count", "total", "max")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.count = 0
+        self.total = 0.0
+        self.max = 0.0
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+    def add(self, duration: float) -> None:
+        self.count += 1
+        self.total += duration
+        if duration > self.max:
+            self.max = duration
 
 
 class Span:
@@ -119,7 +146,7 @@ class Span:
         tracer._stack.pop()
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
-        tracer._append(
+        tracer._append_span(
             {
                 "type": "span",
                 "name": self.name,
@@ -131,7 +158,6 @@ class Span:
                 "attrs": {k: scrub(v) for k, v in self.attrs.items()},
             }
         )
-        tracer.n_spans += 1
         return False
 
 
@@ -158,6 +184,15 @@ class Tracer:
     True
     >>> (tracer.n_spans, tracer.n_events, tracer.dropped)
     (2, 1, 0)
+
+    Per-name span totals outlive the ring:
+
+    >>> tiny = Tracer(capacity=1)
+    >>> for _ in range(3):
+    ...     with tiny.span("epoch"):
+    ...         pass
+    >>> (len(tiny), tiny.dropped, tiny.span_stats["epoch"].count)
+    (1, 2, 3)
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -171,6 +206,9 @@ class Tracer:
         self.n_spans = 0
         self.n_events = 0
         self.dropped = 0
+        #: ``name -> SpanStats`` over every span closed or absorbed,
+        #: including those the ring has since evicted.
+        self.span_stats: dict[str, SpanStats] = {}
 
     # ------------------------------------------------------------------
     def _take_id(self) -> int:
@@ -181,6 +219,20 @@ class Tracer:
         if len(self._buffer) == self.capacity:
             self.dropped += 1
         self._buffer.append(record)
+
+    def _append_span(self, record: dict) -> None:
+        name = record["name"]
+        stats = self.span_stats.get(name)
+        if stats is None:
+            stats = self.span_stats[name] = SpanStats(name)
+        stats.add(float(record["dur"]))
+        self.n_spans += 1
+        self._append(record)
+
+    def total(self, name: str) -> float:
+        """Seconds spent in spans called ``name`` (0.0 if none closed)."""
+        stats = self.span_stats.get(name)
+        return stats.total if stats is not None else 0.0
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: object) -> Span:
@@ -213,6 +265,7 @@ class Tracer:
         self.n_spans = 0
         self.n_events = 0
         self.dropped = 0
+        self.span_stats = {}
 
     # ------------------------------------------------------------------
     # cross-process aggregation
@@ -238,7 +291,9 @@ class Tracer:
         or a merged trace would silently claim completeness.  When passing
         a plain record list, propagate the source's count via ``dropped=``
         (as :func:`repro.obs.bridge.merge_worker_obs` does from the shipped
-        payload).
+        payload).  Absorbed span records add to :attr:`span_stats`; spans
+        the worker's own ring evicted before shipping count only in
+        ``dropped``.
 
         Returns the number of records absorbed.
 
@@ -276,12 +331,12 @@ class Tracer:
                 parent = rec.get("parent")
                 rec["parent"] = idmap[parent] if parent in idmap else graft
                 rec["depth"] = int(rec.get("depth", 0)) + base_depth
-                self.n_spans += 1
+                self._append_span(rec)
             else:
                 span = rec.get("span")
                 rec["span"] = idmap[span] if span in idmap else graft
                 self.n_events += 1
-            self._append(rec)
+                self._append(rec)
         self.dropped += int(dropped)
         return len(records)
 

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence, TypeVar
 
 from repro.checks import CHECKS
 from repro.errors import ConfigurationError
-from repro.obs import FREC, LEDGER, OBS, capture_worker_obs, merge_worker_obs
+from repro.obs import FREC, OBS, capture_worker_obs, merge_worker_obs
 from repro.parallel.shm import Manifest, SharedFieldStore, build_field_model
 
 if TYPE_CHECKING:
@@ -410,10 +410,7 @@ class WorkerPool:
         bytes_before = self._store.shared_bytes
         with OBS.span("prefill", cells=len(todo), workers=self._workers):
             partitions = _grid_partitions(self._setup, todo)
-            # LEDGER.stage is a null context when the run ledger is off
-            # (the OBS.span pattern); enabled, the parent's publish and
-            # compute walls land in the invocation's ledger row
-            with LEDGER.stage("pool_publish"):
+            with OBS.span("pool_publish"):
                 manifests = {
                     seed: self._store.publish_field(
                         seed,
@@ -424,28 +421,35 @@ class WorkerPool:
                     for seed in sorted({seed for _, _, seed in todo})
                 }
             executor = self._ensure_executor()
-            with LEDGER.stage("pool_compute"):
-                futures: list[Future[Any]] = [
-                    executor.submit(
-                        _worker_run_chunk,
-                        chunk,
-                        [manifests[s] for s in sorted({c[2] for c in chunk})],
-                        obs_enabled,
-                        frec_enabled,
-                    )
-                    for chunk in chunks
-                ]
-                order = {future: i for i, future in enumerate(futures)}
-                drain = _InOrderDrain()
-                # harvest as completed, absorb in submission order: a slow
-                # chunk buffers its successors instead of blocking the merge
-                for future in as_completed(futures):
-                    for ready in drain.push(order[future], future):
-                        chunk_cells, results, payload = ready.result()
-                        for cell, result in zip(chunk_cells, results):
-                            cache.absorb(*cell, result)
-                        if obs_enabled or frec_enabled:
-                            merge_worker_obs(payload)
+            # worker telemetry is merged after pool_compute closes, still in
+            # submission order, so worker spans graft under "prefill" and
+            # the merge counts as instrumentation, not compute
+            payloads: list[dict[str, Any] | None] = []
+            try:
+                with OBS.span("pool_compute"):
+                    futures: list[Future[Any]] = [
+                        executor.submit(
+                            _worker_run_chunk,
+                            chunk,
+                            [manifests[s] for s in sorted({c[2] for c in chunk})],
+                            obs_enabled,
+                            frec_enabled,
+                        )
+                        for chunk in chunks
+                    ]
+                    order = {future: i for i, future in enumerate(futures)}
+                    drain = _InOrderDrain()
+                    # harvest as completed, absorb in submission order: a
+                    # slow chunk buffers its successors instead of blocking
+                    for future in as_completed(futures):
+                        for ready in drain.push(order[future], future):
+                            chunk_cells, results, payload = ready.result()
+                            for cell, result in zip(chunk_cells, results):
+                                cache.absorb(*cell, result)
+                            payloads.append(payload)
+            finally:
+                for payload in payloads:
+                    merge_worker_obs(payload)
         if OBS.enabled:
             OBS.counter("parallel_cells_total").inc(len(todo))
             OBS.counter("parallel_batches_total").inc()

@@ -3,7 +3,7 @@
 Each rule gets at least one violating snippet and one clean snippet; the
 suppression machinery (``# checks: ignore[CODE]``) is tested for matched,
 unused and unknown codes.  Snippets are written into a ``src/repro/...``
-layout under ``tmp_path`` so module-scoped rules (DET002, OBS001, OBS002)
+layout under ``tmp_path`` so module-scoped rules (DET002, OBS001)
 see them as library code.
 
 Multi-module fixtures (a clock read three frames below a worker, an
@@ -658,7 +658,7 @@ class TestObs001:
 
 
 # ----------------------------------------------------------------------
-# what counts as a guard (shared by OBS001/OBS003/OBS004/OBS005)
+# what counts as a guard (shared by OBS001/OBS003/OBS004)
 # ----------------------------------------------------------------------
 class TestGuardForms:
     FORMS = {
@@ -796,113 +796,6 @@ class TestObs004:
             """,
             library=False,
             name="test_sample_usage.py",
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# OBS005 - guarded run-ledger recording
-# ----------------------------------------------------------------------
-class TestObs005:
-    def test_unguarded_record_run_flagged(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            from repro.obs import LEDGER
-
-            def f(config):
-                LEDGER.record_run("figure", "fig08", config)
-            """,
-        )
-        assert _codes(findings) == ["OBS005"]
-
-    def test_guarded_record_run_clean(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            from repro.obs import LEDGER
-
-            def f(config):
-                if LEDGER.enabled:
-                    LEDGER.record_run("figure", "fig08", config)
-            """,
-        )
-        assert findings == []
-
-    def test_early_exit_guard_clean(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            from repro.obs import LEDGER
-
-            def f(config):
-                if not LEDGER.enabled:
-                    return
-                LEDGER.record_run("figure", "fig08", config)
-            """,
-        )
-        assert findings == []
-
-    def test_stage_context_exempt(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            from repro.obs import LEDGER
-
-            def f(work):
-                with LEDGER.stage("compute"):
-                    work()
-            """,
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# OBS002 - unique @profiled sites
-# ----------------------------------------------------------------------
-class TestObs002:
-    def test_duplicate_sites_across_files_flagged(self, tmp_path):
-        _write(
-            tmp_path,
-            """
-            from repro.obs import profiled
-
-            @profiled("core.kernel")
-            def a():
-                pass
-            """,
-            name="mod_a.py",
-        )
-        _write(
-            tmp_path,
-            """
-            from repro.obs import profiled
-
-            @profiled("core.kernel")
-            def b():
-                pass
-            """,
-            name="mod_b.py",
-        )
-        findings = lint_paths([tmp_path])
-        assert _codes(findings) == ["OBS002"]
-        assert "core.kernel" in findings[0].message
-        assert "mod_a.py" in findings[0].message  # names the first use
-
-    def test_unique_sites_clean(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path,
-            """
-            from repro.obs import profiled
-
-            @profiled("core.alpha")
-            def a():
-                pass
-
-            @profiled("core.beta")
-            def b():
-                pass
-            """,
         )
         assert findings == []
 
@@ -1063,11 +956,11 @@ class TestObs006:
 
     def test_obs_attribute_store_flagged(self, tmp_path):
         code = """
-        from repro.obs import LEDGER, OBS
+        from repro.obs import FREC, OBS
 
         def worker(saved):
             OBS.enabled = True
-            OBS.enabled, LEDGER.enabled = saved
+            OBS.enabled, FREC.enabled = saved
         """
         findings = lint_tree(tmp_path, {"parallel/__init__.py": code})
         assert _located(tmp_path, findings) == [
@@ -1103,12 +996,12 @@ class TestObs006:
             tmp_path,
             {
                 module: """
-                from repro.obs import FREC, LEDGER, OBS
+                from repro.obs import FREC, OBS
 
                 def session(saved):
                     OBS.enable(fresh=True)
                     FREC.reset()
-                    OBS.enabled, LEDGER.enabled = saved
+                    OBS.enabled, FREC.enabled = saved
                 """,
             },
         )

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _flightrec_argv, build_parser, main
-from repro.obs import FREC, LEDGER, OBS
+from repro.obs import FREC, OBS
 from repro.obs.ledger import LedgerStore
 
 
@@ -128,6 +128,34 @@ def test_invalid_inputs_rejected_before_work(argv, names, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    ("argv", "names"),
+    [
+        (["runs", "show", "latest~abc"], "latest~abc"),
+        (["runs", "show", "latest~-1"], "latest~-1"),
+        (["runs", "diff", "latest", "latest~x"], "latest~x"),
+        (["runs", "regress", "--window", "0"], "--window"),
+        (["runs", "regress", "--tolerance", "-0.1"], "--tolerance"),
+        (["runs", "regress", "--wall-tolerance", "-1"], "--wall-tolerance"),
+        (["runs", "regress", "--tolerance", "nan"], "--tolerance"),
+    ],
+    ids=["offset-not-int", "offset-negative", "diff-offset", "window-zero",
+         "tolerance-negative", "wall-tolerance-negative", "tolerance-nan"],
+)
+def test_runs_rejects_malformed_input(argv, names, tmp_path, capsys):
+    """Malformed ``decor runs`` references and flags exit 2 with a message
+    naming them, against a ledger that holds a row to resolve."""
+    ledger = tmp_path / "ledger"
+    assert main(["deploy", "--k", "1", "--side", "20", "--points", "100",
+                 "--ledger", str(ledger)]) == 0
+    OBS.reset()
+    capsys.readouterr()
+    assert main(["runs", "--ledger", str(ledger), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert names in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["figure", "8", "--ledger", "--seeds", "1"],
@@ -149,16 +177,14 @@ class TestRecordingSession:
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         monkeypatch.chdir(tmp_path)
         OBS.reset()
-        LEDGER.reset()
         FREC.reset()
         yield
         OBS.reset()
-        LEDGER.reset()
         FREC.reset()
 
     @staticmethod
     def _switches():
-        return (OBS.enabled, LEDGER.enabled, FREC.enabled)
+        return (OBS.enabled, FREC.enabled)
 
     def test_bare_ledger_recording_replays(self, capsys):
         assert main([
@@ -221,11 +247,14 @@ def modules_after_cli_import() -> set[str]:
     return set(out.split())
 
 
-@pytest.mark.parametrize("module", ["networkx", "scipy", "http.server", "ssl"])
+@pytest.mark.parametrize(
+    "module", ["networkx", "scipy", "http.server", "ssl", "repro.obs.ledger"]
+)
 def test_import_leaves_module_unloaded(modules_after_cli_import, module):
     """Only the analyses (networkx, scipy) and the opt-in kd-tree backend
-    (scipy) need networkx and scipy, and nothing needs http.server or ssl,
-    so importing the CLI must not load any of them."""
+    (scipy) need networkx and scipy, nothing needs http.server or ssl, and
+    only ``--ledger`` and ``decor runs`` need the run ledger, so importing
+    the CLI must not load any of them."""
     assert module not in modules_after_cli_import
 
 

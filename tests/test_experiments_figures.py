@@ -171,3 +171,36 @@ def test_smoke_figures_match_committed_bytes():
     for number in (7, 8, 10):
         expected = (SMOKE_RESULTS / f"fig{number:02d}.json").read_text(encoding="utf-8")
         assert figure_to_json(run_figure(setup, number, cache)) == expected, number
+
+
+def test_failure_figures_and_repairs_never_recount_coverage(
+    setup, cache, monkeypatch
+):
+    """Figures 13 and 14, the method summary and the planner's one-shot
+    repair take the deployment's coverage from its result instead of
+    recounting it from the positions."""
+    from repro.checks import CHECKS
+    from repro.core.planner import DecorPlanner
+    from repro.experiments import method_summary
+    from repro.geometry import Rect
+    from repro.network import SensorSpec, area_failure
+    from repro.network.coverage import CoverageState
+
+    recount = CoverageState.from_deployment.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return recount(cls, *args, **kwargs)
+
+    # the sanitizer's own recount invariant is not what this test counts
+    monkeypatch.setattr(CHECKS, "enabled", False)
+    monkeypatch.setattr(CoverageState, "from_deployment", classmethod(counted))
+    fig13_area_failure(setup, cache)
+    fig14_restoration(setup, cache)
+    method_summary(setup, 1, cache)
+    planner = DecorPlanner(Rect.square(25.0), SensorSpec(4.0, 8.0), n_points=150)
+    result = planner.deploy(k=1, method="voronoi")
+    event = area_failure(result.deployment, planner.region.center, 6.0)
+    planner.restore_after(result, event, method="voronoi")
+    assert calls == []

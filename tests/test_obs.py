@@ -25,7 +25,6 @@ from repro.obs import (
     Tracer,
     bridge_field_stats,
     bridge_radio_stats,
-    profiled,
 )
 
 
@@ -193,7 +192,7 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
-# runtime + profiling
+# runtime
 # ----------------------------------------------------------------------
 class TestRuntime:
     def test_enable_disable_reset(self):
@@ -206,20 +205,17 @@ class TestRuntime:
         OBS.reset()
         assert len(OBS.tracer) == 0 and OBS.metrics.as_dict() == {}
 
-    def test_profiled_records_only_when_enabled(self):
+    def test_span_totals_record_only_when_enabled(self):
         runtime = ObsRuntime()
-
-        @profiled("site.test", obs=runtime)
-        def work(x):
-            return x + 1
-
-        assert work(1) == 2
-        assert runtime.metrics.as_dict() == {}
+        with runtime.span("site.test"):
+            pass
+        assert runtime.tracer.span_stats == {}
         runtime.enable()
-        assert work(2) == 3
-        hist = runtime.metrics.histogram("profile_seconds", site="site.test")
-        assert hist.as_dict()["count"] == 1
-        assert work.__profiled_site__ == "site.test"
+        with runtime.span("site.test"):
+            pass
+        assert runtime.tracer.span_stats["site.test"].count == 1
+        assert runtime.tracer.total("site.test") > 0.0
+        assert runtime.tracer.total("never.opened") == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -284,6 +280,24 @@ class TestSummarizeTrace:
     def test_unknown_record_type_rejected(self):
         with pytest.raises(ExperimentError):
             summarize_trace([{"type": "mystery"}])
+
+    def test_totals_count_spans_the_ring_evicted(self):
+        tracer = Tracer(capacity=2)
+        for _ in range(5):
+            with tracer.span("epoch"):
+                with tracer.span("repair"):
+                    pass
+        assert len(tracer) == 2 and tracer.dropped == 8
+        assert tracer.span_stats["epoch"].count == 5
+        assert tracer.span_stats["repair"].count == 5
+        assert tracer.total("epoch") >= tracer.total("repair") > 0.0
+        summary = summarize_trace(tracer)
+        assert summary.spans["epoch"].count == 5
+        assert summary.spans["repair"].total == tracer.total("repair")
+        text = summary.format()
+        assert "10 spans" in text and "8 dropped" in text
+        row = next(line for line in text.splitlines() if "epoch" in line)
+        assert row.split()[1] == "5"
 
 
 # ----------------------------------------------------------------------

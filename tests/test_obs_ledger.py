@@ -16,7 +16,7 @@ import pytest
 from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.experiments import DeploymentCache, ExperimentSetup
-from repro.obs import LEDGER, OBS
+from repro.obs import OBS, MetricsRegistry, MetricsSampler
 from repro.obs.ledger import (
     HARVEST_EXCLUDED_PREFIXES,
     LedgerStore,
@@ -27,6 +27,7 @@ from repro.obs.ledger import (
     config_fingerprint,
     diff_is_clean,
     diff_rows,
+    harvest,
     mask_row,
     render_diff,
     run_detectors,
@@ -37,10 +38,8 @@ from repro.obs.ledger import (
 @pytest.fixture(autouse=True)
 def pristine_runtimes():
     OBS.reset()
-    LEDGER.reset()
     yield
     OBS.reset()
-    LEDGER.reset()
 
 
 def _masked_json(row):
@@ -192,18 +191,31 @@ class TestHarvest:
         sections = sections_from_sample_rows(rows, exclude=("drop_",))
         assert list(sections["counters"]) == ["keep_total"]
 
-    def test_inflation_hook(self, monkeypatch, tmp_path):
+    def test_inflation_hook(self, monkeypatch):
         monkeypatch.setenv("REPRO_LEDGER_INFLATE", "decor_placements_total:2")
-        LEDGER.enable(tmp_path / "ledger")
-        OBS.enable(fresh=True)
-        if OBS.enabled:
-            OBS.counter("decor_placements_total").inc(10)
-            OBS.counter("other_total").inc(10)
-        OBS.disable()
-        if LEDGER.enabled:
-            row = LEDGER.record_run("test", "t", {})
-        assert row["counters"]["decor_placements_total"] == 20
-        assert row["counters"]["other_total"] == 10
+        reg = MetricsRegistry()
+        reg.counter("decor_placements_total").inc(10)
+        reg.counter("other_total").inc(10)
+        counters = harvest(reg)["counters"]
+        assert counters["decor_placements_total"] == 20
+        assert counters["other_total"] == 10
+
+    def test_harvest_survives_sampler_eviction(self):
+        # the harvest reads the registry, so it covers rows the sampler's
+        # ring evicted and series touched after the last row
+        reg = MetricsRegistry()
+        s = MetricsSampler(reg, capacity=3)
+        for i in range(5):
+            reg.counter("a_total").inc(i + 1)
+            reg.gauge("g").set(float(i))
+            reg.histogram("h").observe(float(i))
+            s.sample("t", i=i)
+        reg.counter("a_total").inc(10)
+        assert s.dropped == 2
+        sections = harvest(reg)
+        assert sections["counters"] == {"a_total": 25}
+        assert sections["gauges"] == {"g": 4.0}
+        assert sections["histograms"] == {"h": {"count": 5, "sum": 10.0}}
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +335,6 @@ class TestCliEndToEnd:
             ["figure", "8", "--seeds", "1", "--ledger", str(ledger), *extra]
         )
         assert code == 0
-        LEDGER.reset()
         OBS.reset()
 
     def test_serial_and_pooled_rows_mask_identical(self, tmp_path, capsys):
@@ -376,6 +387,42 @@ class TestCliEndToEnd:
                     }
         assert expected["counters"]
         assert {section: row[section] for section in expected} == expected
+
+    @pytest.mark.parametrize(
+        ("argv", "keys"),
+        [
+            (["figure", "8", "--seeds", "1"], ["figure"]),
+            (["figure", "8", "--seeds", "1", "--workers", "2"],
+             ["figure", "pool_compute", "pool_publish"]),
+            (["deploy", "--k", "1", "--side", "20", "--points", "100"],
+             ["deploy"]),
+            (["summary", "--k", "1", "--seeds", "1", "--workers", "2"],
+             ["pool_compute", "pool_publish", "summary"]),
+            (["restore", "--k", "1", "--side", "20", "--points", "100"],
+             ["deploy", "restore"]),
+            (["restore", "--k", "1", "--side", "20", "--points", "100",
+              "--epochs", "2"], ["deploy", "restore"]),
+        ],
+        ids=["figure", "figure-workers", "deploy", "summary-workers",
+             "restore", "restore-epochs"],
+    )
+    def test_wall_is_span_totals(self, tmp_path, capsys, argv, keys):
+        """Each ``wall`` entry is the total of the spans of one name, and
+        the ``--trace`` summary printed by the same run agrees with it."""
+        ledger = tmp_path / "ledger"
+        assert main([*argv, "--ledger", str(ledger), "--trace",
+                     str(tmp_path / "t.jsonl")]) == 0
+        tracer = OBS.tracer
+        (row,) = LedgerStore(ledger).rows()
+        assert sorted(row["wall"]) == keys
+        assert row["wall"] == {key: tracer.total(key) for key in keys}
+        out = capsys.readouterr().out
+        for key in keys:
+            (line,) = [ln for ln in out.splitlines()
+                       if ln.split()[:1] == [key]]
+            count, total = line.split()[1:3]
+            assert int(count) == tracer.span_stats[key].count
+            assert float(total) == pytest.approx(row["wall"][key], abs=1e-4)
 
     def test_runs_diff_and_regress_exit_codes(self, tmp_path, capsys,
                                               monkeypatch):

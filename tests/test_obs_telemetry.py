@@ -1,9 +1,9 @@
 """Tests for the time-series telemetry pipeline.
 
-Covers the sampler (delta rows, the logical clock, ring bounds, running
-totals), the label-cardinality cap, the sink reader, the domain health
-gauges, `decor obs summarize`, and the merge guarantee: serial and
-multi-worker runs produce byte-identical sampled series.
+Covers the sampler (delta rows, the logical clock, ring bounds), the
+label-cardinality cap, the sink reader, the domain health gauges, `decor
+obs summarize`, and the merge guarantee: serial and multi-worker runs
+produce byte-identical sampled series and equal metric gauges.
 """
 
 from __future__ import annotations
@@ -213,7 +213,6 @@ class TestMetricsSampler:
         reg = MetricsRegistry()
         s = MetricsSampler(reg)
         reg.counter("field_model_builds_total").inc()
-        reg.histogram("profile_seconds", site="x").observe(0.1)
         reg.counter("kept_total").inc()
         row = s.sample("t")
         assert list(row["series"]) == ["kept_total"]
@@ -227,29 +226,6 @@ class TestMetricsSampler:
         assert s.n_rows == 3
         assert s.dropped == 2
         assert [r["ctx"]["i"] for r in s.rows()] == [2, 3, 4]
-
-    def test_totals_survive_eviction(self):
-        # running totals cover evicted rows and the series touched since
-        # the last row, so they equal the registry however small the ring
-        reg = MetricsRegistry()
-        s = MetricsSampler(reg, capacity=3)
-        for i in range(5):
-            reg.counter("a_total").inc(i + 1)
-            reg.gauge("g").set(float(i))
-            reg.histogram("h").observe(float(i))
-            s.sample("t", i=i)
-        reg.counter("a_total").inc(10)
-        assert s.dropped == 2
-        totals = s.totals()
-        assert totals["counters"] == {"a_total": reg.value("a_total")}
-        assert totals["gauges"] == {"g": reg.value("g")}
-        hist = reg.histogram("h")
-        assert totals["histograms"] == {
-            "h": {"count": hist.count, "sum": hist.sum}
-        }
-        # reading the totals records nothing
-        assert s.seq == 5
-        assert reg.touched()
 
     def test_invalid_args_rejected(self):
         reg = MetricsRegistry()
@@ -593,14 +569,44 @@ class TestCliTelemetry:
         assert "p95" not in out
 
     def test_sample_flag_writes_sink(self, tmp_path, capsys, monkeypatch):
+        # deploy and one-shot restore have no sample hooks of their own:
+        # each run closes its sink with one row of counters and coverage
+        # health
         from repro.cli import main
 
         monkeypatch.chdir(tmp_path)
-        code = main([
-            "deploy", "--k", "1", "--points", "120", "--side", "20",
-            "--method", "grid", "--sample", "sink.jsonl",
-        ])
-        assert code == 0
-        lines = (tmp_path / "sink.jsonl").read_text().splitlines()
-        assert json.loads(lines[0])["type"] == "header"
-        assert "wrote sink.jsonl" in capsys.readouterr().out
+        for command in ("deploy", "restore"):
+            code = main([
+                command, "--k", "1", "--points", "120", "--side", "20",
+                "--method", "grid", "--sample", "sink.jsonl",
+            ])
+            assert code == 0
+            lines = (tmp_path / "sink.jsonl").read_text().splitlines()
+            assert json.loads(lines[0])["type"] == "header"
+            assert "wrote sink.jsonl" in capsys.readouterr().out
+            (row,) = [json.loads(line) for line in lines[1:]]
+            assert (row["tag"], row["ctx"]) == (command, {"k": 1, "method": "grid"})
+            assert row["series"]["health_coverage_fraction"]["v"] == 1.0
+            assert row["series"]["decor_placements_total{method=grid}"]["v"] > 0
+
+    def test_pooled_metrics_gauges_match_serial(self, tmp_path, capsys,
+                                                monkeypatch):
+        """Worker gauges take the last reading in submission order, as a
+        serial run does; summing them reported coverage fractions of 8."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        gauges = []
+        for extra in ([], ["--workers", "2"]):
+            dump = tmp_path / f"metrics{len(gauges)}.json"
+            assert main(["figure", "8", "--metrics", str(dump), *extra]) == 0
+            OBS.reset()
+            gauges.append({
+                (name, labels): payload["value"]
+                for name, series in json.loads(dump.read_text()).items()
+                for labels, payload in series.items()
+                if payload["type"] == "gauge"
+            })
+        capsys.readouterr()
+        assert gauges[0][("health_coverage_fraction", "")] == 1.0
+        assert gauges[0] == gauges[1]
