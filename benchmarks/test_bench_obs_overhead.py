@@ -8,13 +8,14 @@ touchpoint.  Directly differencing two sweep timings is noise-dominated —
 the guards cost nanoseconds against a multi-second sweep — so
 ``test_disabled_overhead_within_bound`` bounds the overhead analytically:
 
-    overhead <= touchpoints x per_guard_cost / sweep_time < 3%
+    overhead <= (calls x per_call + checks x per_check) / sweep_time < 3%
 
-where ``touchpoints`` is counted from an instrumented run (every trace
-record and metric op an enabled sweep produces corresponds to at most a
-handful of disabled-mode guard evaluations) and ``per_guard_cost`` is
-microbenchmarked on this machine, pessimistically, as a full disabled
-``OBS.span()`` context entry/exit.
+where ``calls`` (disabled ``OBS.span``/``counter``/``sample``/... facade
+calls) and ``checks`` (every other read of ``OBS.enabled``, i.e. each
+``if OBS.enabled:`` test) are counted in a disabled sweep, and the two
+costs are microbenchmarked on the host running the test, pessimistically:
+a call as a full null ``OBS.span()`` context entry/exit plus one more
+check, a check with its loop overhead.
 
 The flight recorder (``repro.obs.flightrec``) makes the same promise
 behind the same guard discipline (OBS003), so
@@ -27,14 +28,15 @@ from __future__ import annotations
 
 import time
 
+import pytest
+
 from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import SERIES
 from repro.obs import FREC, OBS
+from repro.obs.runtime import ObsRuntime
 
-# every guard site (an ``if OBS.enabled:`` block or a span context)
-# produces at least one trace record or metric op when enabled, so the
-# enabled-run touchpoint count upper-bounds the number of disabled-mode
-# guard evaluations
+# the flight-recorder gate counts enabled-mode records, each of which
+# stands for at least one disabled-mode guard evaluation
 GUARDS_PER_TOUCHPOINT = 1
 MAX_DISABLED_OVERHEAD = 0.03
 
@@ -57,6 +59,38 @@ def _sweep(setup):
         for k in setup.k_values:
             total += cache.get(series, k, 0).total_alive
     return total
+
+
+def _disabled_guards(fn):
+    """Run ``fn()`` with ``OBS`` disabled; return ``(calls, checks)``, its
+    facade calls and its other reads of ``OBS.enabled``."""
+    reads = calls = 0
+
+    def read(runtime):
+        nonlocal reads
+        reads += 1
+        return runtime.__dict__["enabled"]
+
+    def write(runtime, value):
+        runtime.__dict__["enabled"] = value
+
+    def counted(method):
+        def call(runtime, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return method(runtime, *args, **kwargs)
+
+        return call
+
+    assert not OBS.enabled
+    with pytest.MonkeyPatch.context() as mp:
+        # a data descriptor on the class shadows the instance attribute
+        mp.setattr(ObsRuntime, "enabled", property(read, write), raising=False)
+        for name in ("span", "event", "counter", "gauge", "histogram", "sample"):
+            mp.setattr(ObsRuntime, name, counted(getattr(ObsRuntime, name)))
+        fn()
+    # every facade call reads the switch once itself
+    return calls, reads - calls
 
 
 def test_sweep_obs_off(benchmark, setup):
@@ -89,18 +123,55 @@ def test_sweep_obs_on(benchmark, setup):
     OBS.reset()
 
 
+def _check_block(n=1000):
+    """``n`` disabled ``if OBS.enabled:`` checks (with their loop)."""
+    for _ in range(n):
+        if OBS.enabled:  # pragma: no cover - disabled here by design
+            OBS.counter("x").inc()
+    return n
+
+
+def _disabled_bound(setup, call_block):
+    """The analytic disabled-mode overhead of a smoke sweep, and its
+    inputs: the sweep's facade calls priced as one iteration of
+    ``call_block`` each, its other checks as one of :func:`_check_block`."""
+    # 1. count the facade calls and guard checks a disabled sweep makes
+    OBS.reset()
+    calls, checks = _disabled_guards(lambda: _sweep(setup))
+    assert calls > 0 and checks > 0
+
+    # 2. microbenchmark both shapes on the host running the test
+    assert not OBS.enabled
+    per_call = _best_of(call_block, 5) / 1000.0
+    per_check = _best_of(_check_block, 5) / 1000.0
+
+    # 3. time the disabled sweep itself (best of 3)
+    sweep_time = _best_of(lambda: _sweep(setup), 3)
+
+    bound = (calls * per_call + checks * per_check) / sweep_time
+    return bound, {
+        "facade_calls": calls,
+        "guard_checks": checks,
+        "per_call_seconds": per_call,
+        "per_check_seconds": per_check,
+        "sweep_seconds": sweep_time,
+        "disabled_overhead_bound": bound,
+    }
+
+
+def _describe(info):
+    return (
+        f"{info['facade_calls']} facade calls at "
+        f"{info['per_call_seconds'] * 1e9:.0f} ns, {info['guard_checks']} "
+        f"checks at {info['per_check_seconds'] * 1e9:.0f} ns, "
+        f"sweep {info['sweep_seconds']:.2f}s"
+    )
+
+
 def test_disabled_overhead_within_bound(benchmark, setup):
     """CI gate: disabled-mode instrumentation costs < 3% of a smoke sweep."""
-    # 1. count the touchpoints an instrumented sweep produces
-    OBS.enable(fresh=True)
-    try:
-        _sweep(setup)
-    finally:
-        OBS.disable()
-    touchpoints = len(OBS.tracer) + OBS.tracer.dropped + OBS.metrics.ops
-    OBS.reset()
 
-    # 2. microbenchmark the disabled guard (pessimistic: full null span)
+    # pessimistic price of a facade call: a full null span plus one check
     def guard_block(n=1000):
         for _ in range(n):
             with OBS.span("x"):
@@ -109,22 +180,12 @@ def test_disabled_overhead_within_bound(benchmark, setup):
                 OBS.counter("x").inc()
         return n
 
-    assert not OBS.enabled
-    per_guard = _best_of(guard_block, 5) / 1000.0
-
-    # 3. time the disabled sweep itself (best of 3)
-    sweep_time = _best_of(lambda: _sweep(setup), 3)
-
-    bound = touchpoints * GUARDS_PER_TOUCHPOINT * per_guard / sweep_time
-    benchmark.extra_info["touchpoints"] = touchpoints
-    benchmark.extra_info["per_guard_seconds"] = per_guard
-    benchmark.extra_info["sweep_seconds"] = sweep_time
-    benchmark.extra_info["disabled_overhead_bound"] = bound
+    bound, info = _disabled_bound(setup, guard_block)
+    benchmark.extra_info.update(info)
     benchmark.pedantic(lambda: guard_block(100), rounds=3, iterations=1)
     assert bound < MAX_DISABLED_OVERHEAD, (
         f"disabled-mode obs overhead bound {bound:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} ({touchpoints} touchpoints, "
-        f"{per_guard * 1e9:.0f} ns/guard, sweep {sweep_time:.2f}s)"
+        f"{MAX_DISABLED_OVERHEAD:.0%} ({_describe(info)})"
     )
 
 
@@ -176,22 +237,13 @@ def test_sampler_disabled_overhead_within_bound(benchmark, setup):
     The telemetry touchpoints (``OBS.sample`` hooks plus the guarded
     ``record_*_health`` helpers) make the same promise as OBS001/OBS003
     sites (OBS004): disabled, each costs one ``OBS.enabled`` check plus —
-    for the ``OBS.sample`` facade itself — one no-op method call.  The
-    bound is analytic for the same reason as the tests above.
+    for the ``OBS.sample`` facade itself — one no-op method call.  They
+    are among the facade calls and checks the gate above counts; this
+    gate prices every facade call as the sample facade instead.
     """
-    # 1. count the sample rows + health recordings an enabled sweep emits;
-    # each corresponds to one guarded telemetry site evaluated per cell
-    OBS.enable(fresh=True)
-    try:
-        _sweep(setup)
-        touchpoints = OBS.sampler.seq + OBS.metrics.ops
-    finally:
-        OBS.disable()
-    OBS.reset()
-    assert touchpoints > 0
 
-    # 2. microbenchmark the disabled path (pessimistic: the full facade
-    # call, not just the guard the call sites actually use)
+    # pessimistic price of a facade call: the full sample facade call
+    # plus one check, not just the guard the call sites actually use
     def guard_block(n=1000):
         for _ in range(n):
             OBS.sample("x", step=0)
@@ -199,20 +251,10 @@ def test_sampler_disabled_overhead_within_bound(benchmark, setup):
                 OBS.gauge("x").set(1.0)
         return n
 
-    assert not OBS.enabled
-    per_guard = _best_of(guard_block, 5) / 1000.0
-
-    # 3. time the disabled sweep itself (best of 3)
-    sweep_time = _best_of(lambda: _sweep(setup), 3)
-
-    bound = touchpoints * GUARDS_PER_TOUCHPOINT * per_guard / sweep_time
-    benchmark.extra_info["telemetry_touchpoints"] = touchpoints
-    benchmark.extra_info["per_guard_seconds"] = per_guard
-    benchmark.extra_info["sweep_seconds"] = sweep_time
-    benchmark.extra_info["disabled_overhead_bound"] = bound
+    bound, info = _disabled_bound(setup, guard_block)
+    benchmark.extra_info.update(info)
     benchmark.pedantic(lambda: guard_block(100), rounds=3, iterations=1)
     assert bound < MAX_DISABLED_OVERHEAD, (
         f"disabled-mode sampler overhead bound {bound:.2%} exceeds "
-        f"{MAX_DISABLED_OVERHEAD:.0%} ({touchpoints} telemetry touchpoints, "
-        f"{per_guard * 1e9:.0f} ns/guard, sweep {sweep_time:.2f}s)"
+        f"{MAX_DISABLED_OVERHEAD:.0%} ({_describe(info)})"
     )

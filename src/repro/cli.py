@@ -443,9 +443,10 @@ def _validate_args(args: argparse.Namespace) -> None:
     epochs = getattr(args, "epochs", None)
     if epochs is not None and epochs < 1:
         raise ConfigurationError(f"--epochs must be >= 1, got {epochs}")
-    window = getattr(args, "window", None)
-    if window is not None and window < 1:
-        raise ConfigurationError(f"--window must be >= 1, got {window}")
+    for name in ("window", "limit"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ConfigurationError(f"--{name} must be >= 1, got {value}")
     for name in ("tolerance", "wall_tolerance"):
         value = getattr(args, name, None)
         if value is not None and not value >= 0:
@@ -705,7 +706,8 @@ def _summarize_export(source: str) -> str:
     from repro.experiments.summary import summarize_trace
     from repro.obs.sampler import load_rows, series_table
 
-    text = open(source, encoding="utf-8").read()
+    with open(source, encoding="utf-8") as fh:
+        text = fh.read()
     doc: dict | None = None
     first: dict | None = None
     try:
@@ -882,7 +884,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             rows = [r for r in rows if r.get("kind") == args.kind]
         if args.label:
             rows = [r for r in rows if r.get("label") == args.label]
-        shown = rows[-args.limit:] if args.limit and args.limit > 0 else rows
+        shown = rows[-args.limit:]
         if not shown:
             print(f"no matching runs recorded under {store.root}")
             return 0

@@ -63,20 +63,6 @@ def _is_symmetric(matrix: Adjacency) -> bool:
     )
 
 
-def csr_row_gather(
-    matrix: Adjacency, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Column indices of ``rows`` of a CSR matrix, concatenated in row
-    order, and each row's length — one fused gather, no per-row loop
-    (shared by the engine's delta update and the Voronoi local benefit)."""
-    indptr = matrix.indptr
-    starts = indptr[rows]
-    lens = indptr[rows + 1] - starts
-    pos = (starts - (lens.cumsum() - lens)).repeat(lens)
-    pos += np.arange(pos.size, dtype=pos.dtype)
-    return matrix.indices[pos], lens
-
-
 #: Filter an adjacency to same-cell pairs: the grid leader's information
 #: horizon, crediting benefit only toward points of its own cell (§3.3).
 #: Prefer the memoised :meth:`repro.field.FieldModel.same_cell_adjacency`.
@@ -179,6 +165,8 @@ class BenefitEngine:
                 self._ben = self._cov
             else:
                 self._ben = self._validated_benefit_adjacency(benefit_adjacency, n)
+            self._cov_rows = self._cov.rows()
+            self._ben_rows = self._ben.rows()
             if initial_counts is None:
                 self._counts = np.zeros(n, dtype=np.int64)
             else:
@@ -187,7 +175,7 @@ class BenefitEngine:
                     raise CoverageError("invalid initial counts")
                 self._counts = counts.copy()
             self._n_kcovered = int(np.count_nonzero(self._counts >= self._karr))
-            self._benefit = self._ben @ self._weights()
+            self._benefit = self._ben @ self._weights(self._counts, self._karr)
 
     @staticmethod
     def _validated_benefit_adjacency(
@@ -223,11 +211,12 @@ class BenefitEngine:
             return ben
         return Adjacency(ben.indptr.astype(np.int32), ben.indices.astype(np.int32), n)
 
-    def _weights(self) -> np.ndarray:
-        """Per-point weight in the benefit sum, by mode."""
+    def _weights(self, counts: np.ndarray, need: np.ndarray | int) -> np.ndarray:
+        """Weight in the benefit sum of points with ``counts`` and
+        requirement ``need``, by mode."""
         if self._mode == "binary":
-            return (self._counts < self._karr).astype(np.float64)
-        return np.maximum(self._karr - self._counts, 0).astype(np.float64)
+            return (counts < need).astype(np.float64)
+        return np.maximum(need - counts, 0).astype(np.float64)
 
     # ------------------------------------------------------------------
     # views
@@ -329,48 +318,72 @@ class BenefitEngine:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _covered_row(self, point_index: int) -> np.ndarray:
-        lo, hi = self._cov.indptr[point_index], self._cov.indptr[point_index + 1]
-        return self._cov.indices[lo:hi]
-
-    def _apply_delta(self, covered: np.ndarray, sign: int) -> np.ndarray:
-        """Apply a +-1 coverage change on ``covered`` points; fix benefit.
-
-        Returns the covered indices (so callers can mirror the change into a
-        :class:`~repro.network.coverage.CoverageState`).
-        """
-        before = self._counts[covered]
-        need = self._karr[covered]
-        if sign == +1:
-            # points crossing into k-covered; binary weights drop 1 -> 0 there
-            crossing = before == need - 1
-            self._counts[covered] += 1
-            self._n_kcovered += int(np.count_nonzero(crossing))
-            changed = covered[crossing if self._mode == "binary" else before < need]
-        elif sign == -1:
-            if (before <= 0).any():
-                raise CoverageError("coverage count would become negative")
-            # points leaving k-covered; binary weights rise 0 -> 1 there
-            crossing = before == need
-            self._counts[covered] -= 1
-            self._n_kcovered -= int(np.count_nonzero(crossing))
-            changed = covered[crossing if self._mode == "binary" else before <= need]
-        else:  # pragma: no cover - internal misuse
-            raise CoverageError(f"invalid sign {sign}")
+    def _apply_delta(self, covered: np.ndarray) -> None:
+        """Count one more sensor on ``covered`` (distinct points); the
+        benefit rows of the points whose weight dropped lose one unit each
+        (the single-placement path; :meth:`_apply_rows` does the rest)."""
+        counts = self._counts
+        before = counts[covered]
+        need = self._karr[covered] if self._k_scalar is None else self._k_scalar
+        # points crossing into k-covered; binary weights drop 1 -> 0 there
+        crossing = before == need - 1
+        counts[covered] = before + 1
+        self._n_kcovered += int(np.count_nonzero(crossing))
+        changed = covered[crossing if self._mode == "binary" else before < need]
         if changed.size:
-            # the benefit rows of every changed point lose (gain) one unit
-            touched, _ = csr_row_gather(self._ben, changed)
-            np.add.at(self._benefit, touched, -1.0 if sign == +1 else +1.0)
-            if OBS.enabled:
-                OBS.counter("benefit_delta_updates_total").inc(int(touched.size))
-        return covered
+            self._move_benefit(changed, -1.0)
+
+    def _apply_rows(self, rows: list[np.ndarray], sign: int) -> np.ndarray:
+        """Apply several sensors' +-1 coverage rows as one delta; returns
+        the sorted distinct points they cover.
+
+        The rows are sorted into distinct points with multiplicities, so
+        each point's count moves once, from ``before`` to ``after``, and the
+        benefit moves by ``A_ben @ (w(after) - w(before))`` in one weighted
+        add.  That equals applying the rows one by one bit for bit: every
+        weight and benefit value is an integer-valued float64 far below
+        2**53, so each addition is exact in any order.  Nothing is mutated
+        when a count would become negative.
+        """
+        pts = np.sort(np.concatenate(rows))
+        if pts.size == 0:
+            return pts
+        first = np.flatnonzero(np.concatenate(([True], pts[1:] != pts[:-1])))
+        mult = np.diff(first, append=pts.size)
+        pts = pts[first]
+        before = self._counts[pts]
+        after = before + mult if sign == +1 else before - mult
+        if sign == -1 and after.min() < 0:
+            raise CoverageError("coverage count would become negative")
+        need = self._karr[pts] if self._k_scalar is None else self._k_scalar
+        self._n_kcovered += int(np.count_nonzero(after >= need)) - int(
+            np.count_nonzero(before >= need)
+        )
+        self._counts[pts] = after
+        delta = self._weights(after, need) - self._weights(before, need)
+        moved = delta.nonzero()[0]
+        if moved.size:
+            changed = pts[moved]
+            indptr = self._ben.indptr
+            self._move_benefit(changed, delta[moved].repeat(indptr[changed + 1] - indptr[changed]))
+        return pts
+
+    def _move_benefit(self, changed: np.ndarray, weights: np.ndarray | float) -> None:
+        """Add ``weights`` (a scalar, or one value per entry) to the benefit
+        of every point in the benefit rows of ``changed``."""
+        ben_rows = self._ben_rows
+        touched = np.concatenate([ben_rows[i] for i in changed.tolist()])
+        np.add.at(self._benefit, touched, weights)
+        if OBS.enabled:
+            OBS.counter("benefit_delta_updates_total").inc(int(touched.size))
 
     def place_at(self, point_index: int) -> np.ndarray:
-        """Place a sensor at field point ``point_index``; returns covered indices."""
+        """Place a sensor at field point ``point_index``; returns the covered
+        indices (the adjacency's read-only row, shared, not copied)."""
         if not (0 <= point_index < self.n_points):
             raise PlacementError(f"point index {point_index} out of range")
-        covered = np.array(self._covered_row(point_index), dtype=np.intp)
-        self._apply_delta(covered, +1)
+        covered = self._cov_rows[point_index]
+        self._apply_delta(covered)
         self._rows.append(covered)
         return covered
 
@@ -392,21 +405,26 @@ class BenefitEngine:
         """
         if covered is None:
             covered = self._field.query_ball(as_point(position), self._rs)
-        covered = self._apply_delta(np.asarray(covered, dtype=np.intp), +1)
+        covered = np.asarray(covered, dtype=np.intp)
+        self._apply_delta(covered)
         self._rows.append(covered)
         return covered
 
     def add_sensors(self, positions: np.ndarray) -> None:
         """:meth:`add_sensor_at_position` for each of ``positions``, with
-        one batched ball query."""
-        rows = self._field.query_ball_many(positions, self._rs)
-        for pos, row in zip(positions, rows):
-            self.add_sensor_at_position(pos, covered=row)
+        one batched ball query and one multi-row delta."""
+        rows = [
+            np.asarray(row, dtype=np.intp)
+            for row in self._field.query_ball_many(positions, self._rs)
+        ]
+        if rows:
+            self._apply_rows(rows, +1)
+            self._rows.extend(rows)
 
     def remove_covered(self, covered: np.ndarray) -> None:
         """Undo a sensor's coverage given the point list it covered (its
         recorded row stays; such callers keep their own bookkeeping)."""
-        self._apply_delta(np.asarray(covered, dtype=np.intp), -1)
+        self._apply_rows([np.asarray(covered, dtype=np.intp)], -1)
 
     # ------------------------------------------------------------------
     # per-sensor rows (result coverage, warm restoration)
@@ -431,6 +449,11 @@ class BenefitEngine:
         The surviving rows are compacted (keeping their relative order) so
         they again line up with the survivors' new 0-based ids.
 
+        The rows are undone as one delta, checked before anything
+        changes: a row whose coverage is no longer counted (undone by
+        :meth:`remove_covered`) raises :class:`CoverageError` and leaves
+        the engine as it was.
+
         Returns the failure's coverage footprint: the sorted unique field
         points that lost at least one unit of coverage.
         """
@@ -443,19 +466,19 @@ class BenefitEngine:
             )
         if sorted_unique(idx).size != idx.size:
             raise CoverageError("duplicate row indices in remove_rows")
-        failed = set(idx.tolist())
+        failed = idx.tolist()
         rows = self._rows
-        for i in idx.tolist():
-            self._apply_delta(rows[i], -1)
-        self._rows = [row for i, row in enumerate(rows) if i not in failed]
-        return sorted_unique(np.concatenate([rows[i] for i in idx.tolist()]))
+        footprint = self._apply_rows([rows[i] for i in failed], -1)
+        gone = set(failed)
+        self._rows = [row for i, row in enumerate(rows) if i not in gone]
+        return footprint
 
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
     def recomputed_benefit(self) -> np.ndarray:
         """Benefit recomputed from scratch (tests: incremental == batch)."""
-        return self._ben @ self._weights()
+        return self._ben @ self._weights(self._counts, self._karr)
 
     def validate(self) -> None:
         if not np.allclose(self._benefit, self.recomputed_benefit()):

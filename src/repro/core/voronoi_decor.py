@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.checks import greedy_checker
 from repro.core._common import finalize, init_run, placement_budget
-from repro.core.benefit import BenefitEngine, csr_row_gather
+from repro.core.benefit import BenefitEngine
 from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
 from repro.errors import PlacementError
 from repro.field.csr import sorted_unique
@@ -72,10 +72,13 @@ def local_voronoi_benefit(
     if reach > 1e-6 * rc:
         limit = reach * (1.0 - 1e-9)
         far_at = (ownership.owner_distance2[candidates] > limit * limit).nonzero()[0]
-        if far_at.size == 0:
-            return benefit
     far = candidates[far_at]
-    rows, lens = csr_row_gather(engine.coverage_adjacency, far)
+    if far.size == 0:
+        return benefit
+    adjacency = engine.coverage_adjacency
+    cov_rows = adjacency.rows()
+    rows = np.concatenate([cov_rows[i] for i in far.tolist()])
+    lens = adjacency.indptr[far + 1] - adjacency.indptr[far]
     diff = engine.field.points[rows] - site_pos
     diff *= diff
     known = diff[:, 0] + diff[:, 1] <= rc**2 + 1e-12

@@ -21,6 +21,8 @@ class Adjacency:
     ``indptr`` and ``indices`` are kept (int32, each row's columns sorted
     and distinct) and there is no ``data`` array.  ``A @ x`` sums ``x``
     over each row's columns (Eq. 1's mat-vec).  Treat it as read-only.
+    :meth:`rows` caches one array per row; a pickle carries only
+    ``indptr``, ``indices`` and ``n``.
 
     >>> a = Adjacency.from_keys(np.array([0, 1, 3, 4, 8]), 3)  # row * 3 + col
     >>> a.toarray().astype(int).tolist()
@@ -29,12 +31,17 @@ class Adjacency:
     ([3.0, 3.0, 4.0], 5)
     """
 
-    __slots__ = ("indices", "indptr", "shape")
+    __slots__ = ("_rows", "indices", "indptr", "shape")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, n: int) -> None:
         self.indptr = indptr
         self.indices = indices
         self.shape = (n, n)
+        self._rows: list[np.ndarray] | None = None
+
+    def __reduce__(self) -> tuple[type[Adjacency], tuple[np.ndarray, np.ndarray, int]]:
+        # the row cache is rebuilt on demand, never shipped
+        return (Adjacency, (self.indptr, self.indices, self.shape[0]))
 
     @classmethod
     def from_keys(cls, keys: np.ndarray, n: int) -> Adjacency:
@@ -47,6 +54,20 @@ class Adjacency:
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+    def rows(self) -> list[np.ndarray]:
+        """Row ``i``'s columns as a read-only ``intp`` array, for every row.
+
+        Built on the first call as views over one ``intp`` copy of
+        ``indices`` (so never views of a buffer the adjacency wraps, such
+        as a shared-memory segment); later calls return the same list.
+        """
+        if self._rows is None:
+            cols = self.indices.astype(np.intp)
+            cols.flags.writeable = False
+            bounds = self.indptr.tolist()
+            self._rows = [cols[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return self._rows
 
     def row_ids(self) -> np.ndarray:
         """The row of every stored entry, in storage order."""

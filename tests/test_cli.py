@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -137,9 +139,12 @@ def test_invalid_inputs_rejected_before_work(argv, names, capsys, monkeypatch):
         (["runs", "regress", "--tolerance", "-0.1"], "--tolerance"),
         (["runs", "regress", "--wall-tolerance", "-1"], "--wall-tolerance"),
         (["runs", "regress", "--tolerance", "nan"], "--tolerance"),
+        (["runs", "list", "--limit", "0"], "--limit"),
+        (["runs", "list", "--limit", "-1"], "--limit"),
     ],
     ids=["offset-not-int", "offset-negative", "diff-offset", "window-zero",
-         "tolerance-negative", "wall-tolerance-negative", "tolerance-nan"],
+         "tolerance-negative", "wall-tolerance-negative", "tolerance-nan",
+         "limit-zero", "limit-negative"],
 )
 def test_runs_rejects_malformed_input(argv, names, tmp_path, capsys):
     """Malformed ``decor runs`` references and flags exit 2 with a message
@@ -153,6 +158,25 @@ def test_runs_rejects_malformed_input(argv, names, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert names in err
     assert "Traceback" not in err and out == ""
+
+
+def test_summarize_closes_the_export(tmp_path, capsys, monkeypatch):
+    """``obs summarize`` closes the file it reads: with ResourceWarning an
+    error, an unclosed file would raise in its finalizer, which reaches
+    ``sys.unraisablehook``."""
+    OBS.enable(fresh=True)
+    OBS.counter("msgs_total").inc(3)
+    path = tmp_path / "metrics.json"
+    OBS.metrics.write_json(str(path))
+    OBS.reset()
+    unraisable: list = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["obs", "summarize", str(path)]) == 0
+        gc.collect()
+    assert "top counters" in capsys.readouterr().out
+    assert not unraisable
 
 
 @pytest.mark.parametrize(

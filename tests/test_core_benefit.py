@@ -146,6 +146,23 @@ class TestRestrictedBenefitAdjacency:
             BenefitEngine(pts, 2.0, k=1, benefit_adjacency=ben)
 
 
+def _dense_eq1(points, sensors, rs, need, mode):
+    """Counts and Eq. 1 benefit from plain pairwise distances, sharing no
+    code with the engine: ``sensors`` are the positions still accounted."""
+    rs2 = rs * rs
+    counts = np.zeros(len(points), dtype=np.int64)
+    if sensors:
+        pos = np.asarray(sensors)
+        d2 = ((points[:, None, :] - pos[None, :, :]) ** 2).sum(axis=-1)
+        counts = (d2 <= rs2).sum(axis=1)
+    if mode == "binary":
+        weight = (counts < need).astype(np.float64)
+    else:
+        weight = np.maximum(need - counts, 0).astype(np.float64)
+    near = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1) <= rs2
+    return counts, near.astype(np.float64) @ weight
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.integers(2, 60),
@@ -156,33 +173,50 @@ class TestRestrictedBenefitAdjacency:
     per_point=st.booleans(),
 )
 def test_incremental_benefit_equals_recompute(n, k, n_ops, seed, mode, per_point):
-    """Property: after arbitrary place/add/remove sequences the incremental
-    benefit vector equals A @ weights recomputed from scratch, and after
-    every operation the running k-covered count behind ``covered_fraction``
-    and ``is_fully_covered`` equals a naive recount — with a uniform or a
-    per-point requirement (some points requiring nothing)."""
+    """Property: after every operation of an arbitrary mix of one-row
+    (place, add, remove_covered) and batched (add_sensors, remove_rows
+    over overlapping rows) updates, the counts, the benefit vector and the
+    running k-covered count behind ``covered_fraction`` and
+    ``is_fully_covered`` equal exactly Eq. 1 evaluated from dense pairwise
+    distances — with a uniform or a per-point requirement (some points
+    requiring nothing), in both benefit modes."""
     rng = np.random.default_rng(seed)
+    rs = 1.5
     pts = rng.random((n, 2)) * 8
     if per_point:
         need = rng.integers(0, k + 1, size=n)
         need[rng.integers(n)] = k  # at least one point requires coverage
     else:
         need = np.full(n, k)
-    eng = BenefitEngine(pts, 1.5, k=need if per_point else k, benefit_mode=mode)
-    # the test's own copy of the engine's rows; live[i] is False once row i's
-    # coverage was undone by remove_covered (the engine keeps such rows)
+    eng = BenefitEngine(pts, rs, k=need if per_point else k, benefit_mode=mode)
+    # the test's own record of the engine's sensors, one per row: where
+    # each sits, its covered row, and whether it is still accounted (False
+    # once remove_covered undid it; the engine keeps such rows)
+    where: list[np.ndarray] = []
     rows: list[np.ndarray] = []
     live: list[bool] = []
     for _ in range(n_ops):
         r = rng.random()
         applied = [i for i, ok in enumerate(live) if ok]
-        if r < 0.4:
-            rows.append(eng.place_at(int(rng.integers(n))).copy())
+        if r < 0.3:
+            i = int(rng.integers(n))
+            rows.append(eng.place_at(i).copy())
+            where.append(pts[i])
             live.append(True)
-        elif r < 0.65 or not applied:
-            rows.append(eng.add_sensor_at_position(rng.random(2) * 8).copy())
+        elif r < 0.45 or not applied:
+            pos = rng.random(2) * 8
+            rows.append(eng.add_sensor_at_position(pos).copy())
+            where.append(pos)
             live.append(True)
-        elif r < 0.8:
+        elif r < 0.6:
+            # a batch that repeats positions and reuses placed ones
+            batch = rng.random((int(rng.integers(1, 5)), 2)) * 8
+            batch = np.concatenate([batch, batch[:1], pts[rng.integers(n, size=2)]])
+            eng.add_sensors(batch)
+            where.extend(batch)
+            rows.extend(np.flatnonzero(((pts - p) ** 2).sum(axis=1) <= rs * rs) for p in batch)
+            live.extend([True] * len(batch))
+        elif r < 0.75:
             i = int(rng.choice(applied))
             eng.remove_covered(rows[i])
             live[i] = False
@@ -191,19 +225,40 @@ def test_incremental_benefit_equals_recompute(n, k, n_ops, seed, mode, per_point
             drop = rng.choice(applied, size=size, replace=False)
             eng.remove_rows(drop)
             dropped = set(drop.tolist())
-            keep = [i for i in range(len(rows)) if i not in dropped]
+            keep = [i for i in range(len(live)) if i not in dropped]
+            where = [where[i] for i in keep]
             rows = [rows[i] for i in keep]
             live = [live[i] for i in keep]
-        counts = np.zeros(n, dtype=np.int64)
-        for row, ok in zip(rows, live):
-            if ok:
-                counts[row] += 1
+        assert eng.n_rows == len(live)
+        counts, benefit = _dense_eq1(
+            pts, [p for p, ok in zip(where, live) if ok], rs, need, mode
+        )
         np.testing.assert_array_equal(eng.counts, counts)
+        np.testing.assert_array_equal(eng.benefit, benefit)
         met = counts >= need
         assert eng.covered_fraction() == np.count_nonzero(met) / n
         assert eng.is_fully_covered() == bool(met.all())
+
+
+@pytest.mark.parametrize("mode", ["deficiency", "binary"])
+def test_remove_rows_naming_an_undone_row_changes_nothing(mode):
+    """``remove_rows`` validates the whole batch before mutating: a batch
+    naming a valid row and a row already undone by ``remove_covered``
+    raises and leaves counts, benefit, rows and coverage as they were."""
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [9.0, 0.0]])
+    eng = BenefitEngine(pts, 1.5, k=2, benefit_mode=mode)
+    eng.place_at(3)
+    row_i = eng.place_at(0)
+    eng.place_at(1)  # row j = 2 overlaps row i = 1
+    eng.remove_covered(row_i)
+    before = (eng.counts.copy(), eng.benefit.copy(), eng.n_rows, eng.covered_fraction())
+    with pytest.raises(CoverageError, match="negative"):
+        eng.remove_rows(np.array([2, 1]))
+    after = (eng.counts, eng.benefit, eng.n_rows, eng.covered_fraction())
+    np.testing.assert_array_equal(after[0], before[0])
+    np.testing.assert_array_equal(after[1], before[1])
+    assert after[2:] == before[2:]
     eng.validate()
-    np.testing.assert_allclose(eng.benefit, eng.recomputed_benefit())
 
 
 class TestArgmaxCandidateOrder:

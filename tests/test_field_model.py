@@ -189,6 +189,33 @@ class TestFieldModel:
             fm.probe_grid(region, 0)
 
 
+class TestAdjacencyRows:
+    def test_rows_are_cached_read_only_intp_slices(self):
+        adj = FieldModel(random_points(4)).adjacency(2.0)
+        rows = adj.rows()
+        assert len(rows) == adj.shape[0]
+        for i, row in enumerate(rows):
+            expected = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
+            assert row.dtype == np.intp
+            assert np.array_equal(row, expected)
+            assert not row.flags.writeable
+        assert adj.rows() is rows
+
+    def test_row_cache_stays_out_of_pickles(self):
+        """Pooled results pickle their field model: the row views must not
+        ride along (or a worker's payload and memory grow)."""
+        import pickle
+
+        adj = FieldModel(random_points(5)).adjacency(2.0)
+        size = len(pickle.dumps(adj))
+        adj.rows()
+        assert len(pickle.dumps(adj)) == size
+        clone = pickle.loads(pickle.dumps(adj))
+        assert np.array_equal(clone.indices, adj.indices)
+        assert np.array_equal(clone.indptr, adj.indptr) and clone.shape == adj.shape
+        assert all(np.array_equal(a, b) for a, b in zip(clone.rows(), adj.rows()))
+
+
 # ----------------------------------------------------------------------
 # same-cell masking (satellite: CSR fast path)
 # ----------------------------------------------------------------------
