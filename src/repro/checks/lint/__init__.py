@@ -13,10 +13,10 @@ DET001    no legacy global-RNG calls (np.random.<fn>, random.<fn>)
 DET002    no wall-clock/entropy reads in library code outside repro.obs
 DET003    no un-sorted() set iteration in library code
 ALIAS001  no in-place mutation of FieldModel/engine cached values
-OBS001    OBS metric/event touchpoints guarded by ``if OBS.enabled:``
-OBS003    flight-recorder touchpoints guarded by ``if FREC.enabled:``
-OBS004    telemetry touchpoints (OBS.sample, record_*_health) guarded
-OBS006    OBS/FREC switches flipped only in repro.obs/repro.cli
+OBS001    obs touchpoints (OBS.event/counter/gauge/histogram/sample,
+          OBS.flight emits, record_*_health) guarded by
+          ``if OBS.enabled:``
+OBS006    the OBS switch flipped only in repro.obs/repro.cli
 API001    no exact float ==/!= on coordinates or benefits
 SUP001    every ``# checks: ignore`` suppression must match a finding
 ========  ==========================================================
@@ -24,7 +24,7 @@ SUP001    every ``# checks: ignore`` suppression must match a finding
 Every rule checks one file at a time and reports at the offending line.
 Worker discipline needs no call graph: DET001, DET002 and DET003 hold in
 every library function, so in every function a ``repro.parallel`` worker
-can reach, and OBS006 keeps the observability switches out of all of
+can reach, and OBS006 keeps the observability switch out of all of
 them.
 
 Two rule sets are registered: :data:`ALL_RULES` (library and test code)
@@ -50,12 +50,7 @@ from repro.checks.lint.rules_det import (
     NoSetIteration,
     NoWallClockInLibrary,
 )
-from repro.checks.lint.rules_obs import (
-    FlightRecorderGuarded,
-    ObsTouchpointsGuarded,
-    SwitchesConfined,
-    TelemetryTouchpointsGuarded,
-)
+from repro.checks.lint.rules_obs import ObsTouchpointsGuarded, SwitchesConfined
 
 __all__ = [
     "ALL_RULES",
@@ -73,8 +68,6 @@ __all__ = [
     "NoSetIteration",
     "NoInPlaceOnCachedViews",
     "ObsTouchpointsGuarded",
-    "FlightRecorderGuarded",
-    "TelemetryTouchpointsGuarded",
     "SwitchesConfined",
     "NoFloatEqualityOnCoordinates",
 ]
@@ -86,8 +79,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     NoSetIteration,
     NoInPlaceOnCachedViews,
     ObsTouchpointsGuarded,
-    FlightRecorderGuarded,
-    TelemetryTouchpointsGuarded,
     SwitchesConfined,
     NoFloatEqualityOnCoordinates,
 )

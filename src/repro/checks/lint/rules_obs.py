@@ -1,27 +1,29 @@
-"""Observability discipline rules: OBS001/3/4 (guards) and OBS006.
+"""Observability discipline rules: OBS001 (guards) and OBS006 (switches).
 
 The ``repro.obs`` layer promises that disabled instrumentation costs one
 attribute check per touchpoint (the <3% CI gate in
 ``benchmarks/test_bench_obs_overhead.py`` depends on it).  That only holds
 if hot-loop touchpoints — whose *arguments* would otherwise still be
-evaluated and formatted — sit inside an enabled guard:
+evaluated and formatted, or whose work would still run — sit inside an
+``if OBS.enabled:`` guard.  OBS001 enforces it over one table of
+touchpoints:
 
-* OBS001 — ``OBS.event``/``OBS.counter``/``OBS.gauge``/``OBS.histogram``
-  under ``if OBS.enabled:``.  ``OBS.span`` is exempt: it wraps whole
-  phases as a context manager and returns a shared null span when
-  disabled.
-* OBS003 — the flight recorder's emitting touchpoints
-  (``FREC.emit``/``emit_send``/``emit_deliver``/``set_cause``/
-  ``clear_cause``/``begin_run``/``end_run``) under ``if FREC.enabled:``,
-  so the disabled path never allocates a record dict.  ``FREC.run`` and
-  ``FREC.session`` are exempt for the same reason ``OBS.span`` is.
-* OBS004 — the telemetry touchpoints (``OBS.sample`` plus the
-  ``record_*_health`` helpers from :mod:`repro.obs.health`) under
-  ``if OBS.enabled:``.  The health helpers recompute domain gauges
-  (holes, energy profiles) — real work, not just argument formatting —
-  so an unguarded call would charge disabled runs for it.
+* the ``OBS`` facade's ``event``/``counter``/``gauge``/``histogram``/
+  ``sample`` calls;
+* the flight pillar's emitting calls (``OBS.flight.emit``/``emit_send``/
+  ``emit_deliver``/``set_cause``/``clear_cause``/``begin_run``/
+  ``end_run``), so the disabled path never builds a record dict;
+* the ``record_*_health`` helpers from :mod:`repro.obs.health`, which
+  recompute domain gauges (holes, energy profiles) — real work, not just
+  argument formatting.
 
-A test *guards* only if it is ``X.enabled`` or an ``and`` with a
+``OBS.span`` and ``OBS.run`` are exempt: they wrap whole phases as
+context managers and return a shared null context when disabled.  The
+flight pillar's setup and export calls (``set_header``, ``records``,
+``write_jsonl``) run when a recording starts or after it stops, like
+``OBS.tracer.write_jsonl``, and are not touchpoints.
+
+A test *guards* only if it is ``OBS.enabled`` or an ``and`` with a
 guarding operand; ``if verbose or OBS.enabled:`` and ``if OBS.enabled is
 False:`` do not.  An early exit guards the rest of its block only if its
 test is ``not <guard>`` (or an ``or`` with such an operand) and its body
@@ -30,16 +32,15 @@ and the health helpers are matched by spelling *and* by resolved import,
 so ``from repro.obs import OBS as TELEMETRY`` cannot slip a touchpoint
 past the rule.
 
-OBS006 confines the runtime switches: ``.enable()``/``.disable()``/
-``.reset()`` calls on ``OBS`` or ``FREC``, and attribute
-stores through them, belong to ``repro.obs`` and the CLI's recording
-session (``repro.cli``).  Anywhere else in the library — above all in
-code a ``repro.parallel`` worker runs — flipping them would make two
-workers (or two runs) record differently; worker state crosses the
-process boundary only through the :mod:`repro.obs.bridge`
-capture/merge seam.  The invariant-checks switch (``CHECKS.enable()``
-in the pool's worker initializer) is not an observability runtime and
-stays legal.
+OBS006 confines the runtime switch: ``.enable()``/``.disable()``/
+``.reset()`` calls on ``OBS``, and attribute stores through it, belong
+to ``repro.obs`` and the CLI's recording session (``repro.cli``).
+Anywhere else in the library — above all in code a ``repro.parallel``
+worker runs — flipping it would make two workers (or two runs) record
+differently; worker state crosses the process boundary only through the
+:mod:`repro.obs.bridge` capture/merge seam.  The invariant-checks switch
+(``CHECKS.enable()`` in the pool's worker initializer) is not an
+observability runtime and stays legal.
 """
 
 from __future__ import annotations
@@ -49,27 +50,25 @@ from typing import Iterator
 
 from repro.checks.lint.framework import FileContext, Finding, Rule
 
-__all__ = [
-    "FlightRecorderGuarded",
-    "ObsTouchpointsGuarded",
-    "SwitchesConfined",
-    "TelemetryTouchpointsGuarded",
-]
+__all__ = ["ObsTouchpointsGuarded", "SwitchesConfined"]
 
-#: Import paths of each runtime singleton: the ``repro.obs`` re-export and
+#: Import paths of the runtime singleton: the ``repro.obs`` re-export and
 #: its defining module.
-_SINGLETON_QUALS: dict[str, frozenset[str]] = {
-    "OBS": frozenset({"repro.obs.OBS", "repro.obs.runtime.OBS"}),
-    "FREC": frozenset({"repro.obs.FREC", "repro.obs.flightrec.FREC"}),
-}
-
-#: Every import path of a runtime singleton (OBS006).
-_SWITCH_QUALS = frozenset(q for quals in _SINGLETON_QUALS.values() for q in quals)
+_OBS_QUALS = frozenset({"repro.obs.OBS", "repro.obs.runtime.OBS"})
 
 #: Singleton methods that swap global runtime state (OBS006).
 _SWITCH_METHODS = frozenset({"enable", "disable", "reset"})
 
-#: Modules a health helper resolves into: the re-export and its home.
+#: The OBS001 touchpoint table: ``OBS.<method>`` facade calls, the flight
+#: pillar's emitting calls ``OBS.flight.<method>``, and the health helpers
+#: (bare, or resolved into one of ``_HEALTH_MODULES``).
+_FACADE_TOUCHPOINTS = frozenset({"event", "counter", "gauge", "histogram", "sample"})
+_FLIGHT_TOUCHPOINTS = frozenset(
+    {"emit", "emit_send", "emit_deliver", "set_cause", "clear_cause", "begin_run", "end_run"}
+)
+_HEALTH_TOUCHPOINTS = frozenset(
+    {"record_coverage_health", "record_energy_health", "record_protocol_health"}
+)
 _HEALTH_MODULES = ("repro.obs", "repro.obs.health")
 
 
@@ -79,44 +78,40 @@ def _terminates(block: list[ast.stmt]) -> bool:
     )
 
 
-class _TouchpointsGuarded(Rule):
-    """Shared guard walker: ``<singleton>.<method>`` under an enabled check.
+class ObsTouchpointsGuarded(Rule):
+    """OBS001: every touchpoint in the table under ``if OBS.enabled:``."""
 
-    Subclasses pin ``singleton`` (the runtime's conventional name at call
-    sites, also the key of its import paths in ``_SINGLETON_QUALS``),
-    ``guarded_methods`` and the finding ``consequence`` text.
-    ``guarded_functions`` additionally matches helper calls
-    (``record_coverage_health(...)``, bare or resolved into
-    :mod:`repro.obs`) that must sit under the same guard.
-    """
-
-    singleton = ""
-    guarded_methods: frozenset[str] = frozenset()
-    guarded_functions: frozenset[str] = frozenset()
-    consequence = ""
+    code = "OBS001"
+    summary = (
+        "obs touchpoints (OBS.event/counter/gauge/histogram/sample, "
+        "OBS.flight emits, record_*_health) must sit inside an "
+        "`if OBS.enabled:` guard so disabled runs never format arguments, "
+        "build flight records or recompute health gauges"
+    )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if not ctx.in_library or ctx.in_package("repro.obs"):
             return
         yield from self._walk_body(ctx, ctx.tree.body, guarded=False)
 
-    def _is_singleton(self, ctx: FileContext, node: ast.AST) -> bool:
+    @staticmethod
+    def _is_obs(ctx: FileContext, node: ast.AST) -> bool:
         return (
-            isinstance(node, ast.Name) and node.id == self.singleton
-        ) or ctx.imports.resolve(node) in _SINGLETON_QUALS[self.singleton]
+            isinstance(node, ast.Name) and node.id == "OBS"
+        ) or ctx.imports.resolve(node) in _OBS_QUALS
 
     def _guards(self, ctx: FileContext, test: ast.AST) -> bool:
-        """Does ``test`` hold only while the singleton is enabled?"""
+        """Does ``test`` hold only while ``OBS`` is enabled?"""
         if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
             return any(self._guards(ctx, value) for value in test.values)
         return (
             isinstance(test, ast.Attribute)
             and test.attr == "enabled"
-            and self._is_singleton(ctx, test.value)
+            and self._is_obs(ctx, test.value)
         )
 
     def _holds_when_disabled(self, ctx: FileContext, test: ast.AST) -> bool:
-        """Is ``test`` true whenever the singleton is disabled?"""
+        """Is ``test`` true whenever ``OBS`` is disabled?"""
         if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
             return any(self._holds_when_disabled(ctx, v) for v in test.values)
         return (
@@ -181,103 +176,49 @@ class _TouchpointsGuarded(Rule):
             exprs.append(item.context_expr)
         return exprs
 
+    def _touched(self, ctx: FileContext, func: ast.expr) -> str | None:
+        """The touchpoint a call to ``func`` is, if it is one."""
+        if isinstance(func, ast.Attribute):
+            owner = func.value
+            if func.attr in _FACADE_TOUCHPOINTS and self._is_obs(ctx, owner):
+                return f"OBS.{func.attr}"
+            if (
+                func.attr in _FLIGHT_TOUCHPOINTS
+                and isinstance(owner, ast.Attribute)
+                and owner.attr == "flight"
+                and self._is_obs(ctx, owner.value)
+            ):
+                return f"OBS.flight.{func.attr}"
+        if isinstance(func, ast.Name) and func.id in _HEALTH_TOUCHPOINTS:
+            return func.id
+        module, _, name = (ctx.imports.resolve(func) or "").rpartition(".")
+        if name in _HEALTH_TOUCHPOINTS and module in _HEALTH_MODULES:
+            return name
+        return None
+
     def _check_expr(self, ctx: FileContext, root: ast.AST) -> Iterator[Finding]:
         """Flag touchpoint calls anywhere under an unguarded node."""
         for node in ast.walk(root):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in self.guarded_methods
-                and self._is_singleton(ctx, func.value)
-            ):
-                touched = f"{self.singleton}.{func.attr}"
-            elif isinstance(func, ast.Name) and func.id in self.guarded_functions:
-                touched = func.id
-            else:
-                module, _, touched = (ctx.imports.resolve(func) or "").rpartition(".")
-                if touched not in self.guarded_functions or module not in _HEALTH_MODULES:
-                    continue
-            yield ctx.finding(
-                self.code,
-                node,
-                f"`{touched}(...)` is not inside an "
-                f"`if {self.singleton}.enabled:` guard; {self.consequence}",
-            )
-
-
-class ObsTouchpointsGuarded(_TouchpointsGuarded):
-    """OBS001: OBS.event/counter/gauge/histogram under ``if OBS.enabled:``."""
-
-    code = "OBS001"
-    summary = (
-        "obs metric/event touchpoints must sit inside an "
-        "`if OBS.enabled:` guard so disabled runs never format arguments"
-    )
-    singleton = "OBS"
-    guarded_methods = frozenset({"event", "counter", "gauge", "histogram"})
-    consequence = "disabled runs would still evaluate its arguments"
-
-
-class FlightRecorderGuarded(_TouchpointsGuarded):
-    """OBS003: FREC emitting touchpoints under ``if FREC.enabled:``."""
-
-    code = "OBS003"
-    summary = (
-        "flight-recorder touchpoints must sit inside an "
-        "`if FREC.enabled:` guard so the disabled path never allocates "
-        "a record"
-    )
-    singleton = "FREC"
-    guarded_methods = frozenset(
-        {
-            "emit",
-            "emit_send",
-            "emit_deliver",
-            "set_cause",
-            "clear_cause",
-            "begin_run",
-            "end_run",
-        }
-    )
-    consequence = (
-        "disabled runs would still build the record dict and scrub its "
-        "attributes"
-    )
-
-
-class TelemetryTouchpointsGuarded(_TouchpointsGuarded):
-    """OBS004: OBS.sample / record_*_health under ``if OBS.enabled:``."""
-
-    code = "OBS004"
-    summary = (
-        "telemetry touchpoints (OBS.sample, record_*_health) must sit "
-        "inside an `if OBS.enabled:` guard so disabled runs never "
-        "recompute health gauges or format sample context"
-    )
-    singleton = "OBS"
-    guarded_methods = frozenset({"sample"})
-    guarded_functions = frozenset(
-        {
-            "record_coverage_health",
-            "record_energy_health",
-            "record_protocol_health",
-        }
-    )
-    consequence = (
-        "disabled runs would still recompute domain health (holes, "
-        "energy profiles) or format the sample context"
-    )
+            touched = self._touched(ctx, node.func)
+            if touched is not None:
+                yield ctx.finding(
+                    self.code,
+                    node,
+                    f"`{touched}(...)` is not inside an `if OBS.enabled:` "
+                    "guard; disabled runs would still evaluate its arguments "
+                    "or do its work",
+                )
 
 
 class SwitchesConfined(Rule):
-    """OBS006: runtime switches flip only in repro.obs and repro.cli."""
+    """OBS006: the runtime switch flips only in repro.obs and repro.cli."""
 
     code = "OBS006"
     summary = (
-        "OBS/FREC .enable()/.disable()/.reset() calls and attribute "
-        "stores belong to repro.obs and repro.cli; worker state crosses "
+        "OBS .enable()/.disable()/.reset() calls and attribute stores "
+        "belong to repro.obs and repro.cli; worker state crosses "
         "processes only through the repro.obs.bridge seam"
     )
 
@@ -289,7 +230,7 @@ class SwitchesConfined(Rule):
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 owner = ctx.imports.resolve(node.func.value)
-                if owner not in _SWITCH_QUALS or node.func.attr not in _SWITCH_METHODS:
+                if owner not in _OBS_QUALS or node.func.attr not in _SWITCH_METHODS:
                     continue
                 what = f"`{owner}.{node.func.attr}()`"
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -303,7 +244,7 @@ class SwitchesConfined(Rule):
             yield ctx.finding(
                 self.code,
                 node,
-                f"{what} flips a global observability runtime outside "
+                f"{what} flips the global observability runtime outside "
                 "repro.obs and repro.cli; worker state may only cross "
                 "processes through the repro.obs.bridge capture/merge seam",
             )
@@ -330,6 +271,6 @@ def _store_owner(ctx: FileContext, target: ast.expr) -> str | None:
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
         qual = ctx.imports.resolve(node)
-        if qual in _SWITCH_QUALS:
+        if qual in _OBS_QUALS:
             return qual
     return None

@@ -26,11 +26,12 @@ invocation and export the recorded spans/events and metric series; a trace
 summary table is printed either way.  ``REPRO_OBS=1`` enables recording
 without exporting.
 
-Flight recording: ``--flight-record out.jsonl`` (same commands) records a
-causal per-node protocol event log (see :mod:`repro.obs.flightrec`) whose
-header embeds a cleaned argv, so ``decor replay out.jsonl`` can re-execute
-the command and verify the stream reproduces byte for byte — including
-sweeps recorded with ``--workers N``, which replay serially.
+Flight recording: ``--flight-record out.jsonl`` (same commands) also keeps
+the runtime's flight log, a causal per-node protocol event log (see
+:mod:`repro.obs.flightrec`) whose header embeds a cleaned argv, so
+``decor replay out.jsonl`` can re-execute the command and verify the
+stream reproduces byte for byte — including sweeps recorded with
+``--workers N``, which replay serially.
 
 Time series: ``--sample sink.jsonl`` streams the sampler's metric deltas
 and ``health_*`` gauges to a JSONL sink while the command runs, one row
@@ -47,8 +48,9 @@ and ``regress`` return nonzero on semantic drift, which is the CI
 regression gate.
 
 One recording session (:func:`_recording`) is the only reader of these
-five flags: it enables what they ask for before the command runs, writes
-the exports after it, and puts the runtime switches back however the
+five flags: any of them starts one fresh :data:`~repro.obs.OBS` recording
+before the command runs, the session writes the exports after it, and
+it drops the flight log and puts the runtime switch back however the
 command ends.
 """
 
@@ -72,7 +74,12 @@ from repro.experiments.setup import ExperimentSetup
 from repro.geometry.region import Rect
 from repro.network.failures import area_failure
 from repro.network.spec import SensorSpec
-from repro.obs import FREC, OBS, bridge_field_stats, record_coverage_health
+from repro.obs import (
+    NULL_FLIGHT,
+    OBS,
+    bridge_field_stats,
+    record_coverage_health,
+)
 from repro.viz.ascii_field import render_coverage, render_deployment, render_points
 
 __all__ = ["main", "build_parser"]
@@ -172,43 +179,40 @@ def _recording(args: argparse.Namespace, argv: list[str]) -> Iterator[_LedgerRow
     """The invocation's one recording session.
 
     The only reader of ``--trace``, ``--metrics``, ``--sample``,
-    ``--flight-record`` and ``--ledger``.  On entry it enables what they
-    ask for: any of trace/metrics/sample/ledger records into a fresh
-    :data:`OBS` runtime.  On a clean exit, after the command's own output,
-    it writes the trace, metrics and sample exports with their ``wrote``
-    lines and the trace summary, then the flight record, then the ledger
+    ``--flight-record`` and ``--ledger``.  Any of them starts a fresh
+    :data:`OBS` recording on entry; ``--flight-record`` also gives it a
+    live flight log, headed by the cleaned argv.  On a clean exit, after
+    the command's own output, it writes the trace, metrics and sample
+    exports with their ``wrote`` lines and the trace summary (unless only
+    a flight log was asked for), then the flight record, then the ledger
     row, built from :data:`OBS`'s span totals and metrics registry.
-    However the command ends, the sample sink is closed and
-    ``OBS.enabled`` goes back to its value on entry; the flight recorder's
-    session restores its own state.
+    However the command ends, the sample sink is closed, the flight log
+    is dropped and ``OBS.enabled`` goes back to its value on entry.
     """
     trace = getattr(args, "trace", None)
     metrics = getattr(args, "metrics", None)
     sample = getattr(args, "sample", None)
     flight_record = getattr(args, "flight_record", None)
     ledger = getattr(args, "ledger", None)
-    record = bool(trace or metrics or sample or ledger is not None)
+    export = bool(trace or metrics or sample or ledger is not None)
     saved = OBS.enabled
     sink = None
     row = _LedgerRow()
     try:
-        if record:
+        if export or flight_record:
             stream = open(sample, "w", encoding="utf-8") if sample else None
-            OBS.enable(fresh=True, sample_stream=stream)
-            sink = OBS.sampler
-        flight: contextlib.AbstractContextManager[Any] = (
-            FREC.session(
-                flight_record, header=("cli", {"argv": _flightrec_argv(argv)})
+            OBS.enable(
+                fresh=True, flight=bool(flight_record), sample_stream=stream
             )
-            if flight_record
-            else contextlib.nullcontext()
-        )
-        with flight as frec:
-            yield row
-            if record:
-                _write_exports(trace, metrics, sample)
-        if frec is not None:
-            print(f"wrote {flight_record} ({len(frec.records)} flight records)")
+            sink = OBS.sampler
+            if flight_record:
+                OBS.flight.set_header("cli", {"argv": _flightrec_argv(argv)})
+        yield row
+        if export:
+            _write_exports(trace, metrics, sample)
+        if flight_record:
+            n = OBS.flight.write_jsonl(flight_record)
+            print(f"wrote {flight_record} ({n} flight records)")
         if ledger is not None and row.parts is not None:
             _append_ledger_row(
                 ledger or None, row.parts,
@@ -218,6 +222,8 @@ def _recording(args: argparse.Namespace, argv: list[str]) -> Iterator[_LedgerRow
     finally:
         if sink is not None:
             sink.close()
+        if flight_record:
+            OBS.flight = NULL_FLIGHT
         OBS.enabled = saved
 
 

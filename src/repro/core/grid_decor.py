@@ -28,7 +28,7 @@ from repro.field import as_field_model
 from repro.field.csr import sorted_unique
 from repro.geometry.region import Rect
 from repro.network.spec import SensorSpec
-from repro.obs import FREC, OBS
+from repro.obs import OBS
 
 __all__ = ["grid_decor"]
 
@@ -108,7 +108,7 @@ def grid_decor(
     rounds = 0
     truncated = False
     with OBS.span("placement", method="grid", k=k, cell_size=float(cell_size)) as span, \
-            FREC.run("grid_decor", k=int(k), cell_size=float(cell_size)) as frun:
+            OBS.run("grid_decor", k=int(k), cell_size=float(cell_size)) as frun:
         progress = True
         while progress and not truncated:
             progress = False
@@ -154,15 +154,14 @@ def grid_decor(
                 checker.after_step(len(added) - 1, idx, pos)
                 progress = True
                 counts = engine.counts  # refreshed view after mutation
-                if FREC.enabled:
+                if OBS.enabled:
                     # analytic rounds stand in for sim time; the acting
                     # "node" is the placing cell's leader, i.e. the cell id
-                    FREC.emit(
+                    OBS.flight.emit(
                         "placement", cid, t=float(rounds), cause=None,
                         cell=cid, point=int(idx), benefit=benefit,
                         messages=n_msgs,
                     )
-                if OBS.enabled:
                     OBS.event(
                         "placement",
                         point=idx,

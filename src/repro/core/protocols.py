@@ -33,7 +33,7 @@ from repro.errors import PlacementError, SimulationError
 from repro.field import as_field_model
 from repro.geometry.region import Rect
 from repro.network.spec import SensorSpec
-from repro.obs import FREC, OBS, bridge_radio_stats
+from repro.obs import OBS, bridge_radio_stats
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.protocol import NodeProtocol
@@ -128,8 +128,8 @@ class _Harness:
             raise PlacementError(
                 f"cell {leader.cell_id} deficient but zero benefit"
             )
-        if FREC.enabled:
-            FREC.emit(
+        if OBS.enabled:
+            OBS.flight.emit(
                 "placement", leader.node_id, t=leader.sim.now,
                 cell=leader.cell_id, point=int(idx), benefit=benefit,
             )
@@ -188,26 +188,14 @@ def run_grid_protocol(
     round_period: float = 1.0,
     radio_delay: float = 0.001,
     max_sim_time: float = 1e6,
-    flight_record: str | None = None,
 ) -> InNetworkRunReport:
     """Execute grid DECOR as an event-driven protocol; see module docstring.
-
-    ``flight_record`` writes a standalone flight recording of this run to
-    the given path (see :mod:`repro.obs.flightrec`).
 
     Raises
     ------
     PlacementError
         If the protocol stalls or exceeds its placement budget.
     """
-    if flight_record is not None:
-        with FREC.session(flight_record):
-            return run_grid_protocol(
-                field_points, spec, k, region, cell_size,
-                initial_positions=initial_positions, max_nodes=max_nodes,
-                round_period=round_period, radio_delay=radio_delay,
-                max_sim_time=max_sim_time,
-            )
     field = as_field_model(field_points)
     pts = field.points
     partition = field.grid_partition(region, cell_size)
@@ -238,7 +226,7 @@ def run_grid_protocol(
     # stagger wakes in cell order within each round -> deterministic order
     stagger = round_period / (4 * max(len(leaders), 1))
     with OBS.span("protocol", kind="grid", k=k, leaders=len(leaders)) as span, \
-            FREC.run("grid", k=int(k), leaders=len(leaders)) as frun:
+            OBS.run("grid", k=int(k), leaders=len(leaders)) as frun:
         for i, leader in enumerate(leaders):
             leader.start(delay=i * stagger)
 

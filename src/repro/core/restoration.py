@@ -48,7 +48,7 @@ from repro.network.coverage import CoverageState
 from repro.network.deployment import Deployment
 from repro.network.failures import FailureEvent
 from repro.network.spec import SensorSpec
-from repro.obs import FREC, OBS, record_coverage_health
+from repro.obs import OBS, record_coverage_health
 
 __all__ = [
     "RestorationReport",
@@ -358,16 +358,16 @@ class RestorationSession:
             raise CoverageError("failure names nodes that are not alive")
         if sorted_unique(failed_ids).size != failed_ids.size:
             raise CoverageError("failure names the same node more than once")
-        # the damage footprint, computed identically in warm and cold mode
-        # so the recorded streams stay byte-identical
-        dirty = self._field.dirty_region(
-            dep.positions[failed_ids], self._spec.sensing_radius
-        )
-        with FREC.run(
+        with OBS.run(
             "restoration", method=self._method, k=self._k
         ) as frun:
-            if FREC.enabled:
-                FREC.emit(
+            if OBS.enabled:
+                # the damage footprint, computed identically in warm and
+                # cold mode so the recorded streams stay byte-identical
+                dirty = self._field.dirty_region(
+                    dep.positions[failed_ids], self._spec.sensing_radius
+                )
+                OBS.flight.emit(
                     "fail", -1, t=float(self._epoch), cause=None,
                     epoch=self._epoch, n_failed=int(failed_ids.size),
                     dirty_points=dirty.n_points,
@@ -388,8 +388,8 @@ class RestorationSession:
                 rng=self._rng,
                 cell_size=self._cell_size,
             )
-            if FREC.enabled:
-                FREC.emit(
+            if OBS.enabled:
+                OBS.flight.emit(
                     "restored", -1, t=float(self._epoch), cause=None,
                     epoch=self._epoch, extra_nodes=report.extra_nodes,
                     covered=report.covered_after_repair,

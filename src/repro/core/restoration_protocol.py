@@ -37,7 +37,6 @@ from repro.geometry.points import as_points
 from repro.geometry.region import Rect
 from repro.network.spec import SensorSpec
 from repro.obs import (
-    FREC,
     OBS,
     bridge_radio_stats,
     record_energy_health,
@@ -196,8 +195,8 @@ class _Harness:
             idx = self.engine.argmax(candidates=cell_points)
             if self.engine.benefit[idx] <= 0.0:  # pragma: no cover
                 raise PlacementError(f"cell {cell_id} deficient, zero benefit")
-            if FREC.enabled:
-                FREC.emit(
+            if OBS.enabled:
+                OBS.flight.emit(
                     "placement", leader.node_id, t=self.sim.now,
                     cell=int(cell_id), point=int(idx),
                     benefit=float(self.engine.benefit[idx]),
@@ -279,7 +278,6 @@ def run_restoration_protocol(
     horizon: float = 200.0,
     seed: int = 0,
     max_nodes: int | None = None,
-    flight_record: str | None = None,
 ) -> RestorationProtocolReport:
     """Simulate failure detection and in-network repair; see module docs.
 
@@ -297,21 +295,10 @@ def run_restoration_protocol(
     horizon:
         Simulation-time budget; exceeding it without restoring raises.
 
-    ``flight_record`` writes a standalone flight recording of this run to
-    the given path (see :mod:`repro.obs.flightrec`).
-
     Returns
     -------
     RestorationProtocolReport
     """
-    if flight_record is not None:
-        with FREC.session(flight_record):
-            return run_restoration_protocol(
-                field_points, spec, k, region, cell_size,
-                sensor_positions, failed_node_ids,
-                heartbeat=heartbeat, crash_time=crash_time, horizon=horizon,
-                seed=seed, max_nodes=max_nodes,
-            )
     field = as_field_model(field_points)
     pts = field.points
     budget = placement_budget(field.n_points, k, max_nodes)
@@ -346,11 +333,11 @@ def run_restoration_protocol(
         )
 
     def crash() -> None:
-        if FREC.enabled:
+        if OBS.enabled:
             # node -1 is the environment: the failure event itself, causally
             # upstream of every per-node "fail" the loop below emits
-            FREC.set_cause(
-                FREC.emit("crash", -1, t=sim.now, failed=int(failed.size))
+            OBS.flight.set_cause(
+                OBS.flight.emit("crash", -1, t=sim.now, failed=int(failed.size))
             )
         for nid in failed:
             harness.nodes[int(nid)].fail()
@@ -362,7 +349,7 @@ def run_restoration_protocol(
 
     with OBS.span(
         "protocol", kind="restoration", k=k, failed=int(failed.size)
-    ) as span, FREC.run(
+    ) as span, OBS.run(
         "restoration", k=int(k), failed=int(failed.size),
         crash_time=float(crash_time),
     ) as frun:
@@ -381,8 +368,7 @@ def run_restoration_protocol(
         if OBS.enabled and harness.restored_time is not None:
             OBS.event("restored", sim_time=harness.restored_time,
                       replacements=len(harness.placements))
-        if FREC.enabled and harness.restored_time is not None:
-            FREC.emit(
+            OBS.flight.emit(
                 "restored", -1, t=sim.now, cause=None,
                 restored_time=float(harness.restored_time),
                 replacements=len(harness.placements),
@@ -394,7 +380,7 @@ def run_restoration_protocol(
         if OBS.enabled:
             bridge_radio_stats(radio.stats, protocol="restoration")
             record_protocol_health(
-                heartbeats=[n for n in harness.nodes if n.alive]
+                heartbeats=[n for n in harness.nodes.values() if n.alive]
             )
             record_energy_health(EnergyModel(), radio.stats)
             OBS.sample("protocol", kind="restoration")

@@ -31,7 +31,7 @@ from repro.errors import PlacementError
 from repro.field.csr import sorted_unique
 from repro.geometry.voronoi import VoronoiOwnership
 from repro.network.spec import SensorSpec
-from repro.obs import FREC, OBS
+from repro.obs import OBS
 
 __all__ = ["voronoi_decor", "local_voronoi_benefit"]
 
@@ -159,7 +159,7 @@ def voronoi_decor(
     truncated = False
     with OBS.span(
         "placement", method="voronoi", k=k, rc=float(spec.communication_radius)
-    ) as span, FREC.run(
+    ) as span, OBS.run(
         "voronoi_decor", k=int(k), rc=float(spec.communication_radius)
     ) as frun:
         progress = True
@@ -216,19 +216,18 @@ def voronoi_decor(
                 )
                 checker.after_step(len(added) - 1, idx, pos)
                 progress = True
-                if FREC.enabled:
+                if OBS.enabled:
                     # analytic rounds stand in for sim time; the acting
                     # "node" is the placing Voronoi site
-                    FREC.emit(
+                    OBS.flight.emit(
                         "placement", int(site), t=float(rounds), cause=None,
                         point=idx, benefit=benefit, messages=n_msgs,
                     )
-                    FREC.emit(
+                    OBS.flight.emit(
                         "handoff", nid, t=float(rounds), cause=None,
                         from_site=int(site),
                         points_owned=int(stolen.size),
                     )
-                if OBS.enabled:
                     OBS.event(
                         "placement",
                         point=idx,

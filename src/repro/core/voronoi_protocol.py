@@ -34,7 +34,7 @@ from repro.errors import PlacementError
 from repro.geometry.points import as_points
 from repro.geometry.voronoi import VoronoiOwnership
 from repro.network.spec import SensorSpec
-from repro.obs import FREC, OBS, bridge_radio_stats
+from repro.obs import OBS, bridge_radio_stats
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 from repro.sim.protocol import NodeProtocol
@@ -124,8 +124,8 @@ class _Harness:
         if benefits[best] <= 0.0:  # pragma: no cover - deficient owned point
             raise PlacementError(f"site {site} deficient but zero benefit")
         idx = int(owned[best])
-        if FREC.enabled:
-            FREC.emit(
+        if OBS.enabled:
+            OBS.flight.emit(
                 "placement", site, t=self.sim.now, point=idx,
                 benefit=float(benefits[best]),
             )
@@ -137,9 +137,9 @@ class _Harness:
         # so the notification reaches it too, matching the analytic count of
         # "alive nodes within rc of the new position"
         new_node = self.spawn(pos)
-        if FREC.enabled:
+        if OBS.enabled:
             # the placing site cedes part of its Voronoi cell to the new one
-            FREC.emit(
+            OBS.flight.emit(
                 "handoff", new_node.node_id, t=self.sim.now, from_site=site,
                 point=idx,
                 points_owned=int(stolen.size),
@@ -170,7 +170,6 @@ def run_voronoi_protocol(
     round_period: float = 1.0,
     radio_delay: float = 1e-6,
     max_sim_time: float = 1e6,
-    flight_record: str | None = None,
 ) -> VoronoiProtocolReport:
     """Run Voronoi DECOR as an event-driven protocol; see module docstring.
 
@@ -179,18 +178,7 @@ def run_voronoi_protocol(
     ``radio_delay`` defaults to a near-zero value so announcements land
     within the same audit slot, mirroring the analytic model's assumption
     that cell updates propagate between rounds.
-
-    ``flight_record`` writes a standalone flight recording of this run to
-    the given path (see :mod:`repro.obs.flightrec`).
     """
-    if flight_record is not None:
-        with FREC.session(flight_record):
-            return run_voronoi_protocol(
-                field_points, spec, k,
-                initial_positions=initial_positions, max_nodes=max_nodes,
-                round_period=round_period, radio_delay=radio_delay,
-                max_sim_time=max_sim_time,
-            )
     pts = as_points(field_points)
     budget = placement_budget(pts.shape[0], k, max_nodes)
     engine = BenefitEngine(pts, spec.sensing_radius, k)
@@ -215,7 +203,7 @@ def run_voronoi_protocol(
         harness.spawn(pos)
 
     with OBS.span("protocol", kind="voronoi", k=k) as span, \
-            FREC.run("voronoi", k=int(k)) as frun:
+            OBS.run("voronoi", k=int(k)) as frun:
         rounds = 0
         placed_before = -1
         while (

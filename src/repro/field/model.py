@@ -58,12 +58,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirtyRegion:
-    """A failure footprint: field points (and optionally grid cells) whose
-    coverage a set of failed sensors touched.  Produced by
-    :meth:`FieldModel.dirty_region`."""
+    """A failure footprint: the field points whose coverage a set of failed
+    sensors touched.  Produced by :meth:`FieldModel.dirty_region`."""
 
     points: np.ndarray
-    cells: np.ndarray | None = None
 
     @property
     def n_points(self) -> int:
@@ -274,24 +272,14 @@ class FieldModel:
         """Ball query for many probe centers at once."""
         return self.neighbor_index().query_ball_many(centers, radius)
 
-    def dirty_region(
-        self,
-        positions: np.ndarray,
-        radius: float,
-        *,
-        region: Rect | None = None,
-        cell_width: float | None = None,
-        cell_height: float | None = None,
-    ) -> DirtyRegion:
+    def dirty_region(self, positions: np.ndarray, radius: float) -> DirtyRegion:
         """The failure footprint of sensors at ``positions``.
 
         Maps a set of failed-sensor positions to the field points whose
         coverage they touched (everything within ``radius`` of any failed
-        sensor) and, when a grid decomposition is given, the cells those
-        points fall in — the "damaged region" that warm restoration
-        re-examines instead of the whole field (see
-        :class:`repro.core.restoration.RestorationSession` and
-        ``docs/performance.md``).
+        sensor): the damage a recorded restoration epoch reports in its
+        ``fail`` flight event (see
+        :class:`repro.core.restoration.RestorationSession`).
 
         Parameters
         ----------
@@ -299,23 +287,13 @@ class FieldModel:
             ``(m, 2)`` failed-sensor positions.
         radius:
             Coverage radius ``rs`` of the failed sensors.
-        region, cell_width, cell_height:
-            Optional grid decomposition; when ``region`` and ``cell_width``
-            are given, :attr:`DirtyRegion.cells` lists the affected cell
-            ids (otherwise it is ``None``).
         """
         centers = as_points(positions)
         if centers.shape[0] == 0:
             points = np.empty(0, dtype=np.intp)
         else:
             points = sorted_unique(np.concatenate(self.query_ball_many(centers, radius)))
-        cells: np.ndarray | None = None
-        if region is not None:
-            if cell_width is None:
-                raise GeometryError("dirty_region with region= needs cell_width=")
-            assignment = self.cell_of(region, cell_width, cell_height)
-            cells = sorted_unique(assignment[points])
-        return DirtyRegion(points=points, cells=cells)
+        return DirtyRegion(points=points)
 
     def adjacency(self, radius: float) -> Adjacency:
         """Symmetric 0/1 adjacency of field points within ``radius``.

@@ -82,7 +82,7 @@ class CoverageState:
         """Coverage state where sensor ``keys[i]`` covers field points ``rows[i]``
         (no duplicates): one ``bincount``, no ball queries; rows are adopted as is."""
         state = cls(field_points, sensing_radius)
-        keys = [int(key) for key in keys]
+        keys = np.asarray(keys, dtype=np.intp).reshape(-1).tolist()
         if len(keys) != len(rows) or len(set(keys)) != len(keys):
             raise CoverageError(
                 f"need one distinct key per row ({len(keys)} keys, {len(rows)} rows)"

@@ -18,7 +18,7 @@ singleton: a worker process wraps its work in :class:`capture_worker_obs`
 and ships the resulting payload back; the parent folds it in with
 :func:`merge_worker_obs`.  Keeping the OBS mutation here (where obs owns
 its own state) is what lets lint rule OBS006 forbid switching the
-runtimes anywhere in the library outside :mod:`repro.obs` and the CLI.
+runtime anywhere in the library outside :mod:`repro.obs` and the CLI.
 """
 
 from __future__ import annotations
@@ -26,10 +26,8 @@ from __future__ import annotations
 from types import TracebackType
 from typing import Any
 
-from repro.obs.flightrec import FREC, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS
-from repro.obs.trace import Tracer
 
 __all__ = [
     "bridge_field_stats",
@@ -99,45 +97,37 @@ def bridge_radio_stats(
 class capture_worker_obs:
     """Context manager recording OBS activity in a worker for shipping back.
 
-    On entry (when ``enabled``) the global runtime is switched on with a
-    *fresh* tracer/registry/sampler, so the capture covers exactly the
-    wrapped work;
-    on exit recording stops and :meth:`payload` holds a picklable snapshot.
-    When ``enabled`` is false the manager is inert and the payload is
-    ``None`` — workers inherit the parent's off switch.
+    ``recording`` is the parent's :meth:`~repro.obs.runtime.ObsRuntime.recording`:
+    on entry the worker's global runtime is switched on *fresh*, with a
+    flight log only if ``recording`` is true (the parent keeps one), so
+    the capture covers exactly the wrapped work; on exit recording stops and
+    :meth:`payload` holds one picklable snapshot of all four pillars: the
+    metrics state, the trace records with the tracer's ``dropped`` count
+    and per-name span totals, the sampler rows and the flight run blocks.
+    When ``recording`` is ``None`` (the parent is not recording) the
+    manager is inert and the payload is ``None``.
 
-    ``flightrec`` independently captures the flight recorder the same way:
-    the worker's run blocks ship back under the payload's ``"records"`` key
-    and :func:`merge_worker_obs` folds them into the parent's stream via
-    :meth:`~repro.obs.flightrec.FlightRecorder.absorb`.
-
-    The fresh runtime's sampler rows ship back under ``"samples"``; the
-    parent's sampler renumbers them into its own timeline on merge.
-
-    >>> with capture_worker_obs(True) as cap:
+    >>> with capture_worker_obs(False) as cap:
     ...     OBS.counter("demo_total").inc(2)
     >>> OBS.enabled
     False
     >>> cap.payload()["metrics"]
     [('demo_total', (), 'counter', {'value': 2})]
-    >>> with capture_worker_obs(False) as cap:
+    >>> with capture_worker_obs(None) as cap:
     ...     pass
     >>> cap.payload() is None
     True
     """
 
-    __slots__ = ("_enabled", "_flightrec", "_payload")
+    __slots__ = ("_recording", "_payload")
 
-    def __init__(self, enabled: bool, flightrec: bool = False) -> None:
-        self._enabled = bool(enabled)
-        self._flightrec = bool(flightrec)
+    def __init__(self, recording: bool | None) -> None:
+        self._recording = recording
         self._payload: dict[str, Any] | None = None
 
     def __enter__(self) -> "capture_worker_obs":
-        if self._enabled:
-            OBS.enable(fresh=True)
-        if self._flightrec:
-            FREC.enable(fresh=True)
+        if self._recording is not None:
+            OBS.enable(fresh=True, flight=self._recording)
         return self
 
     def __exit__(
@@ -146,19 +136,16 @@ class capture_worker_obs:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> bool:
-        if self._enabled or self._flightrec:
-            self._payload = {}
-        if self._enabled:
-            self._payload.update(
-                metrics=OBS.metrics.dump_state(),
-                trace=OBS.tracer.records(),
-                dropped=OBS.tracer.dropped,
-                samples=OBS.sampler.rows(),
-            )
-            OBS.disable()
-        if self._flightrec:
-            self._payload["records"] = FREC.records()
-            FREC.reset()
+        if self._recording is not None:
+            self._payload = {
+                "metrics": OBS.metrics.dump_state(),
+                "trace": OBS.tracer.records(),
+                "dropped": OBS.tracer.dropped,
+                "span_stats": OBS.tracer.span_stats,
+                "samples": OBS.sampler.rows(),
+                "records": OBS.flight.records(),
+            }
+            OBS.reset()
         return False
 
     def payload(self) -> dict[str, Any] | None:
@@ -166,36 +153,27 @@ class capture_worker_obs:
         return self._payload
 
 
-def merge_worker_obs(
-    payload: dict[str, Any] | None,
-    *,
-    metrics: MetricsRegistry | None = None,
-    tracer: Tracer | None = None,
-    flightrec: FlightRecorder | None = None,
-) -> None:
-    """Fold a worker's :class:`capture_worker_obs` payload into the parent.
+def merge_worker_obs(payload: dict[str, Any] | None) -> None:
+    """Fold a worker's :class:`capture_worker_obs` payload into :data:`OBS`.
 
     Metrics add into the registry; trace records graft under the currently
-    open span (see :meth:`~repro.obs.trace.Tracer.absorb`); flight records
-    append as renumbered run blocks (see
-    :meth:`~repro.obs.flightrec.FlightRecorder.absorb`).  Sample rows are
-    renumbered into the parent sampler's timeline
+    open span and the worker's span totals add to the tracer's (see
+    :meth:`~repro.obs.trace.Tracer.absorb`); flight records append to
+    ``OBS.flight`` as renumbered run blocks (see
+    :meth:`~repro.obs.flightrec.FlightRecorder.absorb`).  Sample rows
+    are renumbered into the sampler's timeline
     (:meth:`~repro.obs.sampler.MetricsSampler.absorb`), which then
     re-baselines itself against the registry so the absorbed metric deltas
     — already reported by the worker's own rows — are not sampled again by
-    the parent.  ``None`` payloads (capture disabled, or a worker that
-    recorded nothing) are ignored.  Defaults to the global runtime's
-    registry/tracer/recorder/sampler.
+    the parent.  ``None`` payloads (capture disabled) are ignored.
     """
     if payload is None:
         return
-    if "metrics" in payload:
-        registry = OBS.metrics if metrics is None else metrics
-        target = OBS.tracer if tracer is None else tracer
-        registry.absorb(payload["metrics"])
-        target.absorb(payload["trace"], dropped=int(payload.get("dropped", 0)))
-        if metrics is None:
-            OBS.sampler.absorb(payload.get("samples", []))
-            OBS.sampler.resync()
-    if "records" in payload:
-        (FREC if flightrec is None else flightrec).absorb(payload["records"])
+    OBS.metrics.absorb(payload["metrics"])
+    OBS.tracer.absorb(
+        payload["trace"], dropped=payload["dropped"],
+        span_stats=payload["span_stats"],
+    )
+    OBS.sampler.absorb(payload["samples"])
+    OBS.sampler.resync()
+    OBS.flight.absorb(payload["records"])

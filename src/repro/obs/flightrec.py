@@ -3,11 +3,12 @@
 Where :mod:`repro.obs.trace` answers *"where did the wall-clock go?"*, the
 flight recorder answers the distributed-systems question the DECOR
 protocols raise: **which node said what to whom, when (in simulation time),
-and why**.  It is a second null-object runtime next to :data:`~repro.obs.OBS`
-— the module-level :data:`FREC` singleton is off by default and every
-instrumented touchpoint pays one attribute check (the OBS003 lint rule
-enforces the ``if FREC.enabled:`` guard discipline, and the benchmark gate
-in ``benchmarks/test_bench_obs_overhead.py`` bounds the disabled cost).
+and why**.  It is the flight pillar of :data:`~repro.obs.OBS`: a recording
+that asks for a flight log (``OBS.enable(fresh=True, flight=True)``)
+installs a :class:`FlightRecorder` as ``OBS.flight``; otherwise
+``OBS.flight`` is a shared null recorder.  Instrumented code emits through
+``OBS.flight`` under the one ``if OBS.enabled:`` guard (lint rule OBS001)
+and opens run blocks with ``OBS.run(...)``.
 
 Record model
 ------------
@@ -65,7 +66,7 @@ from typing import Any, Iterable
 from repro.errors import ObservabilityError
 from repro.obs.trace import scrub
 
-__all__ = ["FlightRecorder", "FREC", "RECORD_TYPES", "EVENT_KINDS"]
+__all__ = ["FlightRecorder", "RECORD_TYPES", "EVENT_KINDS"]
 
 #: The record ``type`` values a stream may contain.
 RECORD_TYPES = ("header", "begin", "end", "event")
@@ -90,29 +91,6 @@ EVENT_KINDS = (
 
 #: Sentinel: "use the recorder's current causal context".
 _CONTEXT = object()
-
-
-class _NullRun:
-    """Shared no-op context manager for ``FREC.run(...)`` while disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullRun":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        return False
-
-    def set(self, **attrs: object) -> "_NullRun":
-        return self
-
-
-_NULL_RUN = _NullRun()
 
 
 class _Run:
@@ -147,10 +125,9 @@ class _Run:
 
 
 class FlightRecorder:
-    """Switchable causal event recorder; see the module docstring.
+    """Causal event recorder; see the module docstring.
 
     >>> rec = FlightRecorder()
-    >>> rec.enable(fresh=True)
     >>> with rec.run("demo", k=1):
     ...     sid = rec.emit_send(0, t=0.0, msg="HELLO", mode="broadcast")
     ...     did = rec.emit_deliver(1, sid, t=0.1, msg="HELLO")
@@ -162,11 +139,9 @@ class FlightRecorder:
     ['send', 'deliver', 'placement']
     >>> rec.records()[3]["cause"], rec.records()[3]["lamport"]
     (1, 3)
-    >>> rec.disable()
     """
 
     __slots__ = (
-        "enabled",
         "_records",
         "_run_counter",
         "_run_open",
@@ -178,7 +153,6 @@ class FlightRecorder:
     )
 
     def __init__(self) -> None:
-        self.enabled = False
         self._records: list[dict[str, Any]] = []
         self._run_counter = 0
         self._run_open = False
@@ -186,34 +160,6 @@ class FlightRecorder:
         self._lamport: dict[int, int] = {}
         self._send_lamport: dict[int, int] = {}
         self._cause: int | None = None
-        self._has_header = False
-
-    # ------------------------------------------------------------------
-    # switch
-    # ------------------------------------------------------------------
-    def enable(self, *, fresh: bool = False) -> None:
-        """Turn recording on; ``fresh=True`` drops prior records first."""
-        if fresh:
-            self._reset_state()
-        self.enabled = True
-
-    def disable(self) -> None:
-        """Turn recording off; recorded data stays exportable."""
-        self.enabled = False
-
-    def reset(self) -> None:
-        """Disable and drop everything (test teardown)."""
-        self.enabled = False
-        self._reset_state()
-
-    def _reset_state(self) -> None:
-        self._records = []
-        self._run_counter = 0
-        self._run_open = False
-        self._seq = 0
-        self._lamport = {}
-        self._send_lamport = {}
-        self._cause = None
         self._has_header = False
 
     # ------------------------------------------------------------------
@@ -239,16 +185,14 @@ class FlightRecorder:
         )
         self._has_header = True
 
-    def run(self, protocol: str, **meta: object) -> _NullRun | _Run:
+    def run(self, protocol: str, **meta: object) -> _Run:
         """Open a run block as a context manager.
 
-        Disabled: a shared no-op.  Re-entrant: opening a run while one is
-        already open yields a pass-through manager (the events simply flow
-        into the enclosing block), so a protocol built on another recorded
-        routine does not fracture the stream.
+        Re-entrant: opening a run while one is already open yields a
+        pass-through manager (the events simply flow into the enclosing
+        block), so a protocol built on another recorded routine does not
+        fracture the stream.
         """
-        if not self.enabled:
-            return _NULL_RUN
         if self._run_open:
             return _Run(self, owns=False)
         self.begin_run(protocol, **meta)
@@ -389,9 +333,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # access, merge, export
     # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._records)
-
     @property
     def n_runs(self) -> int:
         return self._run_counter
@@ -446,67 +387,3 @@ class FlightRecorder:
             if text:
                 fh.write(text + "\n")
         return len(self._records)
-
-    # ------------------------------------------------------------------
-    def session(
-        self,
-        path: str | os.PathLike | None = None,
-        *,
-        header: tuple[str, dict[str, Any]] | None = None,
-    ) -> "_Session":
-        """Record exactly one stretch of work, then restore prior state.
-
-        Used by the protocol runners' ``flight_record=`` kwarg and by the
-        replay harness: on entry the recorder is switched on fresh (saving
-        whatever state it held), on exit the captured records are written
-        to ``path`` (when given), exposed via ``.records``, and the saved
-        state is put back — a runner-local recording never disturbs an
-        enclosing CLI-level one.
-        """
-        return _Session(self, path, header)
-
-
-class _Session:
-    """Context manager behind :meth:`FlightRecorder.session`."""
-
-    __slots__ = ("_rec", "_path", "_header", "_saved", "records")
-
-    def __init__(
-        self,
-        rec: FlightRecorder,
-        path: str | os.PathLike | None,
-        header: tuple[str, dict[str, Any]] | None,
-    ) -> None:
-        self._rec = rec
-        self._path = path
-        self._header = header
-        self._saved: dict[str, Any] | None = None
-        self.records: list[dict[str, Any]] = []
-
-    def __enter__(self) -> "_Session":
-        rec = self._rec
-        self._saved = {slot: getattr(rec, slot) for slot in FlightRecorder.__slots__}
-        rec._reset_state()
-        rec.enabled = True
-        if self._header is not None:
-            rec.set_header(self._header[0], self._header[1])
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> bool:
-        rec = self._rec
-        self.records = rec.records()
-        if self._path is not None and exc_type is None:
-            rec.write_jsonl(self._path)
-        assert self._saved is not None
-        for slot, value in self._saved.items():
-            setattr(rec, slot, value)
-        return False
-
-
-#: The process-wide flight recorder all instrumented code emits into.
-FREC = FlightRecorder()

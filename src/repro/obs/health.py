@@ -22,7 +22,7 @@ Gauge catalogue (all unlabelled; one series each):
                                       election, summed over cells
 ====================================  =========================================
 
-Every helper is a *touchpoint* in the OBS001/OBS004 sense: callers outside
+Every helper is a *touchpoint* in the OBS001 sense: callers outside
 ``repro.obs`` must guard with ``if OBS.enabled:`` so the disabled path never
 pays for hole detection or energy profiling.  The helpers only observe —
 they never mutate domain state — so enabling them cannot change results.

@@ -11,7 +11,7 @@ property:
   numbers, causes that reference earlier events, exact Lamport-clock
   arithmetic, non-decreasing sim time per block);
 * :func:`replay_stream` — re-execute the producer named by the stream
-  header (a registered *replay entry*) under a fresh recorder;
+  header (a registered *replay entry*) under a fresh flight recording;
 * :func:`verify_stream` — replay and compare, reporting the first
   diverging record if the streams differ;
 * :func:`record_protocol_run` — the canonical replayable producer: a
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.errors import ObservabilityError
-from repro.obs.flightrec import FREC, RECORD_TYPES
+from repro.obs.flightrec import RECORD_TYPES
+from repro.obs.runtime import NULL_FLIGHT, OBS
 
 __all__ = [
     "ReplayReport",
@@ -204,6 +205,29 @@ def validate_stream(records: Iterable[dict[str, Any]]) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # replay
 # ----------------------------------------------------------------------
+def _record(
+    entry: str,
+    params: dict[str, Any],
+    fn: Callable[[dict[str, Any]], None],
+    path: str | os.PathLike | None = None,
+) -> list[dict[str, Any]]:
+    """Run ``fn(params)`` in a fresh flight recording headed by
+    ``entry``/``params``; returns its records (written to ``path`` when
+    given), then drops the flight log and puts the ``OBS`` switch back as
+    it found it."""
+    saved = OBS.enabled
+    OBS.enable(fresh=True, flight=True)
+    try:
+        OBS.flight.set_header(entry, params)
+        fn(params)
+        if path is not None:
+            OBS.flight.write_jsonl(path)
+        return OBS.flight.records()
+    finally:
+        OBS.flight = NULL_FLIGHT
+        OBS.enabled = saved
+
+
 def replay_stream(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Re-execute the producer named by the stream header.
 
@@ -222,9 +246,7 @@ def replay_stream(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
             f"no replay entry registered for {entry!r} "
             f"(known: {sorted(REPLAY_ENTRIES)})"
         )
-    with FREC.session(header=(entry, params)) as ses:
-        fn(params)
-    return ses.records
+    return _record(entry, params, fn)
 
 
 @dataclass
@@ -374,6 +396,4 @@ def record_protocol_run(
             f"unknown scenario parameters {sorted(unknown)}"
         )
     params = {"protocol": str(protocol), **_PROTOCOL_DEFAULTS, **overrides}
-    with FREC.session(path, header=("protocol", params)) as ses:
-        _run_protocol_scenario(params)
-    return ses.records
+    return _record("protocol", params, _run_protocol_scenario, path)

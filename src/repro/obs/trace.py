@@ -96,6 +96,13 @@ class SpanStats:
         if duration > self.max:
             self.max = duration
 
+    def merge(self, other: "SpanStats") -> None:
+        """Fold another tracer's totals for this name into these."""
+        self.count += other.count
+        self.total += other.total
+        if other.max > self.max:
+            self.max = other.max
+
 
 class Span:
     """One timed, attributed block; also its own context manager.
@@ -220,12 +227,14 @@ class Tracer:
             self.dropped += 1
         self._buffer.append(record)
 
-    def _append_span(self, record: dict) -> None:
-        name = record["name"]
+    def _stats(self, name: str) -> SpanStats:
         stats = self.span_stats.get(name)
         if stats is None:
             stats = self.span_stats[name] = SpanStats(name)
-        stats.add(float(record["dur"]))
+        return stats
+
+    def _append_span(self, record: dict) -> None:
+        self._stats(record["name"]).add(float(record["dur"]))
         self.n_spans += 1
         self._append(record)
 
@@ -271,7 +280,11 @@ class Tracer:
     # cross-process aggregation
     # ------------------------------------------------------------------
     def absorb(
-        self, records: "list[dict] | Tracer", *, dropped: int = 0
+        self,
+        records: "list[dict] | Tracer",
+        *,
+        dropped: int = 0,
+        span_stats: dict[str, SpanStats] | None = None,
     ) -> int:
         """Graft another tracer's :meth:`records` under the open span.
 
@@ -286,14 +299,15 @@ class Tracer:
         origin; within one absorbed batch they remain mutually consistent.
 
         ``records`` may be another :class:`Tracer` directly, in which case
-        its ring-buffer overflow count carries over automatically — records
-        the worker already lost must stay counted as lost at the parent,
-        or a merged trace would silently claim completeness.  When passing
-        a plain record list, propagate the source's count via ``dropped=``
-        (as :func:`repro.obs.bridge.merge_worker_obs` does from the shipped
-        payload).  Absorbed span records add to :attr:`span_stats`; spans
-        the worker's own ring evicted before shipping count only in
-        ``dropped``.
+        its ring-buffer overflow count and per-name span totals carry over
+        automatically — records the worker already lost must stay counted
+        as lost at the parent, and its evicted spans must still count in
+        the parent's totals.  When passing a plain record list, propagate
+        the source's count via ``dropped=`` and its totals via
+        ``span_stats=`` (as :func:`repro.obs.bridge.merge_worker_obs` does
+        from the shipped payload).  Per-name totals come only from the
+        source's ``span_stats``, never from the absorbed span records, so
+        a span is counted once whether or not its record was shipped.
 
         Returns the number of records absorbed.
 
@@ -312,11 +326,19 @@ class Tracer:
         >>> _ = parent.absorb(overflowing)
         >>> parent.dropped
         2
+        >>> evicting = Tracer(capacity=1)
+        >>> for _ in range(3):
+        ...     with evicting.span("epoch"):
+        ...         pass
+        >>> _ = parent.absorb(evicting)         # ships 1 of its 3 spans
+        >>> parent.span_stats["epoch"].count
+        3
         """
         if isinstance(records, Tracer):
             if records is self:
                 raise ObservabilityError("a tracer cannot absorb itself")
             dropped += records.dropped
+            span_stats = records.span_stats
             records = records.records()
         idmap: dict[int, int] = {}
         for rec in records:
@@ -331,13 +353,16 @@ class Tracer:
                 parent = rec.get("parent")
                 rec["parent"] = idmap[parent] if parent in idmap else graft
                 rec["depth"] = int(rec.get("depth", 0)) + base_depth
-                self._append_span(rec)
+                self.n_spans += 1
+                self._append(rec)
             else:
                 span = rec.get("span")
                 rec["span"] = idmap[span] if span in idmap else graft
                 self.n_events += 1
                 self._append(rec)
         self.dropped += int(dropped)
+        for name, stats in (span_stats or {}).items():
+            self._stats(name).merge(stats)
         return len(records)
 
     # ------------------------------------------------------------------

@@ -32,12 +32,13 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import Future, ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 from typing import TYPE_CHECKING, Any, Iterable, Sequence, TypeVar
 
 from repro.checks import CHECKS
-from repro.errors import ConfigurationError
-from repro.obs import FREC, OBS, capture_worker_obs, merge_worker_obs
+from repro.errors import ConfigurationError, ExperimentError
+from repro.obs import OBS, capture_worker_obs, merge_worker_obs
 from repro.parallel.shm import Manifest, SharedFieldStore, build_field_model
 
 if TYPE_CHECKING:
@@ -194,8 +195,7 @@ def _worker_ping() -> int:
 def _worker_run_chunk(
     chunk: list[Cell],
     manifests: list[Manifest],
-    obs_enabled: bool,
-    frec_enabled: bool,
+    recording: bool | None,
 ) -> tuple[list[Cell], list["DeploymentResult"], dict[str, Any] | None]:
     """Run one chunk of cells; ship results plus captured telemetry.
 
@@ -211,7 +211,7 @@ def _worker_run_chunk(
         if not cache.has_field(manifest["seed"]):
             cache.adopt_field(manifest["seed"], build_field_model(manifest))
     try:
-        with capture_worker_obs(obs_enabled, frec_enabled) as cap:
+        with capture_worker_obs(recording) as cap:
             results = [cache.get(*cell) for cell in chunk]
     finally:
         cache.drop_results()
@@ -387,7 +387,11 @@ class WorkerPool:
         are published to shared memory (first batch per seed only),
         cells are chunked, and completions are absorbed in submission
         order.  A worker exception propagates in submission order too:
-        chunks before it are absorbed, chunks after it are discarded.
+        chunks before it are absorbed, chunks after it are discarded.  A
+        worker process that dies, mid-batch or idle between batches,
+        breaks the executor: the pool closes and raises
+        :class:`~repro.errors.ExperimentError` naming the cells of the
+        first chunk it lost.
         """
         if self._closed:
             raise ConfigurationError("worker pool is closed")
@@ -405,8 +409,7 @@ class WorkerPool:
             return len(todo)
 
         chunks = plan_chunks(todo, self._workers)
-        obs_enabled = OBS.enabled
-        frec_enabled = FREC.enabled
+        recording = OBS.recording()
         bytes_before = self._store.shared_bytes
         with OBS.span("prefill", cells=len(todo), workers=self._workers):
             partitions = _grid_partitions(self._setup, todo)
@@ -432,8 +435,7 @@ class WorkerPool:
                             _worker_run_chunk,
                             chunk,
                             [manifests[s] for s in sorted({c[2] for c in chunk})],
-                            obs_enabled,
-                            frec_enabled,
+                            recording,
                         )
                         for chunk in chunks
                     ]
@@ -447,6 +449,16 @@ class WorkerPool:
                             for cell, result in zip(chunk_cells, results):
                                 cache.absorb(*cell, result)
                             payloads.append(payload)
+            except BrokenProcessPool as exc:
+                # chunks are absorbed in order, so the first one lost is
+                # the next after those absorbed (a submit to an executor
+                # broken while idle loses them all)
+                self.close()
+                raise ExperimentError(
+                    f"a pool worker died; cells {chunks[len(payloads)]} and "
+                    "every later chunk were not computed and the pool is "
+                    "closed"
+                ) from exc
             finally:
                 for payload in payloads:
                     merge_worker_obs(payload)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs import FREC, OBS
+from repro.obs import OBS
 from repro.sim.messages import Message
 from repro.sim.protocol import NodeProtocol
 
@@ -116,14 +116,13 @@ class CellElectionNode(NodeProtocol):
         self.current_leader = winner
         self.leadership_history.append(winner)
         if OBS.enabled and winner == self.node_id:
-            # counted once per round: only the winner records its own win
+            # counted once per round: only the winner records its own win;
+            # ``changed`` marks actual leadership transitions for churn
+            # analysis
             OBS.counter("leader_elections_total", cell=self.cell_id).inc()
             OBS.event("leader_elected", cell=self.cell_id, round=round_no,
                       leader=winner)
-        if FREC.enabled and winner == self.node_id:
-            # recorded once per round by the winner itself; ``changed``
-            # marks actual leadership transitions for churn analysis
-            FREC.emit(
+            OBS.flight.emit(
                 "elected", self.node_id, t=self.sim.now,
                 cell=self.cell_id, round=round_no, changed=changed,
                 voters=len(heard),

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.errors import SimulationError
-from repro.obs import FREC, OBS
+from repro.obs import OBS
 
 __all__ = ["Event", "Simulator"]
 
@@ -95,10 +95,10 @@ class Simulator:
                 continue
             self._now = ev.time
             self._processed += 1
-            if FREC.enabled:
+            if OBS.enabled:
                 # causal context is per-event: a delivery/timer hook re-sets
                 # it inside the callback; nothing may leak across events
-                FREC.clear_cause()
+                OBS.flight.clear_cause()
             ev.callback()
             return True
         return False

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs import FREC
+from repro.obs import OBS
 from repro.sim.messages import Message
 from repro.sim.protocol import NodeProtocol
 
@@ -115,8 +115,8 @@ class HeartbeatNode(NodeProtocol):
                 continue
             if now - seen > self.config.timeout:
                 self._suspected.add(nid)
-                if FREC.enabled:
-                    FREC.emit(
+                if OBS.enabled:
+                    OBS.flight.emit(
                         "suspect", self.node_id, t=now, target=nid,
                         silent_for=now - seen,
                     )
@@ -133,8 +133,8 @@ class HeartbeatNode(NodeProtocol):
         if nid in self._suspected:
             # a live beacon rescinds the suspicion (detector accuracy)
             self._suspected.discard(nid)
-            if FREC.enabled:
-                FREC.emit("rescind", self.node_id, t=self.sim.now, target=nid)
+            if OBS.enabled:
+                OBS.flight.emit("rescind", self.node_id, t=self.sim.now, target=nid)
 
     # ------------------------------------------------------------------
     def suspected(self) -> set[int]:

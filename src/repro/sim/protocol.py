@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.obs import FREC
+from repro.obs import OBS
 from repro.sim.engine import Event, Simulator
 from repro.sim.messages import Message
 from repro.sim.radio import Radio
@@ -53,8 +53,8 @@ class NodeProtocol:
         self.sim.schedule(delay, self._boot)
 
     def _boot(self) -> None:
-        if FREC.enabled:
-            FREC.set_cause(FREC.emit("start", self.node_id, t=self.sim.now))
+        if OBS.enabled:
+            OBS.flight.set_cause(OBS.flight.emit("start", self.node_id, t=self.sim.now))
         self.on_start()
 
     def fail(self) -> None:
@@ -63,8 +63,8 @@ class NodeProtocol:
             t.cancel()
         self._timers.clear()
         self.radio.kill_node(self.node_id)
-        if FREC.enabled:
-            FREC.emit("fail", self.node_id, t=self.sim.now)
+        if OBS.enabled:
+            OBS.flight.emit("fail", self.node_id, t=self.sim.now)
 
     @property
     def alive(self) -> bool:
@@ -76,16 +76,16 @@ class NodeProtocol:
     def set_timer(self, delay: float, callback) -> Event:
         """Arm a cancellable timer; dead nodes' timers never fire."""
         timer_id = None
-        if FREC.enabled:
-            timer_id = FREC.emit(
+        if OBS.enabled:
+            timer_id = OBS.flight.emit(
                 "timer_set", self.node_id, t=self.sim.now, delay=float(delay)
             )
 
         def guarded() -> None:
             if self.alive:
-                if FREC.enabled and timer_id is not None:
-                    FREC.set_cause(
-                        FREC.emit(
+                if OBS.enabled and timer_id is not None:
+                    OBS.flight.set_cause(
+                        OBS.flight.emit(
                             "timer_fire", self.node_id, t=self.sim.now,
                             cause=timer_id,
                         )

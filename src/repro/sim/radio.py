@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.geometry.points import as_point, squared_distances_to
-from repro.obs import FREC, OBS
+from repro.obs import OBS
 from repro.sim.engine import Simulator
 from repro.sim.messages import Message
 
@@ -161,11 +161,10 @@ class Radio:
         receivers = self.neighbors_of(sender)
         msg = Message(sender, kind, payload, self._sim.now)
         self.stats.sent[sender] += 1
+        send_id = None
         if OBS.enabled:
             OBS.counter("radio_sent_total", kind=kind, mode="broadcast").inc()
-        send_id = None
-        if FREC.enabled:
-            send_id = FREC.emit_send(
+            send_id = OBS.flight.emit_send(
                 sender, t=self._sim.now, msg=kind, mode="broadcast",
                 receivers=len(receivers),
             )
@@ -175,8 +174,7 @@ class Radio:
                 self.stats.dropped[r] = self.stats.dropped.get(r, 0) + 1
                 if OBS.enabled:
                     OBS.counter("radio_dropped_total", kind=kind, node=r).inc()
-                if FREC.enabled:
-                    FREC.emit("drop", r, t=self._sim.now, cause=send_id, msg=kind)
+                    OBS.flight.emit("drop", r, t=self._sim.now, cause=send_id, msg=kind)
                 continue
             self._deliver(r, msg, send_id)
             delivered += 1
@@ -196,11 +194,10 @@ class Radio:
                 f"node {receiver} is out of range of node {sender}"
             )
         self.stats.sent[sender] += 1
+        send_id = None
         if OBS.enabled:
             OBS.counter("radio_sent_total", kind=kind, mode="unicast").inc()
-        send_id = None
-        if FREC.enabled:
-            send_id = FREC.emit_send(
+            send_id = OBS.flight.emit_send(
                 sender, t=self._sim.now, msg=kind, mode="unicast", to=receiver
             )
         msg = Message(sender, kind, payload, self._sim.now)
@@ -210,8 +207,7 @@ class Radio:
             self.stats.dropped[receiver] = self.stats.dropped.get(receiver, 0) + 1
             if OBS.enabled:
                 OBS.counter("radio_dropped_total", kind=kind, node=receiver).inc()
-            if FREC.enabled:
-                FREC.emit("drop", receiver, t=self._sim.now, cause=send_id, msg=kind)
+                OBS.flight.emit("drop", receiver, t=self._sim.now, cause=send_id, msg=kind)
             return False
         self._deliver(receiver, msg, send_id)
         return True
@@ -221,9 +217,9 @@ class Radio:
             # the receiver may have died between send and delivery
             if self._alive.get(receiver, False):
                 self.stats.received[receiver] += 1
-                if FREC.enabled:
-                    FREC.set_cause(
-                        FREC.emit_deliver(
+                if OBS.enabled:
+                    OBS.flight.set_cause(
+                        OBS.flight.emit_deliver(
                             receiver, send_id, t=self._sim.now, msg=msg.kind,
                             sender=msg.sender,
                         )

@@ -658,7 +658,7 @@ class TestObs001:
 
 
 # ----------------------------------------------------------------------
-# what counts as a guard (shared by OBS001/OBS003/OBS004)
+# what counts as an OBS001 guard
 # ----------------------------------------------------------------------
 class TestGuardForms:
     FORMS = {
@@ -671,8 +671,8 @@ class TestGuardForms:
             ["OBS001"],
         ),
         "other-runtime-guard": (
-            "if FREC.enabled or OBS.enabled:\n    FREC.emit('e', 0, t=0.0)",
-            ["OBS003"],
+            "if CHECKS.enabled:\n    OBS.flight.emit('e', 0, t=0.0)",
+            ["OBS001"],
         ),
         "and-with-guard": (
             "if OBS.enabled and verbose:\n    OBS.counter('x').inc()",
@@ -689,7 +689,8 @@ class TestGuardForms:
     def test_only_real_guards_guard(self, tmp_path, form):
         body, expected = self.FORMS[form]
         code = (
-            "from repro.obs import FREC, OBS\n\n\ndef f(verbose):\n"
+            "from repro.checks import CHECKS\nfrom repro.obs import OBS\n\n\n"
+            "def f(verbose):\n"
             + textwrap.indent(body, "    ")
             + "\n"
         )
@@ -698,7 +699,8 @@ class TestGuardForms:
 
 
 # ----------------------------------------------------------------------
-# OBS004 - guarded telemetry touchpoints
+# OBS001 over the telemetry touchpoints (OBS.sample, record_*_health),
+# which a rule of their own, OBS004, guarded until it merged into OBS001
 # ----------------------------------------------------------------------
 class TestObs004:
     def test_unguarded_sample_flagged(self, tmp_path):
@@ -711,7 +713,7 @@ class TestObs004:
                 OBS.sample("cell", seed=0)
             """,
         )
-        assert _codes(findings) == ["OBS004"]
+        assert _codes(findings) == ["OBS001"]
 
     def test_unguarded_health_helper_flagged(self, tmp_path):
         findings = lint_snippet(
@@ -723,7 +725,7 @@ class TestObs004:
                 record_coverage_health(coverage, k)
             """,
         )
-        assert _codes(findings) == ["OBS004"]
+        assert _codes(findings) == ["OBS001"]
 
     def test_health_helper_resolved_through_module_alias(self, tmp_path):
         findings = lint_snippet(
@@ -737,7 +739,7 @@ class TestObs004:
                 energy(profile, stats)
             """,
         )
-        assert _codes(findings) == ["OBS004", "OBS004"]
+        assert _codes(findings) == ["OBS001", "OBS001"]
 
     def test_guarded_telemetry_clean(self, tmp_path):
         findings = lint_snippet(
@@ -801,36 +803,38 @@ class TestObs004:
 
 
 # ----------------------------------------------------------------------
-# OBS003 - guarded flight-recorder touchpoints
+# OBS001 over the flight pillar's emits (OBS.flight.*), which a rule of
+# their own, OBS003, guarded until it merged into OBS001
 # ----------------------------------------------------------------------
 class TestObs003:
     def test_unguarded_emit_flagged(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs import FREC
+            from repro.obs import OBS
 
             def f(sim):
-                FREC.emit("drop", 3, t=sim.now, msg="HB")
+                OBS.flight.emit("drop", 3, t=sim.now, msg="HB")
             """,
         )
-        assert _codes(findings) == ["OBS003"]
-        assert "FREC.emit" in findings[0].message
+        assert _codes(findings) == ["OBS001"]
+        assert "OBS.flight.emit" in findings[0].message
 
     def test_guarded_touchpoints_clean(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs import FREC
+            from repro.obs import OBS
 
             def f(sim, receiver):
                 send_id = None
-                if FREC.enabled:
-                    send_id = FREC.emit_send(0, t=sim.now, msg="HELLO")
-                if FREC.enabled:
-                    eid = FREC.emit_deliver(receiver, send_id, t=sim.now,
-                                            msg="HELLO")
-                    FREC.set_cause(eid)
+                if OBS.enabled:
+                    OBS.counter("radio_sent_total").inc()
+                    send_id = OBS.flight.emit_send(0, t=sim.now, msg="HELLO")
+                if OBS.enabled:
+                    eid = OBS.flight.emit_deliver(receiver, send_id, t=sim.now,
+                                                  msg="HELLO")
+                    OBS.flight.set_cause(eid)
             """,
         )
         assert findings == []
@@ -839,26 +843,29 @@ class TestObs003:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs import FREC
+            from repro.obs import OBS
 
             def f(sim):
-                if not FREC.enabled:
+                if not OBS.enabled:
                     return
-                FREC.emit("placement", 1, t=sim.now, point=7)
+                OBS.flight.emit("placement", 1, t=sim.now, point=7)
             """,
         )
         assert findings == []
 
     def test_run_and_session_exempt(self, tmp_path):
+        """``OBS.run`` opens a run block like ``OBS.span`` opens a span, and
+        the recording session's header and export are no touchpoints."""
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs import FREC
+            from repro.obs import OBS
 
-            def f(path):
-                with FREC.session(path):
-                    with FREC.run("grid", k=2):
-                        pass
+            def f(path, argv):
+                OBS.flight.set_header("cli", {"argv": argv})
+                with OBS.span("protocol"), OBS.run("grid", k=2) as frun:
+                    frun.set(placed=0)
+                OBS.flight.write_jsonl(path)
             """,
         )
         assert findings == []
@@ -867,38 +874,53 @@ class TestObs003:
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs import FREC
+            from repro.obs import OBS
 
             def f(eid):
-                FREC.set_cause(eid)
+                OBS.flight.set_cause(eid)
             """,
         )
-        assert _codes(findings) == ["OBS003"]
+        assert _codes(findings) == ["OBS001"]
+
+    def test_aliased_flight_receiver_resolved(self, tmp_path):
+        findings = lint_snippet(
+            tmp_path,
+            """
+            from repro.obs.runtime import OBS as TELEMETRY
+
+            def f(sim):
+                if TELEMETRY.enabled:
+                    TELEMETRY.flight.emit("start", 0, t=sim.now)
+                TELEMETRY.flight.emit("fail", 0, t=sim.now)
+            """,
+        )
+        assert _codes(findings) == ["OBS001"]
+        assert "OBS.flight.emit" in findings[0].message
 
     def test_guard_does_not_leak_into_nested_def(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs import FREC
+            from repro.obs import OBS
 
             def f(sim):
-                if FREC.enabled:
+                if OBS.enabled:
                     def late():
-                        FREC.emit("fail", 2, t=sim.now)
+                        OBS.flight.emit("fail", 2, t=sim.now)
                     return late
             """,
         )
-        assert _codes(findings) == ["OBS003"]
+        assert _codes(findings) == ["OBS001"]
 
     def test_non_library_exempt(self, tmp_path):
         findings = lint_snippet(
             tmp_path,
             """
-            from repro.obs import FREC
-            FREC.emit("start", 0, t=0.0)
+            from repro.obs import OBS
+            OBS.flight.emit("start", 0, t=0.0)
             """,
             library=False,
-            name="test_frec_usage.py",
+            name="test_flight_usage.py",
         )
         assert findings == []
 
@@ -941,26 +963,26 @@ class TestObs006:
     def test_obs_mutator_calls_flagged(self, tmp_path):
         code = """
         from repro.obs import OBS
-        from repro.obs.flightrec import FREC as RECORDER
+        from repro.obs.runtime import OBS as RUNTIME
 
         def worker():
             OBS.disable()
-            RECORDER.reset()
+            RUNTIME.reset()
         """
         findings = lint_tree(tmp_path, {"parallel/__init__.py": code})
         assert _located(tmp_path, findings) == [
             ("parallel/__init__.py", _line_of(code, "OBS.disable()"), "OBS006"),
-            ("parallel/__init__.py", _line_of(code, "RECORDER.reset()"), "OBS006"),
+            ("parallel/__init__.py", _line_of(code, "RUNTIME.reset()"), "OBS006"),
         ]
-        assert "repro.obs.flightrec.FREC.reset()" in findings[1].message
+        assert "repro.obs.runtime.OBS.reset()" in findings[1].message
 
     def test_obs_attribute_store_flagged(self, tmp_path):
         code = """
-        from repro.obs import FREC, OBS
+        from repro.obs import OBS
 
         def worker(saved):
             OBS.enabled = True
-            OBS.enabled, FREC.enabled = saved
+            OBS.enabled, OBS.flight = saved
         """
         findings = lint_tree(tmp_path, {"parallel/__init__.py": code})
         assert _located(tmp_path, findings) == [
@@ -996,12 +1018,12 @@ class TestObs006:
             tmp_path,
             {
                 module: """
-                from repro.obs import FREC, OBS
+                from repro.obs import OBS
 
                 def session(saved):
-                    OBS.enable(fresh=True)
-                    FREC.reset()
-                    OBS.enabled, FREC.enabled = saved
+                    OBS.enable(fresh=True, flight=True)
+                    OBS.reset()
+                    OBS.enabled = saved
                 """,
             },
         )

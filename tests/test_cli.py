@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _flightrec_argv, build_parser, main
-from repro.obs import FREC, OBS
+from repro.obs import NULL_FLIGHT, OBS
 from repro.obs.ledger import LedgerStore
 
 
@@ -201,14 +201,12 @@ class TestRecordingSession:
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         monkeypatch.chdir(tmp_path)
         OBS.reset()
-        FREC.reset()
         yield
         OBS.reset()
-        FREC.reset()
 
     @staticmethod
     def _switches():
-        return (OBS.enabled, FREC.enabled)
+        return (OBS.enabled, OBS.flight is NULL_FLIGHT)
 
     def test_bare_ledger_recording_replays(self, capsys):
         assert main([
@@ -240,6 +238,17 @@ class TestRecordingSession:
         assert "Trace summary" not in capsys.readouterr().out
         assert self._switches() == before
         assert len(LedgerStore("d").rows()) == 1
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_flight_log_does_not_outlive_main(self, capsys, enabled):
+        if enabled:
+            OBS.enable()
+        assert main([
+            "deploy", "--k", "1", "--side", "20", "--points", "100",
+            "--flight-record", "f.jsonl",
+        ]) == 0
+        assert self._switches() == (enabled, True)
+        assert OBS.recording() is (False if enabled else None)
 
 
 def test_gallery(capsys):

@@ -297,8 +297,9 @@ def test_restoration_reports_match_brute_force(method, warm):
 
 @pytest.mark.parametrize("method", ["centralized", "grid", "voronoi"])
 def test_warm_epoch_makes_no_per_sensor_ball_queries(method, monkeypatch):
-    """Each warm epoch touches the neighbour index exactly once — the
-    ``dirty_region`` footprint query — however many sensors are alive."""
+    """An unrecorded warm epoch never touches the neighbour index, however
+    many sensors are alive: the ``dirty_region`` footprint query runs only
+    for the recorded ``fail`` flight event."""
     monkeypatch.setattr(CHECKS, "enabled", False)  # the sanitizer recounts
     planner = _planner()
     result = planner.deploy(2, method=method, cell_size=5.0)
@@ -312,4 +313,4 @@ def test_warm_epoch_makes_no_per_sensor_ball_queries(method, monkeypatch):
         before = stats.hit_count("index")
         session.restore(event)
         deltas.append(stats.hit_count("index") - before)
-    assert deltas == [1] * len(deltas)
+    assert deltas == [0] * len(deltas)

@@ -21,7 +21,7 @@ from repro.analysis import (
     split_runs,
 )
 from repro.errors import ConfigurationError, ObservabilityError
-from repro.obs import FREC, FlightRecorder
+from repro.obs import NULL_FLIGHT, NULL_SPAN, OBS, FlightRecorder
 from repro.obs.replay import (
     load_stream,
     record_protocol_run,
@@ -35,10 +35,10 @@ PROTOCOLS = ("grid", "voronoi", "restoration")
 
 
 @pytest.fixture(autouse=True)
-def pristine_frec():
-    FREC.reset()
+def pristine_obs():
+    OBS.reset()
     yield
-    FREC.reset()
+    OBS.reset()
 
 
 def _demo_run(rec: FlightRecorder) -> None:
@@ -57,16 +57,26 @@ class TestRecorder:
     def test_disabled_is_inert(self):
         from repro.obs.replay import _run_protocol_scenario
 
-        assert not FREC.enabled
-        # run() is a shared null context while disabled
-        assert FREC.run("a") is FREC.run("b")
-        # a fully instrumented protocol run records nothing
+        assert not OBS.enabled and OBS.flight is NULL_FLIGHT
+        # run() is the shared null span while disabled
+        assert OBS.run("a") is OBS.run("b") is NULL_SPAN
+        # a fully instrumented protocol run records nothing, and neither
+        # does a recording that asked for no flight log
         _run_protocol_scenario({"protocol": "grid", "n_points": 60})
-        assert len(FREC) == 0 and FREC.n_runs == 0
+        OBS.enable(fresh=True)
+        _run_protocol_scenario({"protocol": "grid", "n_points": 60})
+        assert OBS.run("a") is NULL_SPAN
+        assert OBS.flight is NULL_FLIGHT and OBS.flight.records() == []
+        assert OBS.tracer.n_spans > 0  # the other pillars did record
+
+    def test_flight_log_needs_a_fresh_recording(self):
+        with pytest.raises(ObservabilityError):
+            OBS.enable(flight=True)
+        with pytest.raises(ObservabilityError):
+            NULL_FLIGHT.set_header("protocol", {})
 
     def test_run_block_shape(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         _demo_run(rec)
         types = [r["type"] for r in rec.records()]
         assert types == ["begin", "event", "event", "event", "end"]
@@ -77,7 +87,6 @@ class TestRecorder:
 
     def test_causal_context_and_lamport(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         _demo_run(rec)
         send, deliver, placement = [
             r for r in rec.records() if r["type"] == "event"
@@ -92,7 +101,6 @@ class TestRecorder:
 
     def test_clear_cause_stops_inheritance(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         with rec.run("demo"):
             eid = rec.emit("start", 0, t=0.0)
             rec.set_cause(eid)
@@ -102,7 +110,6 @@ class TestRecorder:
 
     def test_run_local_state_resets_between_blocks(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         _demo_run(rec)
         _demo_run(rec)
         runs = split_runs(rec.records())
@@ -115,7 +122,6 @@ class TestRecorder:
 
     def test_reentrant_run_passes_through(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         with rec.run("outer") as outer:
             with rec.run("inner"):  # no second begin/end
                 rec.emit("start", 0, t=0.0)
@@ -127,14 +133,12 @@ class TestRecorder:
 
     def test_nested_begin_run_rejected(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         rec.begin_run("a")
         with pytest.raises(ObservabilityError):
             rec.begin_run("b")
 
     def test_header_must_be_first(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         rec.begin_run("a")
         rec.end_run()
         with pytest.raises(ObservabilityError):
@@ -142,11 +146,9 @@ class TestRecorder:
 
     def test_absorb_renumbers_runs_and_drops_worker_header(self):
         parent = FlightRecorder()
-        parent.enable(fresh=True)
         _demo_run(parent)
 
         worker = FlightRecorder()
-        worker.enable(fresh=True)
         worker.set_header("protocol", {"seed": 1})
         _demo_run(worker)
         _demo_run(worker)
@@ -159,29 +161,23 @@ class TestRecorder:
 
     def test_absorb_mid_block_rejected(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         rec.begin_run("open")
         with pytest.raises(ObservabilityError):
             rec.absorb([])
 
-    def test_session_restores_prior_state(self, tmp_path):
-        FREC.enable(fresh=True)
-        _demo_run(FREC)
-        before = FREC.to_jsonl()
-
-        path = tmp_path / "inner.jsonl"
-        with FREC.session(path, header=("opaque", {})) as ses:
-            _demo_run(FREC)
-        # the inner recording was captured and written...
-        assert ses.records[0]["type"] == "header"
-        assert len(ses.records) == 6
-        assert path.read_text().count("\n") == 6
-        # ...and the enclosing recording is untouched
-        assert FREC.enabled and FREC.to_jsonl() == before
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_recording_puts_the_switch_back(self, enabled):
+        if enabled:
+            OBS.enable()
+        records = record_protocol_run("grid", n_points=60)
+        assert OBS.enabled is enabled
+        assert records[0]["type"] == "header" and len(records) > 2
+        # the flight log ends with the recording that asked for it
+        assert OBS.flight is NULL_FLIGHT
+        assert OBS.recording() is (False if enabled else None)
 
     def test_jsonl_roundtrip(self, tmp_path):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         _demo_run(rec)
         path = tmp_path / "rec.jsonl"
         assert rec.write_jsonl(path) == 5
@@ -199,7 +195,7 @@ class TestDeterminism:
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
         assert any(r["type"] == "event" for r in a)
 
-    def test_flight_record_kwarg_writes_stream(self, tmp_path):
+    def test_recorded_runner_writes_stream(self, tmp_path):
         import numpy as np
 
         from repro.core.grid_decor import grid_decor
@@ -213,17 +209,20 @@ class TestDeterminism:
         positions = deployed.deployment.alive_positions()
 
         path = tmp_path / "restore.jsonl"
+        OBS.enable(fresh=True, flight=True)
         run_restoration_protocol(
             pts, spec, 1, region, 10.0,
             positions, np.arange(2),
             seed=0,
-            flight_record=str(path),
         )
+        OBS.disable()
+        OBS.flight.write_jsonl(path)
         records = load_stream(path)
         validate_stream(records)
         kinds = {r["kind"] for r in records if r["type"] == "event"}
         assert {"crash", "fail", "send", "deliver"} <= kinds
-        assert not FREC.enabled  # the session turned the recorder back off
+        # the recording's other pillars saw the same run
+        assert "health_suspected_nodes" in OBS.metrics.as_dict()
 
     def test_serial_vs_workers_merged_stream_identical(self):
         from repro.experiments.runner import DeploymentCache
@@ -241,16 +240,16 @@ class TestDeterminism:
             ("voronoi-small", 1, 1),
         ]
 
-        FREC.enable(fresh=True)
+        OBS.enable(fresh=True, flight=True)
         prefill_cache(DeploymentCache(setup), cells)
-        serial = FREC.to_jsonl()
+        serial = OBS.flight.to_jsonl()
 
-        FREC.enable(fresh=True)
+        OBS.enable(fresh=True, flight=True)
         prefill_cache(DeploymentCache(setup), cells, workers=2)
-        parallel = FREC.to_jsonl()
+        parallel = OBS.flight.to_jsonl()
 
         assert serial == parallel
-        assert FREC.n_runs == len(cells)
+        assert OBS.flight.n_runs == len(cells)
 
 
 # ----------------------------------------------------------------------
@@ -302,7 +301,6 @@ class TestReplay:
 
     def test_headerless_stream_cannot_replay(self):
         rec = FlightRecorder()
-        rec.enable(fresh=True)
         _demo_run(rec)
         with pytest.raises(ObservabilityError):
             replay_stream(rec.records())
@@ -365,8 +363,8 @@ class TestAnalyzers:
         # election directly to exercise the `elected` analyzer
         from repro.sim import CellElectionNode, ElectionConfig, Radio, Simulator
 
-        FREC.enable(fresh=True)
-        with FREC.run("election"):
+        OBS.enable(fresh=True, flight=True)
+        with OBS.run("election"):
             sim = Simulator()
             radio = Radio(sim, rc=50.0)
             config = ElectionConfig(rotation_period=5.0, settle_delay=0.1)
@@ -378,7 +376,7 @@ class TestAnalyzers:
                 node.start(delay=0.001 * node.node_id)
             sim.run(until=30.0)
 
-        churn = election_churn(FREC.records())[0]
+        churn = election_churn(OBS.flight.records())[0]
         cell = churn["cells"][0]
         assert cell["rounds"] >= 2
         assert cell["distinct_leaders"] >= 2  # rotation actually rotates
@@ -428,7 +426,7 @@ class TestCli:
             "deploy", "--k", "1", "--method", "grid", "--side", "20",
             "--points", "100", "--flight-record", str(path),
         ])
-        assert code == 0 and not FREC.enabled
+        assert code == 0 and not OBS.enabled
         out = capsys.readouterr().out
         assert "flight records" in out
 

@@ -36,6 +36,20 @@ class TestConstruction:
         assert state.n_sensors == 8
         assert 3 not in state.sensor_keys()
 
+    def test_from_rows_takes_an_id_array(self):
+        pts = [[0.0, 0.0], [3.0, 0.0], [10.0, 0.0]]
+        rows = [np.array([0], dtype=np.intp), np.array([0, 1], dtype=np.intp)]
+        state = CoverageState.from_rows(pts, 2.0, np.array([4, 9], dtype=np.intp), rows)
+        assert state.counts.tolist() == [2, 1, 0]
+        assert all(type(key) is int for key in state.sensor_keys())
+        assert sorted(state.sensor_keys()) == [4, 9]
+
+    @pytest.mark.parametrize("keys", [[4, 4], [4]], ids=["duplicate", "too-few"])
+    def test_from_rows_needs_one_distinct_key_per_row(self, keys):
+        rows = [np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)]
+        with pytest.raises(CoverageError):
+            CoverageState.from_rows([[0.0, 0.0], [3.0, 0.0]], 2.0, np.array(keys), rows)
+
 
 class TestAddRemove:
     def test_add_updates_counts(self, line_state):

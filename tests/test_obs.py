@@ -15,6 +15,7 @@ from repro.errors import ExperimentError, ObservabilityError
 from repro.experiments.summary import summarize_trace
 from repro.field import FieldModel
 from repro.obs import (
+    NULL_FLIGHT,
     NULL_SPAN,
     OBS,
     Gauge,
@@ -374,6 +375,17 @@ class TestProtocolCounters:
         names = {r["name"] for r in OBS.tracer.records() if r["type"] == "span"}
         assert "protocol" in names
 
+    def test_restoration_protocol_records_health(self):
+        """A recorded in-network restoration sets the liveness gauge from
+        its surviving heartbeat nodes."""
+        from repro.obs.replay import _run_protocol_scenario
+
+        OBS.enable(fresh=True)
+        _run_protocol_scenario({"protocol": "restoration", "n_points": 60})
+        OBS.disable()
+        assert "health_suspected_nodes" in OBS.metrics.as_dict()
+        assert OBS.metrics.value("radio_messages_sent_total", protocol="restoration") > 0
+
 
 # ----------------------------------------------------------------------
 # cross-process aggregation (the repro.parallel seam)
@@ -482,7 +494,7 @@ class TestWorkerCapture:
     def test_capture_and_merge(self):
         from repro.obs import capture_worker_obs, merge_worker_obs
 
-        with capture_worker_obs(True) as cap:
+        with capture_worker_obs(False) as cap:
             with OBS.span("series", series="random"):
                 if OBS.enabled:
                     OBS.counter("decor_placements_total", method="random").inc(4)
@@ -500,10 +512,57 @@ class TestWorkerCapture:
         names = {r["name"] for r in OBS.tracer.records() if r["type"] == "span"}
         assert {"series", "prefill"} <= names
 
-    def test_disabled_capture_is_inert(self):
+    def test_merge_counts_spans_the_worker_ring_evicted(self):
         from repro.obs import capture_worker_obs, merge_worker_obs
 
         with capture_worker_obs(False) as cap:
+            OBS.tracer = Tracer(capacity=1)
+            for _ in range(3):
+                with OBS.span("cell"):
+                    pass
+            worker_total = OBS.tracer.total("cell")
+        payload = cap.payload()
+        assert len(payload["trace"]) == 1 and payload["dropped"] == 2
+
+        OBS.enable(fresh=True)
+        merge_worker_obs(payload)
+        stats = OBS.tracer.span_stats["cell"]
+        assert stats.count == 3
+        assert stats.total == pytest.approx(worker_total)
+        assert OBS.tracer.dropped == 2 and OBS.tracer.n_spans == 1
+
+    def test_one_payload_carries_the_flight_log(self):
+        from repro.obs import capture_worker_obs, merge_worker_obs
+
+        def work():
+            with OBS.run("grid_decor", k=1):
+                if OBS.enabled:
+                    OBS.flight.emit("placement", 0, t=1.0, point=3)
+
+        # a worker keeps a flight log only if its parent does
+        assert OBS.recording() is None
+        OBS.enable(fresh=True)
+        with capture_worker_obs(OBS.recording()) as cap:
+            work()
+        assert cap.payload()["records"] == []
+        OBS.enable(fresh=True, flight=True)
+        with capture_worker_obs(OBS.recording()) as cap:
+            work()
+        payload = cap.payload()
+        assert [r["type"] for r in payload["records"]] == ["begin", "event", "end"]
+
+        OBS.enable(fresh=True)  # a parent that keeps no flight log
+        merge_worker_obs(payload)
+        assert OBS.flight is NULL_FLIGHT
+        OBS.enable(fresh=True, flight=True)
+        merge_worker_obs(payload)
+        merge_worker_obs(payload)
+        assert [r["run"] for r in OBS.flight.records() if r["type"] == "begin"] == [1, 2]
+
+    def test_disabled_capture_is_inert(self):
+        from repro.obs import capture_worker_obs, merge_worker_obs
+
+        with capture_worker_obs(None) as cap:
             pass
         assert cap.payload() is None
         merge_worker_obs(None)  # no-op

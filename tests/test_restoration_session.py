@@ -22,7 +22,6 @@ from repro.errors import (
     ConfigurationError,
     CoverageError,
     ExperimentError,
-    GeometryError,
     PlacementError,
 )
 from repro.experiments import (
@@ -36,7 +35,7 @@ from repro.experiments.runner import DeploymentCache
 from repro.field import FieldModel
 from repro.geometry import Rect
 from repro.network import FailureEvent, SensorSpec
-from repro.obs import FREC
+from repro.obs import OBS
 
 
 def _planner(seed: int = 3, n_points: int = 250) -> DecorPlanner:
@@ -57,9 +56,9 @@ def _drive(session, region, *, epochs: int = 3, radius: float = 7.0):
 
 
 @pytest.fixture
-def frec_reset():
+def obs_reset():
     yield
-    FREC.reset()
+    OBS.reset()
 
 
 class TestWarmEqualsCold:
@@ -140,16 +139,16 @@ class TestWarmEqualsCold:
 
 
 class TestFlightRecorderStreams:
-    def test_warm_and_cold_streams_byte_identical(self, frec_reset):
+    def test_warm_and_cold_streams_byte_identical(self, obs_reset):
         streams = []
         for warm in (True, False):
             planner = _planner()
             result = planner.deploy(2, method="voronoi")
             session = planner.session(result, method="voronoi", warm=warm)
-            FREC.enable(fresh=True)
+            OBS.enable(fresh=True, flight=True)
             _drive(session, planner.region)
-            streams.append(FREC.to_jsonl())
-            FREC.disable()
+            streams.append(OBS.flight.to_jsonl())
+            OBS.disable()
         assert streams[0] == streams[1]
         # and the stream actually carries the per-epoch story
         kinds = [
@@ -158,6 +157,14 @@ class TestFlightRecorderStreams:
             if '"kind"' in line
         ]
         assert kinds.count("fail") == 3 and kinds.count("restored") == 3
+        # the damage footprint is recorded, and equal in both modes
+        dirty = [
+            json.loads(line)["attrs"]["dirty_points"]
+            for stream in streams
+            for line in stream.splitlines()
+            if '"kind": "fail"' in line
+        ]
+        assert dirty[:3] == dirty[3:] and min(dirty) > 0
 
 
 class TestEpochSweep:
@@ -225,7 +232,6 @@ class TestDirtyRegion:
             model.points[:, None, :] - pos[None, :, :], axis=2
         ).min(axis=1)
         assert np.array_equal(dirty.points, np.nonzero(d <= 4.0)[0])
-        assert dirty.cells is None
         assert dirty.n_points == dirty.points.size > 0
 
     def test_empty_positions(self):
@@ -234,16 +240,6 @@ class TestDirtyRegion:
             np.empty((0, 2)), 4.0
         )
         assert dirty.n_points == 0
-
-    def test_cells_require_cell_width(self):
-        planner = _planner()
-        pos = planner.field.points[:1]
-        dirty = planner.field.dirty_region(
-            pos, 4.0, region=planner.region, cell_width=5.0
-        )
-        assert dirty.cells is not None and dirty.cells.size > 0
-        with pytest.raises(GeometryError):
-            planner.field.dirty_region(pos, 4.0, region=planner.region)
 
 
 class TestRemoveRows:

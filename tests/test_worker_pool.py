@@ -12,13 +12,16 @@ order they arrive in.
 from __future__ import annotations
 
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ExperimentError, ReproError
 from repro.experiments.figures import cells_for_figure
 from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import ExperimentSetup
@@ -165,6 +168,59 @@ class TestLifecycle:
         )
         assert proc.returncode == 0, proc.stderr
         assert "resource_tracker" not in proc.stderr, proc.stderr
+
+    def test_worker_killed_mid_prefill_closes_pool(self, setup, monkeypatch):
+        """A worker process that dies mid-chunk surfaces as an
+        ExperimentError naming the lost chunk's cells, and leaves a closed
+        pool with no live worker and no segment behind."""
+        cells = cells_for_figure(setup, 8)
+        doomed = cells[2]
+        real_get = DeploymentCache.get
+
+        def get(cache, *cell):
+            if tuple(cell) == doomed:
+                os._exit(3)
+            return real_get(cache, *cell)
+
+        # patched before the workers fork, so they inherit it
+        monkeypatch.setattr(DeploymentCache, "get", get)
+        cache = DeploymentCache(setup)
+        pool = WorkerPool.for_cache(cache, workers=2)
+        pool.prefill(cache, cells[:2])  # publishes every seed, forks the workers
+        names = pool.store.segment_names
+        pids = pool.worker_pids()
+        assert names and pids
+        with pytest.raises(ExperimentError, match=re.escape(repr(doomed))):
+            pool.prefill(cache, cells[2:])
+        assert pool.closed
+        assert not any(_alive(pid) for pid in pids)
+        assert _shm_residue(names) == []
+        with pytest.raises(ConfigurationError, match="worker pool is closed"):
+            pool.prefill(cache, cells[2:])
+
+    def test_worker_killed_between_prefills_closes_pool(self, setup):
+        """A worker that dies while idle breaks the executor; the next
+        prefill closes the pool and names the cells it could not compute
+        instead of leaking a raw BrokenProcessPool."""
+        cells = cells_for_figure(setup, 8)
+        cache = DeploymentCache(setup)
+        pool = WorkerPool.for_cache(cache, workers=2)
+        pool.prefill(cache, cells[:2])
+        names = pool.store.segment_names
+        pids = pool.worker_pids()
+        assert names and pids
+        os.kill(pids[0], signal.SIGKILL)
+        # the executor marks itself broken before it reaps its workers
+        deadline = time.monotonic() + 30.0
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        with pytest.raises(ExperimentError, match=re.escape(repr(cells[2]))):
+            pool.prefill(cache, cells[2:])
+        assert pool.closed
+        assert not any(_alive(pid) for pid in pids)
+        assert _shm_residue(names) == []
+        with pytest.raises(ConfigurationError, match="worker pool is closed"):
+            pool.prefill(cache, cells[2:])
 
     def test_closed_pool_refuses_work(self, setup):
         cache = DeploymentCache(setup)
