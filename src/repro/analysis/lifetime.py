@@ -39,7 +39,7 @@ def _greedy_shift(
     counts = np.zeros(n, dtype=np.int64)
     chosen: list[int] = []
     pool = list(available)
-    covered_lists = {key: coverage.points_covered_by(key) for key in pool}
+    covered_lists = dict(zip(pool, coverage.points_covered_by_many(pool)))
     # pool supply per point (feasibility + scarcity signal)
     supply = np.zeros(n, dtype=np.int64)
     for key in pool:

@@ -49,8 +49,7 @@ def removal_survival_curve(
     n_ok = int(np.count_nonzero(counts >= k))
     out = np.empty(len(order_list) + 1, dtype=np.float64)
     out[0] = n_ok / n_points
-    for i, key in enumerate(order_list):
-        covered = coverage.points_covered_by(key)
+    for i, covered in enumerate(coverage.points_covered_by_many(order_list)):
         if covered.size:
             # points at exactly k lose their k-coverage with this removal
             n_ok -= int(np.count_nonzero(counts[covered] == k))

@@ -12,6 +12,7 @@ from repro.field import Adjacency, FieldModel, as_field_model
 from repro.geometry.points import as_points
 from repro.network.deployment import Deployment
 from repro.network.spec import SensorSpec
+from repro.obs import OBS
 
 __all__ = ["init_run", "finalize", "placement_budget"]
 
@@ -142,20 +143,21 @@ def finalize(
     messages: MessageStats | None = None,
     params: dict | None = None,
 ) -> DeploymentResult:
-    """Assemble the result.  Its coverage is the engine's rows (callers
-    account sensors in deployment-id order), so no sensor is re-queried;
-    ``REPRO_CHECKS=1`` compares it against a recount of the deployment
-    (the ``coverage-equals-recount`` invariant)."""
-    coverage = engine.coverage_state(deployment.alive_ids())
-    if CHECKS.enabled:
-        validate_coverage_recount(coverage, deployment, method=method)
-    return DeploymentResult(
-        method=method,
-        k=k,
-        deployment=deployment,
-        coverage=coverage,
-        added_ids=np.asarray(added_ids, dtype=np.intp),
-        trace=trace,
-        messages=messages,
-        params=dict(params or {}),
-    )
+    """Assemble the result (one ``result`` span).  Its coverage is the
+    engine's rows (callers account sensors in deployment-id order), so no
+    sensor is re-queried; ``REPRO_CHECKS=1`` compares it against a recount
+    of the deployment (the ``coverage-equals-recount`` invariant)."""
+    with OBS.span("result", method=method):
+        coverage = engine.coverage_state(deployment.alive_ids())
+        if CHECKS.enabled:
+            validate_coverage_recount(coverage, deployment, method=method)
+        return DeploymentResult(
+            method=method,
+            k=k,
+            deployment=deployment,
+            coverage=coverage,
+            added_ids=np.asarray(added_ids, dtype=np.intp),
+            trace=trace,
+            messages=messages,
+            params=dict(params or {}),
+        )

@@ -436,7 +436,8 @@ class BenefitEngine:
 
     def coverage_state(self, keys: np.ndarray) -> CoverageState:
         """The accounted sensors' coverage, row ``i`` keyed ``keys[i]`` (the
-        rows are shared with the state, no ball query is made)."""
+        state keeps one concatenated copy of the rows; no ball query is
+        made)."""
         return CoverageState.from_rows(self._field, self._rs, keys, self._rows)
 
     def remove_rows(self, row_indices: np.ndarray) -> np.ndarray:

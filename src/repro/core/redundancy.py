@@ -72,8 +72,7 @@ def redundant_nodes(
             raise CoverageError("order must be a permutation of the sensor keys")
     counts = coverage.counts.copy()
     redundant: list[int] = []
-    for key in scan:
-        covered = coverage.points_covered_by(key)
+    for key, covered in zip(scan, coverage.points_covered_by_many(scan)):
         if covered.size == 0 or np.all(counts[covered] >= k + 1):
             counts[covered] -= 1
             redundant.append(key)

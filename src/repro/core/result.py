@@ -22,19 +22,42 @@ __all__ = ["PlacementTrace", "MessageStats", "DeploymentResult"]
 
 
 class PlacementTrace:
-    """Append-only per-placement log, finalised into NumPy arrays.
+    """Append-only per-placement log, kept as NumPy columns.
 
     Records, for every node the algorithm adds: its position, the benefit it
     was chosen with, the k-coverage fraction right after the placement, the
     cell/owner that proposed it (or -1) and the messages the placement cost.
+    The five columns live in capacity-doubling arrays (amortised O(1)
+    appends, as in :class:`~repro.network.deployment.Deployment`), so a
+    pickled trace is five buffers holding the filled rows, not five lists
+    of Python objects.  The properties return copies of the filled rows.
     """
 
+    _INITIAL_CAPACITY = 64
+    _COLUMNS = ("_positions", "_benefits", "_covered_fraction", "_proposer", "_messages")
+
     def __init__(self) -> None:
-        self._positions: list[tuple[float, float]] = []
-        self._benefits: list[float] = []
-        self._covered_fraction: list[float] = []
-        self._proposer: list[int] = []
-        self._messages: list[int] = []
+        cap = self._cap = self._INITIAL_CAPACITY
+        self._n = 0
+        self._positions = np.empty((cap, 2), dtype=np.float64)
+        self._benefits = np.empty(cap, dtype=np.float64)
+        self._covered_fraction = np.empty(cap, dtype=np.float64)
+        self._proposer = np.empty(cap, dtype=np.intp)
+        self._messages = np.empty(cap, dtype=np.intp)
+
+    def __getstate__(self) -> dict[str, object]:
+        state = dict(self.__dict__, _cap=self._n)
+        for name in self._COLUMNS:
+            state[name] = state[name][: self._n]
+        return state
+
+    def _grow(self) -> None:
+        self._cap = max(2 * self._cap, self._INITIAL_CAPACITY)
+        for name in self._COLUMNS:
+            old = getattr(self, name)
+            new = np.empty((self._cap,) + old.shape[1:], dtype=old.dtype)
+            new[: self._n] = old[: self._n]
+            setattr(self, name, new)
 
     def record(
         self,
@@ -44,34 +67,38 @@ class PlacementTrace:
         proposer: int = -1,
         messages: int = 0,
     ) -> None:
-        self._positions.append((float(position[0]), float(position[1])))
-        self._benefits.append(float(benefit))
-        self._covered_fraction.append(float(covered_fraction))
-        self._proposer.append(int(proposer))
-        self._messages.append(int(messages))
+        n = self._n
+        if n == self._cap:
+            self._grow()
+        self._positions[n] = position
+        self._benefits[n] = benefit
+        self._covered_fraction[n] = covered_fraction
+        self._proposer[n] = proposer
+        self._messages[n] = messages
+        self._n = n + 1
 
     def __len__(self) -> int:
-        return len(self._positions)
+        return self._n
 
     @property
     def positions(self) -> np.ndarray:
-        return np.asarray(self._positions, dtype=np.float64).reshape(-1, 2)
+        return self._positions[: self._n].copy()
 
     @property
     def benefits(self) -> np.ndarray:
-        return np.asarray(self._benefits, dtype=np.float64)
+        return self._benefits[: self._n].copy()
 
     @property
     def covered_fraction(self) -> np.ndarray:
-        return np.asarray(self._covered_fraction, dtype=np.float64)
+        return self._covered_fraction[: self._n].copy()
 
     @property
     def proposer(self) -> np.ndarray:
-        return np.asarray(self._proposer, dtype=np.intp)
+        return self._proposer[: self._n].copy()
 
     @property
     def messages(self) -> np.ndarray:
-        return np.asarray(self._messages, dtype=np.intp)
+        return self._messages[: self._n].copy()
 
 
 @dataclass(frozen=True)

@@ -147,6 +147,12 @@ class FieldModel:
         Neighbour-search backend name (``"gridhash"``/``"kdtree"``); ``None``
         defers to ``REPRO_FIELD_BACKEND``, then ``"gridhash"``.
 
+    A pickle (every result a pool worker ships back references its model)
+    carries only the points and the backend name: the unpickled model
+    starts with empty caches and zeroed :attr:`stats` and rebuilds what it
+    is asked for, as :class:`~repro.field.Adjacency` leaves its row cache
+    out of its pickle.
+
     Examples
     --------
     >>> fm = FieldModel([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
@@ -161,6 +167,15 @@ class FieldModel:
         pts = np.array(as_points(points))
         pts.flags.writeable = False
         self._init_state(pts, backend)
+
+    def __getstate__(self) -> tuple[np.ndarray, str]:
+        # the cached artifacts and build/hit counters are never shipped
+        return self._points, self._backend_name
+
+    def __setstate__(self, state: tuple[np.ndarray, str]) -> None:
+        points, backend = state
+        points.flags.writeable = False
+        self._init_state(points, backend)
 
     def _init_state(self, points: np.ndarray, backend: str | None) -> None:
         """Shared constructor body; ``points`` is already validated/frozen."""

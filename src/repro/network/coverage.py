@@ -4,12 +4,14 @@ The paper replaces the continuous area with a finite low-discrepancy point
 set; coverage of the area is then the vector of per-point coverage counts
 ``k_p`` = number of alive sensors within the sensing radius of point ``p``
 (§3.2).  :class:`CoverageState` maintains that vector incrementally: adding
-or removing a sensor touches only the points inside its sensing disc, found
-with one ball query against the shared :class:`~repro.field.FieldModel` —
-never a global recount.
+or removing a sensor moves only the counts of the points inside its sensing
+disc, found with one ball query against the shared
+:class:`~repro.field.FieldModel` — never a global recount.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -19,6 +21,18 @@ from repro.field.csr import sorted_unique
 from repro.geometry.points import as_point
 
 __all__ = ["CoverageState"]
+
+
+def _take_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, indices)`` of the CSR rows ``rows``, in that order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    out = np.concatenate(([0], np.cumsum(lengths)))
+    # entry j of new row r is old entry starts[r] + j
+    taken = np.repeat(starts - out[:-1], lengths) + np.arange(out[-1])
+    return out, indices[taken]
 
 
 class CoverageState:
@@ -37,7 +51,13 @@ class CoverageState:
     -----
     Sensors are registered under caller-chosen integer keys (usually
     :class:`~repro.network.deployment.Deployment` node ids).  The state
-    remembers which points each key covers so removal is exact.
+    remembers which points each key covers so removal is exact.  These
+    rows are one CSR next to the counts: the sorted keys, ``indptr`` and
+    int32 ``indices``, as in :class:`~repro.field.Adjacency` (key
+    ``keys[i]`` covers ``indices[indptr[i]:indptr[i + 1]]``).  A key is
+    found by binary search, and a mutation rebuilds the CSR in
+    O(entries).  The state is a handful of flat arrays, so a pickled
+    result (what a pool worker ships back) holds no per-sensor object.
 
     Examples
     --------
@@ -60,7 +80,9 @@ class CoverageState:
             raise GeometryError(f"sensing radius must be positive, got {sensing_radius}")
         self._rs = float(sensing_radius)
         self._counts = np.zeros(self._points.shape[0], dtype=np.int64)
-        self._covered_by: dict[int, np.ndarray] = {}
+        self._keys = np.empty(0, dtype=np.intp)
+        self._indptr = np.zeros(1, dtype=np.intp)
+        self._indices = np.empty(0, dtype=np.int32)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -69,10 +91,13 @@ class CoverageState:
     def from_deployment(
         cls, field_points: np.ndarray | FieldModel, sensing_radius: float, deployment
     ) -> "CoverageState":
-        """Coverage state of a deployment's *alive* nodes (keys = node ids)."""
+        """Coverage state of a deployment's *alive* nodes (keys = node ids),
+        from one batched ball query."""
         state = cls(field_points, sensing_radius)
-        for nid in deployment.alive_ids():
-            state.add_sensor(int(nid), deployment.position_of(int(nid)))
+        ids = deployment.alive_ids()
+        if ids.size:
+            positions = deployment.alive_positions()
+            state._adopt(ids, state._field.query_ball_many(positions, state._rs))
         return state
 
     @classmethod
@@ -80,17 +105,31 @@ class CoverageState:
         cls, field_points: np.ndarray | FieldModel, sensing_radius: float, keys, rows: list
     ) -> "CoverageState":
         """Coverage state where sensor ``keys[i]`` covers field points ``rows[i]``
-        (no duplicates): one ``bincount``, no ball queries; rows are adopted as is."""
+        (no duplicates): one ``bincount``, no ball queries; the rows'
+        concatenation becomes the CSR (reordered only if ``keys`` is not
+        ascending)."""
         state = cls(field_points, sensing_radius)
-        keys = np.asarray(keys, dtype=np.intp).reshape(-1).tolist()
-        if len(keys) != len(rows) or len(set(keys)) != len(keys):
-            raise CoverageError(
-                f"need one distinct key per row ({len(keys)} keys, {len(rows)} rows)"
-            )
-        if rows:
-            state._counts += np.bincount(np.concatenate(rows), minlength=state.n_points)
-        state._covered_by = dict(zip(keys, rows))
+        state._adopt(keys, rows)
         return state
+
+    def _adopt(self, keys, rows: list) -> None:
+        """Take ``keys``/``rows`` as the (so far empty) state's sensors."""
+        keys = np.asarray(keys, dtype=np.intp).reshape(-1)
+        lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        order = None
+        if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+        if keys.size != len(rows) or (keys[1:] == keys[:-1]).any():
+            raise CoverageError(
+                f"need one distinct key per row ({keys.size} keys, {len(rows)} rows)"
+            )
+        indices = np.concatenate(rows, dtype=np.int32) if rows else self._indices
+        self._counts += np.bincount(indices, minlength=self.n_points)
+        if order is not None:
+            indptr, indices = _take_rows(indptr, indices, order)
+        self._keys, self._indptr, self._indices = keys, indptr, indices
 
     # ------------------------------------------------------------------
     # read access
@@ -116,7 +155,7 @@ class CoverageState:
 
     @property
     def n_sensors(self) -> int:
-        return len(self._covered_by)
+        return int(self._keys.size)
 
     @property
     def counts(self) -> np.ndarray:
@@ -126,14 +165,39 @@ class CoverageState:
         return view
 
     def sensor_keys(self) -> list[int]:
-        return sorted(self._covered_by)
+        return self._keys.tolist()
 
     def points_covered_by(self, key: int) -> np.ndarray:
         """Field-point indices inside sensor ``key``'s sensing disc."""
-        try:
-            return self._covered_by[key].copy()
-        except KeyError:
-            raise CoverageError(f"unknown sensor key {key}") from None
+        i = self._row_of(key)
+        return self._indices[self._indptr[i]:self._indptr[i + 1]].astype(np.intp)
+
+    def points_covered_by_many(self, keys) -> list[np.ndarray]:
+        """:meth:`points_covered_by` for each of ``keys``, from one gather
+        (the per-key loops of the redundancy and survival analyses)."""
+        indptr, indices = _take_rows(
+            self._indptr, self._indices, self._rows_of(np.asarray(keys).reshape(-1))
+        )
+        indices = indices.astype(np.intp)
+        bounds = indptr.tolist()
+        return [indices[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+    def _row_of(self, key: int) -> int:
+        """Row position of ``key`` (:class:`CoverageError` if unknown)."""
+        i = int(self._keys.searchsorted(key))
+        if i == self._keys.size or self._keys[i] != key:
+            raise CoverageError(f"unknown sensor key {key}")
+        return i
+
+    def _rows_of(self, keys: np.ndarray) -> np.ndarray:
+        """:meth:`_row_of` for an array of keys (an unknown key raises,
+        naming the first one)."""
+        rows = np.searchsorted(self._keys, keys)
+        known = rows < self._keys.size
+        known[known] = self._keys[rows[known]] == keys[known]
+        if not known.all():
+            raise CoverageError(f"unknown sensor key {keys[~known][0]}")
+        return rows
 
     # ------------------------------------------------------------------
     # coverage queries
@@ -147,9 +211,9 @@ class CoverageState:
         """:meth:`covered_fraction` as if the sensors ``keys`` had failed
         (the state itself is unchanged)."""
         self._check_k(k)
-        counts = self._counts.copy()
-        for key in sorted_unique(np.asarray(keys, dtype=np.intp)).tolist():
-            counts[self.points_covered_by(key)] -= 1
+        rows = self._rows_of(sorted_unique(np.asarray(keys, dtype=np.intp).reshape(-1)))
+        _, lost = _take_rows(self._indptr, self._indices, rows)
+        counts = self._counts - np.bincount(lost, minlength=self.n_points)
         return float(np.count_nonzero(counts >= k)) / self.n_points
 
     def deficient_indices(self, k: int) -> np.ndarray:
@@ -189,12 +253,8 @@ class CoverageState:
     # ------------------------------------------------------------------
     def add_sensor(self, key: int, position: np.ndarray) -> np.ndarray:
         """Register a sensor; returns the point indices it covers."""
-        if key in self._covered_by:
-            raise CoverageError(f"sensor key {key} already registered")
-        pos = as_point(position)
-        covered = self._field.query_ball(pos, self._rs)
-        self._counts[covered] += 1
-        self._covered_by[key] = covered
+        covered = self._field.query_ball(as_point(position), self._rs)
+        self._insert(key, covered)
         return covered.copy()
 
     def add_sensor_with_cover(self, key: int, covered: np.ndarray) -> None:
@@ -205,43 +265,63 @@ class CoverageState:
         indices the sensor covers.  Bookkeeping (counts, removal) behaves
         exactly as for :meth:`add_sensor`.
         """
-        if key in self._covered_by:
-            raise CoverageError(f"sensor key {key} already registered")
         cov = np.asarray(covered, dtype=np.intp).reshape(-1)
         if cov.size and (cov.min() < 0 or cov.max() >= self.n_points):
             raise CoverageError("cover set references unknown field points")
-        if len(np.unique(cov)) != cov.size:
+        if sorted_unique(cov).size != cov.size:
             raise CoverageError("cover set contains duplicate points")
-        self._counts[cov] += 1
-        self._covered_by[key] = cov
+        self._insert(key, cov)
+
+    def _insert(self, key: int, covered: np.ndarray) -> None:
+        """Register the integer ``key`` with row ``covered`` (distinct points)."""
+        slot = int(np.searchsorted(self._keys, operator.index(key)))
+        if slot < self._keys.size and self._keys[slot] == key:
+            raise CoverageError(f"sensor key {key} already registered")
+        start = self._indptr[slot]
+        self._keys = np.concatenate((self._keys[:slot], [key], self._keys[slot:]))
+        self._indptr = np.concatenate(
+            (self._indptr[:slot + 1], self._indptr[slot:] + covered.size)
+        )
+        self._indices = np.concatenate(
+            (self._indices[:start], covered, self._indices[start:]), dtype=np.int32
+        )
+        self._counts[covered] += 1
 
     def remove_sensor(self, key: int) -> np.ndarray:
         """Unregister a sensor (failure); returns the points it covered."""
-        try:
-            covered = self._covered_by.pop(key)
-        except KeyError:
-            raise CoverageError(f"unknown sensor key {key}") from None
-        self._counts[covered] -= 1
-        return covered.copy()
+        return self._drop(np.array([self._row_of(key)])).astype(np.intp)
 
     def remove_sensors(self, keys) -> None:
-        """Unregister several sensors at once."""
-        for key in keys:
-            self.remove_sensor(int(key))
+        """Unregister several sensors at once.  An unknown or repeated key
+        raises :class:`CoverageError` before any sensor is removed."""
+        keys = np.asarray(keys, dtype=np.intp).reshape(-1)
+        rows = self._rows_of(keys)
+        if sorted_unique(rows).size != rows.size:
+            raise CoverageError("removing the same sensor key more than once")
+        self._drop(rows)
+
+    def _drop(self, rows: np.ndarray) -> np.ndarray:
+        """Unregister the sensors at (distinct) row positions ``rows``;
+        returns the points they covered, row after row."""
+        keep = np.ones(self._keys.size, dtype=bool)
+        keep[rows] = False
+        kept = np.flatnonzero(keep)
+        _, lost = _take_rows(self._indptr, self._indices, rows)
+        self._counts -= np.bincount(lost, minlength=self.n_points)
+        self._indptr, self._indices = _take_rows(self._indptr, self._indices, kept)
+        self._keys = self._keys[kept]
+        return lost
 
     # ------------------------------------------------------------------
     # verification
     # ------------------------------------------------------------------
     def recomputed_counts(self) -> np.ndarray:
-        """Counts recomputed from scratch (O(sensors) ball queries).
+        """Counts recomputed from the stored rows (one ``bincount``).
 
         Tests assert this equals :attr:`counts` after arbitrary add/remove
         interleavings — the incremental-equals-batch invariant.
         """
-        fresh = np.zeros(self.n_points, dtype=np.int64)
-        for covered in self._covered_by.values():
-            fresh[covered] += 1
-        return fresh
+        return np.bincount(self._indices, minlength=self.n_points).astype(np.int64)
 
     def validate(self) -> None:
         """Raise :class:`CoverageError` if the incremental counts drifted."""

@@ -28,6 +28,7 @@ from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS
+from repro.obs.sampler import EXCLUDED_PREFIXES
 
 __all__ = [
     "bridge_field_stats",
@@ -104,8 +105,12 @@ class capture_worker_obs:
     :meth:`payload` holds one picklable snapshot of all four pillars: the
     metrics state, the trace records with the tracer's ``dropped`` count
     and per-name span totals, the sampler rows and the flight run blocks.
-    When ``recording`` is ``None`` (the parent is not recording) the
-    manager is inert and the payload is ``None``.
+    The metrics leave out the sampler's
+    :data:`~repro.obs.sampler.EXCLUDED_PREFIXES` (``field_model_*``): they
+    count the worker's own field-cache builds and hits, so their values
+    would depend on which worker ran which chunk.  When ``recording`` is
+    ``None`` (the parent is not recording) the manager is inert and the
+    payload is ``None``.
 
     >>> with capture_worker_obs(False) as cap:
     ...     OBS.counter("demo_total").inc(2)
@@ -138,7 +143,10 @@ class capture_worker_obs:
     ) -> bool:
         if self._recording is not None:
             self._payload = {
-                "metrics": OBS.metrics.dump_state(),
+                "metrics": [
+                    series for series in OBS.metrics.dump_state()
+                    if not series[0].startswith(EXCLUDED_PREFIXES)
+                ],
                 "trace": OBS.tracer.records(),
                 "dropped": OBS.tracer.dropped,
                 "span_stats": OBS.tracer.span_stats,

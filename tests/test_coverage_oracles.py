@@ -12,10 +12,12 @@ of 0 and beyond the field's span.  On
 the same fields the centralized greedy's trace is replayed against a naive
 Eq. 1 evaluated from dense distances, and Voronoi DECOR's trace against
 the proposing site's knowledge-limited Eq. 1, with cells, knowledge and
-notifications recomputed from dense distances.  The restoration reports
-are then checked against a brute-force dense-distance k-coverage count
-that shares no ``FieldModel`` or ``CoverageState`` code, and a work count
-pins that a warm epoch makes no per-sensor ball queries.
+notifications recomputed from dense distances.  Every method's result
+coverage (each sensor's covered points and the counts) and the restoration
+reports are then checked against a brute-force dense-distance count
+(:func:`tests.oracles.dense_cover`) that shares no ``FieldModel`` or
+``CoverageState`` code, and a work count pins that a warm epoch makes no
+per-sensor ball queries.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.experiments import epoch_failure
 from repro.field import FieldModel
 from repro.geometry import Rect
 from repro.network import SensorSpec
+from tests.oracles import dense_cover
 
 RS = 4.0
 
@@ -37,10 +40,7 @@ RS = 4.0
 def brute_fraction(points: np.ndarray, positions: np.ndarray, k: int) -> float:
     """k-covered fraction of ``points`` by sensors at ``positions``, from
     plain pairwise distances."""
-    if len(positions) == 0:
-        return 0.0
-    d2 = ((points[:, None, :] - positions[None, :, :]) ** 2).sum(axis=-1)
-    counts = (d2 <= RS * RS).sum(axis=1)
+    counts = dense_cover(points, positions, RS).sum(axis=0)
     return float(np.count_nonzero(counts >= k)) / len(points)
 
 
@@ -265,6 +265,37 @@ def _planner(seed: int = 3) -> DecorPlanner:
     return DecorPlanner(
         Rect.square(30.0), SensorSpec(RS, 8.0), n_points=250, seed=seed
     )
+
+
+def assert_coverage_is_dense(points: np.ndarray, result) -> None:
+    """A result's coverage, sensor by sensor, equals dense distances to
+    the alive sensors' positions, and its counts equal the rows' sum."""
+    coverage = result.coverage
+    keys = coverage.sensor_keys()
+    assert keys == result.deployment.alive_ids().tolist()
+    cover = dense_cover(points, result.deployment.positions[keys], RS)
+    for key, row in zip(keys, cover):
+        covered = np.sort(coverage.points_covered_by(key))
+        assert np.array_equal(covered, np.flatnonzero(row)), key
+    assert np.array_equal(coverage.counts, cover.sum(axis=0))
+
+
+@pytest.mark.parametrize("method", ["centralized", "grid", "voronoi", "random"])
+def test_result_coverage_matches_dense_distances(method):
+    """Sensors placed on field points (adjacency rows), initial sensors
+    anywhere (ball queries) and a warm repair's survivors (rows compacted
+    by the failure) all report the points dense distances give."""
+    planner = _planner()
+    points = np.array(planner.field.points)
+    initial = np.random.default_rng(5).random((12, 2)) * 30.0
+    result = planner.deploy(
+        2, method=method, cell_size=5.0, initial_positions=initial
+    )
+    assert_coverage_is_dense(points, result)
+    session = planner.session(result, method=method, warm=True, cell_size=5.0)
+    event = epoch_failure(session.deployment, planner.region, 0, 0, radius=7.0)
+    assert event.node_ids.size
+    assert_coverage_is_dense(points, session.restore(event).repair)
 
 
 @pytest.mark.parametrize("warm", [True, False])

@@ -188,6 +188,31 @@ class TestFieldModel:
         with pytest.raises(GeometryError):
             fm.probe_grid(region, 0)
 
+    def test_pickle_carries_only_points_and_backend(self):
+        """Every pooled result references its field model: a pickle of a
+        paper-scale model with its index, adjacencies and partitions built
+        is its points plus a header, and the copy rebuilds on demand."""
+        import pickle
+
+        setup = ExperimentSetup.paper()
+        fm = field_model_for_seed(setup, 0)
+        for cell in (setup.cell_small, setup.cell_big):
+            fm.points_by_cell(setup.region, cell)
+            fm.same_cell_adjacency(setup.rs, setup.region, cell)
+        fm.adjacency(setup.rs).rows()
+        fm.query_ball(fm.points[0], setup.rs)
+        blob = pickle.dumps(fm, pickle.HIGHEST_PROTOCOL)
+        assert len(blob) <= fm.points.nbytes + 1024
+        clone = pickle.loads(blob)
+        assert np.array_equal(clone.points, fm.points)
+        assert not clone.points.flags.writeable
+        assert clone.backend_name == fm.backend_name
+        assert not clone.stats.builds and not clone.stats.hits
+        rebuilt, original = clone.adjacency(setup.rs), fm.adjacency(setup.rs)
+        assert np.array_equal(rebuilt.indptr, original.indptr)
+        assert np.array_equal(rebuilt.indices, original.indices)
+        assert clone.stats.build_count("adjacency") == 1
+
 
 class TestAdjacencyRows:
     def test_rows_are_cached_read_only_intp_slices(self):

@@ -44,6 +44,16 @@ class TestConstruction:
         assert all(type(key) is int for key in state.sensor_keys())
         assert sorted(state.sensor_keys()) == [4, 9]
 
+    def test_from_rows_sorts_keys_with_their_rows(self):
+        pts = [[0.0, 0.0], [3.0, 0.0], [10.0, 0.0]]
+        rows = [np.array([2]), np.array([0, 1]), np.array([], dtype=np.intp)]
+        state = CoverageState.from_rows(pts, 2.0, [9, -1, 4], rows)
+        assert state.sensor_keys() == [-1, 4, 9]
+        assert [state.points_covered_by(k).tolist() for k in (-1, 4, 9)] == [
+            [0, 1], [], [2]
+        ]
+        assert state.counts.tolist() == [1, 1, 1]
+
     @pytest.mark.parametrize("keys", [[4, 4], [4]], ids=["duplicate", "too-few"])
     def test_from_rows_needs_one_distinct_key_per_row(self, keys):
         rows = [np.array([0], dtype=np.intp), np.array([1], dtype=np.intp)]
@@ -87,9 +97,24 @@ class TestAddRemove:
         line_state.remove_sensors([1, 2])
         assert line_state.n_sensors == 0
 
+    def test_remove_many_checks_every_key_first(self, line_state):
+        line_state.add_sensor(1, [0.0, 0.0])
+        line_state.add_sensor(2, [3.0, 0.0])
+        for keys in ([1, 9], [2, 2]):
+            with pytest.raises(CoverageError):
+                line_state.remove_sensors(keys)
+            assert line_state.sensor_keys() == [1, 2]
+            assert line_state.counts.tolist() == [1, 1, 0]
+
     def test_points_covered_by(self, line_state):
         line_state.add_sensor(7, [10.0, 0.0])
+        line_state.add_sensor(-3, [1.5, 0.0])
         assert line_state.points_covered_by(7).tolist() == [2]
+        rows = line_state.points_covered_by_many([7, -3])
+        assert [sorted(row.tolist()) for row in rows] == [[2], [0, 1]]
+        assert line_state.points_covered_by_many([]) == []
+        with pytest.raises(CoverageError):
+            line_state.points_covered_by_many([7, 8])
 
 
 class TestQueries:

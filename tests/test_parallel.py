@@ -9,7 +9,9 @@ stays fast even on one core.
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -37,13 +39,47 @@ def pristine_obs():
     OBS.reset()
 
 
+TRACE_COLUMNS = ("positions", "benefits", "covered_fraction", "proposer", "messages")
+
+
 def _results_equal(a, b) -> None:
-    """Assert two DeploymentResults describe the same deployment."""
+    """Assert two DeploymentResults are equal field by field."""
     assert a.summary() == b.summary()
+    assert a.params == b.params
     np.testing.assert_array_equal(
         a.deployment.alive_positions(), b.deployment.alive_positions()
     )
-    np.testing.assert_array_equal(a.trace.benefits, b.trace.benefits)
+    np.testing.assert_array_equal(a.added_ids, b.added_ids)
+    np.testing.assert_array_equal(a.coverage.counts, b.coverage.counts)
+    assert a.coverage.sensor_keys() == b.coverage.sensor_keys()
+    for key in a.coverage.sensor_keys():
+        np.testing.assert_array_equal(
+            a.coverage.points_covered_by(key), b.coverage.points_covered_by(key)
+        )
+    for column in TRACE_COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(a.trace, column), getattr(b.trace, column)
+        )
+    assert (a.messages is None) == (b.messages is None)
+    if a.messages is not None:
+        np.testing.assert_array_equal(a.messages.per_cell, b.messages.per_cell)
+        np.testing.assert_array_equal(
+            a.messages.nodes_per_cell, b.messages.nodes_per_cell
+        )
+
+
+def _pickled_arrays(obj) -> int:
+    """How many ndarrays a pickle of ``obj`` holds."""
+    count = 0
+
+    class Counting(pickle.Pickler):
+        def reducer_override(self, value):
+            nonlocal count
+            count += isinstance(value, np.ndarray)
+            return NotImplemented
+
+    Counting(io.BytesIO(), pickle.HIGHEST_PROTOCOL).dump(obj)
+    return count
 
 
 # ----------------------------------------------------------------------
@@ -150,6 +186,19 @@ class TestPrefillParallel:
             cache.get("random", 1, 0), DeploymentCache(setup).get("random", 1, 0)
         )
 
+    @pytest.mark.parametrize("series", [s.name for s in SERIES])
+    def test_result_pickles_as_a_fixed_set_of_arrays(self, setup, series):
+        """What a worker ships back: a result pickles as the same handful
+        of arrays whatever its sensor count, and unpickles equal."""
+        cache = DeploymentCache(setup)
+        small, big = cache.get(series, 1, 0), cache.get(series, 3, 0)
+        assert big.coverage.n_sensors > small.coverage.n_sensors
+        assert _pickled_arrays(big) == _pickled_arrays(small)
+        for result in (small, big):
+            _results_equal(
+                pickle.loads(pickle.dumps(result, pickle.HIGHEST_PROTOCOL)), result
+            )
+
     def test_worker_error_propagates(self, setup):
         cache = DeploymentCache(setup)
         with pytest.raises(ReproError):
@@ -187,6 +236,17 @@ class TestObsMerge:
             )
         assert OBS.metrics.value("parallel_cells_total") == len(cells)
         assert OBS.metrics.value("parallel_batches_total") == 1
+
+    def test_worker_payload_leaves_out_field_model_counters(self, setup):
+        """A worker's ``field_model_*`` counters count its own cache builds
+        and hits, which depend on which worker ran which chunk: a pooled
+        prefill records none of them, so its metrics are deterministic."""
+        OBS.enable(fresh=True)
+        prefill_cache(DeploymentCache(setup), cells_for_figure(setup, 8), workers=2)
+        OBS.disable()
+        names = set(OBS.metrics.as_dict())
+        assert "decor_placements_total" in names
+        assert not [name for name in names if name.startswith("field_model_")]
 
     def test_worker_spans_graft_under_prefill(self, setup):
         OBS.enable(fresh=True)

@@ -17,6 +17,7 @@ from repro.core import (
 from repro.discrepancy import field_points
 from repro.geometry import Rect
 from repro.network import CoverageState, SensorSpec
+from tests.oracles import dense_cover
 
 SPEC = SensorSpec(3.0, 6.0)
 
@@ -33,17 +34,19 @@ def _random_field(seed: int, n: int, side: float) -> np.ndarray:
 )
 def test_all_methods_reach_exact_k_coverage(seed, k, n):
     """Law: every placement method terminates with every field point
-    k-covered, whatever the field."""
+    k-covered, whatever the field (counted from dense distances, not from
+    the result's own coverage)."""
     region = Rect.square(20.0)
     pts = _random_field(seed, n, 20.0)
-    rng = np.random.default_rng(seed)
     results = [
         centralized_greedy(pts, SPEC, k),
         grid_decor(pts, SPEC, k, region, 5.0),
         voronoi_decor(pts, SPEC, k),
     ]
     for result in results:
-        assert bool(np.all(result.coverage.counts >= k)), result.method
+        alive = result.deployment.alive_positions()
+        counts = dense_cover(pts, alive, SPEC.sensing_radius).sum(axis=0)
+        assert bool(np.all(counts >= k)), result.method
 
 
 @settings(max_examples=8, deadline=None)
