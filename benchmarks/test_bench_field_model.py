@@ -1,5 +1,5 @@
 """FieldModel microbenchmarks: shared vs per-consumer index construction,
-and the neighbour-search backends head-to-head.
+and the field's grid hash head-to-head with the tests' kd-tree reference.
 
 The tentpole claim of the ``repro.field`` layer is that one model per
 (field, seed) amortises every spatial index over all six series and the
@@ -21,7 +21,8 @@ import pytest
 
 from repro.experiments.runner import DeploymentCache, field_for_seed, run_series
 from repro.experiments.setup import SERIES
-from repro.field import FieldModel, available_backends
+from repro.field import FieldModel
+from repro.field.backends import GridHashBackend, KDTreeBackend
 from repro.geometry import radius_adjacency
 
 
@@ -110,27 +111,32 @@ def test_sweep_per_consumer(benchmark, setup):
     benchmark.extra_info["index_builds_at_least"] = n_runs
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_adjacency_build_backend(benchmark, setup, backend):
-    """Head-to-head adjacency construction across registered backends."""
+INDEXES = pytest.mark.parametrize(
+    "index", [GridHashBackend, KDTreeBackend], ids=["gridhash", "kdtree"]
+)
+
+
+@INDEXES
+def test_adjacency_build_backend(benchmark, setup, index):
+    """Head-to-head adjacency construction, index build included."""
     pts = np.random.default_rng(0).random((setup.n_points, 2)) * setup.field_side
 
     def run():
-        return FieldModel(pts, backend=backend).adjacency(setup.rs).nnz
+        return index(pts).adjacency(setup.rs).nnz
 
     nnz = benchmark(run)
     assert nnz == radius_adjacency(pts, setup.rs).nnz
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_query_ball_backend(benchmark, setup, backend):
-    """Head-to-head ball queries across registered backends (warm index)."""
+@INDEXES
+def test_query_ball_backend(benchmark, setup, index):
+    """Head-to-head single ball queries (warm index)."""
     pts = np.random.default_rng(0).random((setup.n_points, 2)) * setup.field_side
-    fm = FieldModel(pts, backend=backend)
-    fm.neighbor_index()  # build outside the timed region
+    built = index(pts)
+    built.query_ball(pts[0], setup.rs)  # build outside the timed region
     probes = pts[:: max(1, len(pts) // 100)]
 
     def run():
-        return sum(fm.query_ball(p, setup.rs).size for p in probes)
+        return sum(built.query_ball(p, setup.rs).size for p in probes)
 
     benchmark(run)

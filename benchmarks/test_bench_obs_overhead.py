@@ -2,7 +2,7 @@
 ``repro.obs`` runtime off vs on, plus the disabled-mode overhead bound CI
 enforces.
 
-The layer's contract is that with ``REPRO_OBS`` unset the instrumentation
+The layer's contract is that with the runtime off the instrumentation
 costs one attribute check (or one explicit ``OBS.enabled`` test) per
 touchpoint.  Directly differencing two sweep timings is noise-dominated —
 the guards cost nanoseconds against a multi-second sweep — so

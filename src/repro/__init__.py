@@ -20,8 +20,8 @@ Subpackages
 ``repro.geometry``
     Regions, neighbour search, grid partitions, Voronoi ownership.
 ``repro.field``
-    Shared, memoised spatial model (indices, adjacencies, partitions)
-    with pluggable neighbour-search backends.
+    Shared, memoised spatial model (one grid-hash neighbour index,
+    adjacencies, partitions).
 ``repro.discrepancy``
     Halton/Hammersley/random point sets and star discrepancy.
 ``repro.network``
@@ -47,7 +47,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.geometry import Rect, GridPartition
-from repro.field import FieldModel, as_field_model, available_backends
+from repro.field import FieldModel, as_field_model
 from repro.discrepancy import halton, hammersley, field_points
 from repro.network import (
     CoverageState,
@@ -86,7 +86,6 @@ __all__ = [
     "GridPartition",
     "FieldModel",
     "as_field_model",
-    "available_backends",
     "halton",
     "hammersley",
     "field_points",

@@ -23,8 +23,7 @@ See ``docs/performance.md``.
 Observability: ``--trace out.jsonl`` / ``--metrics out.json`` (on figure,
 deploy, summary and restore) enable the :mod:`repro.obs` runtime for the
 invocation and export the recorded spans/events and metric series; a trace
-summary table is printed either way.  ``REPRO_OBS=1`` enables recording
-without exporting.
+summary table is printed either way.
 
 Flight recording: ``--flight-record out.jsonl`` (same commands) also keeps
 the runtime's flight log, a causal per-node protocol event log (see

@@ -103,9 +103,6 @@ class DecorPlanner:
         Point generator name ("halton", "hammersley", ...).
     seed:
         Seed for all stochastic choices (random baseline, failure models).
-    backend:
-        Neighbour-search backend for the planner's shared
-        :class:`~repro.field.FieldModel` (``None`` = env/default).
 
     Examples
     --------
@@ -124,7 +121,6 @@ class DecorPlanner:
         n_points: int = 2000,
         generator: str = "halton",
         seed: int = 0,
-        backend: str | None = None,
     ):
         if n_points < 1:
             raise ConfigurationError(f"n_points must be >= 1, got {n_points}")
@@ -134,10 +130,7 @@ class DecorPlanner:
         self.rng = np.random.default_rng(seed)
         # one shared spatial model serves every deploy/restore of this
         # planner: indices and adjacencies are built once, then reused
-        self.field = FieldModel(
-            make_field_points(region, n_points, generator, self.rng),
-            backend=backend,
-        )
+        self.field = FieldModel(make_field_points(region, n_points, generator, self.rng))
 
     @property
     def field_points(self) -> np.ndarray:

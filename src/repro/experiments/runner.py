@@ -12,7 +12,7 @@ averages of the paper map to seeds ``0..4``.
 
 The cache also owns one :class:`~repro.field.FieldModel` per seed
 (:meth:`DeploymentCache.field`): all six series and the entire k sweep of a
-figure suite share that model's KD-tree/adjacency caches, so each spatial
+figure suite share that model's index/adjacency caches, so each spatial
 index is built at most once per (field, radius) — the model's build
 counters make this assertable in tests.
 """
@@ -27,7 +27,7 @@ from repro.errors import ExperimentError
 from repro.discrepancy.randomization import cranley_patterson_rotation
 from repro.discrepancy.sequences import unit_points
 from repro.experiments.setup import ExperimentSetup, Series, series_by_name
-from repro.field import FieldModel, resolve_backend_name
+from repro.field import FieldModel
 from repro.obs import OBS, bridge_field_stats, record_coverage_health
 
 __all__ = [
@@ -54,16 +54,14 @@ def field_for_seed(setup: ExperimentSetup, seed: int) -> np.ndarray:
     return setup.region.scale_unit_points(unit)
 
 
-def field_model_for_seed(
-    setup: ExperimentSetup, seed: int, *, backend: str | None = None
-) -> FieldModel:
+def field_model_for_seed(setup: ExperimentSetup, seed: int) -> FieldModel:
     """A fresh :class:`~repro.field.FieldModel` over :func:`field_for_seed`.
 
     Use :meth:`DeploymentCache.field` when running a whole suite — it hands
     out the *same* model per seed so every series and every k share the
     cached indices.
     """
-    return FieldModel(field_for_seed(setup, seed), backend=backend)
+    return FieldModel(field_for_seed(setup, seed))
 
 
 def initial_for_seed(setup: ExperimentSetup, seed: int) -> np.ndarray:
@@ -141,44 +139,33 @@ class DeploymentCache:
 
     One :class:`~repro.field.FieldModel` per seed (:meth:`field`) backs
     every run: the six series and the whole k sweep reuse its cached
-    KD-tree, ``rs``-adjacencies and grid decompositions.
+    neighbour index, ``rs``-adjacencies and grid decompositions.
     """
 
-    def __init__(
-        self,
-        setup: ExperimentSetup,
-        *,
-        use_initial: bool = False,
-        backend: str | None = None,
-    ):
+    def __init__(self, setup: ExperimentSetup, *, use_initial: bool = False):
         self.setup = setup
         self.use_initial = use_initial
-        self.backend = backend
         self._store: dict[tuple[str, int, int], DeploymentResult] = {}
         self._fields: dict[int, FieldModel] = {}
 
     def describe(self) -> dict:
         """The semantic configuration this cache's results depend on.
 
-        Run-ledger rows fingerprint this dict: the setup parameters plus
-        the resolved field backend, so every spelling of one backend (the
-        env var unset, empty, or naming the default) fingerprints the same.
-        Worker count is deliberately absent — pooled and serial runs of the
-        same config are the same experiment.
+        Run-ledger rows fingerprint this dict: the setup parameters and
+        whether runs start from the random initial deployment.  Worker
+        count is deliberately absent — pooled and serial runs of the same
+        config are the same experiment.
         """
         return {
             "setup": self.setup.describe(),
             "use_initial": self.use_initial,
-            "field_backend": resolve_backend_name(self.backend),
         }
 
     def field(self, seed: int) -> FieldModel:
         """The shared per-seed :class:`~repro.field.FieldModel`."""
         key = int(seed)
         if key not in self._fields:
-            self._fields[key] = field_model_for_seed(
-                self.setup, key, backend=self.backend
-            )
+            self._fields[key] = field_model_for_seed(self.setup, key)
         return self._fields[key]
 
     def has_field(self, seed: int) -> bool:

@@ -37,11 +37,7 @@ import numpy as np
 
 from repro.checks import CHECKS, freeze_csr
 from repro.errors import GeometryError
-from repro.field.backends import (
-    NeighborBackend,
-    make_backend,
-    resolve_backend_name,
-)
+from repro.field.backends import GridHashBackend, make_backend
 from repro.field.csr import Adjacency, sorted_unique
 from repro.geometry.grid import GridPartition
 from repro.geometry.points import as_points
@@ -143,15 +139,11 @@ class FieldModel:
     points:
         ``(n, 2)`` field approximation.  Copied and frozen: the model (and
         everything cached on it) never observes later caller mutations.
-    backend:
-        Neighbour-search backend name (``"gridhash"``/``"kdtree"``); ``None``
-        defers to ``REPRO_FIELD_BACKEND``, then ``"gridhash"``.
 
     A pickle (every result a pool worker ships back references its model)
-    carries only the points and the backend name: the unpickled model
-    starts with empty caches and zeroed :attr:`stats` and rebuilds what it
-    is asked for, as :class:`~repro.field.Adjacency` leaves its row cache
-    out of its pickle.
+    is the points alone: the unpickled model starts with empty caches and
+    zeroed :attr:`stats` and rebuilds what it is asked for, as
+    :class:`~repro.field.Adjacency` leaves its row cache out of its pickle.
 
     Examples
     --------
@@ -163,25 +155,23 @@ class FieldModel:
     (1, 1)
     """
 
-    def __init__(self, points: np.ndarray, *, backend: str | None = None) -> None:
+    def __init__(self, points: np.ndarray) -> None:
         pts = np.array(as_points(points))
         pts.flags.writeable = False
-        self._init_state(pts, backend)
+        self._init_state(pts)
 
-    def __getstate__(self) -> tuple[np.ndarray, str]:
+    def __getstate__(self) -> np.ndarray:
         # the cached artifacts and build/hit counters are never shipped
-        return self._points, self._backend_name
+        return self._points
 
-    def __setstate__(self, state: tuple[np.ndarray, str]) -> None:
-        points, backend = state
+    def __setstate__(self, points: np.ndarray) -> None:
         points.flags.writeable = False
-        self._init_state(points, backend)
+        self._init_state(points)
 
-    def _init_state(self, points: np.ndarray, backend: str | None) -> None:
+    def _init_state(self, points: np.ndarray) -> None:
         """Shared constructor body; ``points`` is already validated/frozen."""
         self._points = points
-        self._backend_name = resolve_backend_name(backend)
-        self._index: NeighborBackend | None = None
+        self._index: GridHashBackend | None = None
         self._adjacency: dict[float, Adjacency] = {}
         self._partitions: dict[tuple, GridPartition] = {}
         self._cells: dict[tuple, np.ndarray] = {}
@@ -200,7 +190,6 @@ class FieldModel:
         cls,
         points: np.ndarray,
         *,
-        backend: str | None = None,
         adjacency: dict[float, Adjacency] | None = None,
         cells: dict[tuple, np.ndarray] | None = None,
     ) -> "FieldModel":
@@ -234,7 +223,7 @@ class FieldModel:
         view = points.view()
         view.flags.writeable = False
         model = cls.__new__(cls)
-        model._init_state(view, backend)
+        model._init_state(view)
         if adjacency:
             model._preloaded_adjacency.update(
                 (float(r), m) for r, m in adjacency.items()
@@ -255,26 +244,20 @@ class FieldModel:
     def n_points(self) -> int:
         return self._points.shape[0]
 
-    @property
-    def backend_name(self) -> str:
-        return self._backend_name
-
     def __len__(self) -> int:
         return self._points.shape[0]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FieldModel(n_points={self.n_points}, backend={self._backend_name!r})"
-        )
+        return f"FieldModel(n_points={self.n_points})"
 
     # ------------------------------------------------------------------
     # neighbour search
     # ------------------------------------------------------------------
-    def neighbor_index(self) -> NeighborBackend:
-        """The backend neighbour index over the field points (built once)."""
+    def neighbor_index(self) -> GridHashBackend:
+        """The neighbour index over the field points (built once)."""
         if self._index is None:
             self.stats.builds["index"] += 1
-            self._index = make_backend(self._backend_name, self._points)
+            self._index = make_backend(self._points)
         else:
             self.stats.hits["index"] += 1
         return self._index
@@ -448,16 +431,14 @@ class FieldModel:
         return self._probe_grids[key]
 
 
-def as_field_model(
-    field: FieldModel | np.ndarray, *, backend: str | None = None
-) -> FieldModel:
+def as_field_model(field: FieldModel | np.ndarray) -> FieldModel:
     """Coerce points-or-model to a :class:`FieldModel`.
 
-    An existing model passes through untouched (its caches — and its backend
-    — are preserved); raw ``(n, 2)`` points get a fresh model.  Every
+    An existing model passes through untouched (its caches are
+    preserved); raw ``(n, 2)`` points get a fresh model.  Every
     consumer funnels through this, so call sites passing plain arrays keep
     working while call sites passing a shared model get the memoisation.
     """
     if isinstance(field, FieldModel):
         return field
-    return FieldModel(field, backend=backend)
+    return FieldModel(field)

@@ -5,8 +5,9 @@ Two independent implementations are provided:
 * :class:`NeighborIndex` — backed by :class:`scipy.spatial.cKDTree`
   (scipy is imported when an index is built).
 * :class:`UniformGridIndex` — a from-scratch uniform grid hash written in
-  pure NumPy.  It backs the field layer's default backend and is an
-  independent oracle for property-based cross-checking of the KD-tree path.
+  pure NumPy.  It backs the field layer's one neighbour index
+  (:class:`~repro.field.backends.GridHashBackend`); the KD-tree path is
+  the independent oracle the property tests check it against.
 
 Both answer the two queries DECOR's hot loop needs:
 
@@ -117,7 +118,7 @@ class UniformGridIndex:
     at least ``span / sqrt(n)`` wide (so there are about ``n`` cells at
     most).  One vectorised join over the centers' 3x3 cell windows answers
     a batch of ball queries, or the self-join, with the exact test
-    ``dx*dx + dy*dy <= r*r``.  It backs the default ``gridhash`` backend.
+    ``dx*dx + dy*dy <= r*r``.  It backs the field layer's neighbour index.
 
     Parameters
     ----------

@@ -3,8 +3,10 @@
 Placement algorithms append nodes one at a time (hundreds to thousands per
 run), so positions live in a capacity-doubling buffer for amortised O(1)
 appends — per the optimisation guides, no per-step reallocation in the hot
-loop.  Node ids are stable for the lifetime of the deployment; failures flip
-the alive mask rather than compacting the arrays.
+loop.  A pickle (every pooled result carries its deployment) holds only the
+filled rows, as :class:`~repro.core.result.PlacementTrace`'s does.  Node ids
+are stable for the lifetime of the deployment; failures flip the alive mask
+rather than compacting the arrays.
 """
 
 from __future__ import annotations
@@ -53,6 +55,10 @@ class Deployment:
             self._n = len(init)
             self._pos[: self._n] = init
             self._alive[: self._n] = True
+
+    def __getstate__(self) -> dict[str, object]:
+        n = self._n
+        return dict(self.__dict__, _pos=self._pos[:n], _alive=self._alive[:n])
 
     # ------------------------------------------------------------------
     # sizes
@@ -116,7 +122,8 @@ class Deployment:
     def _grow(self, needed: int) -> None:
         if self._n + needed <= self._pos.shape[0]:
             return
-        cap = self._pos.shape[0]
+        # an unpickled buffer holds only the filled rows, maybe none
+        cap = max(self._pos.shape[0], self._INITIAL_CAPACITY)
         while cap < self._n + needed:
             cap *= 2
         new_pos = np.empty((cap, 2), dtype=np.float64)

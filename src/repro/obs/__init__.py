@@ -23,8 +23,8 @@ one history row from :data:`OBS` when a command ends and appends it to a
 
 Everything instrumented records into the module-level :data:`OBS` runtime,
 which is **off by default**: disabled call sites pay one attribute check.
-Turn it on with ``REPRO_OBS=1``, the CLI's ``--trace``/``--metrics``/
-``--sample``/``--flight-record``/``--ledger`` flags, or ``OBS.enable()``.
+Turn it on with the CLI's ``--trace``/``--metrics``/``--sample``/
+``--flight-record``/``--ledger`` flags, or ``OBS.enable()``.
 See ``docs/observability.md`` for the full guide.
 
 >>> from repro.obs import OBS

@@ -14,7 +14,7 @@ command ends (:func:`harvest` + :func:`build_row`) and appends it to a
   One structured row per figure/deploy/summary/restore/bench invocation:
 
   - ``config`` + ``fingerprint`` — the semantic parameters of the run
-    (series, k values, seeds, method, field backend) hashed
+    (series, k values, seeds, method) hashed
     canonically, so "same experiment" is a string comparison;
   - ``env`` — python/numpy versions, platform, cpu count, the relevant
     ``REPRO_*`` environment and the worker count.  Environment describes
@@ -133,8 +133,6 @@ EXACT_COUNTER_PREFIXES: tuple[str, ...] = (
 #: Environment variables captured into a row's ``env`` section.
 CAPTURED_ENV_VARS: tuple[str, ...] = (
     "REPRO_CHECKS",
-    "REPRO_FIELD_BACKEND",
-    "REPRO_OBS",
     "REPRO_SCALE",
 )
 

@@ -10,9 +10,8 @@ contract:
   loops guard their per-item work with ``if OBS.enabled:`` so nothing is
   even formatted.  Instrumentation must never change results — it only
   observes.
-* **enabled** — via ``OBS.enable()`` (the CLI's recording flags do this)
-  or by setting ``REPRO_OBS=1`` in the environment before import — spans,
-  events and metrics record into the runtime's
+* **enabled** — via ``OBS.enable()`` (the CLI's recording flags do
+  this) — spans, events and metrics record into the runtime's
   :class:`~repro.obs.trace.Tracer` and
   :class:`~repro.obs.metrics.MetricsRegistry`, and every ``OBS.sample``
   hook records a row into its always-attached
@@ -29,7 +28,6 @@ it again (see ``tests/test_obs.py`` for the fixture pattern).
 
 from __future__ import annotations
 
-import os
 from types import TracebackType
 
 from typing import IO, Any, NoReturn
@@ -241,6 +239,3 @@ class ObsRuntime:
 
 #: The process-wide runtime all instrumented repro code records into.
 OBS = ObsRuntime()
-
-if os.environ.get("REPRO_OBS", "") not in ("", "0"):  # pragma: no cover
-    OBS.enable()

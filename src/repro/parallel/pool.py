@@ -167,10 +167,7 @@ class _InOrderDrain:
 
 
 def _worker_init(
-    setup: "ExperimentSetup",
-    use_initial: bool,
-    backend: str | None,
-    checks_enabled: bool,
+    setup: "ExperimentSetup", use_initial: bool, checks_enabled: bool
 ) -> None:
     """Build this worker's private cache; runs once per worker process.
 
@@ -182,9 +179,7 @@ def _worker_init(
 
     if checks_enabled:
         CHECKS.enable()
-    _WORKER["cache"] = DeploymentCache(
-        setup, use_initial=use_initial, backend=backend
-    )
+    _WORKER["cache"] = DeploymentCache(setup, use_initial=use_initial)
 
 
 def _worker_ping() -> int:
@@ -254,9 +249,9 @@ class WorkerPool:
     regression tests assert no ``/dev/shm`` residue and no orphaned
     worker processes survive exceptions or ``KeyboardInterrupt``.
 
-    The pool is bound to one cache configuration (setup, ``use_initial``,
-    backend); :meth:`prefill` refuses a mismatched cache rather than
-    silently computing cells under the wrong setup.
+    The pool is bound to one cache configuration (setup and
+    ``use_initial``); :meth:`prefill` refuses a mismatched cache rather
+    than silently computing cells under the wrong setup.
     """
 
     def __init__(
@@ -265,14 +260,12 @@ class WorkerPool:
         workers: int | None = None,
         *,
         use_initial: bool = False,
-        backend: str | None = None,
     ) -> None:
         if workers is not None and workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {workers}")
         self._setup = setup
         self._workers = 0 if workers is None else int(workers)
         self._use_initial = bool(use_initial)
-        self._backend = backend
         self._store = SharedFieldStore()
         self._executor: ProcessPoolExecutor | None = None
         self._closed = False
@@ -283,20 +276,11 @@ class WorkerPool:
         cls, cache: "DeploymentCache", *, workers: int | None
     ) -> "WorkerPool":
         """A pool matching one cache's configuration."""
-        return cls(
-            cache.setup,
-            workers,
-            use_initial=cache.use_initial,
-            backend=cache.backend,
-        )
+        return cls(cache.setup, workers, use_initial=cache.use_initial)
 
     def matches(self, cache: "DeploymentCache") -> bool:
         """Whether ``cache`` runs cells under this pool's configuration."""
-        return (
-            cache.setup == self._setup
-            and bool(cache.use_initial) == self._use_initial
-            and cache.backend == self._backend
-        )
+        return cache.setup == self._setup and bool(cache.use_initial) == self._use_initial
 
     @property
     def workers(self) -> int:
@@ -367,12 +351,7 @@ class WorkerPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self._workers,
                 initializer=_worker_init,
-                initargs=(
-                    self._setup,
-                    self._use_initial,
-                    self._backend,
-                    CHECKS.enabled,
-                ),
+                initargs=(self._setup, self._use_initial, CHECKS.enabled),
             )
         return self._executor
 
@@ -398,7 +377,7 @@ class WorkerPool:
         if not self.matches(cache):
             raise ConfigurationError(
                 "pool was created for a different cache configuration "
-                "(setup/use_initial/backend must match)"
+                "(setup/use_initial must match)"
             )
         todo = [c for c in normalize_cells(cells) if c not in cache]
         if not todo:

@@ -159,7 +159,6 @@ class SharedFieldStore:
             )
         manifest: Manifest = {
             "seed": key,
-            "backend": field.backend_name,
             "points": self._share(field.points),
             "adjacency": adjacency,
             "cells": cells,
@@ -228,7 +227,6 @@ def build_field_model(manifest: Manifest) -> FieldModel:
     }
     return FieldModel.from_arrays(
         attach_array(manifest["points"]),
-        backend=manifest["backend"],
         adjacency=adjacency,
         cells=cells,
     )

@@ -284,7 +284,7 @@ def modules_after_cli_import() -> set[str]:
     "module", ["networkx", "scipy", "http.server", "ssl", "repro.obs.ledger"]
 )
 def test_import_leaves_module_unloaded(modules_after_cli_import, module):
-    """Only the analyses (networkx, scipy) and the opt-in kd-tree backend
+    """Only the analyses (networkx, scipy) and the tests' kd-tree reference
     (scipy) need networkx and scipy, nothing needs http.server or ssl, and
     only ``--ledger`` and ``decor runs`` need the run ledger, so importing
     the CLI must not load any of them."""

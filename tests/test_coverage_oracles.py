@@ -6,32 +6,47 @@ for sensors placed on field points, ball queries for sensors at arbitrary
 positions.  That is only sound if the two agree, so the first property
 pins ``adjacency(rs)`` row ``i`` to ``sorted(query_ball(points[i], rs))``
 on adversarial fields (duplicate points, pairs at exactly ``rs``), and
-the ball queries and adjacency of both backends are checked against dense
-distances, also for probes on bin edges or outside the field and for radii
-of 0 and beyond the field's span.  On
-the same fields the centralized greedy's trace is replayed against a naive
-Eq. 1 evaluated from dense distances, and Voronoi DECOR's trace against
-the proposing site's knowledge-limited Eq. 1, with cells, knowledge and
-notifications recomputed from dense distances.  Every method's result
-coverage (each sensor's covered points and the counts) and the restoration
-reports are then checked against a brute-force dense-distance count
+the ball queries and adjacency of the field's grid hash and of the
+kd-tree reference are checked against dense distances, also for probes
+on bin edges or outside the field and for radii of 0 and beyond the
+field's span.  On the same fields the centralized greedy's trace is
+replayed against a naive Eq. 1 evaluated from dense distances, Voronoi
+DECOR's trace against the proposing site's knowledge-limited Eq. 1, with
+cells, knowledge and notifications recomputed from dense distances, and
+grid DECOR's trace against Eq. 1 restricted to the proposing cell, with
+cells and border messages recomputed by floor division and
+point-to-rectangle distances.  Every method's result coverage (each
+sensor's covered points and the counts) and the restoration reports are
+then checked against a brute-force dense-distance count
 (:func:`tests.oracles.dense_cover`) that shares no ``FieldModel`` or
 ``CoverageState`` code, and a work count pins that a warm epoch makes no
-per-sensor ball queries.
+per-sensor ball queries.  Edge fields close the set: ``rs`` larger than
+the field, a restoration from an empty deployment and epochs that fail
+every alive node.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.checks import CHECKS
-from repro.core import DecorPlanner, centralized_greedy, voronoi_decor
+from repro.core import (
+    DecorPlanner,
+    RestorationSession,
+    centralized_greedy,
+    grid_decor,
+    restore,
+    voronoi_decor,
+)
 from repro.experiments import epoch_failure
 from repro.field import FieldModel
+from repro.field.backends import KDTreeBackend
 from repro.geometry import Rect
-from repro.network import SensorSpec
+from repro.network import Deployment, FailureEvent, SensorSpec
 from tests.oracles import dense_cover
 
 RS = 4.0
@@ -72,12 +87,14 @@ def adversarial_fields(draw, long_offsets: bool = False):
     return np.array(pts), rs
 
 
-@pytest.mark.parametrize("backend", ["kdtree", "gridhash"])
+@pytest.mark.parametrize(
+    "index", [KDTreeBackend, FieldModel], ids=["kdtree", "gridhash"]
+)
 @settings(max_examples=40, deadline=None)
 @given(case=adversarial_fields())
-def test_adjacency_rows_equal_sorted_ball_queries(backend, case):
+def test_adjacency_rows_equal_sorted_ball_queries(index, case):
     points, rs = case
-    model = FieldModel(points, backend=backend)
+    model = index(points)
     adj = model.adjacency(rs)
     for i, center in enumerate(points):
         row = adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
@@ -114,10 +131,10 @@ def ball_join_cases(draw):
 @given(case=ball_join_cases())
 def test_ball_join_matches_dense_distances(case):
     """Grid-hash ball queries and adjacency equal the dense ``d² <= r²``
-    sets; the kd-tree backend, an independent index, agrees."""
+    sets; the kd-tree reference, an independent index, agrees."""
     points, r, probes = case
-    grid = FieldModel(points, backend="gridhash")
-    kdtree = FieldModel(points, backend="kdtree")
+    grid = FieldModel(points)
+    kdtree = KDTreeBackend(points)
     d2 = ((probes[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
     within = d2 <= r * r
     batch = grid.query_ball_many(probes, r)
@@ -261,6 +278,77 @@ def test_voronoi_trace_follows_knowledge_limited_eq1(case):
     assert ((d2 <= rs * rs).sum(axis=1) >= k).all()
 
 
+@st.composite
+def grid_cases(draw):
+    """An adversarial field in an integer region padded around it, a cell
+    side, ``k`` in 1..3 and optional initial sensors on lattice points."""
+    points, rs = draw(adversarial_fields())
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    pad = st.sampled_from([0.0, 1.0, 3.0])
+    bounds = (
+        lo[0] - draw(pad), lo[1] - draw(pad),
+        hi[0] + 1.0 + draw(pad), hi[1] + 1.0 + draw(pad),
+    )
+    cell = draw(st.sampled_from([3.0, 5.0, 7.0, 10.0]))
+    k = draw(st.integers(1, 3))
+    initial = draw(
+        st.lists(st.tuples(st.integers(-5, 35), st.integers(-5, 35)), max_size=4)
+    )
+    return points, rs, bounds, cell, k, np.array(initial, dtype=float).reshape(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=grid_cases())
+def test_grid_trace_follows_cell_restricted_eq1(case):
+    """Replay grid DECOR against dense distances.  A point's cell is the
+    floor division of its offset by the cell side, clamped to the grid.
+    Each round, the cells holding a deficient point at the round's start
+    propose in ascending id order, skipping a cell with no deficient
+    point left when its turn comes.  The proposer places at the
+    lowest-index point of its cell maximising Eq. 1 over the points of
+    its own cell, records that maximum, and messages every other cell
+    whose rectangle lies within ``rs`` of the new sensor."""
+    points, rs, bounds, cell, k, initial = case
+    result = grid_decor(
+        points, SensorSpec(rs, 2.0 * rs), k, Rect(*bounds), cell,
+        initial_positions=initial,
+    )
+    bx0, by0, bx1, by1 = bounds
+    nx = max(1, math.ceil((bx1 - bx0) / cell))
+    ny = max(1, math.ceil((by1 - by0) / cell))
+    ix = np.clip(np.floor((points[:, 0] - bx0) / cell).astype(np.intp), 0, nx - 1)
+    iy = np.clip(np.floor((points[:, 1] - by0) / cell).astype(np.intp), 0, ny - 1)
+    cell_of = iy * nx + ix
+    # every cell's rectangle, truncated at the region's far edges
+    gx, gy = np.meshgrid(np.arange(nx), np.arange(ny))
+    x0, y0 = bx0 + gx.ravel() * cell, by0 + gy.ravel() * cell
+    x1, y1 = np.minimum(x0 + cell, bx1), np.minimum(y0 + cell, by1)
+    near = dense_cover(points, points, rs)
+    same_cell = near & (cell_of[:, None] == cell_of[None, :])
+    counts = dense_cover(points, initial, rs).sum(axis=0)
+    steps = []
+    while (counts < k).any():
+        for cid in np.unique(cell_of[counts < k]).tolist():
+            members = np.flatnonzero(cell_of == cid)
+            if (counts[members] >= k).all():
+                continue
+            gains = same_cell[members].astype(np.int64) @ np.maximum(k - counts, 0)
+            best = int(members[np.argmax(gains)])
+            px, py = points[best]
+            dx = np.maximum(np.maximum(x0 - px, 0.0), px - x1)
+            dy = np.maximum(np.maximum(y0 - py, 0.0), py - y1)
+            reached = np.flatnonzero(dx * dx + dy * dy <= rs * rs)
+            steps.append((cid, best, int(gains.max()), int(np.count_nonzero(reached != cid))))
+            counts = counts + near[best]
+    trace = result.trace
+    assert len(trace) == len(steps)
+    for step, (cid, best, gain, messages) in enumerate(steps):
+        assert trace.proposer[step] == cid, step
+        assert np.array_equal(trace.positions[step], points[best]), step
+        np.testing.assert_array_equal(trace.benefits[step], gain)
+        assert trace.messages[step] == messages, step
+
+
 def _planner(seed: int = 3) -> DecorPlanner:
     return DecorPlanner(
         Rect.square(30.0), SensorSpec(RS, 8.0), n_points=250, seed=seed
@@ -345,3 +433,78 @@ def test_warm_epoch_makes_no_per_sensor_ball_queries(method, monkeypatch):
         session.restore(event)
         deltas.append(stats.hit_count("index") - before)
     assert deltas == [0] * len(deltas)
+
+
+METHODS = ["centralized", "grid", "voronoi", "random"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_sensing_disc_larger_than_field(method, k):
+    """With ``rs`` 20 on a 10 x 10 field every sensor covers every point,
+    so each method places exactly k sensors."""
+    planner = DecorPlanner(Rect.square(10.0), SensorSpec(20.0, 40.0), n_points=100)
+    result = planner.deploy(k, method=method, cell_size=5.0)
+    positions = result.deployment.alive_positions()
+    assert len(positions) == k
+    counts = dense_cover(np.array(planner.field.points), positions, 20.0).sum(axis=0)
+    assert (counts == k).all()
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_restore_from_empty_deployment(method):
+    """An empty network with an empty failure is repaired to full
+    k-coverage; centralized places what it places from scratch."""
+    k = 2
+    planner = _planner()
+    points = np.array(planner.field.points)
+    nothing = FailureEvent(np.empty(0, dtype=np.intp), "random")
+    report = restore(
+        planner.field, planner.spec, Deployment(), nothing, k, method,
+        region=planner.region, rng=np.random.default_rng(1), cell_size=5.0,
+    )
+    assert report.covered_before == report.covered_after_failure == 0.0
+    assert report.covered_after_repair == 1.0
+    positions = report.repair.deployment.alive_positions()
+    assert brute_fraction(points, positions, k) == 1.0
+    if method == "centralized":
+        scratch = centralized_greedy(planner.field, planner.spec, k)
+        assert np.array_equal(positions, scratch.deployment.alive_positions())
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_failing_every_node_warm_equals_cold(method):
+    """Three epochs that each fail every alive node: warm and cold
+    sessions report alike, coverage drops to 0 and is repaired to 1."""
+    k = 2
+    planner = _planner()
+    points = np.array(planner.field.points)
+    result = planner.deploy(k, method=method, cell_size=5.0)
+    sessions = [
+        RestorationSession(
+            planner.field, planner.spec, result, k, method, warm=warm,
+            region=planner.region, rng=np.random.default_rng(7), cell_size=5.0,
+        )
+        for warm in (True, False)
+    ]
+    for epoch in range(3):
+        reports = []
+        for session in sessions:
+            everyone = FailureEvent(session.deployment.alive_ids(), "random")
+            reports.append(session.restore(everyone))
+        warm, cold = reports
+        nobody = brute_fraction(points, np.empty((0, 2)), k)
+        for report in reports:
+            assert report.covered_after_failure == nobody == 0.0, epoch
+            positions = report.repair.deployment.alive_positions()
+            assert report.covered_after_repair == 1.0, epoch
+            assert brute_fraction(points, positions, k) == 1.0, epoch
+        assert np.array_equal(warm.failure.node_ids, cold.failure.node_ids), epoch
+        assert warm.covered_before == cold.covered_before, epoch
+        assert warm.extra_nodes == cold.extra_nodes, epoch
+        assert np.array_equal(
+            warm.repair.deployment.positions, cold.repair.deployment.positions
+        ), epoch
+        assert np.array_equal(
+            warm.repair.deployment.alive_mask, cold.repair.deployment.alive_mask
+        ), epoch

@@ -1,5 +1,6 @@
-"""Tests for the shared FieldModel layer: backend parity, memoisation,
-consumer sharing, and the build-counter regression over an experiment sweep."""
+"""Tests for the shared FieldModel layer: grid-hash parity with the kd-tree
+reference, memoisation, consumer sharing, and the build-counter regression
+over an experiment sweep."""
 
 import numpy as np
 import pytest
@@ -7,24 +8,19 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from repro.core.benefit import BenefitEngine, same_cell_benefit_adjacency
-from repro.errors import ConfigurationError, CoverageError, GeometryError
+from repro.errors import CoverageError, GeometryError
 from repro.experiments.runner import DeploymentCache, field_model_for_seed
 from repro.experiments.setup import ExperimentSetup
 from repro.field import (
-    BACKEND_ENV_VAR,
     Adjacency,
     FieldModel,
     as_field_model,
-    available_backends,
-    register_backend,
-    resolve_backend_name,
     same_cell_adjacency_of,
 )
+from repro.field.backends import KDTreeBackend
 from repro.geometry import Rect
 from repro.geometry.neighbors import radius_adjacency
 from repro.network.coverage import CoverageState
-
-BACKENDS = available_backends()
 
 
 def random_points(seed: int, n: int = 60, side: float = 10.0) -> np.ndarray:
@@ -32,53 +28,19 @@ def random_points(seed: int, n: int = 60, side: float = 10.0) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# backend registry / selection
-# ----------------------------------------------------------------------
-class TestBackendSelection:
-    def test_both_builtin_backends_registered(self):
-        assert "kdtree" in BACKENDS and "gridhash" in BACKENDS
-
-    def test_default_backend(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert FieldModel(random_points(0)).backend_name == "gridhash"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gridhash")
-        assert FieldModel(random_points(0)).backend_name == "gridhash"
-
-    def test_explicit_arg_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gridhash")
-        assert FieldModel(random_points(0), backend="kdtree").backend_name == "kdtree"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ConfigurationError):
-            FieldModel(random_points(0), backend="octree")
-
-    def test_unknown_env_backend_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "nonsense")
-        with pytest.raises(ConfigurationError):
-            resolve_backend_name(None)
-
-    def test_register_backend_rejects_bad_names(self):
-        with pytest.raises(ConfigurationError):
-            register_backend("", lambda pts: None)
-
-
-# ----------------------------------------------------------------------
-# backend parity (property tests)
+# grid-hash parity with the kd-tree reference (property tests)
 # ----------------------------------------------------------------------
 class TestBackendParity:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
         radius=st.floats(0.0, 6.0, allow_nan=False, allow_infinity=False),
-        backend=st.sampled_from(BACKENDS),
     )
-    def test_cached_adjacency_matches_fresh_build(self, seed, radius, backend):
+    def test_cached_adjacency_matches_fresh_build(self, seed, radius):
         pts = random_points(seed)
-        fm = FieldModel(pts, backend=backend)
+        fm = FieldModel(pts)
         cached = fm.adjacency(radius)
-        fresh = radius_adjacency(pts, radius)
+        fresh = KDTreeBackend(pts).adjacency(radius)
         assert np.array_equal(cached.indptr, fresh.indptr)
         assert np.array_equal(cached.indices, fresh.indices)
         # second lookup is the identical object, not an equal rebuild
@@ -91,24 +53,21 @@ class TestBackendParity:
     )
     def test_backends_agree_on_query_ball(self, seed, radius):
         pts = random_points(seed)
-        models = [FieldModel(pts, backend=b) for b in BACKENDS]
+        fm, kdtree = FieldModel(pts), KDTreeBackend(pts)
         probes = random_points(seed + 1, n=10)
         for probe in probes:
-            hits = [sorted(fm.query_ball(probe, radius)) for fm in models]
-            assert all(h == hits[0] for h in hits[1:])
+            hits = sorted(fm.query_ball(probe, radius))
+            assert hits == sorted(kdtree.query_ball(probe, radius))
 
     def test_backends_agree_on_boundary_distances(self):
         # integer coordinates at exactly radius distance: closed-ball
-        # semantics must match across backends
+        # semantics must match the kd-tree's
         pts = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0], [3.0, 4.0]])
         for radius in (3.0, 4.0, 5.0):
-            mats = [
-                FieldModel(pts, backend=b).adjacency(radius).toarray()
-                for b in BACKENDS
-            ]
-            assert all(np.array_equal(m, mats[0]) for m in mats[1:])
+            mat = FieldModel(pts).adjacency(radius).toarray()
+            assert np.array_equal(mat, KDTreeBackend(pts).adjacency(radius).toarray())
             # d <= r is inclusive: the pair at exactly `radius` is adjacent
-            assert mats[0].sum() > pts.shape[0]
+            assert mat.sum() > pts.shape[0]
 
 
 # ----------------------------------------------------------------------
@@ -191,7 +150,8 @@ class TestFieldModel:
     def test_pickle_carries_only_points_and_backend(self):
         """Every pooled result references its field model: a pickle of a
         paper-scale model with its index, adjacencies and partitions built
-        is its points plus a header, and the copy rebuilds on demand."""
+        is its points alone plus a header, and the copy rebuilds on
+        demand."""
         import pickle
 
         setup = ExperimentSetup.paper()
@@ -206,7 +166,6 @@ class TestFieldModel:
         clone = pickle.loads(blob)
         assert np.array_equal(clone.points, fm.points)
         assert not clone.points.flags.writeable
-        assert clone.backend_name == fm.backend_name
         assert not clone.stats.builds and not clone.stats.hits
         rebuilt, original = clone.adjacency(setup.rs), fm.adjacency(setup.rs)
         assert np.array_equal(rebuilt.indptr, original.indptr)

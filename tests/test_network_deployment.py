@@ -1,5 +1,7 @@
 """Tests for repro.network.deployment."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,6 +100,45 @@ class TestViewsAndCopy:
         c.add([5.0, 5.0])
         assert d.n_alive == 2 and c.n_alive == 2
         assert len(d) == 2 and len(c) == 3
+
+
+def grown_deployment() -> Deployment:
+    d = Deployment()
+    for i in range(4601):  # grows the buffers to 8,192 slots
+        d.add([float(i), 0.5 * i])
+    d.fail([0, 17, 4600])
+    return d
+
+
+class TestPickle:
+    """Every pooled result carries its deployment: a pickle holds the
+    filled rows, not the capacity-doubling buffers."""
+
+    def test_pickle_holds_only_filled_rows(self):
+        d = grown_deployment()
+        blob = pickle.dumps(d, pickle.HIGHEST_PROTOCOL)
+        # 16 bytes of position and 1 alive flag per node, plus a header
+        assert len(blob) <= 17 * d.n_total + 1024
+
+    def test_round_trip_keeps_ids_positions_and_mask(self):
+        d = grown_deployment()
+        c = pickle.loads(pickle.dumps(d, pickle.HIGHEST_PROTOCOL))
+        assert c.n_total == d.n_total and c.n_alive == d.n_alive
+        assert np.array_equal(c.alive_ids(), d.alive_ids())
+        assert np.array_equal(c.positions, d.positions)
+        assert np.array_equal(c.alive_mask, d.alive_mask)
+
+    @pytest.mark.parametrize(
+        "make", [grown_deployment, Deployment], ids=["grown", "empty"]
+    )
+    def test_add_after_round_trip(self, make):
+        d = make()
+        c = pickle.loads(pickle.dumps(d, pickle.HIGHEST_PROTOCOL))
+        ids = [c.add([1.0, 2.0]) for _ in range(70)]  # past the empty capacity
+        assert ids == list(range(d.n_total, d.n_total + 70))
+        assert c.n_alive == d.n_alive + 70
+        np.testing.assert_allclose(c.position_of(ids[-1]), [1.0, 2.0])
+        assert np.array_equal(c.positions[: d.n_total], d.positions)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,7 +1,7 @@
 """Tests for the observability layer (repro.obs).
 
 The load-bearing guarantee sits in :class:`TestDisabledIsInvisible`: with
-``REPRO_OBS`` unset the instrumented placement code produces bit-identical
+the runtime off the instrumented placement code produces bit-identical
 results to the enabled runs and records nothing.
 """
 

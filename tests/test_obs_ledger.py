@@ -15,7 +15,6 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ObservabilityError
-from repro.experiments import DeploymentCache, ExperimentSetup
 from repro.obs import OBS, MetricsRegistry, MetricsSampler
 from repro.obs.ledger import (
     HARVEST_EXCLUDED_PREFIXES,
@@ -92,20 +91,6 @@ class TestRowConstruction:
         env = capture_environment(workers=4)
         assert env["workers"] == 4
         assert "python" in env and "repro_env" in env
-
-    def test_field_backend_spellings_fingerprint_equal(self, monkeypatch):
-        """Unset, empty and ``gridhash`` all name the one default backend."""
-        cache = DeploymentCache(ExperimentSetup.smoke())
-        fingerprints = []
-        for value in (None, "", "gridhash"):
-            if value is None:
-                monkeypatch.delenv("REPRO_FIELD_BACKEND", raising=False)
-            else:
-                monkeypatch.setenv("REPRO_FIELD_BACKEND", value)
-            fingerprints.append(config_fingerprint(cache.describe()))
-        assert len(set(fingerprints)) == 1
-        monkeypatch.setenv("REPRO_FIELD_BACKEND", "kdtree")
-        assert config_fingerprint(cache.describe()) != fingerprints[0]
 
 
 # ----------------------------------------------------------------------
