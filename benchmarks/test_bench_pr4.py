@@ -1,20 +1,18 @@
 """PR4 acceptance numbers, persisted machine-readably and *staged*.
 
 Writes ``benchmarks/results/BENCH_PR4.json`` with the measurements the
-parallel fan-out is gated on: the staged fig08 sweep, serial vs a
-persistent 4-worker :class:`~repro.parallel.WorkerPool`, broken down into
-pool init (fork + worker spawn), pooled compute and per-cell medians,
-plus the deterministic payload-bytes comparison (pickling a field per
-cell vs posting shared-memory segments once per seed), so the next wall
-regression is diagnosable from the JSON alone.  Figure JSON is asserted
+parallel fan-out is gated on: the fig08 sweep serial vs
+``run_figure(..., workers=4)`` — what ``decor figure 8 --workers 4``
+runs, pool start-up (fork + worker cache init) included — as
+median-of-N totals and per-cell medians, plus the deterministic
+payload-bytes comparison (pickling a field per cell vs posting
+shared-memory segments once per seed), so the next wall regression is
+diagnosable from the JSON alone.  Figure JSON is asserted
 byte-identical *always*; the >= 2x speedup is asserted where
 ``os.cpu_count() >= 4`` or ``REPRO_REQUIRE_SPEEDUP=1`` (the
 ``parallel-speedup`` CI job sets the latter so the gate cannot silently
 skip); payload reduction >= 10x is host-independent and asserted
 everywhere.
-
-``staged_fig08_measurements`` is also the feeder for the wall-clock
-section of ``tools/bench_ratchet.py`` (median-of-N, tight tolerance).
 """
 
 from __future__ import annotations
@@ -28,7 +26,8 @@ from time import perf_counter
 
 from repro.experiments import DeploymentCache, figure_to_json
 from repro.experiments.figures import cells_for_figure, run_figure
-from repro.parallel import WorkerPool
+from repro.obs import OBS
+from repro.parallel import prefill_cache
 
 from bench_ledger import append_bench_row
 
@@ -44,15 +43,24 @@ def speedup_gate_active() -> bool:
     )
 
 
-def payload_bytes(cache: DeploymentCache, pool: WorkerPool, cells) -> dict:
+def payload_bytes(setup, cells, *, workers: int) -> dict:
     """Bytes shipped per cell: pickling path vs shared-memory manifests.
 
     The pickling counterfactual serialises each cell's field arrays
     (points + the ``rs`` adjacency's ``indices``/``indptr``) the way a
     task argument would travel through the executor pipe; the shared
-    path posts segments once per seed and ships only manifests.  Both sides are
-    deterministic byte counts — no timing involved.
+    path posts segments once per seed and ships only manifests, read
+    here as ``parallel_shm_bytes_total`` of one untimed pooled prefill.
+    Both sides are deterministic byte counts — no timing involved.
     """
+    cache = DeploymentCache(setup)
+    OBS.enable(fresh=True)
+    try:
+        prefill_cache(cache, cells, workers=workers)
+    finally:
+        OBS.disable()
+    shm_total = int(OBS.metrics.value("parallel_shm_bytes_total"))
+    OBS.reset()
     seeds = sorted({seed for _, _, seed in cells})
     pickled_per_seed = {}
     for seed in seeds:
@@ -65,7 +73,6 @@ def payload_bytes(cache: DeploymentCache, pool: WorkerPool, cells) -> dict:
             )
         )
     pickled_total = sum(pickled_per_seed[seed] for _, _, seed in cells)
-    shm_total = pool.store.shared_bytes
     return {
         "cells": len(cells),
         "pickled_total": pickled_total,
@@ -77,18 +84,14 @@ def payload_bytes(cache: DeploymentCache, pool: WorkerPool, cells) -> dict:
 
 
 def staged_fig08_measurements(setup, *, workers: int = 4, rounds: int = 3):
-    """Median-of-``rounds`` staged wall clock of the fig08 sweep.
+    """Median-of-``rounds`` wall clock of the fig08 sweep.
 
-    Stages: serial baseline, pool init (executor + worker spawn via
-    ``warm_up``), pooled sweep on warm workers, per-cell medians —
-    plus byte-identity of the figure JSON and the payload-bytes
-    comparison above.
+    Stages: serial, pooled (``run_figure(..., workers=workers)``, pool
+    start-up included), per-cell medians — plus byte-identity of the
+    figure JSON and the payload-bytes comparison above.
     """
     cells = cells_for_figure(setup, 8)
-    walls: dict[str, list[float]] = {
-        "serial": [], "pool_init": [], "parallel": [],
-    }
-    payload = None
+    walls: dict[str, list[float]] = {"serial": [], "parallel": []}
     serial_json = parallel_json = None
     for _ in range(rounds):
         cache = DeploymentCache(setup)
@@ -99,19 +102,11 @@ def staged_fig08_measurements(setup, *, workers: int = 4, rounds: int = 3):
 
         cache = DeploymentCache(setup)
         t0 = perf_counter()
-        with WorkerPool.for_cache(cache, workers=workers) as pool:
-            pool.warm_up()
-            t1 = perf_counter()
-            result = run_figure(setup, 8, cache, pool=pool)
-            t2 = perf_counter()
-            if payload is None:
-                payload = payload_bytes(cache, pool, cells)
-        walls["pool_init"].append(t1 - t0)
-        walls["parallel"].append(t2 - t1)
+        result = run_figure(setup, 8, cache, workers=workers)
+        walls["parallel"].append(perf_counter() - t0)
         parallel_json = figure_to_json(result)
 
     medians = {k: statistics.median(v) for k, v in walls.items()}
-    mins = {k: min(v) for k, v in walls.items()}
     return {
         "figure": "fig08",
         "workers": workers,
@@ -119,23 +114,13 @@ def staged_fig08_measurements(setup, *, workers: int = 4, rounds: int = 3):
         "cells": len(cells),
         "median_seconds": {
             "serial": medians["serial"],
-            "pool_init": medians["pool_init"],
             "parallel": medians["parallel"],
             "per_cell_serial": medians["serial"] / len(cells),
             "per_cell_parallel": medians["parallel"] / len(cells),
         },
-        # best-of-N: immune to transient host load, a true regression
-        # slows every round — this is what the wall ratchet gates
-        "min_seconds": {
-            "serial": mins["serial"],
-            "pool_init": mins["pool_init"],
-            "parallel": mins["parallel"],
-            "per_cell_serial": mins["serial"] / len(cells),
-            "per_cell_parallel": mins["parallel"] / len(cells),
-        },
         "speedup": medians["serial"] / medians["parallel"],
         "byte_identical": serial_json == parallel_json,
-        "payload_bytes": payload,
+        "payload_bytes": payload_bytes(setup, cells, workers=workers),
     }
 
 

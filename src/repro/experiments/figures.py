@@ -466,26 +466,20 @@ def run_figure(
     cache: DeploymentCache | None = None,
     *,
     workers: int | None = None,
-    pool=None,
 ) -> FigureResult:
     """Generate one figure, optionally prefilling its cells in parallel.
 
-    With ``workers`` ``None``/``<= 1`` and no ``pool`` this is exactly
+    With ``workers`` ``None``/``<= 1`` this is exactly
     ``FIGURES[number](setup, cache)``; otherwise the figure's deployment
     cells are computed across worker processes first (deterministic merge,
-    bit-identical results) and the serial figure code runs on the warm
-    cache.  ``workers`` alone runs the prefill on a pool torn down before
-    the figure code runs (the CLI's one prefill per invocation); a
-    ``pool`` (:class:`repro.parallel.WorkerPool`) reuses its persistent
-    workers and shared-memory fields across figures.  One ``figure`` span
-    covers the prefill and the figure code.
+    bit-identical results) on a pool closed before the serial figure code
+    runs on the warm cache.  One ``figure`` span covers the prefill and
+    the figure code.
     """
     if number not in FIGURES:
         raise ExperimentError(f"unknown figure {number}; know {sorted(FIGURES)}")
     cache = cache if cache is not None else DeploymentCache(setup)
     with OBS.span("figure", figure=f"fig{number:02d}"):
-        if pool is not None or (workers is not None and workers > 1):
-            cache.prefill(
-                cells_for_figure(setup, number), workers=workers, pool=pool
-            )
+        if workers is not None and workers > 1:
+            cache.prefill(cells_for_figure(setup, number), workers=workers)
         return FIGURES[number].__wrapped__(setup, cache)

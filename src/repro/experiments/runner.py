@@ -231,18 +231,18 @@ class DeploymentCache:
             )
         self._store[key] = result
 
-    def prefill(self, cells, *, workers: int | None = None, pool=None) -> int:
+    def prefill(self, cells, *, workers: int | None = None) -> int:
         """Compute every ``(series, k, seed)`` cell, optionally in parallel.
 
         Delegates to :func:`repro.parallel.prefill_cache`; with the default
-        ``workers=None`` the cells run serially in-process, and a ``pool``
-        (:class:`repro.parallel.WorkerPool`) reuses persistent workers
-        across batches.  Returns the number of cells actually computed
+        ``workers=None`` the cells run serially in-process, and
+        ``workers >= 2`` runs them on a worker pool opened for this one
+        batch.  Returns the number of cells actually computed
         (already-cached cells are skipped).
         """
         from repro.parallel import prefill_cache
 
-        return prefill_cache(self, cells, workers=workers, pool=pool)
+        return prefill_cache(self, cells, workers=workers)
 
     def __contains__(self, key: tuple) -> bool:
         series, k, seed = key

@@ -8,9 +8,9 @@ can shard them across worker processes.
 
 The package splits the machinery by ownership:
 
-* :mod:`repro.parallel.pool` — the persistent :class:`WorkerPool`
-  (chunk scheduling, buffered in-order absorption, lifecycle) and the
-  :func:`prefill_cache` entry point every caller funnels through.
+* :mod:`repro.parallel.pool` — :func:`prefill_cache`, the one entry
+  point, and the one-batch ``WorkerPool`` it opens for a parallel
+  batch (chunk scheduling, in-order absorption, lifecycle).
 * :mod:`repro.parallel.shm` — shared-memory posting of per-seed
   FieldModel arrays (parent creates/unlinks, workers attach views).
 
@@ -40,7 +40,6 @@ path is pure opt-in via the CLI's ``--workers N``.
 
 from repro.parallel.pool import (
     Cell,
-    WorkerPool,
     normalize_cells,
     plan_chunks,
     prefill_cache,
@@ -50,7 +49,6 @@ from repro.parallel.shm import SharedFieldStore
 __all__ = [
     "Cell",
     "SharedFieldStore",
-    "WorkerPool",
     "normalize_cells",
     "plan_chunks",
     "prefill_cache",

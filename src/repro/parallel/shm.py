@@ -16,8 +16,7 @@ Ownership discipline (the part the lifecycle tests pin down):
 
 * The **parent** :class:`SharedFieldStore` creates every segment and is
   the only place that ever calls ``unlink`` — at :meth:`~
-  SharedFieldStore.close`, from the pool's context-manager exit or its
-  ``atexit`` hook.
+  SharedFieldStore.close`, from the pool's context-manager exit.
 * **Workers** only attach and ``close`` their maps.  Under the fork
   start method they share the parent's resource tracker, so the
   attach-side registrations and the parent-side unlink balance out and
@@ -121,9 +120,6 @@ class SharedFieldStore:
         self.shared_bytes += arr.nbytes
         return ArraySpec(seg.name, arr.shape, arr.dtype.str)
 
-    def manifest_for(self, seed: int) -> Manifest | None:
-        return self._manifests.get(int(seed))
-
     def publish_field(
         self,
         seed: int,
@@ -202,13 +198,6 @@ def attach_array(spec: ArraySpec) -> np.ndarray:
     )
     view.flags.writeable = False
     return view
-
-
-def detach_all() -> None:
-    """Close every attached segment (views become invalid)."""
-    for name in sorted(_ATTACHED):
-        _ATTACHED[name].close()
-    _ATTACHED.clear()
 
 
 def build_field_model(manifest: Manifest) -> FieldModel:

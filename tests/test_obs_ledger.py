@@ -10,6 +10,12 @@ fingerprint grouping, regression detection) builds on that.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +116,48 @@ class TestLedgerStore:
             store.append(build_row("deploy", f"d{k}", {"k": k}))
         assert len(store.segments()) == 3
         assert len(store.rows()) == 5
+
+    def test_concurrent_appends_lose_and_tear_no_row(self, tmp_path):
+        """Two processes append to one store at once.  ``LedgerStore``
+        takes no lock: each row reaches its segment in one ``write`` to
+        an ``O_APPEND`` file, so no row is lost, torn or interleaved (a
+        segment may overshoot ``segment_max_rows``; see
+        ``docs/observability.md``)."""
+        root, go = tmp_path / "ledger", tmp_path / "go"
+        script = tmp_path / "writer.py"
+        script.write_text(
+            "import os, sys, time\n"
+            "from repro.obs.ledger import LedgerStore, build_row\n"
+            "root, go, writer = sys.argv[1:]\n"
+            "store = LedgerStore(root, segment_max_rows=16)\n"
+            "pad = 'x' * 20_000\n"
+            "while not os.path.exists(go):\n"
+            "    time.sleep(0.001)\n"
+            "for i in range(300):\n"
+            "    store.append(build_row(\n"
+            "        'bench', 'concurrent', {'writer': writer, 'i': i, 'pad': pad}\n"
+            "    ))\n",
+            encoding="utf-8",
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        writers = [
+            subprocess.Popen(
+                [sys.executable, str(script), str(root), str(go), name],
+                env=env, stderr=subprocess.PIPE, text=True,
+            )
+            for name in ("a", "b")
+        ]
+        go.touch()
+        for proc in writers:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = LedgerStore(root).rows()
+        seen = Counter((r["config"]["writer"], r["config"]["i"]) for r in rows)
+        assert seen == Counter({(w, i): 1 for w in "ab" for i in range(300)})
+        assert all(len(r["config"]["pad"]) == 20_000 for r in rows)
 
     def test_corrupt_line_skipped_with_warning(self, tmp_path):
         store = LedgerStore(tmp_path / "ledger")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from repro.experiments.recording import figure_to_json
 from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import DECOR_SERIES, SERIES, ExperimentSetup
 from repro.obs import OBS
-from repro.parallel import Cell, normalize_cells, prefill_cache
+from repro.parallel import Cell, normalize_cells, plan_chunks, prefill_cache
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,32 @@ class TestPrefillParallel:
                 [("random", 1, 0), ("no-such-series", 1, 0)],
                 workers=2,
             )
+
+    def test_worker_error_keeps_chunks_before_it(self, setup, monkeypatch):
+        """Chunks are absorbed in submission order: a failing chunk ``j``
+        leaves every cell of the chunks before it cached and none of its
+        own or any later chunk's, even when it fails before chunk 0
+        finishes."""
+        cells = cells_for_figure(setup, 8)
+        bad = ("no-such-series", 1, 0)
+        cells.insert(5, bad)
+        chunks = plan_chunks(cells, 2)
+        j = next(i for i, chunk in enumerate(chunks) if bad in chunk)
+        assert 1 <= j < len(chunks) - 1
+        real_get = DeploymentCache.get
+
+        def get(cache, *cell):
+            if tuple(cell) == chunks[0][0]:
+                time.sleep(0.3)  # chunk j fails while chunk 0 still runs
+            return real_get(cache, *cell)
+
+        # patched before the workers fork, so they inherit it
+        monkeypatch.setattr(DeploymentCache, "get", get)
+        cache = DeploymentCache(setup)
+        with pytest.raises(ReproError):
+            prefill_cache(cache, cells, workers=2)
+        assert all(cell in cache for chunk in chunks[:j] for cell in chunk)
+        assert not any(cell in cache for chunk in chunks[j:] for cell in chunk)
 
 
 # ----------------------------------------------------------------------

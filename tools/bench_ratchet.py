@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Enforce the bench ratchet: counted work only shrinks, walls hold.
+"""Enforce the bench ratchet: counted work only shrinks.
 
 The companion of ``tools/typing_ratchet.py`` for performance: where the
 typing ratchet pins which packages are strictly typed, this one pins how
@@ -18,39 +18,20 @@ re-introduce full-field re-accounting:
    other counter; wall medians with the sampler off vs on ride along
    under the wall-clock bound.
 
-3. **wall** — staged wall clock of the fig08 sweep, serial vs a
-   persistent 2-worker pool, fed by
-   ``benchmarks/test_bench_pr4.staged_fig08_measurements`` (the PR 9
-   pool): pool init, pooled compute and per-cell stages, plus the
-   deterministic payload bytes-per-cell numbers.  Each stage records a
-   median-of-N baseline, and the gate compares the *current run's
-   best-of-N* against it at ``--wall-tolerance`` (default 10%):
-   transient host load inflates individual rounds but a genuine code
-   regression slows all of them, so the fastest round is the robust
-   gauge (plus an absolute ``--wall-slack`` so millisecond stages are
-   not gated below scheduler jitter) — unlike the single-shot
-   ``wall_seconds`` context entries below, which get only the generous
-   ``--wall-factor``.  The tight gate needs more cores than pool
-   workers: on an oversubscribed host the pooled stage times scheduler
-   contention, not the code, so the section falls back to the sanity
-   factor there (``REPRO_TIGHT_WALL=1`` forces it back on; the CI
-   ``parallel-speedup``/ratchet jobs run multi-core and keep it
-   asserted).
-
 The counters are deterministic (seeded fields, integer work counts), so
 their gate is tight: the measured value may not exceed the recorded one
 by more than ``--tolerance`` (default 5%), and a recorded counter the
 current measurement no longer produces fails the gate rather than
-passing unchecked.  Single-shot ``wall_seconds``
-entries are recorded for context and gated only by the generous
-``--wall-factor`` (default 10x) — timing is machine-dependent, counters
-are the contract; the ``wall`` section's medians sit in between at
-``--wall-tolerance``.
+passing unchecked.  The ``wall_seconds`` entries are recorded for
+context and gated only by the generous ``--wall-factor`` (default 10x)
+— timing is machine-dependent, counters are the contract.  Wall time is
+gated end to end by the ``benchmarks/e2e`` workloads and by the >= 2x
+fan-out gate of ``benchmarks/test_bench_pr4.py``.
 
 Exit status 0 when the ratchet holds, 1 with a findings report otherwise.
 
 Every measuring pass also appends one ``kind="bench"`` row (counters +
-wall stages + the full nested measurements) to the repository's run
+wall timings + the full nested measurements) to the repository's run
 ledger (``.decor/ledger``), so ``decor runs list --kind bench`` shows
 the ratchet's trajectory and ``--from-ledger`` can re-run the gate
 against the most recent config-matching row without re-measuring.
@@ -172,43 +153,10 @@ def measure_telemetry(root: Path, *, rounds: int = 3) -> dict:
     }
 
 
-def measure_wall(root: Path, *, rounds: int = 5, workers: int = 2) -> dict:
-    """Staged fig08 wall clock (serial vs persistent pool), N rounds."""
-    _import_repro(root)
-    bench_dir = str(root / "benchmarks")
-    if bench_dir not in sys.path:
-        sys.path.insert(0, bench_dir)
-    from test_bench_pr4 import staged_fig08_measurements
-
-    from repro.experiments import ExperimentSetup
-
-    staged = staged_fig08_measurements(
-        ExperimentSetup.smoke(), workers=workers, rounds=rounds
-    )
-    payload = staged["payload_bytes"]
-    return {
-        "rounds": rounds,
-        "workers": workers,
-        "cells": staged["cells"],
-        "median_seconds": {
-            name: round(value, 4)
-            for name, value in staged["median_seconds"].items()
-        },
-        "min_seconds": {
-            name: round(value, 4)
-            for name, value in staged["min_seconds"].items()
-        },
-        # deterministic byte counts: ride the tight counter gate
-        "payload_pickled_per_cell": payload["pickled_per_cell"],
-        "payload_shm_per_cell": payload["shm_per_cell"],
-    }
-
-
 def measure(root: Path) -> dict:
     return {
         "epoch_sweep": measure_epoch_sweep(root),
         "telemetry": measure_telemetry(root),
-        "wall": measure_wall(root),
     }
 
 
@@ -232,8 +180,6 @@ def append_ledger_row(root: Path, current: dict) -> dict:
     _import_repro(root)
     from repro.obs.ledger import LedgerStore, build_row
 
-    walls = dict(_walk_walls(current))
-    walls.update(_walk_timing(current, "median_seconds"))
     row = build_row(
         "bench",
         "bench_ratchet",
@@ -243,7 +189,7 @@ def append_ledger_row(root: Path, current: dict) -> dict:
             "gauges": {},
             "histograms": {},
         },
-        wall=walls,
+        wall=dict(_walk_walls(current)),
     )
     row["measurements"] = current
     LedgerStore(root / ".decor" / "ledger").append(row)
@@ -279,7 +225,7 @@ def _walk_counters(d: dict, prefix: str = "") -> list[tuple[str, float]]:
     out: list[tuple[str, float]] = []
     for key, value in d.items():
         path = f"{prefix}.{key}" if prefix else key
-        if key in ("wall_seconds", "median_seconds", "min_seconds"):
+        if key == "wall_seconds":
             continue
         if isinstance(value, dict):
             out.extend(_walk_counters(value, path))
@@ -301,29 +247,8 @@ def _walk_walls(d: dict, prefix: str = "") -> list[tuple[str, float]]:
     return out
 
 
-def _walk_timing(d: dict, which: str, prefix: str = "") -> list[tuple[str, float]]:
-    """Flatten the ``which`` timing subtrees, omitting ``which`` from paths.
-
-    Dropping the ``median_seconds`` / ``min_seconds`` segment lets the
-    gate compare the current best-of-N against the recorded median under
-    the same stage path (``wall.serial``, ``wall.pool_init``, ...).
-    """
-    out: list[tuple[str, float]] = []
-    for key, value in d.items():
-        path = f"{prefix}.{key}" if prefix else key
-        if key == which and isinstance(value, dict):
-            out.extend(
-                (f"{prefix}.{k}" if prefix else k, float(v))
-                for k, v in value.items()
-            )
-        elif isinstance(value, dict):
-            out.extend(_walk_timing(value, which, path))
-    return out
-
-
 def check(recorded: dict, current: dict, *, tolerance: float,
-          wall_factor: float, wall_tolerance: float,
-          wall_slack: float = 0.05) -> int:
+          wall_factor: float) -> int:
     failures = 0
     rec_counters = dict(_walk_counters(recorded))
     cur_counters = dict(_walk_counters(current))
@@ -356,25 +281,6 @@ def check(recorded: dict, current: dict, *, tolerance: float,
                 "sanity bound blown"
             )
             failures += 1
-    rec_medians = dict(_walk_timing(recorded, "median_seconds"))
-    for path, value in _walk_timing(current, "min_seconds"):
-        baseline = rec_medians.get(path)
-        if baseline is None:
-            print(f"RATCHET: {path} = {value:g}s has no recorded baseline "
-                  f"-- run with --update to record it")
-            failures += 1
-        elif value > baseline * (1.0 + wall_tolerance) + wall_slack:
-            # + wall_slack: millisecond stages (pool_init) sit below OS
-            # scheduler/fork jitter, where a relative bound is all noise
-            print(
-                f"RATCHET: {path} regressed: best-of-N {value:.4f}s > "
-                f"recorded median {baseline:.4f}s "
-                f"(+{100 * (value / baseline - 1):.1f}%, tolerance "
-                f"{100 * wall_tolerance:.0f}%) -- the staged fan-out only "
-                "gets faster; if the slowdown is deliberate, re-record "
-                "with --update"
-            )
-            failures += 1
     return failures
 
 
@@ -397,16 +303,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--wall-factor", type=float, default=10.0,
         help="allowed wall-clock multiple of the recorded time (default 10x)",
-    )
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=0.10,
-        help="allowed best-of-N increase over the recorded medians in the "
-             "wall section (default 0.10 = 10%%)",
-    )
-    parser.add_argument(
-        "--wall-slack", type=float, default=0.05,
-        help="absolute seconds added to the wall-section bound, covering "
-             "scheduler jitter on millisecond stages (default 0.05)",
     )
     parser.add_argument(
         "--from-ledger", action="store_true",
@@ -438,23 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     recorded = json.loads(record_path.read_text(encoding="utf-8"))
-    cores = os.cpu_count() or 1
-    wall_workers = int(current.get("wall", {}).get("workers", 2))
-    wall_tolerance = opts.wall_tolerance
-    if cores <= wall_workers and os.environ.get("REPRO_TIGHT_WALL") != "1":
-        # workers + parent contend for the same core(s): the pooled
-        # stage times the scheduler, not the code, so only the sanity
-        # factor is meaningful here (CI runs multi-core and stays tight)
-        wall_tolerance = opts.wall_factor - 1.0
-        print(
-            f"bench ratchet: note: {cores} core(s) <= {wall_workers} "
-            f"workers -- wall section gated at the {opts.wall_factor:g}x "
-            "sanity factor (REPRO_TIGHT_WALL=1 forces the tight gate)"
-        )
     failures = check(
         recorded, current,
         tolerance=opts.tolerance, wall_factor=opts.wall_factor,
-        wall_tolerance=wall_tolerance, wall_slack=opts.wall_slack,
     )
     if failures:
         print(f"bench ratchet: {failures} failure(s)", file=sys.stderr)
