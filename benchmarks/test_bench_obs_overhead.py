@@ -28,6 +28,7 @@ import time
 
 import pytest
 
+from repro.experiments import ExperimentSetup
 from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import SERIES
 from repro.obs import OBS
@@ -81,7 +82,7 @@ def _disabled_guards(fn):
     with pytest.MonkeyPatch.context() as mp:
         # a data descriptor on the class shadows the instance attribute
         mp.setattr(ObsRuntime, "enabled", property(read, write), raising=False)
-        for name in ("span", "run", "event", "counter", "gauge", "histogram", "sample"):
+        for name in ("span", "run", "counter", "gauge", "histogram", "sample"):
             mp.setattr(ObsRuntime, name, counted(getattr(ObsRuntime, name)))
         fn()
     # every facade call reads the switch once itself
@@ -97,6 +98,11 @@ def test_sweep_obs_off(benchmark, setup):
     benchmark.extra_info["obs"] = "off"
 
 
+#: Registry lookups of one enabled smoke sweep: metrics are published once
+#: per run and cell, never per placement or benefit delta.
+SMOKE_SWEEP_METRIC_OPS = 219
+
+
 def test_sweep_obs_on(benchmark, setup):
     """The same sweep fully instrumented; records the trace/metric volume."""
 
@@ -109,6 +115,9 @@ def test_sweep_obs_on(benchmark, setup):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result > 0
+    assert {r["type"] for r in OBS.tracer.records()} == {"span"}
+    if setup == ExperimentSetup.smoke():
+        assert OBS.metrics.ops == SMOKE_SWEEP_METRIC_OPS
     benchmark.extra_info["obs"] = "on"
     benchmark.extra_info["trace_records"] = len(OBS.tracer) + OBS.tracer.dropped
     benchmark.extra_info["metric_ops"] = OBS.metrics.ops

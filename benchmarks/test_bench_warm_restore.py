@@ -45,6 +45,10 @@ N_EPOCHS = 6
 DISC_RADII = 1.0
 #: The acceptance threshold: warm makes >= 5x fewer delta updates than cold.
 MIN_RATIO = 5.0
+#: The exact steady-state delta updates of the scenario (deterministic):
+#: work may move only with a change that says why.
+WARM_UPDATES = 1_380
+COLD_UPDATES = 96_132
 
 
 def _updates_and_wall(warm: bool, setup, result, field, spec, k) -> tuple[int, float]:
@@ -128,6 +132,7 @@ def test_warm_restore_delta_update_reduction(fig08_scale_run):
         f"warm restoration made {warm_updates} delta updates vs cold "
         f"{cold_updates} ({ratio:.1f}x) — below the {MIN_RATIO}x gate"
     )
+    assert (warm_updates, cold_updates) == (WARM_UPDATES, COLD_UPDATES)
 
 
 def test_warm_restore_bit_identical_here_too(fig08_scale_run):

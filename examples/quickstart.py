@@ -20,7 +20,7 @@ from repro.obs import OBS
 
 
 def main() -> None:
-    # 0. record what the run does (spans, events, counters); everything
+    # 0. record what the run does (spans and counters); everything
     #    below behaves bit-identically with this line removed
     OBS.enable(fresh=True)
     # 1. the user wants points monitored with 99.9% reliability when each

@@ -13,7 +13,7 @@ DET001    no legacy global-RNG calls (np.random.<fn>, random.<fn>)
 DET002    no wall-clock/entropy reads in library code outside repro.obs
 DET003    no un-sorted() set iteration in library code
 ALIAS001  no in-place mutation of FieldModel/engine cached values
-OBS001    obs touchpoints (OBS.event/counter/gauge/histogram/sample,
+OBS001    obs touchpoints (OBS.counter/gauge/histogram/sample,
           OBS.flight emits, record_*_health) guarded by
           ``if OBS.enabled:``
 OBS006    the OBS switch flipped only in repro.obs/repro.cli

@@ -8,8 +8,8 @@ evaluated and formatted, or whose work would still run — sit inside an
 ``if OBS.enabled:`` guard.  OBS001 enforces it over one table of
 touchpoints:
 
-* the ``OBS`` facade's ``event``/``counter``/``gauge``/``histogram``/
-  ``sample`` calls;
+* the ``OBS`` facade's ``counter``/``gauge``/``histogram``/``sample``
+  calls;
 * the flight pillar's emitting calls (``OBS.flight.emit``/``emit_send``/
   ``emit_deliver``/``set_cause``/``clear_cause``/``begin_run``/
   ``end_run``), so the disabled path never builds a record dict;
@@ -62,7 +62,7 @@ _SWITCH_METHODS = frozenset({"enable", "disable", "reset"})
 #: The OBS001 touchpoint table: ``OBS.<method>`` facade calls, the flight
 #: pillar's emitting calls ``OBS.flight.<method>``, and the health helpers
 #: (bare, or resolved into one of ``_HEALTH_MODULES``).
-_FACADE_TOUCHPOINTS = frozenset({"event", "counter", "gauge", "histogram", "sample"})
+_FACADE_TOUCHPOINTS = frozenset({"counter", "gauge", "histogram", "sample"})
 _FLIGHT_TOUCHPOINTS = frozenset(
     {"emit", "emit_send", "emit_deliver", "set_cause", "clear_cause", "begin_run", "end_run"}
 )
@@ -83,7 +83,7 @@ class ObsTouchpointsGuarded(Rule):
 
     code = "OBS001"
     summary = (
-        "obs touchpoints (OBS.event/counter/gauge/histogram/sample, "
+        "obs touchpoints (OBS.counter/gauge/histogram/sample, "
         "OBS.flight emits, record_*_health) must sit inside an "
         "`if OBS.enabled:` guard so disabled runs never format arguments, "
         "build flight records or recompute health gauges"

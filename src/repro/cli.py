@@ -22,7 +22,7 @@ See ``docs/performance.md``.
 
 Observability: ``--trace out.jsonl`` / ``--metrics out.json`` (on figure,
 deploy, summary and restore) enable the :mod:`repro.obs` runtime for the
-invocation and export the recorded spans/events and metric series; a trace
+invocation and export the recorded spans and metric series; a trace
 summary table is printed either way.
 
 Flight recording: ``--flight-record out.jsonl`` (same commands) also keeps
@@ -87,7 +87,7 @@ __all__ = ["main", "build_parser"]
 def _add_obs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trace", metavar="PATH",
-        help="enable instrumentation; write the span/event trace as JSON lines",
+        help="enable instrumentation; write the span trace as JSON lines",
     )
     parser.add_argument(
         "--metrics", metavar="PATH",

@@ -14,7 +14,11 @@ from repro.network.deployment import Deployment
 from repro.network.spec import SensorSpec
 from repro.obs import OBS
 
-__all__ = ["init_run", "finalize", "placement_budget"]
+__all__ = ["init_run", "finalize", "placement_budget", "publish_delta_updates",
+           "publish_placement_metrics"]
+
+#: ``decor_messages_total`` kind of the messages a method's trace counts.
+_MESSAGE_KINDS = {"grid": "border", "voronoi": "voronoi_notify"}
 
 
 def placement_budget(n_points: int, k: int, max_nodes: int | None) -> int:
@@ -132,6 +136,42 @@ def init_run(
     return field, deployment, engine
 
 
+def publish_delta_updates(engine: BenefitEngine) -> None:
+    """Move the engine's unpublished delta count into
+    ``benefit_delta_updates_total`` (nothing while disabled)."""
+    if OBS.enabled and engine.delta_updates:
+        OBS.counter("benefit_delta_updates_total").inc(engine.delta_updates)
+        engine.delta_updates = 0
+
+
+def publish_placement_metrics(
+    method: str, trace: PlacementTrace, engine: BenefitEngine | None = None
+) -> None:
+    """Publish one placement run's metrics, once, from the state that holds
+    them: the engine's delta count, and for a run that placed at least one
+    node ``decor_placements_total{method}`` (the trace's rows),
+    ``greedy_round_benefit`` (its positive benefits, in placement order;
+    random's 0.0 and the NaN of seeds and lattice sites are no greedy
+    rounds) and the grid/Voronoi ``decor_messages_total`` (its messages).
+    """
+    if not OBS.enabled:
+        return
+    if engine is not None:
+        publish_delta_updates(engine)
+    if not len(trace):
+        return
+    OBS.counter("decor_placements_total", method=method).inc(len(trace))
+    benefits = trace.benefits
+    positive = benefits[benefits > 0.0].tolist()
+    if positive:
+        histogram = OBS.histogram("greedy_round_benefit")
+        for benefit in positive:
+            histogram.observe(benefit)
+    kind = _MESSAGE_KINDS.get(method)
+    if kind is not None:
+        OBS.counter("decor_messages_total", kind=kind).inc(int(trace.messages.sum()))
+
+
 def finalize(
     *,
     method: str,
@@ -143,10 +183,12 @@ def finalize(
     messages: MessageStats | None = None,
     params: dict | None = None,
 ) -> DeploymentResult:
-    """Assemble the result (one ``result`` span).  Its coverage is the
-    engine's rows (callers account sensors in deployment-id order), so no
-    sensor is re-queried; ``REPRO_CHECKS=1`` compares it against a recount
-    of the deployment (the ``coverage-equals-recount`` invariant)."""
+    """Publish the run's metrics and assemble the result (one ``result``
+    span).  Its coverage is the engine's rows (callers account sensors in
+    deployment-id order), so no sensor is re-queried; ``REPRO_CHECKS=1``
+    compares it against a recount of the deployment (the
+    ``coverage-equals-recount`` invariant)."""
+    publish_placement_metrics(method, trace, engine)
     with OBS.span("result", method=method):
         coverage = engine.coverage_state(deployment.alive_ids())
         if CHECKS.enabled:

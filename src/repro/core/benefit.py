@@ -102,6 +102,9 @@ class BenefitEngine:
     which keeps a restoration session's engine warm across epochs.  It also
     keeps a running count of k-covered points, so :meth:`is_fully_covered`
     and :meth:`covered_fraction` (without ``k``) cost O(1) per placement.
+    While :data:`~repro.obs.OBS` records, :attr:`delta_updates` counts the
+    benefit entries the deltas move; the run that owns the engine
+    publishes it once as ``benefit_delta_updates_total``.
 
     Examples
     --------
@@ -176,6 +179,8 @@ class BenefitEngine:
                 self._counts = counts.copy()
             self._n_kcovered = int(np.count_nonzero(self._counts >= self._karr))
             self._benefit = self._ben @ self._weights(self._counts, self._karr)
+            #: Benefit entries moved while recording, not yet published.
+            self.delta_updates = 0
 
     @staticmethod
     def _validated_benefit_adjacency(
@@ -375,7 +380,7 @@ class BenefitEngine:
         touched = np.concatenate([ben_rows[i] for i in changed.tolist()])
         np.add.at(self._benefit, touched, weights)
         if OBS.enabled:
-            OBS.counter("benefit_delta_updates_total").inc(int(touched.size))
+            self.delta_updates += touched.size
 
     def place_at(self, point_index: int) -> np.ndarray:
         """Place a sensor at field point ``point_index``; returns the covered

@@ -93,15 +93,6 @@ def centralized_greedy(
             added.append(deployment.add(pos))
             trace.record(pos, benefit, engine.covered_fraction())
             checker.after_step(len(added) - 1, idx, pos)
-            if OBS.enabled:
-                OBS.event(
-                    "placement",
-                    point=idx,
-                    benefit=benefit,
-                    deficiency_left=engine.total_deficiency(),
-                )
-                OBS.counter("decor_placements_total", method="centralized").inc()
-                OBS.histogram("greedy_round_benefit").observe(benefit)
         span.set(placed=len(added))
     return finalize(
         method="centralized",

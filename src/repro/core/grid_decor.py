@@ -162,17 +162,6 @@ def grid_decor(
                         cell=cid, point=int(idx), benefit=benefit,
                         messages=n_msgs,
                     )
-                    OBS.event(
-                        "placement",
-                        point=idx,
-                        benefit=benefit,
-                        cell=cid,
-                        round=rounds,
-                        deficiency_left=engine.total_deficiency(),
-                    )
-                    OBS.counter("decor_placements_total", method="grid").inc()
-                    OBS.counter("decor_messages_total", kind="border").inc(n_msgs)
-                    OBS.histogram("greedy_round_benefit").observe(benefit)
         span.set(placed=len(added), rounds=rounds,
                  messages=int(per_cell_msgs.sum()))
         frun.set(placed=len(added), rounds=rounds)

@@ -151,8 +151,6 @@ def lattice_placement(
                 trace.record(
                     pos, float("nan"), engine.covered_fraction(), proposer=layer
                 )
-                if OBS.enabled:
-                    OBS.counter("decor_placements_total", method="lattice").inc()
 
         while not engine.is_fully_covered():
             if len(added) >= budget:
@@ -168,14 +166,6 @@ def lattice_placement(
             added.append(deployment.add(pos))
             trace.record(pos, benefit, engine.covered_fraction(), proposer=-1)
             topup += 1
-            if OBS.enabled:
-                OBS.event(
-                    "placement",
-                    point=idx,
-                    benefit=benefit,
-                    deficiency_left=engine.total_deficiency(),
-                )
-                OBS.counter("decor_placements_total", method="lattice").inc()
         span.set(placed=len(added), topup=topup)
 
     return finalize(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core._common import placement_budget
+from repro.core._common import placement_budget, publish_placement_metrics
 from repro.core.result import PlacementTrace
 from repro.errors import CoverageError, PlacementError
 from repro.field import FieldModel, as_field_model
@@ -282,11 +282,8 @@ def mixed_centralized_greedy(
             trace.record(
                 pos, benefit, engine.covered_fraction(), proposer=type_index[name]
             )
-            if OBS.enabled:
-                OBS.event("placement", point=idx, benefit=benefit, type=name)
-                OBS.counter("decor_placements_total", method="mixed").inc()
-                OBS.histogram("greedy_round_benefit").observe(benefit)
         span.set(placed=len(placed_types), cost=total_cost)
+    publish_placement_metrics("mixed", trace)
 
     return MixedDeploymentResult(
         k=k,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core._common import init_run, placement_budget
+from repro.core._common import init_run, placement_budget, publish_delta_updates
 from repro.errors import PlacementError, SimulationError
 from repro.field import as_field_model
 from repro.geometry.region import Rect
@@ -263,6 +263,7 @@ def run_grid_protocol(
                     "decor_messages_total", kind="undeliverable"
                 ).inc(harness.undeliverable)
             bridge_radio_stats(radio.stats, protocol="grid")
+            publish_delta_updates(engine)
     placed = harness.placed_points
     return InNetworkRunReport(
         placed_point_indices=list(placed),

@@ -91,8 +91,6 @@ def random_placement(
                 engine.add_sensor_at_position(pos, covered=row)
                 added.append(deployment.add(pos))
                 trace.record(pos, 0.0, engine.covered_fraction())
-                if OBS.enabled:
-                    OBS.counter("decor_placements_total", method="random").inc()
                 if engine.is_fully_covered():
                     break
         span.set(placed=len(added))

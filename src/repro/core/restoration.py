@@ -361,14 +361,18 @@ class RestorationSession:
         with OBS.run(
             "restoration", method=self._method, k=self._k
         ) as frun:
-            if OBS.enabled:
+            if OBS.enabled and OBS.recording():
                 # the damage footprint, computed identically in warm and
-                # cold mode so the recorded streams stay byte-identical
+                # cold mode so the recorded streams stay byte-identical,
+                # and only for a flight log; the block runs on the repair's
+                # round clock (grid and Voronoi repairs stamp their
+                # placements with rounds 1, 2, ...), so the failure comes
+                # before round 1
                 dirty = self._field.dirty_region(
                     dep.positions[failed_ids], self._spec.sensing_radius
                 )
                 OBS.flight.emit(
-                    "fail", -1, t=float(self._epoch), cause=None,
+                    "fail", -1, t=0.0, cause=None,
                     epoch=self._epoch, n_failed=int(failed_ids.size),
                     dirty_points=dirty.n_points,
                 )
@@ -389,8 +393,10 @@ class RestorationSession:
                 cell_size=self._cell_size,
             )
             if OBS.enabled:
+                # every repair round places at least one node, so no
+                # placement round comes after round extra_nodes
                 OBS.flight.emit(
-                    "restored", -1, t=float(self._epoch), cause=None,
+                    "restored", -1, t=float(report.extra_nodes), cause=None,
                     epoch=self._epoch, extra_nodes=report.extra_nodes,
                     covered=report.covered_after_repair,
                 )

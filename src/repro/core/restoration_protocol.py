@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core._common import placement_budget
+from repro.core._common import placement_budget, publish_delta_updates
 from repro.core.benefit import BenefitEngine
 from repro.errors import PlacementError, SimulationError
 from repro.field import as_field_model
@@ -83,13 +83,6 @@ class _RepairNode(HeartbeatNode):
     def _handle_suspect(self, _me: int, suspect: int) -> None:
         if self.harness.first_suspicion_time is None:
             self.harness.first_suspicion_time = self.sim.now
-            if OBS.enabled:
-                OBS.event(
-                    "first_suspicion",
-                    sim_time=self.sim.now,
-                    suspect=int(suspect),
-                    by=self.node_id,
-                )
         self._arm_repair()
 
     def _arm_repair(self) -> None:
@@ -209,15 +202,6 @@ class _Harness:
             # the replacement boots shortly after physical deployment
             self.spawn(pos, start_delay=0.1 * self.config.period)
             placed += 1
-            if OBS.enabled:
-                OBS.event(
-                    "replacement",
-                    sim_time=self.sim.now,
-                    cell=cell_id,
-                    point=int(idx),
-                )
-                OBS.counter("decor_replacements_total").inc()
-                OBS.counter("decor_messages_total", kind="place_announce").inc()
         return placed
 
 
@@ -342,8 +326,6 @@ def run_restoration_protocol(
         for nid in failed:
             harness.nodes[int(nid)].fail()
             engine.remove_covered(covered_by[int(nid)])
-        if OBS.enabled:
-            OBS.event("crash", sim_time=sim.now, failed=int(failed.size))
 
     sim.schedule_at(crash_time, crash)
 
@@ -366,8 +348,6 @@ def run_restoration_protocol(
                 sim.run(until=sim.now + config.period)
                 break
         if OBS.enabled and harness.restored_time is not None:
-            OBS.event("restored", sim_time=harness.restored_time,
-                      replacements=len(harness.placements))
             OBS.flight.emit(
                 "restored", -1, t=sim.now, cause=None,
                 restored_time=float(harness.restored_time),
@@ -378,7 +358,12 @@ def run_restoration_protocol(
         frun.set(replacements=len(harness.placements),
                  restored=harness.restored_time is not None)
         if OBS.enabled:
+            if harness.placements:
+                replaced = len(harness.placements)
+                OBS.counter("decor_replacements_total").inc(replaced)
+                OBS.counter("decor_messages_total", kind="place_announce").inc(replaced)
             bridge_radio_stats(radio.stats, protocol="restoration")
+            publish_delta_updates(engine)
             record_protocol_health(
                 heartbeats=[n for n in harness.nodes.values() if n.alive]
             )

@@ -228,19 +228,6 @@ def voronoi_decor(
                         from_site=int(site),
                         points_owned=int(stolen.size),
                     )
-                    OBS.event(
-                        "placement",
-                        point=idx,
-                        benefit=benefit,
-                        site=int(site),
-                        round=rounds,
-                        deficiency_left=engine.total_deficiency(),
-                    )
-                    OBS.counter("decor_placements_total", method="voronoi").inc()
-                    OBS.counter(
-                        "decor_messages_total", kind="voronoi_notify"
-                    ).inc(n_msgs)
-                    OBS.histogram("greedy_round_benefit").observe(benefit)
         span.set(placed=len(added), rounds=rounds,
                  messages=int(sum(per_node_msgs)))
         frun.set(placed=len(added), rounds=rounds)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core._common import placement_budget
+from repro.core._common import placement_budget, publish_delta_updates
 from repro.core.benefit import BenefitEngine
 from repro.core.voronoi_decor import local_voronoi_benefit
 from repro.errors import PlacementError
@@ -231,6 +231,7 @@ def run_voronoi_protocol(
         if OBS.enabled:
             OBS.counter("decor_messages_total", kind="vor_place").inc(notify)
             bridge_radio_stats(radio.stats, protocol="voronoi")
+            publish_delta_updates(engine)
 
     placed = harness.placed_points
     return VoronoiProtocolReport(

@@ -8,8 +8,8 @@ all seed-averaged from the same cached deployments the figures use.
 
 :func:`summarize_trace` plays the same role for the observability layer:
 it collapses a JSON-lines trace (or a live
-:class:`~repro.obs.Tracer`) into per-span-name timing totals and event
-counts, rendered by :meth:`TraceSummary.format`.
+:class:`~repro.obs.Tracer`) into per-span-name timing totals, rendered by
+:meth:`TraceSummary.format`.
 """
 
 from __future__ import annotations
@@ -157,14 +157,12 @@ def format_summary_table(rows: list[MethodSummary]) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class TraceSummary:
-    """Per-span-name and per-event-name digest of one trace.
+    """Per-span-name digest of one trace.
 
     Attributes
     ----------
     spans:
         ``name -> SpanStats`` (count/total/mean/max seconds).
-    events:
-        ``name -> count``.
     max_depth:
         Deepest span nesting observed (0-based; a lone span has depth 0).
     n_records / dropped:
@@ -175,7 +173,6 @@ class TraceSummary:
     """
 
     spans: dict[str, SpanStats] = field(default_factory=dict)
-    events: dict[str, int] = field(default_factory=dict)
     max_depth: int = 0
     n_records: int = 0
     dropped: int = 0
@@ -185,7 +182,6 @@ class TraceSummary:
         lines = [
             f"Trace summary: {self.n_records} records "
             f"({sum(s.count for s in self.spans.values())} spans, "
-            f"{sum(self.events.values())} events, "
             f"max depth {self.max_depth}"
             + (f", {self.dropped} dropped" if self.dropped else "")
             + ")"
@@ -207,13 +203,11 @@ class TraceSummary:
             lines.append("  ".join("-" * w for w in widths))
             for r in rows:
                 lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
-        for name, n in sorted(self.events.items(), key=lambda kv: -kv[1]):
-            lines.append(f"event {name}: {n}")
         return "\n".join(lines)
 
 
 def summarize_trace(source) -> TraceSummary:
-    """Digest a trace into per-name span timings and event counts.
+    """Digest a trace into per-name span timings.
 
     Parameters
     ----------
@@ -238,21 +232,16 @@ def summarize_trace(source) -> TraceSummary:
         }
     for rec in records:
         kind = rec.get("type")
-        if kind == "span":
-            summary.n_records += 1
-            name = str(rec.get("name", "?"))
-            if not live:
-                summary.spans.setdefault(name, SpanStats(name)).add(
-                    float(rec.get("dur", 0.0))
-                )
-            summary.max_depth = max(summary.max_depth, int(rec.get("depth", 0)))
-        elif kind == "event":
-            summary.n_records += 1
-            name = str(rec.get("name", "?"))
-            summary.events[name] = summary.events.get(name, 0) + 1
-        else:
+        if kind != "span":
             raise ExperimentError(
                 f"unrecognised trace record type {kind!r}; expected a trace "
-                "written by repro.obs (span/event records)"
+                "written by repro.obs (span records)"
             )
+        summary.n_records += 1
+        name = str(rec.get("name", "?"))
+        if not live:
+            summary.spans.setdefault(name, SpanStats(name)).add(
+                float(rec.get("dur", 0.0))
+            )
+        summary.max_depth = max(summary.max_depth, int(rec.get("depth", 0)))
     return summary

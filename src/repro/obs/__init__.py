@@ -2,18 +2,20 @@
 
 Behind one opt-in switch:
 
-* :mod:`repro.obs.trace` — nested spans + events into a ring buffer with
+* :mod:`repro.obs.trace` — nested spans into a ring buffer with
   JSON-lines export; spans are the one wall clock, and the tracer keeps
   per-name span totals that outlive its ring;
 * :mod:`repro.obs.metrics` — labelled counters/gauges/histograms exported
-  as one JSON document; the one place that holds a run's counters;
+  as one JSON document; the one place that holds a run's counters, which
+  loops publish once per loop or run from the state that holds them;
 * :mod:`repro.obs.sampler` — a bounded ring of registry deltas in logical
   time, always attached while recording, with a JSONL sink (the CLI's
   ``--sample``); :mod:`repro.obs.health` distils ``health_*`` gauges from
   live coverage/energy/protocol state for it;
-* :mod:`repro.obs.flightrec` — the flight log: causal per-node protocol
-  event logs that :mod:`repro.obs.replay` can deterministically re-execute
-  and verify.  Only a recording that asks for it keeps one (the CLI's
+* :mod:`repro.obs.flightrec` — the flight log, the one narrator of
+  events: causal per-node protocol event logs that
+  :mod:`repro.obs.replay` can deterministically re-execute and verify.
+  Only a recording that asks for it keeps one (the CLI's
   ``--flight-record``, ``decor replay``,
   :func:`~repro.obs.replay.record_protocol_run`).
 

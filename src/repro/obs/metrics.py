@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_left
 from typing import TypeVar, Union, cast
 
 from repro.errors import ObservabilityError
@@ -136,11 +137,8 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, edge in enumerate(_BUCKET_EDGES):
-            if value <= edge:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+        # the first bucket whose upper edge holds the value; NaN overflows
+        self.buckets[-1 if math.isnan(value) else bisect_left(_BUCKET_EDGES, value)] += 1
 
     @property
     def mean(self) -> float:

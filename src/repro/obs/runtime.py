@@ -11,8 +11,8 @@ contract:
   even formatted.  Instrumentation must never change results — it only
   observes.
 * **enabled** — via ``OBS.enable()`` (the CLI's recording flags do
-  this) — spans, events and metrics record into the runtime's
-  :class:`~repro.obs.trace.Tracer` and
+  this) — spans record into the runtime's
+  :class:`~repro.obs.trace.Tracer`, metrics into its
   :class:`~repro.obs.metrics.MetricsRegistry`, and every ``OBS.sample``
   hook records a row into its always-attached
   :class:`~repro.obs.sampler.MetricsSampler`.  The fourth pillar,
@@ -20,6 +20,11 @@ contract:
   only in a recording started with ``enable(fresh=True, flight=True)``;
   otherwise it is the shared :data:`NULL_FLIGHT`, so only runs that ask
   for a flight log keep its unbounded record list.
+
+Each fact is recorded by one pillar: spans time the layers, the flight log
+narrates events, and loops publish their counts to the registry once per
+loop or run, from the state that already holds them — a hot loop makes
+no facade call per item.
 
 The singleton is process-local state in the same sense as NumPy's global
 RNG: fine for a CLI run or a script, and tests that enable it must disable
@@ -126,10 +131,9 @@ class ObsRuntime:
     True
     >>> obs.enable()
     >>> with obs.span("figure", figure="fig08"):
-    ...     obs.event("placement", point=3)
     ...     obs.counter("decor_placements_total", method="centralized").inc()
-    >>> (obs.tracer.n_spans, obs.tracer.n_events)
-    (1, 1)
+    >>> obs.tracer.n_spans
+    1
     >>> obs.metrics.value("decor_placements_total", method="centralized")
     1
     >>> obs.disable()                       # records survive for export
@@ -209,11 +213,6 @@ class ObsRuntime:
         if not self.enabled:
             return NULL_SPAN
         return self.flight.run(protocol, **meta)
-
-    def event(self, name: str, **attrs: object) -> None:
-        if not self.enabled:
-            return
-        self.tracer.event(name, **attrs)
 
     def counter(self, name: str, **labels: object) -> MCounter | _NullInstrument:
         if not self.enabled:

@@ -1,15 +1,15 @@
-"""Lightweight tracing: nested spans and point events in a ring buffer.
+"""Lightweight tracing: nested spans in a ring buffer.
 
-A :class:`Tracer` records two kinds of entries:
+A :class:`Tracer` records **spans** — ``with tracer.span("series", k=3):``
+blocks timed with ``perf_counter``; spans nest, and every record carries
+its ``id``, ``parent`` id and ``depth`` so the figure → series → k →
+placement hierarchy of a sweep is reconstructible from the flat stream.
+What happened inside a span is not the tracer's: the flight log
+(:mod:`repro.obs.flightrec`) narrates events, the metrics registry counts
+them, and a placement run's :class:`~repro.core.result.PlacementTrace`
+holds every placement.
 
-* **spans** — ``with tracer.span("series", k=3):`` blocks timed with
-  ``perf_counter``; spans nest, and every record carries its ``id``,
-  ``parent`` id and ``depth`` so the figure → series → k → placement
-  hierarchy of a sweep is reconstructible from the flat stream;
-* **events** — ``tracer.event("placement", point=17, benefit=5.0)``
-  zero-duration marks attached to the currently open span.
-
-Entries land in a bounded ring buffer (oldest dropped first, with a
+Records land in a bounded ring buffer (oldest dropped first, with a
 ``dropped`` count) as plain dicts, exported as JSON lines — one record per
 line, greppable and streamable, no schema registry needed.  Span records
 are appended when the span *closes*, so a trace file lists children before
@@ -41,7 +41,7 @@ from repro.errors import ObservabilityError
 
 __all__ = ["Span", "SpanStats", "Tracer", "scrub"]
 
-#: Default ring-buffer capacity (records, spans + events).
+#: Default ring-buffer capacity (span records).
 DEFAULT_CAPACITY = 65536
 
 
@@ -169,7 +169,7 @@ class Span:
 
 
 class Tracer:
-    """Span/event recorder over a bounded ring buffer.
+    """Span recorder over a bounded ring buffer.
 
     Parameters
     ----------
@@ -183,14 +183,13 @@ class Tracer:
     >>> tracer = Tracer()
     >>> with tracer.span("figure", figure="fig08"):
     ...     with tracer.span("series", series="centralized") as sp:
-    ...         tracer.event("placement", point=3, benefit=5.0)
     ...         _ = sp.set(placed=1)
     >>> [r["name"] for r in tracer.records()]   # children close first
-    ['placement', 'series', 'figure']
-    >>> tracer.records()[1]["attrs"] == {"series": "centralized", "placed": 1}
+    ['series', 'figure']
+    >>> tracer.records()[0]["attrs"] == {"series": "centralized", "placed": 1}
     True
-    >>> (tracer.n_spans, tracer.n_events, tracer.dropped)
-    (2, 1, 0)
+    >>> (tracer.n_spans, tracer.dropped)
+    (2, 0)
 
     Per-name span totals outlive the ring:
 
@@ -211,7 +210,6 @@ class Tracer:
         self._ids = 0
         self._origin = perf_counter()
         self.n_spans = 0
-        self.n_events = 0
         self.dropped = 0
         #: ``name -> SpanStats`` over every span closed or absorbed,
         #: including those the ring has since evicted.
@@ -248,33 +246,12 @@ class Tracer:
         """A context manager timing one named, attributed block."""
         return Span(self, name, attrs)
 
-    def event(self, name: str, **attrs: object) -> None:
-        """Record a zero-duration event under the currently open span."""
-        self._append(
-            {
-                "type": "event",
-                "name": str(name),
-                "span": self._stack[-1] if self._stack else None,
-                "t": perf_counter() - self._origin,
-                "attrs": {k: scrub(v) for k, v in attrs.items()},
-            }
-        )
-        self.n_events += 1
-
     def __len__(self) -> int:
         return len(self._buffer)
 
     def records(self) -> list[dict]:
         """The retained records, oldest first (a copy; safe to mutate)."""
         return list(self._buffer)
-
-    def clear(self) -> None:
-        """Drop all retained records and reset the counters (open spans stay)."""
-        self._buffer.clear()
-        self.n_spans = 0
-        self.n_events = 0
-        self.dropped = 0
-        self.span_stats = {}
 
     # ------------------------------------------------------------------
     # cross-process aggregation
@@ -313,26 +290,21 @@ class Tracer:
 
         >>> parent, worker = Tracer(), Tracer()
         >>> with worker.span("cell", series="grid-small"):
-        ...     worker.event("placement", point=3)
+        ...     with worker.span("placement", method="grid"):
+        ...         pass
         >>> with parent.span("figure", figure="fig08"):
         ...     _ = parent.absorb(worker.records())
-        >>> [(r["name"], r.get("depth")) for r in parent.records()]
-        [('placement', None), ('cell', 1), ('figure', 0)]
+        >>> [(r["name"], r["depth"]) for r in parent.records()]
+        [('placement', 2), ('cell', 1), ('figure', 0)]
         >>> parent.records()[1]["parent"] == parent.records()[2]["id"]
         True
-        >>> overflowing = Tracer(capacity=1)
-        >>> for i in range(3):
-        ...     overflowing.event("tick", i=i)
-        >>> _ = parent.absorb(overflowing)
-        >>> parent.dropped
-        2
         >>> evicting = Tracer(capacity=1)
         >>> for _ in range(3):
         ...     with evicting.span("epoch"):
         ...         pass
         >>> _ = parent.absorb(evicting)         # ships 1 of its 3 spans
-        >>> parent.span_stats["epoch"].count
-        3
+        >>> (parent.dropped, parent.span_stats["epoch"].count)
+        (2, 3)
         """
         if isinstance(records, Tracer):
             if records is self:
@@ -340,26 +312,17 @@ class Tracer:
             dropped += records.dropped
             span_stats = records.span_stats
             records = records.records()
-        idmap: dict[int, int] = {}
-        for rec in records:
-            if rec.get("type") == "span":
-                idmap[rec["id"]] = self._take_id()
+        idmap = {rec["id"]: self._take_id() for rec in records}
         graft = self._stack[-1] if self._stack else None
         base_depth = len(self._stack)
         for rec in records:
             rec = dict(rec)
-            if rec.get("type") == "span":
-                rec["id"] = idmap[rec["id"]]
-                parent = rec.get("parent")
-                rec["parent"] = idmap[parent] if parent in idmap else graft
-                rec["depth"] = int(rec.get("depth", 0)) + base_depth
-                self.n_spans += 1
-                self._append(rec)
-            else:
-                span = rec.get("span")
-                rec["span"] = idmap[span] if span in idmap else graft
-                self.n_events += 1
-                self._append(rec)
+            rec["id"] = idmap[rec["id"]]
+            parent = rec.get("parent")
+            rec["parent"] = idmap[parent] if parent in idmap else graft
+            rec["depth"] = int(rec.get("depth", 0)) + base_depth
+            self.n_spans += 1
+            self._append(rec)
         self.dropped += int(dropped)
         for name, stats in (span_stats or {}).items():
             self._stats(name).merge(stats)

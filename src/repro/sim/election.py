@@ -120,8 +120,6 @@ class CellElectionNode(NodeProtocol):
             # ``changed`` marks actual leadership transitions for churn
             # analysis
             OBS.counter("leader_elections_total", cell=self.cell_id).inc()
-            OBS.event("leader_elected", cell=self.cell_id, round=round_no,
-                      leader=winner)
             OBS.flight.emit(
                 "elected", self.node_id, t=self.sim.now,
                 cell=self.cell_id, round=round_no, changed=changed,

@@ -163,7 +163,6 @@ class Radio:
         self.stats.sent[sender] += 1
         send_id = None
         if OBS.enabled:
-            OBS.counter("radio_sent_total", kind=kind, mode="broadcast").inc()
             send_id = OBS.flight.emit_send(
                 sender, t=self._sim.now, msg=kind, mode="broadcast",
                 receivers=len(receivers),
@@ -173,7 +172,6 @@ class Radio:
             if self._loss and self._rng is not None and self._rng.random() < self._loss:
                 self.stats.dropped[r] = self.stats.dropped.get(r, 0) + 1
                 if OBS.enabled:
-                    OBS.counter("radio_dropped_total", kind=kind, node=r).inc()
                     OBS.flight.emit("drop", r, t=self._sim.now, cause=send_id, msg=kind)
                 continue
             self._deliver(r, msg, send_id)
@@ -196,7 +194,6 @@ class Radio:
         self.stats.sent[sender] += 1
         send_id = None
         if OBS.enabled:
-            OBS.counter("radio_sent_total", kind=kind, mode="unicast").inc()
             send_id = OBS.flight.emit_send(
                 sender, t=self._sim.now, msg=kind, mode="unicast", to=receiver
             )
@@ -206,7 +203,6 @@ class Radio:
         if self._loss and self._rng is not None and self._rng.random() < self._loss:
             self.stats.dropped[receiver] = self.stats.dropped.get(receiver, 0) + 1
             if OBS.enabled:
-                OBS.counter("radio_dropped_total", kind=kind, node=receiver).inc()
                 OBS.flight.emit("drop", receiver, t=self._sim.now, cause=send_id, msg=kind)
             return False
         self._deliver(receiver, msg, send_id)

@@ -562,7 +562,6 @@ class TestObs001:
             def f(benefit):
                 if OBS.enabled:
                     OBS.counter("x").inc()
-                    OBS.event("placement", benefit=benefit)
                     OBS.histogram("greedy_round_benefit").observe(benefit)
             """,
         )
@@ -577,7 +576,7 @@ class TestObs001:
             def f():
                 if not OBS.enabled:
                     return
-                OBS.event("placement")
+                OBS.counter("decor_placements_total").inc()
             """,
         )
         assert findings == []
@@ -604,7 +603,7 @@ class TestObs001:
             def f():
                 if OBS.enabled:
                     def g():
-                        OBS.event("late")
+                        OBS.counter("late_total").inc()
                     return g
             """,
         )
@@ -626,7 +625,7 @@ class TestObs001:
     from repro.obs import OBS
 
     def emit_hit():
-        OBS.event("hit")
+        OBS.counter("hit_total").inc()
 
     def bad_caller():
         emit_hit()
@@ -639,7 +638,7 @@ class TestObs001:
     def test_unguarded_helper_flagged_at_touchpoint(self, tmp_path):
         findings = lint_tree(tmp_path, {"lib.py": self.LIB})
         assert _located(tmp_path, findings) == [
-            ("lib.py", _line_of(self.LIB, 'OBS.event("hit")'), "OBS001")
+            ("lib.py", _line_of(self.LIB, 'OBS.counter("hit_total")'), "OBS001")
         ]
 
     def test_aliased_receiver_resolved(self, tmp_path):
@@ -647,13 +646,13 @@ class TestObs001:
         from repro.obs import OBS as TELEMETRY
 
         def f():
-            TELEMETRY.event("hit")
+            TELEMETRY.gauge("hit").set(1.0)
             if TELEMETRY.enabled:
                 TELEMETRY.counter("x").inc()
         """
         findings = lint_tree(tmp_path, {"lib.py": code})
         assert _located(tmp_path, findings) == [
-            ("lib.py", _line_of(code, 'TELEMETRY.event("hit")'), "OBS001")
+            ("lib.py", _line_of(code, 'TELEMETRY.gauge("hit")'), "OBS001")
         ]
 
 

@@ -443,6 +443,25 @@ class TestCli:
         assert "reproduced byte-identically" in out
         assert svg.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("method", ["grid", "voronoi"])
+    def test_multi_epoch_restore_record_then_replay(self, tmp_path, capsys, method):
+        # each epoch's restoration block holds the repair's round-stamped
+        # placements between its fail and restored events
+        from repro.cli import main
+
+        path = tmp_path / "restore.jsonl"
+        code = main([
+            "restore", "--side", "50", "--points", "500", "--k", "2",
+            "--method", method, "--epochs", "3", "--seed", "0",
+            "--flight-record", str(path),
+        ])
+        assert code == 0
+        blocks = [r for r in load_stream(path) if r["type"] == "begin"]
+        assert [b["protocol"] for b in blocks].count("restoration") == 3
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 0
+        assert "reproduced byte-identically" in capsys.readouterr().out
+
     def test_replay_reports_mismatch(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -66,7 +66,6 @@ class TestDisabledIsInvisible:
         assert not OBS.enabled
         run_all_methods()
         assert len(OBS.tracer) == 0
-        assert OBS.tracer.n_events == 0
         assert OBS.metrics.as_dict() == {}
 
     def test_placements_bit_identical_enabled_vs_disabled(self):
@@ -91,7 +90,6 @@ class TestDisabledIsInvisible:
         assert OBS.counter("other") is counter
         with OBS.span("outer"):
             pass  # context-manager protocol works while disabled
-        OBS.event("ignored", x=1)
         assert len(OBS.tracer) == 0
 
 
@@ -103,15 +101,23 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("a") as a:
             with tracer.span("b"):
-                tracer.event("tick", n=1)
+                pass
         records = tracer.records()
-        # children close first: event, span b, span a
-        assert [r["type"] for r in records] == ["event", "span", "span"]
-        b, top = records[1], records[2]
+        # children close first: span b, span a
+        assert [r["name"] for r in records] == ["b", "a"]
+        b, top = records
         assert top["name"] == "a" and top["parent"] is None and top["depth"] == 0
         assert b["parent"] == top["id"] and b["depth"] == 1
-        assert records[0]["span"] == b["id"]
         assert a.attrs == {}
+
+    def test_tracer_keeps_spans_only(self):
+        # each event a run narrates is a flight record or a PlacementTrace
+        # row; the tracer and its facade have no event channel
+        assert not hasattr(OBS, "event") and not hasattr(Tracer(), "event")
+        OBS.enable(fresh=True)
+        run_all_methods()
+        OBS.disable()
+        assert {r["type"] for r in OBS.tracer.records()} == {"span"}
 
     def test_ring_buffer_drops_oldest(self):
         tracer = Tracer(capacity=3)
@@ -179,6 +185,26 @@ class TestMetrics:
         d = h.as_dict()
         assert d["count"] == 3 and d["min"] == 0.5 and d["max"] == 200.0
         assert d["sum"] == pytest.approx(202.0)
+
+    def test_histogram_bucket_is_first_edge_holding_the_value(self):
+        from repro.obs.metrics import _BUCKET_EDGES
+
+        def reference(value):
+            # the first bucket whose upper edge is >= value; else overflow
+            for i, edge in enumerate(_BUCKET_EDGES):
+                if value <= edge:
+                    return i
+            return len(_BUCKET_EDGES)
+
+        values = [e * f for e in _BUCKET_EDGES for f in (0.5, 1.0, 1.5)]
+        values += [-3.0, 0.0, 1e9, float("inf"), float("-inf"), float("nan")]
+        values += np.random.default_rng(0).uniform(-1.0, 3e6, 500).tolist()
+        h = Histogram()
+        expected = [0] * len(h.buckets)
+        for v in values:
+            h.observe(v)
+            expected[reference(v)] += 1
+        assert h.buckets == expected
 
     def test_as_dict_shape(self):
         reg = MetricsRegistry()
@@ -263,7 +289,7 @@ class TestSummarizeTrace:
         OBS.enable(fresh=True)
         with OBS.span("outer"):
             with OBS.span("inner"):
-                OBS.event("hit")
+                pass
             with OBS.span("inner"):
                 pass
         OBS.disable()
@@ -274,13 +300,16 @@ class TestSummarizeTrace:
         for s in (live, loaded):
             assert s.spans["inner"].count == 2
             assert s.spans["outer"].count == 1
-            assert s.events == {"hit": 1}
             assert s.max_depth == 1
-        assert "inner" in live.format() and "event hit: 1" in live.format()
+        assert "inner" in live.format()
+        assert live.format().splitlines()[0] == loaded.format().splitlines()[0]
 
     def test_unknown_record_type_rejected(self):
         with pytest.raises(ExperimentError):
             summarize_trace([{"type": "mystery"}])
+        # traces from before the tracer kept spans only held "event" records
+        with pytest.raises(ExperimentError, match="unrecognised trace record"):
+            summarize_trace([{"type": "event", "name": "placement"}])
 
     def test_totals_count_spans_the_ring_evicted(self):
         tracer = Tracer(capacity=2)
@@ -352,6 +381,73 @@ class TestCliExport:
         dump = json.loads(metrics.read_text())
         assert "decor_placements_total" in dump
         assert "field_model_builds_total" in dump
+
+
+# ----------------------------------------------------------------------
+# metrics published once per run, from the state that holds the counts
+# ----------------------------------------------------------------------
+class TestRunMetrics:
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_smoke_fig08_metrics_equal_its_results(self, workers):
+        from repro.experiments import ExperimentSetup
+        from repro.experiments.runner import DeploymentCache
+        from repro.experiments.setup import SERIES
+
+        setup = ExperimentSetup.smoke()
+        cells = [
+            (s, k, seed)
+            for s in SERIES for k in setup.k_values for seed in range(setup.n_seeds)
+        ]
+        cache = DeploymentCache(setup)
+        OBS.enable(fresh=True)
+        cache.prefill([(s.name, k, seed) for s, k, seed in cells], workers=workers)
+        OBS.disable()
+        results = [(s.method, cache.get(s, k, seed)) for s, k, seed in cells]
+
+        def value(name, **labels):
+            return OBS.metrics.value(name, **labels)
+
+        for method in {m for m, _ in results}:
+            # the Voronoi runs start on an empty field: their bootstrap
+            # seed is a placement too
+            assert value("decor_placements_total", method=method) == sum(
+                r.added_count for m, r in results if m == method
+            ), method
+        benefits = np.concatenate([r.trace.benefits for _, r in results])
+        assert OBS.metrics.histogram("greedy_round_benefit").count == int(
+            np.count_nonzero(benefits > 0.0)
+        )
+        for method, kind in (("grid", "border"), ("voronoi", "voronoi_notify")):
+            assert value("decor_messages_total", kind=kind) == sum(
+                int(r.trace.messages.sum()) for m, r in results if m == method
+            ), kind
+
+    def test_checking_a_run_leaves_its_work_counters_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # the sanitizer's reference engines are nobody's run: their benefit
+        # deltas are not the run's work
+        from repro.checks import CHECKS
+        from repro.cli import main
+
+        dumps = []
+        for checks in (False, True):
+            monkeypatch.setattr(CHECKS, "enabled", checks)
+            path = tmp_path / f"checks-{checks}.json"
+            assert main([
+                "restore", "--side", "50", "--points", "500", "--k", "2",
+                "--method", "centralized", "--epochs", "3", "--seed", "0",
+                "--metrics", str(path),
+            ]) == 0
+            dumps.append(json.loads(path.read_text()))
+        plain, checked = dumps
+        for name in (
+            "benefit_delta_updates_total",
+            "decor_placements_total",
+            "greedy_round_benefit",
+        ):
+            assert plain[name] == checked[name], name
+        assert plain["benefit_delta_updates_total"][""]["value"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -437,7 +533,8 @@ class TestTracerAbsorb:
         worker = Tracer()
         with worker.span("series", series="grid-small"):
             with worker.span("k", k=1):
-                worker.event("placement", point=3)
+                with worker.span("placement", method="grid"):
+                    pass
 
         parent = Tracer()
         with parent.span("figure", figure="fig08"):
@@ -448,11 +545,11 @@ class TestTracerAbsorb:
         prefill, series, k = recs["prefill"], recs["series"], recs["k"]
         assert series["parent"] == prefill["id"]
         assert k["parent"] == series["id"]
-        assert recs["placement"]["span"] == k["id"]
-        assert (series["depth"], k["depth"]) == (2, 3)
-        span_ids = [r["id"] for r in parent.records() if r["type"] == "span"]
+        assert recs["placement"]["parent"] == k["id"]
+        assert (series["depth"], k["depth"], recs["placement"]["depth"]) == (2, 3, 4)
+        span_ids = [r["id"] for r in parent.records()]
         assert len(span_ids) == len(set(span_ids))
-        assert parent.n_spans == 4 and parent.n_events == 1
+        assert parent.n_spans == 5
 
     def test_absorb_outside_any_span_grafts_to_root(self):
         worker = Tracer()
@@ -473,7 +570,8 @@ class TestTracerAbsorb:
         # after merging: its eviction count carries over automatically
         worker = Tracer(capacity=2)
         for i in range(5):
-            worker.event("tick", i=i)
+            with worker.span("tick", i=i):
+                pass
         assert worker.dropped == 3
 
         parent = Tracer()
