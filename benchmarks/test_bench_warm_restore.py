@@ -16,15 +16,17 @@ sides: the warm session accounts the deployed network once there (its
 warm-up, amortised over the sequence), after which steady-state epochs
 must make **>= 5x** fewer delta updates than cold.
 
-Wall-clock for the same scenario is recorded to ``results/`` (and
-ratcheted by ``tools/bench_ratchet.py``) but not gated here — timing
-belongs to the ratchet's generous tolerance, counters to this hard gate.
+The scenario and its delta counts are written to
+``results/<scale>/warm_restore.json``; every byte of it is deterministic,
+so a run leaves the tracked file unchanged.  Wall time is not recorded
+here: one sample per mode cannot be compared across recordings, and the
+end-to-end ``restore-epochs`` workload (``benchmarks/e2e``) times warm
+restoration instead.
 """
 
 from __future__ import annotations
 
 import json
-import time
 
 import numpy as np
 import pytest
@@ -51,14 +53,13 @@ WARM_UPDATES = 1_380
 COLD_UPDATES = 96_132
 
 
-def _updates_and_wall(warm: bool, setup, result, field, spec, k) -> tuple[int, float]:
-    """(steady-state benefit delta updates, total wall seconds) for one mode."""
+def _steady_updates(warm: bool, setup, result, field, spec, k) -> int:
+    """Steady-state benefit delta updates for one mode."""
     session = RestorationSession(
         field, spec, result.deployment, k, "centralized", warm=warm
     )
     OBS.enable(fresh=True)
     warmup = 0
-    t0 = time.perf_counter()
     try:
         for epoch in range(N_EPOCHS):
             center = setup.region.sample(
@@ -71,11 +72,10 @@ def _updates_and_wall(warm: bool, setup, result, field, spec, k) -> tuple[int, f
             if epoch == 0:
                 warmup = OBS.metrics.value("benefit_delta_updates_total")
     finally:
-        wall = time.perf_counter() - t0
         OBS.disable()
     total = OBS.metrics.value("benefit_delta_updates_total")
     OBS.reset()
-    return int(total - warmup), wall
+    return int(total - warmup)
 
 
 @pytest.fixture(scope="module")
@@ -92,12 +92,8 @@ def test_warm_restore_delta_update_reduction(fig08_scale_run):
     """Tentpole acceptance gate: >= 5x fewer benefit delta updates warm
     vs cold across steady-state small-disc failure epochs."""
     setup, result, field, spec, k = fig08_scale_run
-    warm_updates, warm_wall = _updates_and_wall(
-        True, setup, result, field, spec, k
-    )
-    cold_updates, cold_wall = _updates_and_wall(
-        False, setup, result, field, spec, k
-    )
+    warm_updates = _steady_updates(True, setup, result, field, spec, k)
+    cold_updates = _steady_updates(False, setup, result, field, spec, k)
     assert warm_updates > 0 and cold_updates > 0
     ratio = cold_updates / warm_updates
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -117,10 +113,6 @@ def test_warm_restore_delta_update_reduction(fig08_scale_run):
                     "warm": warm_updates,
                     "cold": cold_updates,
                     "ratio": round(ratio, 2),
-                },
-                "wall_seconds": {
-                    "warm": round(warm_wall, 4),
-                    "cold": round(cold_wall, 4),
                 },
             },
             indent=2,

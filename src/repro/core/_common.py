@@ -14,8 +14,8 @@ from repro.network.deployment import Deployment
 from repro.network.spec import SensorSpec
 from repro.obs import OBS
 
-__all__ = ["init_run", "finalize", "placement_budget", "publish_delta_updates",
-           "publish_placement_metrics"]
+__all__ = ["init_run", "finalize", "placement_budget", "placement_trace",
+           "publish_delta_updates", "publish_placement_metrics"]
 
 #: ``decor_messages_total`` kind of the messages a method's trace counts.
 _MESSAGE_KINDS = {"grid": "border", "voronoi": "voronoi_notify"}
@@ -134,6 +134,24 @@ def init_run(
         # warm-equals-cold contract; docs/static_analysis.md)
         validate_warm_engine(engine, deployment.alive_positions())
     return field, deployment, engine
+
+
+def placement_trace(
+    positions: np.ndarray,
+    benefits: list[float],
+    kcovered: list[int],
+    n_points: int,
+    proposer: list[int] | None = None,
+    messages: list[int] | None = None,
+) -> PlacementTrace:
+    """A loop's trace, built once from the columns it collected; row ``j``'s
+    covered fraction is the engine's k-covered count after placement ``j``
+    over ``n_points``.  One division of the whole column gives the same
+    doubles as dividing each count as it was taken: both are correctly
+    rounded quotients of exact integers."""
+    return PlacementTrace(
+        positions, benefits, np.divide(kcovered, n_points), proposer, messages
+    )
 
 
 def publish_delta_updates(engine: BenefitEngine) -> None:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checks import greedy_checker
-from repro.core._common import finalize, init_run, placement_budget
-from repro.core.result import DeploymentResult, PlacementTrace
+from repro.core._common import finalize, init_run, placement_budget, placement_trace
+from repro.core.result import DeploymentResult
 from repro.errors import PlacementError
 from repro.network.spec import SensorSpec
 from repro.obs import OBS
@@ -71,13 +71,14 @@ def centralized_greedy(
         benefit_mode=benefit_mode, engine=engine,
     )
     pts = field.points
-    trace = PlacementTrace()
-    added: list[int] = []
+    chosen: list[int] = []
+    benefits: list[float] = []
+    kcovered: list[int] = []
     budget = placement_budget(engine.n_points, k, max_nodes)
     checker = greedy_checker(engine, method="centralized")
     with OBS.span("placement", method="centralized", k=k) as span:
         while not engine.is_fully_covered():
-            if len(added) >= budget:
+            if len(chosen) >= budget:
                 if stop_at_budget:
                     break
                 raise PlacementError(
@@ -89,17 +90,18 @@ def centralized_greedy(
                 # impossible: a deficient point is its own candidate with b >= 1
                 raise PlacementError("no positive-benefit candidate remains")
             engine.place_at(idx)
-            pos = pts[idx]
-            added.append(deployment.add(pos))
-            trace.record(pos, benefit, engine.covered_fraction())
-            checker.after_step(len(added) - 1, idx, pos)
-        span.set(placed=len(added))
+            chosen.append(idx)
+            benefits.append(benefit)
+            kcovered.append(engine.n_kcovered)
+            checker.after_step(len(chosen) - 1, idx, pts[idx])
+        span.set(placed=len(chosen))
+    positions = pts[chosen]
     return finalize(
         method="centralized",
         k=k,
         engine=engine,
         deployment=deployment,
-        added_ids=np.asarray(added, dtype=np.intp),
-        trace=trace,
+        added_ids=deployment.add_many(positions),
+        trace=placement_trace(positions, benefits, kcovered, engine.n_points),
         params={"benefit_mode": benefit_mode},
     )

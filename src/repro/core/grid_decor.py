@@ -21,8 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checks import greedy_checker
-from repro.core._common import finalize, init_run, placement_budget
-from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
+from repro.core._common import finalize, init_run, placement_budget, placement_trace
+from repro.core.result import DeploymentResult, MessageStats
 from repro.errors import PlacementError
 from repro.field import as_field_model
 from repro.field.csr import sorted_unique
@@ -98,10 +98,16 @@ def grid_decor(
 
     points_by_cell = field.points_by_cell(region, cell_size)
     cell_of_point = field.cell_of(region, cell_size)
+    # border exchange: a sensor at point i informs the leader of every
+    # other cell its disc reaches (and, optionally, the base station)
+    indptr, _ = field.disk_cells(spec.sensing_radius, region, cell_size)
+    sends = (np.diff(indptr) - 1 + int(count_base_station_reports)).tolist()
 
-    trace = PlacementTrace()
-    added: list[int] = []
-    per_cell_msgs = np.zeros(partition.n_cells, dtype=np.int64)
+    chosen: list[int] = []
+    benefits: list[float] = []
+    kcovered: list[int] = []
+    proposers: list[int] = []
+    sent: list[int] = []
     budget = placement_budget(engine.n_points, k, max_nodes)
     checker = greedy_checker(engine, method="grid")
 
@@ -110,18 +116,18 @@ def grid_decor(
     with OBS.span("placement", method="grid", k=k, cell_size=float(cell_size)) as span, \
             OBS.run("grid_decor", k=int(k), cell_size=float(cell_size)) as frun:
         progress = True
+        counts = engine.counts
         while progress and not truncated:
             progress = False
             rounds += 1
             # only cells holding a deficient point at the round's start can
             # place in it (coverage only grows within a round)
             active = sorted_unique(cell_of_point[engine.deficient_indices()])
-            counts = engine.counts
             for cid in active.tolist():
                 cell_points = points_by_cell[cid]
                 if not (counts[cell_points] < k).any():
                     continue
-                if len(added) >= budget:
+                if len(chosen) >= budget:
                     if stop_at_budget:
                         truncated = True
                         break
@@ -137,23 +143,14 @@ def grid_decor(
                         f"cell {cid} has deficient points but zero benefit"
                     )
                 engine.place_at(idx)
-                pos = pts[idx]
-                added.append(deployment.add(pos))
-                # border exchange: inform every other cell the disc reaches
-                affected = partition.cells_intersecting_disk(
-                    pos, spec.sensing_radius
-                )
-                n_msgs = int(affected.size) - 1
-                if count_base_station_reports:
-                    n_msgs += 1
-                per_cell_msgs[cid] += n_msgs
-                trace.record(
-                    pos, benefit, engine.covered_fraction(),
-                    proposer=cid, messages=n_msgs,
-                )
-                checker.after_step(len(added) - 1, idx, pos)
+                n_msgs = sends[idx]
+                chosen.append(idx)
+                benefits.append(benefit)
+                kcovered.append(engine.n_kcovered)
+                proposers.append(cid)
+                sent.append(n_msgs)
+                checker.after_step(len(chosen) - 1, idx, pts[idx])
                 progress = True
-                counts = engine.counts  # refreshed view after mutation
                 if OBS.enabled:
                     # analytic rounds stand in for sim time; the acting
                     # "node" is the placing cell's leader, i.e. the cell id
@@ -162,13 +159,16 @@ def grid_decor(
                         cell=cid, point=int(idx), benefit=benefit,
                         messages=n_msgs,
                     )
-        span.set(placed=len(added), rounds=rounds,
-                 messages=int(per_cell_msgs.sum()))
-        frun.set(placed=len(added), rounds=rounds)
+        span.set(placed=len(chosen), rounds=rounds, messages=sum(sent))
+        frun.set(placed=len(chosen), rounds=rounds)
 
     if not truncated and not engine.is_fully_covered():  # pragma: no cover - defensive
         raise PlacementError("grid DECOR stalled before reaching full coverage")
 
+    positions = pts[chosen]
+    added_ids = deployment.add_many(positions)
+    per_cell_msgs = np.zeros(partition.n_cells, dtype=np.int64)
+    np.add.at(per_cell_msgs, proposers, sent)
     nodes_per_cell = np.zeros(partition.n_cells, dtype=np.int64)
     alive_pos = deployment.alive_positions()
     if len(alive_pos):
@@ -182,8 +182,10 @@ def grid_decor(
         k=k,
         engine=engine,
         deployment=deployment,
-        added_ids=np.asarray(added, dtype=np.intp),
-        trace=trace,
+        added_ids=added_ids,
+        trace=placement_trace(
+            positions, benefits, kcovered, engine.n_points, proposers, sent
+        ),
         messages=messages,
         params={"cell_size": float(cell_size)},
     )

@@ -23,8 +23,8 @@ import math
 
 import numpy as np
 
-from repro.core._common import finalize, init_run, placement_budget
-from repro.core.result import DeploymentResult, PlacementTrace
+from repro.core._common import finalize, init_run, placement_budget, placement_trace
+from repro.core.result import DeploymentResult
 from repro.errors import PlacementError
 from repro.field import as_field_model
 from repro.geometry.points import bounding_rect_of
@@ -127,11 +127,11 @@ def lattice_placement(
         raise PlacementError(f"k must be >= 1, got {k}")
 
     _, deployment, engine = init_run(field, spec, k, None)
-    trace = PlacementTrace()
-    added: list[int] = []
+    sites: list[np.ndarray] = []
+    layers: list[int] = []
+    kcovered: list[int] = []
     budget = placement_budget(engine.n_points, k, max_nodes)
 
-    topup = 0
     with OBS.span("placement", method="lattice", k=k) as span:
         for layer in range(k):
             phase = layer / k
@@ -142,18 +142,19 @@ def lattice_placement(
                 # they sit in the margin band and would be pure waste
                 if field.query_ball(pos, spec.sensing_radius).size == 0:
                     continue
-                if len(added) >= budget:
+                if len(kcovered) >= budget:
                     raise PlacementError(
                         f"lattice placement exceeded its budget of {budget} nodes"
                     )
                 engine.add_sensor_at_position(pos)
-                added.append(deployment.add(pos))
-                trace.record(
-                    pos, float("nan"), engine.covered_fraction(), proposer=layer
-                )
+                sites.append(pos)
+                layers.append(layer)
+                kcovered.append(engine.n_kcovered)
 
+        chosen: list[int] = []
+        benefits: list[float] = []
         while not engine.is_fully_covered():
-            if len(added) >= budget:
+            if len(kcovered) >= budget:
                 raise PlacementError(
                     f"lattice top-up exceeded its budget of {budget} nodes"
                 )
@@ -162,18 +163,25 @@ def lattice_placement(
             if benefit <= 0.0:  # pragma: no cover - impossible with deficiency
                 raise PlacementError("no positive-benefit top-up remains")
             engine.place_at(idx)
-            pos = pts[idx]
-            added.append(deployment.add(pos))
-            trace.record(pos, benefit, engine.covered_fraction(), proposer=-1)
-            topup += 1
-        span.set(placed=len(added), topup=topup)
+            chosen.append(idx)
+            benefits.append(benefit)
+            kcovered.append(engine.n_kcovered)
+        topup = len(chosen)
+        span.set(placed=len(kcovered), topup=topup)
 
+    positions = np.concatenate((np.reshape(sites, (-1, 2)), pts[chosen]))
     return finalize(
         method="lattice",
         k=k,
         engine=engine,
         deployment=deployment,
-        added_ids=np.asarray(added, dtype=np.intp),
-        trace=trace,
+        added_ids=deployment.add_many(positions),
+        trace=placement_trace(
+            positions,
+            [float("nan")] * len(sites) + benefits,
+            kcovered,
+            engine.n_points,
+            layers + [-1] * topup,
+        ),
         params={"topup": topup},
     )

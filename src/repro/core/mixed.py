@@ -258,7 +258,9 @@ def mixed_centralized_greedy(
         covered = engine.add_external(pos, rs)
         coverage.add_sensor_with_cover(-(i + 1), covered)
 
-    trace = PlacementTrace()
+    chosen: list[int] = []
+    benefits: list[float] = []
+    fractions: list[float] = []
     placed_types: list[str] = []
     type_index = {t.name: i for i, t in enumerate(types)}
     catalog = {t.name: t for t in types}
@@ -274,15 +276,17 @@ def mixed_centralized_greedy(
             if benefit <= 0.0:
                 raise PlacementError("no positive-benefit placement remains")
             covered = engine.place(name, idx)
-            pos = pts[idx]
-            nid = deployment.add(pos, name)
+            nid = deployment.add(pts[idx], name)
             coverage.add_sensor_with_cover(nid, covered)
             placed_types.append(name)
             total_cost += catalog[name].cost
-            trace.record(
-                pos, benefit, engine.covered_fraction(), proposer=type_index[name]
-            )
+            chosen.append(idx)
+            benefits.append(benefit)
+            fractions.append(engine.covered_fraction())
         span.set(placed=len(placed_types), cost=total_cost)
+    trace = PlacementTrace(
+        pts[chosen], benefits, fractions, [type_index[name] for name in placed_types]
+    )
     publish_placement_metrics("mixed", trace)
 
     return MixedDeploymentResult(

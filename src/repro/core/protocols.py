@@ -97,13 +97,12 @@ class GridLeaderProtocol(NodeProtocol):
 class _Harness:
     """Shared state driving the per-leader protocol instances."""
 
-    def __init__(self, engine, pts, partition, points_by_cell, spec, k, budget,
+    def __init__(self, engine, disk_cells, points_by_cell, k, budget,
                  round_period: float):
         self.engine = engine
-        self.pts = pts
-        self.partition = partition
+        #: ``(indptr, cells)``: the cells a sensor at each field point reaches
+        self.disk_cells = disk_cells
         self.points_by_cell = points_by_cell
-        self.spec = spec
         self.k = k
         self.budget = budget
         self.round_period = round_period
@@ -136,11 +135,9 @@ class _Harness:
         self.engine.place_at(idx)
         self.placed_points.append(int(idx))
         self.placed_by_cell.setdefault(leader.cell_id, []).append(int(idx))
-        pos = self.pts[idx]
-        affected = self.partition.cells_intersecting_disk(
-            pos, self.spec.sensing_radius
-        )
-        neighbors = [int(c) for c in affected if int(c) != leader.cell_id]
+        indptr, cells = self.disk_cells
+        reached = cells[indptr[idx]:indptr[idx + 1]].tolist()
+        neighbors = [c for c in reached if c != leader.cell_id]
         return int(idx), neighbors
 
 
@@ -211,7 +208,8 @@ def run_grid_protocol(
     sim = Simulator()
     radio = Radio(sim, spec.communication_radius, delay=radio_delay)
     harness = _Harness(
-        engine, pts, partition, points_by_cell, spec, k, budget, round_period
+        engine, field.disk_cells(spec.sensing_radius, region, cell_size),
+        points_by_cell, k, budget, round_period,
     )
 
     leaders: list[GridLeaderProtocol] = []

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core._common import finalize, init_run, placement_budget
-from repro.core.result import DeploymentResult, PlacementTrace
+from repro.core._common import finalize, init_run, placement_budget, placement_trace
+from repro.core.result import DeploymentResult
 from repro.errors import PlacementError
 from repro.geometry.points import bounding_rect_of
 from repro.geometry.region import Rect
@@ -72,34 +72,38 @@ def random_placement(
     )
     if region is None:
         region = bounding_rect_of(field.points)
-    trace = PlacementTrace()
-    added: list[int] = []
+    drops: list[np.ndarray] = []  # the used prefix of each batch
+    kcovered: list[int] = []
     budget = placement_budget(engine.n_points, k, max_nodes)
     with OBS.span("placement", method="random", k=k) as span:
         while not engine.is_fully_covered():
-            if len(added) >= budget:
+            if len(kcovered) >= budget:
                 if stop_at_budget:
                     break
                 raise PlacementError(
                     f"random placement exceeded its budget of {budget} nodes"
                 )
-            batch = region.sample(min(batch_size, budget - len(added)), rng)
+            batch = region.sample(min(batch_size, budget - len(kcovered)), rng)
             # one ball query per batch; off-field drops cover no point but
             # still get their accounting row
             rows = field.query_ball_many(batch, engine.sensing_radius)
+            placed = len(kcovered)
             for pos, row in zip(batch, rows):
                 engine.add_sensor_at_position(pos, covered=row)
-                added.append(deployment.add(pos))
-                trace.record(pos, 0.0, engine.covered_fraction())
+                kcovered.append(engine.n_kcovered)
                 if engine.is_fully_covered():
                     break
-        span.set(placed=len(added))
+            drops.append(batch[: len(kcovered) - placed])
+        span.set(placed=len(kcovered))
+    positions = np.concatenate(drops) if drops else np.empty((0, 2))
     return finalize(
         method="random",
         k=k,
         engine=engine,
         deployment=deployment,
-        added_ids=np.asarray(added, dtype=np.intp),
-        trace=trace,
+        added_ids=deployment.add_many(positions),
+        trace=placement_trace(
+            positions, np.zeros(len(kcovered)), kcovered, engine.n_points
+        ),
         params={"region": (region.x0, region.y0, region.x1, region.y1)},
     )

@@ -10,6 +10,7 @@ curves) and, for the distributed variants, :class:`MessageStats`
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,83 +23,64 @@ __all__ = ["PlacementTrace", "MessageStats", "DeploymentResult"]
 
 
 class PlacementTrace:
-    """Append-only per-placement log, kept as NumPy columns.
+    """Per-placement log, kept as five NumPy columns.
 
-    Records, for every node the algorithm adds: its position, the benefit it
-    was chosen with, the k-coverage fraction right after the placement, the
-    cell/owner that proposed it (or -1) and the messages the placement cost.
-    The five columns live in capacity-doubling arrays (amortised O(1)
-    appends, as in :class:`~repro.network.deployment.Deployment`), so a
-    pickled trace is five buffers holding the filled rows, not five lists
-    of Python objects.  The properties return copies of the filled rows.
+    Row ``j`` describes the ``j``-th node the algorithm added: its
+    position, the benefit it was chosen with, the k-coverage fraction right
+    after the placement, the cell/owner that proposed it (-1 for none) and
+    the messages the placement cost.  A placement loop collects the columns
+    as plain values and builds the trace once, after the loop; the columns
+    are exactly sized, so a pickled trace is five buffers.  The properties
+    return copies.
     """
 
-    _INITIAL_CAPACITY = 64
-    _COLUMNS = ("_positions", "_benefits", "_covered_fraction", "_proposer", "_messages")
-
-    def __init__(self) -> None:
-        cap = self._cap = self._INITIAL_CAPACITY
-        self._n = 0
-        self._positions = np.empty((cap, 2), dtype=np.float64)
-        self._benefits = np.empty(cap, dtype=np.float64)
-        self._covered_fraction = np.empty(cap, dtype=np.float64)
-        self._proposer = np.empty(cap, dtype=np.intp)
-        self._messages = np.empty(cap, dtype=np.intp)
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__, _cap=self._n)
-        for name in self._COLUMNS:
-            state[name] = state[name][: self._n]
-        return state
-
-    def _grow(self) -> None:
-        self._cap = max(2 * self._cap, self._INITIAL_CAPACITY)
-        for name in self._COLUMNS:
-            old = getattr(self, name)
-            new = np.empty((self._cap,) + old.shape[1:], dtype=old.dtype)
-            new[: self._n] = old[: self._n]
-            setattr(self, name, new)
-
-    def record(
+    def __init__(
         self,
-        position: np.ndarray,
-        benefit: float,
-        covered_fraction: float,
-        proposer: int = -1,
-        messages: int = 0,
+        positions: Sequence[Sequence[float]] | np.ndarray = (),
+        benefits: Sequence[float] | np.ndarray = (),
+        covered_fraction: Sequence[float] | np.ndarray = (),
+        proposer: Sequence[int] | np.ndarray | None = None,
+        messages: Sequence[int] | np.ndarray | None = None,
     ) -> None:
-        n = self._n
-        if n == self._cap:
-            self._grow()
-        self._positions[n] = position
-        self._benefits[n] = benefit
-        self._covered_fraction[n] = covered_fraction
-        self._proposer[n] = proposer
-        self._messages[n] = messages
-        self._n = n + 1
+        self._positions = np.array(positions, dtype=np.float64).reshape(-1, 2)
+        n = len(self._positions)
+        self._benefits = np.array(benefits, dtype=np.float64)
+        self._covered_fraction = np.array(covered_fraction, dtype=np.float64)
+        self._proposer = np.array(
+            np.full(n, -1) if proposer is None else proposer, dtype=np.intp
+        )
+        self._messages = np.array(
+            np.zeros(n) if messages is None else messages, dtype=np.intp
+        )
+        columns = (self._benefits, self._covered_fraction, self._proposer, self._messages)
+        if any(column.shape != (n,) for column in columns):
+            raise ExperimentError(
+                f"trace columns must each hold {n} rows, got "
+                f"{[column.shape for column in columns]}"
+            )
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._positions)
 
     @property
     def positions(self) -> np.ndarray:
-        return self._positions[: self._n].copy()
+        return self._positions.copy()
 
     @property
     def benefits(self) -> np.ndarray:
-        return self._benefits[: self._n].copy()
+        return self._benefits.copy()
 
     @property
     def covered_fraction(self) -> np.ndarray:
-        return self._covered_fraction[: self._n].copy()
+        return self._covered_fraction.copy()
 
     @property
     def proposer(self) -> np.ndarray:
-        return self._proposer[: self._n].copy()
+        return self._proposer.copy()
 
     @property
     def messages(self) -> np.ndarray:
-        return self._messages[: self._n].copy()
+        return self._messages.copy()
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core._common import placement_trace
 from repro.core.benefit import BenefitEngine
 from repro.core.result import PlacementTrace
 from repro.errors import ConfigurationError, PlacementError
@@ -161,14 +162,16 @@ def variable_k_greedy(
     else:
         deployment = Deployment()
 
-    trace = PlacementTrace()
+    chosen: list[int] = []
+    benefits: list[float] = []
+    kcovered: list[int] = []
     budget = (
         max_nodes if max_nodes is not None else int(req.sum()) + 1024
     )
     if budget < 1:
         raise PlacementError(f"max_nodes must be >= 1, got {max_nodes}")
     while not engine.is_fully_covered():
-        if len(trace) >= budget:
+        if len(chosen) >= budget:
             raise PlacementError(
                 f"variable-k greedy exceeded its budget of {budget} nodes"
             )
@@ -177,13 +180,15 @@ def variable_k_greedy(
         if benefit <= 0.0:  # pragma: no cover - a deficient point self-scores
             raise PlacementError("no positive-benefit candidate remains")
         engine.place_at(idx)
-        pos = pts[idx]
-        deployment.add(pos)
-        trace.record(pos, benefit, engine.covered_fraction())
+        chosen.append(idx)
+        benefits.append(benefit)
+        kcovered.append(engine.n_kcovered)
+    positions = pts[chosen]
+    deployment.add_many(positions)
     return VariableKResult(
         requirement=req.copy(),
         deployment=deployment,
         counts=engine.counts.copy(),
-        trace=trace,
+        trace=placement_trace(positions, benefits, kcovered, engine.n_points),
         params={"max_requirement": int(req.max()), "min_requirement": int(req.min())},
     )

@@ -24,9 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.checks import greedy_checker
-from repro.core._common import finalize, init_run, placement_budget
+from repro.core._common import finalize, init_run, placement_budget, placement_trace
 from repro.core.benefit import BenefitEngine
-from repro.core.result import DeploymentResult, MessageStats, PlacementTrace
+from repro.core.result import DeploymentResult, MessageStats
 from repro.errors import PlacementError
 from repro.field.csr import sorted_unique
 from repro.geometry.voronoi import VoronoiOwnership
@@ -136,24 +136,32 @@ def voronoi_decor(
         field_points, spec, k, initial_positions, engine=engine
     )
     pts = field.points
-    trace = PlacementTrace()
-    added: list[int] = []
+    n_initial = deployment.n_total
+    chosen: list[int] = []
+    benefits: list[float] = []
+    kcovered: list[int] = []
+    proposers: list[int] = []
+    sent: list[int] = []
 
     if deployment.n_alive == 0:
         seed_idx = engine.argmax()
-        seed_pos = pts[seed_idx]
         engine.place_at(seed_idx)
-        added.append(deployment.add(seed_pos))
-        trace.record(seed_pos, float("nan"), engine.covered_fraction(), proposer=-1)
+        deployment.add(pts[seed_idx])
+        chosen.append(seed_idx)
+        benefits.append(float("nan"))
+        kcovered.append(engine.n_kcovered)
+        proposers.append(-1)
+        sent.append(0)
+    seeded = deployment.n_total - n_initial  # 1 after a bootstrap seed
 
     # site ids in the ownership structure correspond 1:1 to deployment node
-    # ids here (all nodes alive, created in the same order).
+    # ids: the sites start as the (all alive) nodes so far, and the loop's
+    # nodes join the deployment after it in site order
     ownership = VoronoiOwnership(pts, deployment.alive_positions())
 
     rc = spec.communication_radius
     budget = placement_budget(engine.n_points, k, max_nodes)
     checker = greedy_checker(engine, method="voronoi")
-    per_node_msgs: list[int] = [0] * deployment.n_total
 
     rounds = 0
     truncated = False
@@ -163,6 +171,8 @@ def voronoi_decor(
         "voronoi_decor", k=int(k), rc=float(spec.communication_radius)
     ) as frun:
         progress = True
+        owner = ownership.owner
+        counts = engine.counts
         while progress and not truncated:
             progress = False
             rounds += 1
@@ -170,27 +180,26 @@ def voronoi_decor(
             # place in it: cells only shrink within a round (sites added now
             # join the next one) and coverage only grows, so a site's cell is
             # its start-of-round cell filtered by the current owner
-            owner = ownership.owner
             active = sorted_unique(owner[engine.deficient_indices()])
             order = np.argsort(owner, kind="stable")
             los, his = np.searchsorted(owner[order], (active, active + 1)).tolist()
             for site, lo, hi in zip(active.tolist(), los, his):
                 owned = order[lo:hi]
                 owned = owned[owner[owned] == site]
-                if not (engine.counts[owned] < k).any():
+                if not (counts[owned] < k).any():
                     continue
-                if len(added) >= budget:
+                if len(chosen) >= budget:
                     if stop_at_budget:
                         truncated = True
                         break
                     raise PlacementError(
                         f"Voronoi DECOR exceeded its budget of {budget} nodes"
                     )
-                benefits = local_voronoi_benefit(
+                scores = local_voronoi_benefit(
                     engine, ownership, rc, site, ownership.site_position(site), owned
                 )
-                best = int(benefits.argmax())
-                benefit = float(benefits[best])
+                best = int(scores.argmax())
+                benefit = float(scores[best])
                 if benefit <= 0.0:
                     # a deficient owned point scores at least its own deficiency
                     raise PlacementError(
@@ -199,22 +208,16 @@ def voronoi_decor(
                 idx = int(owned[best])
                 engine.place_at(idx)
                 pos = pts[idx]
-                nid = deployment.add(pos)
-                added.append(nid)
                 sid, stolen = ownership.add_site(pos)
                 # notify the alive nodes within rc of the new sensor (sites
                 # are the deployment's nodes 1:1); the count includes it
                 n_msgs = ownership.count_alive_within(sid, rc) - 1
-                per_node_msgs.append(0)  # slot for the new node
-                per_node_msgs[site] += n_msgs
-                trace.record(
-                    pos,
-                    benefit,
-                    engine.covered_fraction(),
-                    proposer=site,
-                    messages=n_msgs,
-                )
-                checker.after_step(len(added) - 1, idx, pos)
+                chosen.append(idx)
+                benefits.append(benefit)
+                kcovered.append(engine.n_kcovered)
+                proposers.append(site)
+                sent.append(n_msgs)
+                checker.after_step(len(chosen) - 1, idx, pos)
                 progress = True
                 if OBS.enabled:
                     # analytic rounds stand in for sim time; the acting
@@ -224,18 +227,22 @@ def voronoi_decor(
                         point=idx, benefit=benefit, messages=n_msgs,
                     )
                     OBS.flight.emit(
-                        "handoff", nid, t=float(rounds), cause=None,
+                        "handoff", sid, t=float(rounds), cause=None,
                         from_site=int(site),
                         points_owned=int(stolen.size),
                     )
-        span.set(placed=len(added), rounds=rounds,
-                 messages=int(sum(per_node_msgs)))
-        frun.set(placed=len(added), rounds=rounds)
+        span.set(placed=len(chosen), rounds=rounds, messages=sum(sent))
+        frun.set(placed=len(chosen), rounds=rounds)
 
     if not truncated and not engine.is_fully_covered():  # pragma: no cover - defensive
         raise PlacementError("Voronoi DECOR stalled before reaching full coverage")
 
-    msgs = np.asarray(per_node_msgs, dtype=np.int64)
+    positions = pts[chosen]
+    deployment.add_many(positions[seeded:])
+    # the notifications each node sent, one entry per node (every node is
+    # its own cell)
+    msgs = np.zeros(deployment.n_total, dtype=np.int64)
+    np.add.at(msgs, proposers[seeded:], sent[seeded:])
     messages = MessageStats(
         per_cell=msgs, nodes_per_cell=np.ones_like(msgs)
     )
@@ -244,8 +251,10 @@ def voronoi_decor(
         k=k,
         engine=engine,
         deployment=deployment,
-        added_ids=np.asarray(added, dtype=np.intp),
-        trace=trace,
+        added_ids=np.arange(n_initial, deployment.n_total, dtype=np.intp),
+        trace=placement_trace(
+            positions, benefits, kcovered, engine.n_points, proposers, sent
+        ),
         messages=messages,
         params={"rc": float(spec.communication_radius)},
     )

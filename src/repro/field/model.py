@@ -19,6 +19,7 @@ grid partition        ``(region, cell_w, cell_h)``             ``partition``
 cell assignment       ``(region, cell_w, cell_h)``             ``cells``
 points by cell        ``(region, cell_w, cell_h)``             ``points_by_cell``
 same-cell adjacency   ``(radius, region, cell_w, cell_h)``     ``same_cell_adjacency``
+cells each disc hits  ``(radius, region, cell_w, cell_h)``     ``disk_cells``
 dense probe grid      ``(region, resolution)``                 ``probe_grid``
 ====================  =======================================  ============
 
@@ -177,6 +178,7 @@ class FieldModel:
         self._cells: dict[tuple, np.ndarray] = {}
         self._points_by_cell: dict[tuple, list[np.ndarray]] = {}
         self._same_cell: dict[tuple, Adjacency] = {}
+        self._disk_cells: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self._probe_grids: dict[tuple, np.ndarray] = {}
         # artifacts adopted from elsewhere (shared-memory segments posted
         # by repro.parallel.shm); consumed lazily so the build/hit counter
@@ -398,6 +400,33 @@ class FieldModel:
         else:
             self.stats.hits["same_cell_adjacency"] += 1
         return self._same_cell[key]
+
+    def disk_cells(
+        self,
+        radius: float,
+        region: Rect,
+        cell_width: float,
+        cell_height: float | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The cells a disc of ``radius`` around each field point reaches,
+        as the CSR ``(indptr, cells)`` of
+        :meth:`~repro.geometry.grid.GridPartition.cells_intersecting_disks`
+        (§3.3's border exchange: a sensor placed at point ``i`` informs the
+        leaders of ``cells[indptr[i]:indptr[i + 1]]`` other than its own).
+        """
+        ch = cell_width if cell_height is None else cell_height
+        key = (float(radius), *_partition_key(region, cell_width, ch))
+        if key not in self._disk_cells:
+            self.stats.builds["disk_cells"] += 1
+            # a fresh partition: the memoised one would count a hit here
+            partition = GridPartition(region, cell_width, ch)
+            built = partition.cells_intersecting_disks(self._points, radius)
+            for array in built:
+                array.flags.writeable = False
+            self._disk_cells[key] = built
+        else:
+            self.stats.hits["disk_cells"] += 1
+        return self._disk_cells[key]
 
     # ------------------------------------------------------------------
     # dense probes

@@ -1,12 +1,14 @@
 """A mutable sensor deployment: positions plus an alive mask.
 
-Placement algorithms append nodes one at a time (hundreds to thousands per
-run), so positions live in a capacity-doubling buffer for amortised O(1)
-appends — per the optimisation guides, no per-step reallocation in the hot
-loop.  A pickle (every pooled result carries its deployment) holds only the
-filled rows, as :class:`~repro.core.result.PlacementTrace`'s does.  Node ids
-are stable for the lifetime of the deployment; failures flip the alive mask
-rather than compacting the arrays.
+Placement loops no longer append one node at a time: a loop collects the
+field points it chose and adds them after the loop as one
+:meth:`Deployment.add_many` block, validated once.  Single :meth:`add`
+calls remain where an id is needed at once (the Voronoi bootstrap seed,
+the availability simulator's replacements).  Positions live in a
+capacity-doubling buffer, so growth across repairs stays amortised O(1).
+A pickle (every pooled result carries its deployment) holds only the
+filled rows.  Node ids are stable for the lifetime of the deployment;
+failures flip the alive mask rather than compacting the arrays.
 """
 
 from __future__ import annotations

@@ -362,13 +362,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-    def reset(self) -> None:
-        self._instruments.clear()
-        self._types.clear()
-        self._series_count.clear()
-        self._touched.clear()
-        self.ops = 0
-
     # ------------------------------------------------------------------
     # touched-key tracking (the sampler's delta source)
     # ------------------------------------------------------------------

@@ -15,16 +15,26 @@ class TestPlacementTrace:
         assert trace.positions.shape == (0, 2)
         assert trace.benefits.shape == (0,)
 
-    def test_record_and_views(self):
-        trace = PlacementTrace()
-        trace.record(np.array([1.0, 2.0]), 3.0, 0.5, proposer=7, messages=2)
-        trace.record(np.array([4.0, 5.0]), 1.0, 1.0)
+    def test_columns_and_views(self):
+        trace = PlacementTrace(
+            [[1.0, 2.0], [4.0, 5.0]], [3.0, 1.0], [0.5, 1.0],
+            proposer=[7, -1], messages=[2, 0],
+        )
         assert len(trace) == 2
         np.testing.assert_allclose(trace.positions, [[1.0, 2.0], [4.0, 5.0]])
         assert trace.benefits.tolist() == [3.0, 1.0]
         assert trace.covered_fraction.tolist() == [0.5, 1.0]
         assert trace.proposer.tolist() == [7, -1]
         assert trace.messages.tolist() == [2, 0]
+
+    def test_proposer_and_messages_default_to_none(self):
+        trace = PlacementTrace([[1.0, 2.0]], [3.0], [0.5])
+        assert trace.proposer.tolist() == [-1]
+        assert trace.messages.tolist() == [0]
+
+    def test_columns_must_align(self):
+        with pytest.raises(ExperimentError):
+            PlacementTrace([[1.0, 2.0]], [3.0, 1.0], [0.5])
 
 
 class TestMessageStats:
@@ -69,7 +79,12 @@ class TestDeploymentResult:
 
     def test_trajectory_rejects_inconsistent_trace(self, field, spec):
         result = centralized_greedy(field, spec, 1)
-        result.trace.record(np.zeros(2), 0.0, 1.0)  # corrupt it
+        trace = result.trace
+        result.trace = PlacementTrace(  # corrupt it: one row too many
+            np.vstack([trace.positions, np.zeros((1, 2))]),
+            np.append(trace.benefits, 0.0),
+            np.append(trace.covered_fraction, 1.0),
+        )
         with pytest.raises(ExperimentError):
             result.coverage_trajectory()
 

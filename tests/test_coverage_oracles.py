@@ -15,7 +15,10 @@ DECOR's trace against the proposing site's knowledge-limited Eq. 1, with
 cells, knowledge and notifications recomputed from dense distances, and
 grid DECOR's trace against Eq. 1 restricted to the proposing cell, with
 cells and border messages recomputed by floor division and
-point-to-rectangle distances.  Every method's result coverage (each
+point-to-rectangle distances.  The columns each loop builds after it
+are pinned for every method, random and lattice placement included: the
+trace's covered fraction after each row, the deployment's added rows and
+the messages per proposing cell or site.  Every method's result coverage (each
 sensor's covered points and the counts) and the restoration reports are
 then checked against a brute-force dense-distance count
 (:func:`tests.oracles.dense_cover`) that shares no ``FieldModel`` or
@@ -39,6 +42,8 @@ from repro.core import (
     RestorationSession,
     centralized_greedy,
     grid_decor,
+    lattice_placement,
+    random_placement,
     restore,
     voronoi_decor,
 )
@@ -55,8 +60,42 @@ RS = 4.0
 def brute_fraction(points: np.ndarray, positions: np.ndarray, k: int) -> float:
     """k-covered fraction of ``points`` by sensors at ``positions``, from
     plain pairwise distances."""
-    counts = dense_cover(points, positions, RS).sum(axis=0)
+    return brute_fraction_at(points, positions, RS, k)
+
+
+def brute_fraction_at(
+    points: np.ndarray, positions: np.ndarray, rs: float, k: int
+) -> float:
+    """:func:`brute_fraction` for sensing radius ``rs``."""
+    counts = dense_cover(points, positions, rs).sum(axis=0)
     return float(np.count_nonzero(counts >= k)) / len(points)
+
+
+def assert_columns_follow_dense(
+    points: np.ndarray, result, rs: float, k: int, initial: np.ndarray
+) -> None:
+    """The columns a placement loop builds after it: the deployment's added
+    rows are the trace's positions, and row ``j``'s covered fraction is the
+    k-covered fraction, by dense distances, of the initial sensors plus
+    the first ``j + 1`` added ones."""
+    trace = result.trace
+    positions = trace.positions
+    assert np.array_equal(result.deployment.positions[result.added_ids], positions)
+    sensors = np.concatenate([np.reshape(initial, (-1, 2)), positions])
+    counts = np.cumsum(dense_cover(points, sensors, rs), axis=0)
+    after = counts[len(sensors) - len(positions):]
+    expected = np.count_nonzero(after >= k, axis=1) / len(points)
+    np.testing.assert_array_equal(trace.covered_fraction, expected)
+
+
+def messages_by_proposer(trace, n: int) -> np.ndarray:
+    """The trace's messages summed per proposing cell or site (rows
+    without a proposer send none)."""
+    proposer, messages = trace.proposer, trace.messages
+    assert not messages[proposer < 0].any()
+    out = np.zeros(n, dtype=np.int64)
+    np.add.at(out, proposer[proposer >= 0], messages[proposer >= 0])
+    return out
 
 
 # exact-distance partner offsets, as multiples of rs (exact for rs in 5, 10)
@@ -196,6 +235,7 @@ def test_centralized_trace_follows_naive_eq1(mode, case, k):
         np.testing.assert_array_equal(recorded[step], gains[best])
     # the loop stops exactly when no candidate has positive benefit left
     assert not naive_eq1(points, placed, rs, k, mode).any()
+    assert_columns_follow_dense(points, result, rs, k, np.empty((0, 2)))
 
 
 @st.composite
@@ -276,6 +316,12 @@ def test_voronoi_trace_follows_knowledge_limited_eq1(case):
         sites.append(positions[step])
     d2 = ((points[:, None, :] - np.array(sites)[None, :, :]) ** 2).sum(axis=-1)
     assert ((d2 <= rs * rs).sum(axis=1) >= k).all()
+    assert_columns_follow_dense(points, result, rs, k, initial)
+    # one entry per node, initial and added alike
+    assert np.array_equal(
+        result.messages.per_cell,
+        messages_by_proposer(result.trace, len(initial) + len(positions)),
+    )
 
 
 @st.composite
@@ -347,6 +393,57 @@ def test_grid_trace_follows_cell_restricted_eq1(case):
         assert np.array_equal(trace.positions[step], points[best]), step
         np.testing.assert_array_equal(trace.benefits[step], gain)
         assert trace.messages[step] == messages, step
+    assert_columns_follow_dense(points, result, rs, k, initial)
+    assert np.array_equal(result.messages.per_cell, messages_by_proposer(trace, nx * ny))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=adversarial_fields(),
+    k=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+    n_initial=st.integers(0, 4),
+)
+def test_random_trace_follows_dense_coverage(case, k, seed, n_initial):
+    """Random placement keeps every drop until one completes k-coverage,
+    and stops there: the covered fraction, by dense distances, reaches 1
+    exactly at the trace's last row."""
+    points, rs = case
+    region = Rect(*(points.min(axis=0) - rs), *(points.max(axis=0) + rs))
+    initial = region.sample(n_initial, np.random.default_rng(seed + 1))
+    result = random_placement(
+        points, SensorSpec(rs, 2.0 * rs), k, np.random.default_rng(seed),
+        region=region, initial_positions=initial,
+    )
+    assert_columns_follow_dense(points, result, rs, k, initial)
+    fraction = result.trace.covered_fraction
+    if len(fraction):
+        assert fraction[-1] == 1.0
+        assert (fraction[:-1] < 1.0).all()
+    else:
+        assert brute_fraction_at(points, initial, rs, k) == 1.0
+    assert not result.trace.benefits.any()
+    assert (result.trace.proposer == -1).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=adversarial_fields(), k=st.integers(1, 3))
+def test_lattice_trace_follows_dense_coverage(case, k):
+    """Lattice placement: ``k`` layers of sites (proposer = layer, no
+    benefit), then greedy top-ups (proposer -1) until full k-coverage."""
+    points, rs = case
+    region = Rect(*(points.min(axis=0) - 1.0), *(points.max(axis=0) + 1.0))
+    result = lattice_placement(points, SensorSpec(rs, 2.0 * rs), k, region=region)
+    assert_columns_follow_dense(points, result, rs, k, np.empty((0, 2)))
+    trace = result.trace
+    topup = result.params["topup"]
+    sites = len(trace) - topup
+    assert trace.covered_fraction[-1] == 1.0
+    assert (np.diff(trace.proposer[:sites]) >= 0).all()
+    assert set(trace.proposer[:sites].tolist()) <= set(range(k))
+    assert np.isnan(trace.benefits[:sites]).all()
+    assert (trace.proposer[sites:] == -1).all()
+    assert (trace.benefits[sites:] > 0).all()
 
 
 def _planner(seed: int = 3) -> DecorPlanner:
