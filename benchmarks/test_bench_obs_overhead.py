@@ -99,8 +99,10 @@ def test_sweep_obs_off(benchmark, setup):
 
 
 #: Registry lookups of one enabled smoke sweep: metrics are published once
-#: per run and cell, never per placement or benefit delta.
-SMOKE_SWEEP_METRIC_OPS = 219
+#: per run and cell, never per placement or benefit delta.  Each grid cell
+#: publishes one ``field_model_*`` series of kind ``disk_cells`` (a build
+#: or a hit of the field's border-count table), 6 of the 225.
+SMOKE_SWEEP_METRIC_OPS = 225
 
 
 def test_sweep_obs_on(benchmark, setup):

@@ -24,6 +24,7 @@ __all__ = [
     "distances_to",
     "squared_distances_to",
     "bounding_rect_of",
+    "read_only",
 ]
 
 
@@ -60,6 +61,17 @@ def as_point(point: object) -> np.ndarray:
     if not (math.isfinite(x) and math.isfinite(y)):
         raise GeometryError("point contains NaN or infinite coordinates")
     return arr
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """A view of ``array`` that cannot be written through.
+
+    The view shares memory, so it shows every later in-place change made
+    through ``array`` itself.
+    """
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 def squared_distances_to(points: np.ndarray, target: np.ndarray) -> np.ndarray:
