@@ -42,9 +42,9 @@ Run ledger: ``--ledger [PATH]`` appends one structured history row per
 figure/deploy/summary/restore invocation — config fingerprint,
 environment, per-layer span walls, the run's counters/gauges, artifact
 digests — to an append-only JSONL store (default ``.decor/ledger``).
-Query it with ``decor runs list|show|diff|regress``; ``diff --exit-code``
-and ``regress`` return nonzero on semantic drift, which is the CI
-regression gate.
+Query it with ``decor runs list|show|diff``; ``diff --exit-code``
+returns nonzero when two rows differ in any counter, gauge, histogram,
+config value or artifact digest, which is the CI gate on counted work.
 
 One recording session (:func:`_recording`) is the only reader of these
 five flags: any of them starts one fresh :data:`~repro.obs.OBS` recording
@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_runs = sub.add_parser(
-        "runs", help="query the run ledger: list, show, diff, regress"
+        "runs", help="query the run ledger: list, show, diff"
     )
     p_runs.add_argument(
         "--ledger", metavar="PATH", default=None, dest="store",
@@ -392,26 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--exit-code", action="store_true",
         help="exit 1 when the semantic sections differ (for CI gates)",
     )
-    p_rgr = runs_sub.add_parser(
-        "regress", help="run regression detectors against the run's history"
-    )
-    p_rgr.add_argument("ref", metavar="REF", nargs="?", default="latest",
-                       help="run to check (default: latest)")
-    p_rgr.add_argument("--window", type=int, default=5, metavar="N",
-                       help="baseline window size (default 5)")
-    p_rgr.add_argument("--tolerance", type=float, default=0.1,
-                       help="relative drift tolerance for counters "
-                            "(default 0.1)")
-    p_rgr.add_argument("--wall-tolerance", type=float, default=0.5,
-                       help="relative wall slowdown tolerance (default 0.5)")
-    p_rgr.add_argument(
-        "--detector", action="append", default=None, metavar="NAME",
-        help="run only this detector (repeatable; default: all registered)",
-    )
 
     p_chk = sub.add_parser(
         "check",
-        help="run every static gate: lint, typing, mypy, bench",
+        help="run every static gate: lint, typing, mypy",
     )
     p_chk.add_argument(
         "--output", choices=["text", "json", "sarif"], default="text",
@@ -419,8 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chk.add_argument(
         "--skip", action="append", default=[], metavar="GATE",
-        choices=["lint", "typing", "mypy", "bench"],
-        help="skip a gate (repeatable; e.g. --skip bench for pre-commit)",
+        choices=["lint", "typing", "mypy"],
+        help="skip a gate (repeatable; e.g. --skip mypy)",
     )
 
     p_rep = sub.add_parser(
@@ -448,15 +432,9 @@ def _validate_args(args: argparse.Namespace) -> None:
     epochs = getattr(args, "epochs", None)
     if epochs is not None and epochs < 1:
         raise ConfigurationError(f"--epochs must be >= 1, got {epochs}")
-    for name in ("window", "limit"):
-        value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ConfigurationError(f"--{name} must be >= 1, got {value}")
-    for name in ("tolerance", "wall_tolerance"):
-        value = getattr(args, name, None)
-        if value is not None and not value >= 0:
-            flag = "--" + name.replace("_", "-")
-            raise ConfigurationError(f"{flag} must be >= 0, got {value:g}")
+    limit = getattr(args, "limit", None)
+    if limit is not None and limit < 1:
+        raise ConfigurationError(f"--limit must be >= 1, got {limit}")
 
 
 def _setup_from_args(args: argparse.Namespace) -> ExperimentSetup:
@@ -874,12 +852,9 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     from repro.obs.ledger import (
         DEFAULT_LEDGER_ROOT,
         LedgerStore,
-        RegressOptions,
-        baseline_rows,
         diff_is_clean,
         diff_rows,
         render_diff,
-        run_detectors,
     )
 
     store = LedgerStore(args.store or DEFAULT_LEDGER_ROOT)
@@ -915,22 +890,6 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             end="",
         )
         return 1 if args.exit_code and not diff_is_clean(diff) else 0
-    if args.runs_command == "regress":
-        run = store.resolve(args.ref)
-        baseline = baseline_rows(store.rows(), run, window=args.window)
-        options = RegressOptions(
-            tolerance=args.tolerance,
-            wall_tolerance=args.wall_tolerance,
-            detectors=tuple(args.detector) if args.detector else None,
-        )
-        findings = run_detectors(run, baseline, options)
-        print(
-            f"{run.get('run_id')}: {len(baseline)} baseline run(s), "
-            f"{len(findings)} finding(s)"
-        )
-        for finding in findings:
-            print("  " + finding.format())
-        return 1 if findings else 0
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -140,13 +140,14 @@ def lattice_placement(
             ):
                 # skip lattice sites whose disc misses every field point —
                 # they sit in the margin band and would be pure waste
-                if field.query_ball(pos, spec.sensing_radius).size == 0:
+                covered = field.query_ball(pos, spec.sensing_radius)
+                if covered.size == 0:
                     continue
                 if len(kcovered) >= budget:
                     raise PlacementError(
                         f"lattice placement exceeded its budget of {budget} nodes"
                     )
-                engine.add_sensor_at_position(pos)
+                engine.add_sensor_at_position(pos, covered=covered)
                 sites.append(pos)
                 layers.append(layer)
                 kcovered.append(engine.n_kcovered)

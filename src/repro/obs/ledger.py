@@ -1,4 +1,4 @@
-"""Persistent run ledger: cross-run history and regression detection.
+"""Persistent run ledger: cross-run history and exact comparison.
 
 Every other part of :mod:`repro.obs` observes *one* invocation — the
 tracer, registry, sampler and flight recorder all die with the process.
@@ -11,7 +11,7 @@ command ends (:func:`harvest` + :func:`build_row`) and appends it to a
 
 * :class:`LedgerStore` — an append-only store of JSONL *segments* under
   ``.decor/ledger/`` (stdlib-only, like everything in ``repro.obs``).
-  One structured row per figure/deploy/summary/restore/bench invocation:
+  One structured row per figure/deploy/summary/restore invocation:
 
   - ``config`` + ``fingerprint`` — the semantic parameters of the run
     (series, k values, seeds, method) hashed
@@ -28,12 +28,10 @@ command ends (:func:`harvest` + :func:`build_row`) and appends it to a
   - ``artifacts`` — SHA-256 digests of the figure JSON / flight record /
     sample sink the invocation wrote.
 
-* a query/compare layer — :func:`diff_rows` renders config-aware deltas
-  between two runs, and :func:`run_detectors` applies the regression
-  detectors (relative thresholds on wall medians and counter multisets,
-  strict equality on determinism-relevant counters) against the median
-  of a run's config-matching predecessors.  ``decor runs`` is the CLI
-  over both.
+* a compare layer — :func:`diff_rows` renders config-aware deltas
+  between two runs: every counter, gauge, histogram, config value and
+  artifact digest must match exactly, while walls are informational.
+  ``decor runs diff --exit-code`` is the CLI gate over it.
 
 Determinism contract: two rows from the same config are **byte-identical
 after masking** (:func:`mask_row` strips ``run_id``/``ts``/``env``/
@@ -52,13 +50,10 @@ import math
 import os
 import pathlib
 import platform
-import statistics
 import sys
 import time
 import warnings
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import MetricsRegistry
@@ -71,15 +66,11 @@ from repro.obs.sampler import (
 
 __all__ = [
     "DEFAULT_LEDGER_ROOT",
-    "EXACT_COUNTER_PREFIXES",
     "HARVEST_EXCLUDED_PREFIXES",
     "LEDGER_VERSION",
     "LedgerStore",
     "MASKED_FIELDS",
-    "RegressFinding",
-    "RegressOptions",
     "artifact_digest",
-    "baseline_rows",
     "build_row",
     "capture_environment",
     "config_fingerprint",
@@ -90,7 +81,6 @@ __all__ = [
     "mask_row",
     "render_diff",
     "render_sections",
-    "run_detectors",
     "sections_from_sample_rows",
 ]
 
@@ -122,26 +112,11 @@ HARVEST_EXCLUDED_PREFIXES: tuple[str, ...] = EXCLUDED_PREFIXES + (
 #: execution detail, not an experiment parameter).
 MASKED_FIELDS: tuple[str, ...] = ("run_id", "ts", "env", "wall")
 
-#: Counter-key prefixes the strict-equality detector gates by default:
-#: they count simulation work, deterministic by construction, so *any*
-#: drift is a regression, not noise.
-EXACT_COUNTER_PREFIXES: tuple[str, ...] = (
-    "decor_placements_total",
-    "restoration_",
-)
-
 #: Environment variables captured into a row's ``env`` section.
 CAPTURED_ENV_VARS: tuple[str, ...] = (
     "REPRO_CHECKS",
     "REPRO_SCALE",
 )
-
-#: Env hook for the CI regression demo and detector self-tests:
-#: ``REPRO_LEDGER_INFLATE="<key-prefix>:<factor>"`` multiplies every
-#: harvested counter whose flat key starts with the prefix.  This is the
-#: sanctioned way to fake a regression end-to-end — the row is recorded
-#: inflated, and ``decor runs regress`` must catch it.
-INFLATE_ENV_VAR = "REPRO_LEDGER_INFLATE"
 
 
 # ----------------------------------------------------------------------
@@ -213,8 +188,7 @@ def harvest(registry: MetricsRegistry) -> dict[str, Any]:
 
     Every registry series minus :data:`HARVEST_EXCLUDED_PREFIXES`, keyed
     like sample rows (:func:`~repro.obs.sampler.series_key`); histograms
-    keep their count and sum.  The ``REPRO_LEDGER_INFLATE`` self-test
-    hook, when set, scales the matching counters.
+    keep their count and sum.
 
     >>> reg = MetricsRegistry()
     >>> reg.counter("decor_placements_total", method="grid").inc(3)
@@ -233,27 +207,7 @@ def harvest(registry: MetricsRegistry) -> dict[str, Any]:
             sections["histograms"][key] = {
                 "count": payload["count"], "sum": payload["sum"],
             }
-    harvested = _without(sections, HARVEST_EXCLUDED_PREFIXES)
-    _apply_inflation(harvested["counters"])
-    return harvested
-
-
-def _apply_inflation(counters: dict[str, float]) -> None:
-    """Apply the ``REPRO_LEDGER_INFLATE`` self-test hook, if set."""
-    spec = os.environ.get(INFLATE_ENV_VAR, "")
-    if not spec:
-        return
-    prefix, _, factor_text = spec.partition(":")
-    try:
-        factor = float(factor_text)
-    except ValueError as exc:
-        raise ObservabilityError(
-            f"{INFLATE_ENV_VAR} must look like '<key-prefix>:<factor>', "
-            f"got {spec!r}"
-        ) from exc
-    for key in list(counters):
-        if key.startswith(prefix):
-            counters[key] = type(counters[key])(counters[key] * factor)
+    return _without(sections, HARVEST_EXCLUDED_PREFIXES)
 
 
 def _without(
@@ -591,206 +545,3 @@ def _ratio(va: Any, vb: Any) -> str:
     ):
         return f"  ({(vb - va) / va:+.1%})"
     return ""
-
-
-# ----------------------------------------------------------------------
-# regression detectors
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RegressOptions:
-    """Knobs shared by the built-in detectors."""
-
-    #: Relative tolerance for the counter/gauge multiset detector.
-    tolerance: float = 0.1
-    #: Relative tolerance for wall medians (walls are noisy).
-    wall_tolerance: float = 0.5
-    #: Counter-key prefixes held to strict equality.
-    exact_prefixes: tuple[str, ...] = EXACT_COUNTER_PREFIXES
-    #: Detector names to run (``None`` = all of :data:`DETECTORS`).
-    detectors: tuple[str, ...] | None = None
-
-
-@dataclass(frozen=True)
-class RegressFinding:
-    """One detector hit: which key drifted, how far, caught by whom."""
-
-    detector: str
-    key: str
-    value: Any
-    baseline: Any
-    detail: str
-
-    def format(self) -> str:
-        return (
-            f"[{self.detector}] {self.key}: {_fmt(self.value)} "
-            f"vs baseline {_fmt(self.baseline)} — {self.detail}"
-        )
-
-
-Detector = Callable[
-    [dict[str, Any], list[dict[str, Any]], RegressOptions],
-    list[RegressFinding],
-]
-
-def _median_of(values: list[float]) -> float:
-    return float(statistics.median(values))
-
-
-def _detect_exact_counters(
-    run: dict[str, Any],
-    baseline: list[dict[str, Any]],
-    options: RegressOptions,
-) -> list[RegressFinding]:
-    """Strict equality on determinism-relevant counters.
-
-    Compares against the most recent baseline row: these series are
-    bit-identity-gated elsewhere, so one changed value is a finding even
-    with a single predecessor.
-    """
-    findings: list[RegressFinding] = []
-    prev = baseline[-1]
-    keys = set(run.get("counters", {})) | set(prev.get("counters", {}))
-    for key in sorted(keys):
-        if not key.startswith(options.exact_prefixes):
-            continue
-        now = run.get("counters", {}).get(key)
-        was = prev.get("counters", {}).get(key)
-        if now != was:
-            findings.append(
-                RegressFinding(
-                    "exact-counters",
-                    key,
-                    now,
-                    was,
-                    "determinism-relevant counter must match exactly",
-                )
-            )
-    return findings
-
-
-def _detect_counter_drift(
-    run: dict[str, Any],
-    baseline: list[dict[str, Any]],
-    options: RegressOptions,
-) -> list[RegressFinding]:
-    """Relative threshold on counter/gauge multisets vs baseline medians."""
-    findings: list[RegressFinding] = []
-    for section in ("counters", "gauges"):
-        current = run.get(section, {})
-        for key in sorted(current):
-            if section == "counters" and key.startswith(
-                options.exact_prefixes
-            ):
-                continue  # the exact detector owns these
-            history = [
-                r[section][key]
-                for r in baseline
-                if key in r.get(section, {})
-            ]
-            if not history:
-                continue
-            median = _median_of([float(v) for v in history])
-            value = float(current[key])
-            bound = options.tolerance * max(abs(median), 1.0)
-            if abs(value - median) > bound:
-                findings.append(
-                    RegressFinding(
-                        "counter-drift",
-                        key,
-                        current[key],
-                        median,
-                        f"moved more than {options.tolerance:.0%} from the "
-                        f"median of {len(history)} matching run(s)",
-                    )
-                )
-    return findings
-
-
-def _detect_wall_regression(
-    run: dict[str, Any],
-    baseline: list[dict[str, Any]],
-    options: RegressOptions,
-) -> list[RegressFinding]:
-    """Relative threshold on wall medians (slower only — a faster
-    run is a win, not a regression)."""
-    findings: list[RegressFinding] = []
-    current = run.get("wall", {})
-    for key in sorted(current):
-        history = [
-            float(r["wall"][key])
-            for r in baseline
-            if key in r.get("wall", {})
-        ]
-        if not history:
-            continue
-        median = _median_of(history)
-        value = float(current[key])
-        if value > median * (1.0 + options.wall_tolerance) + 0.05:
-            findings.append(
-                RegressFinding(
-                    "wall-regression",
-                    f"wall.{key}",
-                    value,
-                    median,
-                    f"slower than {1.0 + options.wall_tolerance:g}x the "
-                    f"median of {len(history)} matching run(s)",
-                )
-            )
-    return findings
-
-
-#: The regression detectors by name, in the order they run.
-DETECTORS: Mapping[str, Detector] = MappingProxyType(
-    {
-        "exact-counters": _detect_exact_counters,
-        "counter-drift": _detect_counter_drift,
-        "wall-regression": _detect_wall_regression,
-    }
-)
-
-
-def baseline_rows(
-    rows: list[dict[str, Any]],
-    run: dict[str, Any],
-    *,
-    window: int = 5,
-) -> list[dict[str, Any]]:
-    """Up to ``window`` config-matching predecessors of ``run``.
-
-    Matching means same ``kind``, ``label`` and ``fingerprint``; rows at
-    or after ``run`` itself (by position) are excluded.
-    """
-    run_id = run.get("run_id")
-    out: list[dict[str, Any]] = []
-    for row in rows:
-        if row.get("run_id") == run_id:
-            break
-        if (
-            row.get("kind") == run.get("kind")
-            and row.get("label") == run.get("label")
-            and row.get("fingerprint") == run.get("fingerprint")
-        ):
-            out.append(row)
-    return out[-window:]
-
-
-def run_detectors(
-    run: dict[str, Any],
-    baseline: list[dict[str, Any]],
-    options: RegressOptions | None = None,
-) -> list[RegressFinding]:
-    """Apply the detectors; an empty baseline finds nothing."""
-    opts = options or RegressOptions()
-    if not baseline:
-        return []
-    names = opts.detectors if opts.detectors is not None else tuple(DETECTORS)
-    findings: list[RegressFinding] = []
-    for name in names:
-        try:
-            detector = DETECTORS[name]
-        except KeyError as exc:
-            raise ObservabilityError(
-                f"unknown detector {name!r}; known: {sorted(DETECTORS)}"
-            ) from exc
-        findings.extend(detector(run, baseline, opts))
-    return findings

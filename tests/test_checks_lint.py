@@ -1331,7 +1331,7 @@ class TestAggregate:
                     )
                 ],
             ),
-            GateResult(name="bench", ok=True, skipped=True, detail="skipped"),
+            GateResult(name="mypy", ok=True, skipped=True, detail="skipped"),
         ]
         assert not overall_ok(results)
         text = render_text(results)
@@ -1354,11 +1354,13 @@ class TestAggregate:
 
         monkeypatch.chdir(REPO)
         code = cli_main(
-            ["check", "--skip", "bench", "--skip", "mypy", "--skip",
-             "typing", "--output", "json"]
+            ["check", "--skip", "mypy", "--skip", "typing", "--output", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["ok"] is True
         names = [g["name"] for g in payload["gates"]]
-        assert names == ["lint", "typing", "mypy", "bench"]
+        assert names == ["lint", "typing", "mypy"]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["check", "--skip", "bench"])
+        assert exc.value.code == 2

@@ -135,16 +135,11 @@ def test_invalid_inputs_rejected_before_work(argv, names, capsys, monkeypatch):
         (["runs", "show", "latest~abc"], "latest~abc"),
         (["runs", "show", "latest~-1"], "latest~-1"),
         (["runs", "diff", "latest", "latest~x"], "latest~x"),
-        (["runs", "regress", "--window", "0"], "--window"),
-        (["runs", "regress", "--tolerance", "-0.1"], "--tolerance"),
-        (["runs", "regress", "--wall-tolerance", "-1"], "--wall-tolerance"),
-        (["runs", "regress", "--tolerance", "nan"], "--tolerance"),
         (["runs", "list", "--limit", "0"], "--limit"),
         (["runs", "list", "--limit", "-1"], "--limit"),
     ],
-    ids=["offset-not-int", "offset-negative", "diff-offset", "window-zero",
-         "tolerance-negative", "wall-tolerance-negative", "tolerance-nan",
-         "limit-zero", "limit-negative"],
+    ids=["offset-not-int", "offset-negative", "diff-offset", "limit-zero",
+         "limit-negative"],
 )
 def test_runs_rejects_malformed_input(argv, names, tmp_path, capsys):
     """Malformed ``decor runs`` references and flags exit 2 with a message

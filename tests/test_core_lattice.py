@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import hexagonal_lattice, lattice_placement
 from repro.errors import PlacementError
+from repro.field import FieldModel
 from repro.geometry import Rect
 from repro.geometry.points import distances_to
 
@@ -61,6 +62,25 @@ class TestLatticePlacement:
         result = lattice_placement(field, spec, 1, region=region)
         for key in result.coverage.sensor_keys():
             assert result.coverage.points_covered_by(key).size > 0
+
+    def test_one_ball_query_per_lattice_site(self, field, region, spec,
+                                             monkeypatch):
+        """The skip test's ball query is the row the engine accounts, so
+        each lattice site, kept or skipped, costs one query."""
+        calls = []
+        query_ball = FieldModel.query_ball
+
+        def counted(self, center, radius):
+            calls.append(radius)
+            return query_ball(self, center, radius)
+
+        monkeypatch.setattr(FieldModel, "query_ball", counted)
+        lattice_placement(field, spec, 2, region=region)
+        sites = sum(
+            len(hexagonal_lattice(region, spec.rs, offset=(phase, phase)))
+            for phase in (0.0, 0.5)
+        )
+        assert len(calls) == sites
 
     def test_near_optimal_density_at_k1(self, big_field, big_region, spec):
         """Hexagonal covering density is 1.209x the bound; including

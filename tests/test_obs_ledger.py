@@ -1,14 +1,15 @@
-"""Tests for the run ledger: determinism contract, store, diff, detectors.
+"""Tests for the run ledger: determinism contract, store, diff.
 
 The load-bearing guarantee is the masked-row byte identity: two ledger
 rows from the same config — one serial, one through a 2-worker pool —
 must serialize identically once :func:`~repro.obs.ledger.mask_row`
 strips identity/timing/environment.  Everything else (diff cleanliness,
-fingerprint grouping, regression detection) builds on that.
+fingerprint grouping, the ``runs diff --exit-code`` gate) builds on that.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import subprocess
@@ -25,8 +26,6 @@ from repro.obs import OBS, MetricsRegistry, MetricsSampler
 from repro.obs.ledger import (
     HARVEST_EXCLUDED_PREFIXES,
     LedgerStore,
-    RegressOptions,
-    baseline_rows,
     build_row,
     capture_environment,
     config_fingerprint,
@@ -35,7 +34,6 @@ from repro.obs.ledger import (
     harvest,
     mask_row,
     render_diff,
-    run_detectors,
     sections_from_sample_rows,
 )
 
@@ -224,15 +222,6 @@ class TestHarvest:
         sections = sections_from_sample_rows(rows, exclude=("drop_",))
         assert list(sections["counters"]) == ["keep_total"]
 
-    def test_inflation_hook(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LEDGER_INFLATE", "decor_placements_total:2")
-        reg = MetricsRegistry()
-        reg.counter("decor_placements_total").inc(10)
-        reg.counter("other_total").inc(10)
-        counters = harvest(reg)["counters"]
-        assert counters["decor_placements_total"] == 20
-        assert counters["other_total"] == 10
-
     def test_harvest_survives_sampler_eviction(self):
         # the harvest reads the registry, so it covers rows the sampler's
         # ring evicted and series touched after the last row
@@ -295,63 +284,6 @@ class TestDiff:
         b = build_row("figure", "f", {},
                       artifacts={"out": str(tmp_path / "b.json")})
         assert not diff_is_clean(diff_rows(a, b))
-
-
-# ----------------------------------------------------------------------
-# regression detectors
-# ----------------------------------------------------------------------
-class TestDetectors:
-    @staticmethod
-    def _row(counters=None, wall=None):
-        return build_row(
-            "figure", "f", {"k": 1},
-            metrics={"counters": counters or {}, "gauges": {},
-                     "histograms": {}},
-            wall=wall or {},
-        )
-
-    def test_empty_baseline_finds_nothing(self):
-        assert run_detectors(self._row({"c": 99}), []) == []
-
-    def test_exact_counter_change_detected(self):
-        baseline = [self._row({"decor_placements_total": 100})]
-        run = self._row({"decor_placements_total": 101})
-        findings = run_detectors(run, baseline)
-        assert [f.detector for f in findings] == ["exact-counters"]
-
-    def test_drift_within_tolerance_passes(self):
-        baseline = [self._row({"noisy_total": 100})]
-        assert run_detectors(self._row({"noisy_total": 105}), baseline) == []
-
-    def test_drift_beyond_tolerance_detected(self):
-        baseline = [self._row({"noisy_total": 100}) for _ in range(3)]
-        findings = run_detectors(self._row({"noisy_total": 150}), baseline)
-        assert [f.detector for f in findings] == ["counter-drift"]
-
-    def test_wall_slowdown_detected_speedup_ignored(self):
-        baseline = [self._row(wall={"figure": 1.0}) for _ in range(3)]
-        slow = run_detectors(self._row(wall={"figure": 2.0}), baseline)
-        fast = run_detectors(self._row(wall={"figure": 0.2}), baseline)
-        assert [f.detector for f in slow] == ["wall-regression"]
-        assert fast == []
-
-    def test_detector_selection_and_unknown(self):
-        baseline = [self._row({"decor_placements_total": 1})]
-        run = self._row({"decor_placements_total": 2})
-        opts = RegressOptions(detectors=("wall-regression",))
-        assert run_detectors(run, baseline, opts) == []
-        with pytest.raises(ObservabilityError, match="unknown detector"):
-            run_detectors(run, baseline, RegressOptions(detectors=("nope",)))
-
-    def test_baseline_rows_filters_and_windows(self):
-        match = [self._row({"c": i}) for i in range(7)]
-        other = build_row("figure", "f", {"k": 2})
-        rows = match[:3] + [other] + match[3:]
-        run = match[-1]
-        base = baseline_rows(rows, run, window=5)
-        assert len(base) == 5
-        assert all(r["fingerprint"] == run["fingerprint"] for r in base)
-        assert run["run_id"] not in {r["run_id"] for r in base}
 
 
 # ----------------------------------------------------------------------
@@ -457,32 +389,31 @@ class TestCliEndToEnd:
             assert int(count) == tracer.span_stats[key].count
             assert float(total) == pytest.approx(row["wall"][key], abs=1e-4)
 
-    def test_runs_diff_and_regress_exit_codes(self, tmp_path, capsys,
-                                              monkeypatch):
+    def test_runs_diff_and_regress_exit_codes(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
         self._run_figure(ledger)
         self._run_figure(ledger)
         assert main(["runs", "--ledger", str(ledger), "list"]) == 0
         assert "fig08" in capsys.readouterr().out
-        assert main(
-            ["runs", "--ledger", str(ledger), "diff", "latest~1", "latest",
-             "--exit-code"]
-        ) == 0
-        assert main(
-            ["runs", "--ledger", str(ledger), "regress"]
-        ) == 0
+        diff = ["runs", "--ledger", str(ledger), "diff", "latest~1", "latest",
+                "--exit-code"]
+        assert main(diff) == 0
         capsys.readouterr()
-        # an inflated run must trip both the diff and the detectors
-        monkeypatch.setenv("REPRO_LEDGER_INFLATE", "decor_placements_total:3")
-        self._run_figure(ledger)
-        monkeypatch.delenv("REPRO_LEDGER_INFLATE")
-        assert main(
-            ["runs", "--ledger", str(ledger), "diff", "latest~1", "latest",
-             "--exit-code"]
-        ) == 1
-        assert main(["runs", "--ledger", str(ledger), "regress"]) == 1
+        # a row with the same fingerprint and one counter changed is a
+        # regression of the counted work: the diff gate must fail on it
+        store = LedgerStore(ledger)
+        row = copy.deepcopy(store.resolve("latest"))
+        key = next(k for k in row["counters"]
+                   if k.startswith("decor_placements_total"))
+        row["counters"][key] += 1
+        store.append(row)
+        assert main(diff) == 1
         out = capsys.readouterr().out
-        assert "exact-counters" in out
+        assert "fingerprint: match" in out and key in out
+        # the gate is the diff alone: `runs regress` is no command
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "--ledger", str(ledger), "regress"])
+        assert exc.value.code == 2
 
     def test_runs_show_prints_row_json(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
