@@ -23,7 +23,6 @@ from repro.experiments.runner import DeploymentCache, field_for_seed, run_series
 from repro.experiments.setup import SERIES
 from repro.field import FieldModel
 from repro.field.backends import GridHashBackend, KDTreeBackend
-from repro.geometry import radius_adjacency
 
 
 def _touch_artifacts(fm, setup):
@@ -125,7 +124,8 @@ def test_adjacency_build_backend(benchmark, setup, index):
         return index(pts).adjacency(setup.rs).nnz
 
     nnz = benchmark(run)
-    assert nnz == radius_adjacency(pts, setup.rs).nnz
+    other = KDTreeBackend if index is GridHashBackend else GridHashBackend
+    assert nnz == other(pts).adjacency(setup.rs).nnz
 
 
 @INDEXES

@@ -11,7 +11,8 @@ import pytest
 from repro.core import centralized_greedy, voronoi_decor
 from repro.discrepancy import halton
 from repro.experiments.runner import field_for_seed
-from repro.geometry import NeighborIndex, UniformGridIndex, radius_adjacency
+from repro.field.backends import KDTreeBackend
+from repro.geometry import UniformGridIndex
 from repro.geometry.voronoi import VoronoiOwnership
 from repro.network import CoverageState, SensorSpec
 
@@ -25,12 +26,8 @@ def test_halton_generation(benchmark, setup):
     benchmark(lambda: halton(setup.n_points))
 
 
-def test_radius_adjacency_build(benchmark, setup, paper_like_field):
-    benchmark(lambda: radius_adjacency(paper_like_field, setup.rs))
-
-
 def test_kdtree_ball_queries(benchmark, setup, paper_like_field):
-    index = NeighborIndex(paper_like_field)
+    index = KDTreeBackend(paper_like_field)
     probes = paper_like_field[:: max(1, len(paper_like_field) // 100)]
 
     def run():

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.field import FieldModel
-from repro.geometry.neighbors import NeighborIndex
+from repro.geometry.neighbors import UniformGridIndex
 from repro.geometry.points import as_points
 from repro.geometry.region import Rect
 
@@ -47,11 +47,7 @@ def coverage_raster(
         ys = region.y0 + (np.arange(resolution) + 0.5) * region.height / resolution
         gx, gy = np.meshgrid(xs, ys)
         probes = np.column_stack([gx.ravel(), gy.ravel()])
-    sensors = as_points(sensor_positions)
-    if len(sensors) == 0:
-        return np.zeros((resolution, resolution), dtype=np.int64)
-    index = NeighborIndex(sensors)
-    counts = index.count_in_balls(probes, rs)
+    counts = UniformGridIndex(as_points(sensor_positions), rs).ball_counts(probes)
     return counts.reshape(resolution, resolution).astype(np.int64)
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import CoverageError
+from repro.geometry.neighbors import radius_pairs
 from repro.network.coverage import CoverageState
 
 __all__ = ["CoverageHole", "find_holes"]
@@ -76,7 +77,6 @@ def find_holes(
         Sorted by point count, descending; empty when fully covered.
     """
     import networkx as nx  # lazily: importing the package does not pay for it
-    from scipy.spatial import cKDTree
 
     if k < 1:
         raise CoverageError(f"k must be >= 1, got {k}")
@@ -89,9 +89,7 @@ def find_holes(
     pts = coverage.field_points[deficient]
     graph = nx.Graph()
     graph.add_nodes_from(range(len(pts)))
-    if len(pts) >= 2:
-        tree = cKDTree(pts)
-        graph.add_edges_from(map(tuple, tree.query_pairs(radius, output_type="ndarray")))
+    graph.add_edges_from(radius_pairs(pts, radius).tolist())
     deficiency = coverage.deficiency(k)
     holes: list[CoverageHole] = []
     for comp in nx.connected_components(graph):

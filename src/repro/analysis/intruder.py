@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.geometry.neighbors import NeighborIndex
+from repro.geometry.neighbors import UniformGridIndex
 from repro.geometry.points import as_points, distances_to
 
 __all__ = [
@@ -42,8 +42,7 @@ def detection_counts(
     traj = as_points(trajectory)
     if rs <= 0:
         raise ConfigurationError(f"sensing radius must be positive, got {rs}")
-    index = NeighborIndex(sensors)
-    return index.count_in_balls(traj, rs).astype(np.intp)
+    return UniformGridIndex(sensors, rs).ball_counts(traj)
 
 
 def _merge_coincident(
@@ -138,11 +137,13 @@ def localize_trajectory(
     traj = as_points(trajectory)
     if range_noise_std < 0:
         raise ConfigurationError("noise std must be non-negative")
-    index = NeighborIndex(sensors)
+    # cells must be wider than 0 for rs = 0 too; any width is exact
+    balls = UniformGridIndex(sensors, rs or 1.0).query_ball_many(traj, rs) if len(traj) else []
     estimates = np.full_like(traj, np.nan)
     n_det = np.zeros(len(traj), dtype=np.intp)
-    for i, p in enumerate(traj):
-        detectors = index.query_ball(p, rs)
+    for i, (p, ball) in enumerate(zip(traj, balls)):
+        # ascending, so each detector's noise draw depends on the input only
+        detectors = np.sort(ball)
         n_det[i] = detectors.size
         if detectors.size < 3:
             continue

@@ -145,12 +145,15 @@ def _flightrec_argv(argv: list[str]) -> list[str]:
     return out
 
 
-#: Span names whose totals make up a ledger row's ``wall``, per command;
-#: the pool's spans appear only when the command ran a parallel prefill.
+#: The worker pool's spans; they nest inside the ``figure`` and
+#: ``summary`` spans and appear only when the command ran a parallel prefill.
+_POOL_SPANS = ("pool_publish", "pool_compute")
+
+#: Span names whose totals make up a ledger row's ``wall``, per command.
 _WALL_SPANS: dict[str, tuple[str, ...]] = {
-    "figure": ("figure", "pool_publish", "pool_compute"),
+    "figure": ("figure", *_POOL_SPANS),
     "deploy": ("deploy",),
-    "summary": ("summary", "pool_publish", "pool_compute"),
+    "summary": ("summary", *_POOL_SPANS),
     "restore": ("deploy", "restore"),
 }
 
@@ -869,7 +872,9 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             print(f"no matching runs recorded under {store.root}")
             return 0
         for row in shown:
-            wall = sum(row.get("wall", {}).values())
+            # the command's top-level spans: the pool's nest inside them
+            wall = sum(t for name, t in row.get("wall", {}).items()
+                       if name not in _POOL_SPANS)
             print(
                 f"{row.get('run_id')}  {row.get('ts')}  "
                 f"{row.get('kind'):>8}  {str(row.get('label')):<24}  "

@@ -25,8 +25,6 @@ only credits points of its own cell (benefit adjacency = same-cell pairs).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.errors import CoverageError, PlacementError
@@ -37,16 +35,14 @@ from repro.geometry.points import as_point, read_only
 from repro.network.coverage import CoverageState
 from repro.obs import OBS
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from scipy import sparse
-
 __all__ = ["BenefitEngine", "same_cell_benefit_adjacency"]
 
 
 def _is_symmetric(matrix: Adjacency) -> bool:
     """Whether a CSR structure equals its transpose: the sorted distinct
     keys ``row * n + col`` of its entries and of their mirrors agree.
-    Stored values are not read (scipy CSR matrices work too).
+    Only ``shape``, ``indptr`` and ``indices`` are read, so any CSR
+    matrix works.
 
     >>> _is_symmetric(Adjacency.from_keys(np.array([1, 2]), 2))  # (0,1), (1,0)
     True
@@ -88,9 +84,8 @@ class BenefitEngine:
     benefit_adjacency:
         Optional adjacency replacing the full adjacency in the benefit sum
         (see :func:`same_cell_benefit_adjacency`): an
-        :class:`~repro.field.Adjacency`, or a scipy sparse matrix storing
-        only 1s, converted once through ``.tocsr()``.  Must be symmetric
-        with the same shape as the coverage adjacency.
+        :class:`~repro.field.Adjacency`, symmetric and with the same shape
+        as the coverage adjacency.
     benefit_mode:
         ``"deficiency"`` (paper Eq. 1: weight ``max(k - k_p, 0)``) or
         ``"binary"`` (weight 1 for any still-deficient point) — the ablation
@@ -127,7 +122,7 @@ class BenefitEngine:
         k: int | np.ndarray,
         *,
         initial_counts: np.ndarray | None = None,
-        benefit_adjacency: Adjacency | sparse.spmatrix | sparse.sparray | None = None,
+        benefit_adjacency: Adjacency | None = None,
         benefit_mode: str = "deficiency",
     ):
         with OBS.span("benefit-init"):
@@ -187,24 +182,15 @@ class BenefitEngine:
             self.delta_updates = 0
 
     @staticmethod
-    def _validated_benefit_adjacency(
-        benefit_adjacency: Adjacency | sparse.spmatrix | sparse.sparray, n: int
-    ) -> Adjacency:
-        """Check a caller-supplied benefit adjacency once, at the boundary;
-        a scipy matrix is converted through ``.tocsr()`` and must store only
-        1s (the incremental update moves benefit by one unit per entry, so
-        a 2 or an explicit 0 would drift from Eq. 1)."""
-        ben = benefit_adjacency
+    def _validated_benefit_adjacency(ben: Adjacency, n: int) -> Adjacency:
+        """Check a caller-supplied benefit adjacency once, at the boundary.
+        Only an :class:`~repro.field.Adjacency` is taken: it stores no
+        values, so each entry counts once, as the incremental update (one
+        unit of benefit per entry) needs to stay equal to Eq. 1."""
         if not isinstance(ben, Adjacency):
-            if not hasattr(ben, "tocsr"):
-                raise CoverageError(
-                    "benefit_adjacency must be an Adjacency or a scipy sparse "
-                    f"matrix, got {type(ben).__name__}"
-                )
-            ben = ben.tocsr(copy=True)
-            ben.sum_duplicates()
-            if np.any(ben.data != 1):
-                raise CoverageError("benefit adjacency must store only 1s")
+            raise CoverageError(
+                f"benefit_adjacency must be an Adjacency, got {type(ben).__name__}"
+            )
         if ben.shape != (n, n):
             raise CoverageError(
                 f"benefit adjacency shape {ben.shape} != ({n}, {n}); it must "
@@ -216,9 +202,7 @@ class BenefitEngine:
                 "Eq. 1 is over an undirected neighbourhood); see "
                 "same_cell_benefit_adjacency for a valid construction"
             )
-        if isinstance(ben, Adjacency):
-            return ben
-        return Adjacency(ben.indptr.astype(np.int32), ben.indices.astype(np.int32), n)
+        return ben
 
     def _weights(self, counts: np.ndarray, need: np.ndarray | int) -> np.ndarray:
         """Weight in the benefit sum of points with ``counts`` and

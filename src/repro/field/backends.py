@@ -11,10 +11,10 @@ Eq. (1) into a sparse mat-vec — through one index, built by
   batched ball queries and, as a self-join, the adjacency, all with the
   exact closed-ball test ``dx*dx + dy*dy <= r*r``.
 
-:class:`KDTreeBackend` answers the same three queries with
+:class:`KDTreeBackend` answers the same three queries with its own
 :class:`scipy.spatial.cKDTree` (scipy is imported when it is built).  No
 run path builds it: the tests use it as an independent reference for the
-grid hash.
+grid hash, and ``scipy`` is a test dependency only.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.field.csr import Adjacency
-from repro.geometry.neighbors import UniformGridIndex, radius_adjacency
+from repro.geometry.neighbors import UniformGridIndex
 from repro.geometry.points import as_point, as_points
 
 __all__ = ["GridHashBackend", "KDTreeBackend", "make_backend"]
@@ -53,13 +53,14 @@ class KDTreeBackend:
         cs = as_points(centers)
         if self._tree is None:
             return [np.empty(0, dtype=np.intp) for _ in range(len(cs))]
-        res = self._tree.query_ball_point(cs, r)
+        res = self._tree.query_ball_point(cs, r, return_sorted=True)
         return [np.asarray(x, dtype=np.intp) for x in res]
 
     def adjacency(self, radius: float) -> Adjacency:
-        csr = radius_adjacency(self._points, _check_radius(radius))
-        n = csr.shape[0]
-        return Adjacency(csr.indptr.astype(np.int32), csr.indices.astype(np.int32), n)
+        n = len(self._points)
+        rows = self.query_ball_many(self._points, radius)
+        keys = [i * n + row for i, row in enumerate(rows)]
+        return Adjacency.from_keys(np.concatenate([np.empty(0, np.intp), *keys]), n)
 
 
 class GridHashBackend:

@@ -6,9 +6,8 @@ sensor field:
 * :class:`~repro.geometry.region.Rect` — the axis-aligned monitored region.
 * :mod:`~repro.geometry.points` — vectorised point utilities (distances,
   containment, pairwise queries).
-* :mod:`~repro.geometry.neighbors` — fixed-radius neighbour search, both a
-  :class:`scipy.spatial.cKDTree`-backed index and a pure-NumPy uniform grid
-  hash used as an independently implemented cross-check.
+* :mod:`~repro.geometry.neighbors` — fixed-radius neighbour search: one
+  pure-NumPy uniform grid hash (ball queries, self-joins, radius pairs).
 * :class:`~repro.geometry.grid.GridPartition` — the paper's grid-based cell
   architecture (§3.1).
 * :mod:`~repro.geometry.voronoi` — local Voronoi ownership of field points
@@ -23,7 +22,7 @@ from repro.geometry.points import (
     distances_to,
     squared_distances_to,
 )
-from repro.geometry.neighbors import NeighborIndex, UniformGridIndex, radius_adjacency
+from repro.geometry.neighbors import UniformGridIndex
 from repro.geometry.grid import GridPartition
 from repro.geometry.voronoi import VoronoiOwnership, nearest_owner
 from repro.geometry.disks import (
@@ -44,9 +43,7 @@ __all__ = [
     "pairwise_distances",
     "distances_to",
     "squared_distances_to",
-    "NeighborIndex",
     "UniformGridIndex",
-    "radius_adjacency",
     "GridPartition",
     "VoronoiOwnership",
     "nearest_owner",

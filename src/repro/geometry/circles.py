@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import GeometryError
 from repro.geometry.disks import disk_area
+from repro.geometry.neighbors import radius_pairs
 from repro.geometry.points import as_points
 
 __all__ = ["circle_intersection_area", "pairwise_overlap_area", "overlap_statistics"]
@@ -62,25 +63,26 @@ def pairwise_overlap_area(positions: np.ndarray, rs: float) -> float:
     """Sum of pairwise disc-intersection areas of a deployment.
 
     Only pairs closer than ``2 rs`` can overlap, so the sum runs over the
-    KD-tree's near pairs; O(n + pairs) rather than O(n^2).
+    grid hash's near pairs (:func:`~repro.geometry.neighbors.radius_pairs`,
+    ascending); O(n + pairs) rather than O(n^2).
 
     Note this is the *pairwise* sum (triple overlaps are counted three
     times), which is the standard second-order waste statistic; it upper
     bounds the doubly-covered area.
     """
-    from scipy.spatial import cKDTree  # lazily: the package import does not pay for it
+    return _pairwise_overlap(as_points(positions), rs)[1]
 
-    pts = as_points(positions)
+
+def _pairwise_overlap(pts: np.ndarray, rs: float) -> tuple[int, float]:
+    """The number of disc pairs closer than ``2 rs`` and their summed
+    intersection area."""
     if rs <= 0:
         raise GeometryError(f"rs must be positive, got {rs}")
-    if len(pts) < 2:
-        return 0.0
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(2.0 * rs, output_type="ndarray")
+    pairs = radius_pairs(pts, 2.0 * rs).tolist()
     total = 0.0
     for i, j in pairs:
         total += circle_intersection_area(pts[i], rs, pts[j], rs)
-    return total
+    return len(pairs), total
 
 
 def overlap_statistics(positions: np.ndarray, rs: float) -> dict:
@@ -105,14 +107,10 @@ def overlap_statistics(positions: np.ndarray, rs: float) -> dict:
             "overlap_ratio": 0.0,
             "mean_near_neighbors": 0.0,
         }
-    from scipy.spatial import cKDTree
-
-    overlap = pairwise_overlap_area(pts, rs)
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(2.0 * rs, output_type="ndarray")
+    n_pairs, overlap = _pairwise_overlap(pts, rs)
     return {
         "total_disc_area": n * area_each,
         "pairwise_overlap": overlap,
         "overlap_ratio": overlap / (n * area_each),
-        "mean_near_neighbors": 2.0 * len(pairs) / n,
+        "mean_near_neighbors": 2.0 * n_pairs / n,
     }

@@ -110,7 +110,7 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray
     -----
     Intended for small/medium sets (tests, exact discrepancy).  For
     fixed-radius queries on large sets use
-    :class:`repro.geometry.neighbors.NeighborIndex`.
+    :class:`repro.geometry.neighbors.UniformGridIndex`.
     """
     pa = as_points(a)
     pb = pa if b is None else as_points(b)

@@ -14,10 +14,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.geometry.neighbors import radius_pairs
 from repro.geometry.points import as_points
 
-# networkx and scipy are imported inside the functions that use them, so
-# importing the package (and the CLI) does not pay for them
+# networkx is imported inside the functions that use it, so importing the
+# package (and the CLI) does not pay for it
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import networkx as nx
 
@@ -40,17 +41,13 @@ def communication_graph(positions: np.ndarray, rc: float) -> nx.Graph:
         Communication radius; edges join pairs at distance ``<= rc``.
     """
     import networkx as nx
-    from scipy.spatial import cKDTree
 
     pts = as_points(positions)
     if rc <= 0:
         raise ConfigurationError(f"communication radius must be positive, got {rc}")
     g = nx.Graph()
     g.add_nodes_from(range(len(pts)))
-    if len(pts) >= 2:
-        tree = cKDTree(pts)
-        pairs = tree.query_pairs(rc, output_type="ndarray")
-        g.add_edges_from(map(tuple, pairs))
+    g.add_edges_from(radius_pairs(pts, rc).tolist())
     return g
 
 

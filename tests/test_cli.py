@@ -279,10 +279,10 @@ def modules_after_cli_import() -> set[str]:
     "module", ["networkx", "scipy", "http.server", "ssl", "repro.obs.ledger"]
 )
 def test_import_leaves_module_unloaded(modules_after_cli_import, module):
-    """Only the analyses (networkx, scipy) and the tests' kd-tree reference
-    (scipy) need networkx and scipy, nothing needs http.server or ssl, and
-    only ``--ledger`` and ``decor runs`` need the run ledger, so importing
-    the CLI must not load any of them."""
+    """Only the analyses need networkx, only the tests' kd-tree reference
+    needs scipy, nothing needs http.server or ssl, and only ``--ledger``
+    and ``decor runs`` need the run ledger, so importing the CLI must not
+    load any of them."""
     assert module not in modules_after_cli_import
 
 
@@ -299,6 +299,14 @@ from repro.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
+# the same run with scipy loaded first
+_LOAD_SCIPY = """
+import sys
+import scipy.sparse, scipy.spatial
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 
 @pytest.mark.parametrize(
     "args",
@@ -307,8 +315,16 @@ sys.exit(main(sys.argv[1:]))
         ["figure", "8", "--workers", "2", "--json", "{out}"],
         ["restore", "--side", "50", "--points", "500", "--k", "2", "--method",
          "centralized", "--epochs", "3", "--seed", "0"],
+        ["restore", "--side", "50", "--points", "500", "--k", "2", "--method",
+         "grid", "--cell-size", "5", "--seed", "0"],
+        ["deploy", "--side", "50", "--points", "500", "--k", "2", "--method",
+         "voronoi", "--seed", "0"],
+        ["summary", "--seeds", "1"],
+        ["lifetime"],
+        ["gallery"],
     ],
-    ids=["figure8", "figure8-workers", "restore"],
+    ids=["figure8", "figure8-workers", "restore", "restore-once", "deploy",
+         "summary", "lifetime", "gallery"],
 )
 def test_default_runs_never_import_scipy(tmp_path, args):
     out = tmp_path / "fig08.json"
@@ -321,3 +337,9 @@ def test_default_runs_never_import_scipy(tmp_path, args):
     if "--json" in argv:
         expected = REPO_ROOT / "benchmarks" / "results" / "smoke" / "fig08.json"
         assert out.read_bytes() == expected.read_bytes()
+    if argv == ["gallery"]:
+        loaded = subprocess.run(
+            [sys.executable, "-c", _LOAD_SCIPY, *argv], env=_cli_env(),
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert proc.stdout == loaded.stdout

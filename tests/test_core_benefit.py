@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import BenefitEngine
 from repro.core.benefit import same_cell_benefit_adjacency
 from repro.errors import CoverageError, PlacementError
+from repro.field import Adjacency
 from repro.geometry import GridPartition, Rect
-from repro.geometry.neighbors import radius_adjacency
 
 
 @pytest.fixture
@@ -107,7 +107,8 @@ class TestRestrictedBenefitAdjacency:
         region = Rect.square(10.0)
         pts = np.array([[1.0, 1.0], [4.0, 1.0], [6.0, 1.0]])  # cells 0, 0, 1
         partition = GridPartition.square_cells(region, 5.0)
-        cov = radius_adjacency(pts, 3.0)
+        # keys row * 3 + col: the diagonal, (0, 1) at exactly rs and (1, 2)
+        cov = Adjacency.from_keys(np.array([0, 1, 3, 4, 5, 7, 8]), 3)
         ben = same_cell_benefit_adjacency(cov, partition.cell_of(pts))
         eng = BenefitEngine(pts, 3.0, k=1, benefit_adjacency=ben)
         # point 1 is within rs of point 2 but they are in different cells:
@@ -115,21 +116,20 @@ class TestRestrictedBenefitAdjacency:
         assert eng.benefit.tolist() == [2.0, 2.0, 1.0]
 
     def test_shape_mismatch_rejected(self):
-        from scipy import sparse
-
         with pytest.raises(CoverageError):
             BenefitEngine(
                 np.array([[0.0, 0.0]]),
                 1.0,
                 k=1,
-                benefit_adjacency=sparse.identity(3, format="csr"),
+                benefit_adjacency=Adjacency.from_keys(np.array([0, 4, 8]), 3),
             )
 
     @pytest.mark.parametrize("stored", ["twos", "explicit-zeros"])
     def test_values_other_than_one_rejected(self, stored):
         """The incremental update moves benefit by one unit per stored
         entry, so a stored 2 or an explicit 0 would let it drift from the
-        Eq. 1 mat-vec: such matrices are rejected at construction."""
+        Eq. 1 mat-vec: only a value-free ``Adjacency`` is taken, and a
+        scipy matrix is rejected at construction, whatever it stores."""
         from scipy import sparse
 
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [9.0, 0.0]])
@@ -142,7 +142,7 @@ class TestRestrictedBenefitAdjacency:
                 shape=(3, 3),
             )
             assert ben.nnz == 5  # the zeros are stored
-        with pytest.raises(CoverageError, match="only 1s"):
+        with pytest.raises(CoverageError, match="must be an Adjacency"):
             BenefitEngine(pts, 2.0, k=1, benefit_adjacency=ben)
 
 

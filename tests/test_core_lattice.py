@@ -24,12 +24,6 @@ class TestHexagonalLattice:
     def test_pitch_geometry(self):
         sites = hexagonal_lattice(Rect.square(20.0), 2.0)
         # nearest-neighbour distance is the pitch sqrt(3) * rs
-        from repro.geometry import NeighborIndex
-
-        idx = NeighborIndex(sites)
-        d, _ = idx.nearest(sites + 1e-9)
-        # self-match excluded by the epsilon; check the second neighbour via
-        # a direct pair query instead
         pitch = math.sqrt(3.0) * 2.0
         pair = distances_to(sites[1:], sites[0])
         assert pytest.approx(pair.min(), rel=1e-6) == pitch

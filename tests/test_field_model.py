@@ -5,7 +5,6 @@ over an experiment sweep."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 
 from repro.core.benefit import BenefitEngine, same_cell_benefit_adjacency
 from repro.errors import CoverageError, GeometryError
@@ -19,7 +18,6 @@ from repro.field import (
 )
 from repro.field.backends import KDTreeBackend
 from repro.geometry import Rect
-from repro.geometry.neighbors import radius_adjacency
 from repro.network.coverage import CoverageState
 
 
@@ -257,24 +255,25 @@ class TestConsumerSharing:
 class TestBenefitAdjacencyValidation:
     def test_dense_array_rejected(self):
         pts = random_points(4, n=10)
-        with pytest.raises(CoverageError, match="sparse"):
+        with pytest.raises(CoverageError, match="must be an Adjacency"):
             BenefitEngine(pts, 2.0, 1, benefit_adjacency=np.eye(10))
 
     def test_wrong_shape_rejected(self):
         pts = random_points(4, n=10)
+        identity9 = Adjacency.from_keys(np.arange(9) * 10, 9)  # keys i * 9 + i
         with pytest.raises(CoverageError, match="shape"):
-            BenefitEngine(pts, 2.0, 1, benefit_adjacency=sparse.eye(9, format="csr"))
+            BenefitEngine(pts, 2.0, 1, benefit_adjacency=identity9)
 
     def test_asymmetric_rejected(self):
         pts = random_points(4, n=10)
-        bad = sparse.eye(10, format="lil")
-        bad[0, 1] = 1.0  # no mirror entry
+        # the diagonal and (0, 1), with no mirror entry (1, 0)
+        bad = Adjacency.from_keys(np.sort(np.append(np.arange(10) * 11, 1)), 10)
         with pytest.raises(CoverageError, match="symmetric"):
-            BenefitEngine(pts, 2.0, 1, benefit_adjacency=bad.tocsr())
+            BenefitEngine(pts, 2.0, 1, benefit_adjacency=bad)
 
     def test_valid_adjacency_accepted(self):
         pts = random_points(4, n=10)
-        good = radius_adjacency(pts, 2.0)
+        good = KDTreeBackend(pts).adjacency(2.0)
         eng = BenefitEngine(pts, 2.0, 1, benefit_adjacency=good)
         eng.validate()
 

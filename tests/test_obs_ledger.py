@@ -415,6 +415,26 @@ class TestCliEndToEnd:
             main(["runs", "--ledger", str(ledger), "regress"])
         assert exc.value.code == 2
 
+    def test_runs_list_wall_counts_the_pool_once(self, tmp_path, capsys):
+        """``runs list`` prints the command's own span total: the pool's
+        spans nest inside ``figure``, so a pooled row lists its ``figure``
+        total, and a serial row, which has only that span, lists the same
+        sum of its ``wall`` as before."""
+        ledger = tmp_path / "ledger"
+        self._run_figure(ledger)
+        self._run_figure(ledger, "--workers", "2")
+        capsys.readouterr()
+        serial, pooled = LedgerStore(ledger).rows()
+        assert sorted(serial["wall"]) == ["figure"]
+        assert sorted(pooled["wall"]) == ["figure", "pool_compute", "pool_publish"]
+        assert main(["runs", "--ledger", str(ledger), "list"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in listed] == [
+            serial["run_id"], pooled["run_id"],
+        ]
+        for line, row in zip(listed, (serial, pooled)):
+            assert line.endswith(f"wall={row['wall']['figure']:.2f}s")
+
     def test_runs_show_prints_row_json(self, tmp_path, capsys):
         ledger = tmp_path / "ledger"
         self._run_figure(ledger)
