@@ -1,10 +1,12 @@
 """Acceptance gate for warm-start restoration.
 
 The claim (docs/performance.md): across a sequence of small-disc area
-failures, a warm :class:`~repro.core.restoration.RestorationSession`
-undoes only the failed sensors' coverage rows (``remove_rows``), so its
-benefit work per epoch is bounded by the damage footprint, while the cold
-path re-accounts every surviving sensor into a fresh engine each epoch.
+failures, a :class:`~repro.core.restoration.RestorationSession` undoes
+only the failed sensors' coverage rows (``remove_rows``), so its benefit
+work per epoch is bounded by the damage footprint, while the cold
+reference, one-shot :func:`~repro.core.restoration.restore` calls chained
+over the same scenario, re-accounts every surviving sensor into a fresh
+engine each epoch.
 
 The gate counts benefit entries updated incrementally (the engine's
 ``benefit_delta_updates_total`` OBS counter, deterministic — no timing
@@ -31,7 +33,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.restoration import RestorationSession
+from repro.core.restoration import RestorationSession, restore
 from repro.experiments import ExperimentSetup
 from repro.experiments.runner import DeploymentCache
 from repro.experiments.setup import series_by_name
@@ -40,7 +42,7 @@ from repro.obs import OBS
 
 from conftest import RESULTS_DIR
 
-#: Steady-state epochs measured (plus one warm-up epoch excluded).
+#: Epochs run; the counts exclude epoch 0, the session's warm-up.
 N_EPOCHS = 6
 #: The "small disc": one sensing radius — a localized failure, the regime
 #: warm restoration is built for.
@@ -53,24 +55,39 @@ WARM_UPDATES = 1_380
 COLD_UPDATES = 96_132
 
 
-def _steady_updates(warm: bool, setup, result, field, spec, k) -> int:
-    """Steady-state benefit delta updates for one mode."""
-    session = RestorationSession(
-        field, spec, result.deployment, k, "centralized", warm=warm
-    )
+def _failure(setup, deployment, epoch: int):
+    """The scenario's small-disc area failure of one epoch."""
+    center = setup.region.sample(1, np.random.default_rng(90_000 + epoch))[0]
+    return area_failure(deployment, center, DISC_RADII * setup.rs)
+
+
+def _session_epochs(setup, field, spec, k, deployment):
+    """Warm: one session repairs every epoch; yields each repaired network."""
+    session = RestorationSession(field, spec, deployment, k, "centralized")
+    for epoch in range(N_EPOCHS):
+        session.restore(_failure(setup, session.deployment, epoch))
+        yield session.deployment
+
+
+def _chained_epochs(setup, field, spec, k, deployment):
+    """Cold: a one-shot ``restore`` per epoch, each from the previous
+    repair; yields each repaired network."""
+    network = deployment
+    for epoch in range(N_EPOCHS):
+        event = _failure(setup, deployment, epoch)
+        network = restore(field, spec, network, event, k, "centralized").repair
+        deployment = network.deployment
+        yield deployment
+
+
+def _steady_updates(epochs) -> int:
+    """Benefit delta updates over the epochs after epoch 0."""
     OBS.enable(fresh=True)
-    warmup = 0
     try:
-        for epoch in range(N_EPOCHS):
-            center = setup.region.sample(
-                1, np.random.default_rng(90_000 + epoch)
-            )[0]
-            event = area_failure(
-                session.deployment, center, DISC_RADII * setup.rs
-            )
-            session.restore(event)
-            if epoch == 0:
-                warmup = OBS.metrics.value("benefit_delta_updates_total")
+        next(epochs)
+        warmup = OBS.metrics.value("benefit_delta_updates_total")
+        for _ in epochs:
+            pass
     finally:
         OBS.disable()
     total = OBS.metrics.value("benefit_delta_updates_total")
@@ -92,8 +109,12 @@ def test_warm_restore_delta_update_reduction(fig08_scale_run):
     """Tentpole acceptance gate: >= 5x fewer benefit delta updates warm
     vs cold across steady-state small-disc failure epochs."""
     setup, result, field, spec, k = fig08_scale_run
-    warm_updates = _steady_updates(True, setup, result, field, spec, k)
-    cold_updates = _steady_updates(False, setup, result, field, spec, k)
+    warm_updates = _steady_updates(
+        _session_epochs(setup, field, spec, k, result.deployment)
+    )
+    cold_updates = _steady_updates(
+        _chained_epochs(setup, field, spec, k, result.deployment)
+    )
     assert warm_updates > 0 and cold_updates > 0
     ratio = cold_updates / warm_updates
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -128,19 +149,10 @@ def test_warm_restore_delta_update_reduction(fig08_scale_run):
 
 
 def test_warm_restore_bit_identical_here_too(fig08_scale_run):
-    """The perf scenario itself stays bit-identical warm vs cold."""
+    """The perf scenario's session repairs exactly as chained one-shot
+    restores do, epoch by epoch."""
     setup, result, field, spec, k = fig08_scale_run
-    finals = []
-    for warm in (True, False):
-        session = RestorationSession(
-            field, spec, result.deployment, k, "centralized", warm=warm
-        )
-        for epoch in range(3):
-            center = setup.region.sample(
-                1, np.random.default_rng(90_000 + epoch)
-            )[0]
-            session.restore(
-                area_failure(session.deployment, center, DISC_RADII * setup.rs)
-            )
-        finals.append(session.deployment.alive_positions())
-    assert np.array_equal(finals[0], finals[1])
+    warm = _session_epochs(setup, field, spec, k, result.deployment)
+    cold = _chained_epochs(setup, field, spec, k, result.deployment)
+    for epoch, (w, c) in enumerate(zip(warm, cold, strict=True)):
+        assert np.array_equal(w.alive_positions(), c.alive_positions()), epoch

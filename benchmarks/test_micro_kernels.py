@@ -11,8 +11,6 @@ import pytest
 from repro.core import centralized_greedy, voronoi_decor
 from repro.discrepancy import halton
 from repro.experiments.runner import field_for_seed
-from repro.field.backends import KDTreeBackend
-from repro.geometry import UniformGridIndex
 from repro.geometry.voronoi import VoronoiOwnership
 from repro.network import CoverageState, SensorSpec
 
@@ -24,26 +22,6 @@ def paper_like_field(setup):
 
 def test_halton_generation(benchmark, setup):
     benchmark(lambda: halton(setup.n_points))
-
-
-def test_kdtree_ball_queries(benchmark, setup, paper_like_field):
-    index = KDTreeBackend(paper_like_field)
-    probes = paper_like_field[:: max(1, len(paper_like_field) // 100)]
-
-    def run():
-        return sum(index.query_ball(p, setup.rs).size for p in probes)
-
-    benchmark(run)
-
-
-def test_gridhash_ball_queries(benchmark, setup, paper_like_field):
-    index = UniformGridIndex(paper_like_field, radius=setup.rs)
-    probes = paper_like_field[:: max(1, len(paper_like_field) // 100)]
-
-    def run():
-        return sum(index.query_ball(p).size for p in probes)
-
-    benchmark(run)
 
 
 def test_coverage_state_adds(benchmark, setup, paper_like_field, rng=None):

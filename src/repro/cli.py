@@ -8,7 +8,7 @@ Usage (installed as ``decor`` or via ``python -m repro.cli``)::
     decor deploy --k 3 --method voronoi # one deployment, metrics + ASCII view
     decor summary --k 3                 # one-row-per-method bottom line
     decor restore --k 3 --method grid   # deploy, disaster, repair, report
-    decor restore --epochs 5 --warm     # survive 5 failure epochs, warm engine
+    decor restore --epochs 5            # survive 5 failure epochs, one session
     decor lifetime --k 3                # sleep-shift lifetime multiplier
     decor gallery                       # paper Figures 4-6 as ASCII art
 
@@ -335,16 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="survive N failure epochs (disc/random/correlated schedule) "
              "through one RestorationSession (default: one disaster disc)",
     )
-    strat = p_res.add_mutually_exclusive_group()
-    strat.add_argument(
-        "--warm", dest="warm", action="store_true", default=None,
-        help="keep the benefit engine warm across epochs "
-             "(undo only the failed rows; the default)",
-    )
-    strat.add_argument(
-        "--cold", dest="warm", action="store_false",
-        help="rebuild all placement state each epoch (the paper's loop)",
-    )
     _add_obs_args(p_res)
 
     p_life = sub.add_parser("lifetime", help="sleep-shift lifetime multiplier")
@@ -565,7 +555,7 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
     )
     print(f"deployed           : {result.total_alive} nodes (k={args.k}, "
           f"{args.method})")
-    if args.epochs == 1 and args.warm is None:
+    if args.epochs == 1:
         # the classic one-shot flow: one disaster disc, one repair
         event = area_failure(result.deployment, planner.region.center, radius)
         report = planner.restore_after(
@@ -584,8 +574,7 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
         with OBS.span("restore", method=args.method, k=args.k,
                       epochs=args.epochs):
             session = planner.session(
-                result, method=args.method, warm=args.warm is not False,
-                cell_size=args.cell_size,
+                result, method=args.method, cell_size=args.cell_size
             )
             for epoch in range(args.epochs):
                 event = epoch_failure(
@@ -599,14 +588,13 @@ def _cmd_restore(args: argparse.Namespace, row: _LedgerRow) -> int:
                       f"{report.covered_after_failure:.1%} after loss, "
                       f"repair +{report.extra_nodes} -> "
                       f"{report.covered_after_repair:.0%} k-covered")
-        mode = "warm" if session.warm else "cold"
-        print(f"survived           : {session.epoch} epochs ({mode}), "
+        print(f"survived           : {session.epoch} epochs (warm), "
               f"+{total} nodes total, "
               f"{session.deployment.n_alive} alive")
     if OBS.enabled:
         bridge_field_stats(planner.field)
     config = _planner_config(args, "restore")
-    config.update(epochs=args.epochs, warm=args.warm, disaster_radius=radius)
+    config.update(epochs=args.epochs, disaster_radius=radius)
     row.declare("restore", f"restore-{args.method}-k{args.k}", config)
     return 0
 
@@ -970,7 +958,8 @@ def main(argv: list[str] | None = None) -> int:
         _validate_args(args)
         with _recording(args, raw) as row:
             return _dispatch(args, row)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
+        # a bad path on the command line is an input error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -206,14 +206,12 @@ class DecorPlanner:
         result: DeploymentResult,
         method: str = "voronoi",
         *,
-        warm: bool = True,
         cell_size: float | None = None,
         max_nodes: int | None = None,
     ) -> RestorationSession:
         """A :class:`RestorationSession` maintaining ``result``'s network.
 
-        The session shares the planner's field model, region and RNG; in
-        warm mode (the default; ``warm=False`` is the paper's cold loop) its
+        The session shares the planner's field model, region and RNG; its
         benefit engine persists across failure epochs so each repair
         re-examines only the damaged region.
         """
@@ -223,7 +221,6 @@ class DecorPlanner:
             result,
             result.k,
             method,
-            warm=warm,
             region=self.region,
             rng=self.rng,
             cell_size=cell_size,

@@ -7,27 +7,25 @@ the survivors, and reports how many extra nodes the repair needed — the
 quantity of Figure 14.
 
 :class:`RestorationSession` lifts that one-shot primitive to a *sequence*
-of failure epochs over one network.  The paper's loop rebuilds all
-placement state from scratch each epoch, so repair cost is proportional to
-the field; the session instead keeps one :class:`~repro.core.benefit.
-BenefitEngine` warm across epochs: a failure removes exactly the failed
-sensors' recorded coverage rows (``remove_rows``), so only the damaged
-region's counts and benefits change and no survivor is re-accounted, and
-the repair run receives the warm engine through the ``engine=`` seam of
+of failure epochs over one network.  Re-running :func:`restore` each
+epoch rebuilds all placement state from scratch, so repair cost is
+proportional to the field; the session instead keeps one
+:class:`~repro.core.benefit.BenefitEngine` across epochs: a failure
+removes exactly the failed sensors' recorded coverage rows
+(``remove_rows``), so only the damaged region's counts and benefits
+change and no survivor is re-accounted, and the repair run receives the
+engine through the ``engine=`` seam of
 :func:`repro.core.planner.run_method`.
 Nor is coverage recounted: a repair result's coverage is its engine's
-rows, and the next epoch subtracts the failed rows from it, so a warm
-epoch ball-queries only the damage footprint.  All of it stays
-**bit-identical** to the cold path: counts and benefits are exact
-integer state, and removing the failed rows leaves precisely the state a
-fresh engine built from the survivors would hold, so both walk the same
-argmax sequence (``tests/test_restoration_session.py`` asserts
-byte-equality of deployments, figure payloads and flight-recorder streams
-across epochs; the runtime sanitizer additionally cross-checks warm state
-against a cold rebuild every epoch when ``REPRO_CHECKS=1``).
-
-Sessions are warm by default; ``warm=False`` selects the paper's
-rebuild-every-epoch loop.
+rows, and the next epoch subtracts the failed rows from it, so an epoch
+ball-queries only the damage footprint.  All of it stays
+**bit-identical** to chained one-shot :func:`restore` calls: counts and
+benefits are exact integer state, and removing the failed rows leaves
+precisely the state a fresh engine built from the survivors would hold,
+so both walk the same argmax sequence (``tests/test_restoration_session.py``
+asserts equal deployments and reports across epochs; the runtime
+sanitizer additionally cross-checks the engine against a rebuild from
+the survivors every epoch when ``REPRO_CHECKS=1``).
 """
 
 from __future__ import annotations
@@ -205,13 +203,12 @@ def restore(
 class RestorationSession:
     """Persistent, epoch-aware restoration of one deployed network.
 
-    Holds the network and (in warm mode) one
-    :class:`~repro.core.benefit.BenefitEngine` across a sequence of
-    failures; each :meth:`restore` call applies one failure epoch and
-    repairs with the session's method.  Warm and cold sessions produce
-    bit-identical reports, deployments and flight-recorder streams — warm
-    just gets there by re-examining only the damaged region (see the
-    module docstring and ``docs/performance.md``).
+    Holds the network and one :class:`~repro.core.benefit.BenefitEngine`
+    across a sequence of failures; each :meth:`restore` call applies one
+    failure epoch and repairs with the session's method.  Its reports and
+    deployments are bit-identical to chained one-shot :func:`restore`
+    calls — the session just gets there by re-examining only the damaged
+    region (see the module docstring and ``docs/performance.md``).
 
     Parameters
     ----------
@@ -225,9 +222,6 @@ class RestorationSession:
         ``report.repair.deployment``.
     method:
         Repair method name from :data:`repro.core.planner.METHODS`.
-    warm:
-        ``True`` (the default) keeps one benefit engine across epochs;
-        ``False`` rebuilds all placement state each epoch.
     region, rng, cell_size:
         Method parameters, validated eagerly (``"grid"`` needs ``region``
         and ``cell_size``; ``"random"`` needs ``rng``).
@@ -260,7 +254,6 @@ class RestorationSession:
         k: int,
         method: str = "voronoi",
         *,
-        warm: bool = True,
         region: Rect | None = None,
         rng: np.random.Generator | None = None,
         cell_size: float | None = None,
@@ -291,11 +284,10 @@ class RestorationSession:
             else deployment.copy()
         )
         self._epoch = 0
-        self._warm = bool(warm)
-        self._engine = self._build_engine() if self._warm else None
+        self._engine = self._build_engine()
 
     def _build_engine(self) -> BenefitEngine:
-        """The warm engine, accounting the current network in id order."""
+        """The session's engine, accounting the current network in id order."""
         benefit_adjacency = None
         if self._method == "grid":
             # the memoised same-cell adjacency — identical object to what
@@ -327,29 +319,23 @@ class RestorationSession:
         return self._epoch
 
     @property
-    def warm(self) -> bool:
-        return self._warm
-
-    @property
     def method(self) -> str:
         return self._method
 
     @property
-    def engine(self) -> BenefitEngine | None:
-        """The warm engine (``None`` in cold mode)."""
+    def engine(self) -> BenefitEngine:
+        """The engine kept across epochs."""
         return self._engine
 
     # ------------------------------------------------------------------
     def restore(self, failure: FailureEvent) -> RestorationReport:
         """Apply one failure epoch and repair; returns the epoch's report.
 
-        ``failure.node_ids`` refer to :attr:`deployment`.  In warm mode the
-        failed sensors' coverage rows are removed from the live engine —
-        only the benefit entries the damage raised change — and the repair
-        runs on the warm engine; in cold
-        mode everything is rebuilt from the survivors.  Both paths emit
-        identical flight-recorder events (epoch, damage footprint, repair
-        size) and return bit-identical reports.
+        ``failure.node_ids`` refer to :attr:`deployment`.  The failed
+        sensors' coverage rows are removed from the live engine — only the
+        benefit entries the damage raised change — and the repair runs on
+        that engine.  A recording run gets flight-recorder events for the
+        epoch, its damage footprint and the repair size.
         """
         dep = self.deployment
         failed_ids = np.asarray(failure.node_ids, dtype=np.intp).reshape(-1)
@@ -362,12 +348,10 @@ class RestorationSession:
             "restoration", method=self._method, k=self._k
         ) as frun:
             if OBS.enabled and OBS.recording():
-                # the damage footprint, computed identically in warm and
-                # cold mode so the recorded streams stay byte-identical,
-                # and only for a flight log; the block runs on the repair's
-                # round clock (grid and Voronoi repairs stamp their
-                # placements with rounds 1, 2, ...), so the failure comes
-                # before round 1
+                # the damage footprint, computed only for a flight log;
+                # the block runs on the repair's round clock (grid and
+                # Voronoi repairs stamp their placements with rounds 1,
+                # 2, ...), so the failure comes before round 1
                 dirty = self._field.dirty_region(
                     dep.positions[failed_ids], self._spec.sensing_radius
                 )
@@ -376,9 +360,8 @@ class RestorationSession:
                     epoch=self._epoch, n_failed=int(failed_ids.size),
                     dirty_points=dirty.n_points,
                 )
-            if self._engine is not None:
-                # warm engine row i is the i-th alive node of the network
-                self._engine.remove_rows(np.searchsorted(alive, failed_ids))
+            # engine row i is the i-th alive node of the network
+            self._engine.remove_rows(np.searchsorted(alive, failed_ids))
             report = restore(
                 self._field,
                 self._spec,

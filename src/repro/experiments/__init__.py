@@ -33,14 +33,7 @@ from repro.experiments.figures import (
     fig14_restoration,
     FIGURES,
 )
-from repro.experiments.epochs import (
-    FAILURE_SCHEDULE,
-    EpochRecord,
-    EpochSweepResult,
-    epoch_failure,
-    epoch_series,
-    run_epoch_sweep,
-)
+from repro.experiments.epochs import FAILURE_SCHEDULE, epoch_failure
 from repro.experiments.availability import (
     AvailabilityConfig,
     AvailabilityReport,
@@ -79,11 +72,7 @@ __all__ = [
     "fig14_restoration",
     "FIGURES",
     "FAILURE_SCHEDULE",
-    "EpochRecord",
-    "EpochSweepResult",
     "epoch_failure",
-    "epoch_series",
-    "run_epoch_sweep",
     "AvailabilityConfig",
     "AvailabilityReport",
     "simulate_availability",

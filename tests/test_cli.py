@@ -117,9 +117,10 @@ _SMALL_RESTORE = ["restore", "--k", "1", "--side", "25", "--points", "150"]
         ([*_SMALL_RESTORE, "--disaster-radius", "0"], "--disaster-radius"),
         ([*_SMALL_RESTORE, "--disaster-radius", "-3"], "--disaster-radius"),
         (["figure", "8", "--seeds", "0"], "n_seeds"),
+        ([*_SMALL_RESTORE, "--epochs", "0"], "--epochs"),
     ],
     ids=["figure-workers", "summary-workers", "radius-zero", "radius-negative",
-         "seeds-zero"],
+         "seeds-zero", "epochs-zero"],
 )
 def test_invalid_inputs_rejected_before_work(argv, names, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "smoke")
@@ -127,6 +128,33 @@ def test_invalid_inputs_rejected_before_work(argv, names, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert names in err
     assert "deployed" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["obs", "summarize", "{missing}/metrics.json"],
+        ["replay", "{missing}/flight.jsonl"],
+        ["figure", "8", "--seeds", "1", "--json", "{missing}/fig08.json"],
+        [*_SMALL_RESTORE, "--sample", "{missing}/sample.jsonl"],
+        [*_SMALL_RESTORE, "--trace", "{missing}/trace.jsonl"],
+        [*_SMALL_RESTORE, "--flight-record", "{missing}/flight.jsonl"],
+        [*_SMALL_RESTORE, "--ledger", "{file}/ledger"],
+    ],
+    ids=["summarize", "replay", "figure-json", "sample", "trace",
+         "flight-record", "ledger"],
+)
+def test_bad_paths_exit_2(argv, tmp_path, capsys, monkeypatch):
+    """A path that is missing, or that cannot be written because its parent
+    is a file, is an input error: exit 2 naming it, no traceback."""
+    monkeypatch.setenv("REPRO_SCALE", "smoke")
+    parent_file = tmp_path / "file"
+    parent_file.write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=parent_file) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert argv[-1] in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -263,6 +291,22 @@ def _cli_env() -> dict[str, str]:
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return env
+
+
+def test_restore_epochs_match_the_golden(capsys):
+    """The end-to-end benchmark's ``restore-epochs`` command, in process:
+    its deploy, epoch and summary lines are the benchmark's golden, whose
+    masked mode word the CLI prints as ``(warm)``."""
+    golden = REPO_ROOT / "benchmarks" / "e2e" / "golden" / "restore-epochs-s0.txt"
+    assert main(["restore", "--side", "100", "--points", "2000", "--k", "3",
+                 "--method", "centralized", "--epochs", "100",
+                 "--seed", "0"]) == 0
+    lines = [
+        line for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("deployed", "epoch ", "survived"))
+    ]
+    expected = golden.read_text(encoding="utf-8").replace("(mode)", "(warm)")
+    assert lines == expected.splitlines()
 
 
 @pytest.fixture(scope="module")

@@ -394,7 +394,7 @@ class TestEpochHealthSampling:
         )
         result = planner.deploy(1, method="centralized")
         OBS.enable(fresh=True)
-        session = planner.session(result, method="centralized", warm=True)
+        session = planner.session(result, method="centralized")
         for epoch in range(2):
             event = epoch_failure(
                 session.deployment, planner.region, epoch, 0, radius=7.0

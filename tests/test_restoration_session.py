@@ -1,11 +1,11 @@
 """Warm-start restoration: the session must be bit-identical to cold.
 
 The contract under test (see :mod:`repro.core.restoration` and
-``docs/performance.md``): a warm :class:`RestorationSession` — one benefit
+``docs/performance.md``): a :class:`RestorationSession` — one benefit
 engine kept alive across failure epochs, changed only over each epoch's
-damaged region — produces *exactly* the repairs a cold rebuild produces,
-for every method and every failure kind; even the flight-recorder streams
-serialise to the same bytes.
+damaged region — produces *exactly* the repairs of the cold reference,
+chained one-shot :func:`restore` calls that rebuild all placement state
+every epoch, for every method and every failure kind.
 """
 
 from __future__ import annotations
@@ -24,14 +24,9 @@ from repro.errors import (
     ExperimentError,
     PlacementError,
 )
-from repro.experiments import (
-    ExperimentSetup,
-    epoch_failure,
-    epoch_series,
-    run_epoch_sweep,
-)
-from repro.experiments.recording import figure_to_json
+from repro.experiments import ExperimentSetup, epoch_failure
 from repro.experiments.runner import DeploymentCache
+from repro.experiments.setup import series_by_name
 from repro.field import FieldModel
 from repro.geometry import Rect
 from repro.network import FailureEvent, SensorSpec
@@ -55,6 +50,43 @@ def _drive(session, region, *, epochs: int = 3, radius: float = 7.0):
     return reports
 
 
+def _chained_restore(field, spec, result, method, region, *, epochs: int = 3,
+                     radius: float = 7.0, seed: int = 0, **method_kwargs):
+    """The cold reference: one-shot :func:`restore` per epoch, each from
+    the previous repair, under the session's failure schedule."""
+    network, reports = result, []
+    for epoch in range(epochs):
+        event = epoch_failure(
+            network.deployment, region, epoch, seed, radius=radius
+        )
+        report = restore(
+            field, spec, network, event, result.k, method, region=region,
+            **method_kwargs,
+        )
+        reports.append(report)
+        network = report.repair
+    return reports
+
+
+def _assert_same_reports(session_reports, reference) -> None:
+    """Every measured field of every epoch's report is bit-identical."""
+    assert len(session_reports) == len(reference)
+    for epoch, (got, want) in enumerate(zip(session_reports, reference)):
+        assert np.array_equal(got.failure.node_ids, want.failure.node_ids), epoch
+        assert got.failure.kind == want.failure.kind, epoch
+        assert got.covered_before == want.covered_before, epoch
+        assert got.covered_after_failure == want.covered_after_failure, epoch
+        assert got.covered_after_repair == want.covered_after_repair, epoch
+        assert got.extra_nodes == want.extra_nodes, epoch
+        assert got.complete == want.complete, epoch
+        assert np.array_equal(
+            got.repair.deployment.positions, want.repair.deployment.positions
+        ), epoch
+        assert np.array_equal(
+            got.repair.deployment.alive_mask, want.repair.deployment.alive_mask
+        ), epoch
+
+
 @pytest.fixture
 def obs_reset():
     yield
@@ -65,50 +97,36 @@ class TestWarmEqualsCold:
     @pytest.mark.parametrize("method", ["centralized", "grid", "voronoi"])
     def test_three_epochs_bit_identical(self, method, monkeypatch):
         monkeypatch.setattr(CHECKS, "enabled", True)  # warm==cold sanitizer on
-        outcomes = []
-        for warm in (True, False):
-            planner = _planner()
-            result = planner.deploy(2, method=method, cell_size=5.0)
-            session = planner.session(
-                result, method=method, warm=warm, cell_size=5.0
-            )
-            reports = _drive(session, planner.region)
-            outcomes.append(
-                (
-                    [r.extra_nodes for r in reports],
-                    [r.covered_after_failure for r in reports],
-                    session.deployment.alive_positions(),
-                )
-            )
-        (warm_extra, warm_cov, warm_pos), (cold_extra, cold_cov, cold_pos) = outcomes
-        assert warm_extra == cold_extra
-        assert warm_cov == cold_cov
-        assert np.array_equal(warm_pos, cold_pos)
+        planner = _planner()
+        result = planner.deploy(2, method=method, cell_size=5.0)
+        session = planner.session(result, method=method, cell_size=5.0)
+        reports = _drive(session, planner.region)
+        reference = _chained_restore(
+            planner.field, planner.spec, result, method, planner.region,
+            cell_size=5.0,
+        )
+        _assert_same_reports(reports, reference)
 
     def test_random_method_bit_identical(self):
-        outcomes = []
-        for warm in (True, False):
-            planner = _planner(seed=5)
-            result = planner.deploy(1, method="random")
-            # each session gets its own identically seeded repair RNG
-            session = RestorationSession(
-                planner.field, planner.spec, result.deployment, 1, "random",
-                warm=warm, region=planner.region,
-                rng=np.random.default_rng(99),
-            )
-            reports = _drive(session, planner.region, epochs=2)
-            outcomes.append(
-                ([r.extra_nodes for r in reports],
-                 session.deployment.alive_positions())
-            )
-        assert outcomes[0][0] == outcomes[1][0]
-        assert np.array_equal(outcomes[0][1], outcomes[1][1])
+        planner = _planner(seed=5)
+        result = planner.deploy(1, method="random")
+        # the session and the reference get identically seeded repair RNGs
+        session = RestorationSession(
+            planner.field, planner.spec, result.deployment, 1, "random",
+            region=planner.region, rng=np.random.default_rng(99),
+        )
+        reports = _drive(session, planner.region, epochs=2)
+        reference = _chained_restore(
+            planner.field, planner.spec, result, "random", planner.region,
+            epochs=2, rng=np.random.default_rng(99),
+        )
+        _assert_same_reports(reports, reference)
 
     def test_warm_session_matches_repeated_one_shot_restore(self):
         """The session is the one-shot primitive, iterated — nothing more."""
         planner = _planner()
         result = planner.deploy(2, method="centralized")
-        session = planner.session(result, method="centralized", warm=True)
+        session = planner.session(result, method="centralized")
         session_reports = _drive(session, planner.region)
 
         planner2 = _planner()
@@ -129,81 +147,63 @@ class TestWarmEqualsCold:
     def test_epoch_counter_and_views(self):
         planner = _planner()
         result = planner.deploy(1, method="voronoi")
-        session = planner.session(result, method="voronoi")  # warm by default
-        assert (session.epoch, session.warm, session.method) == (0, True, "voronoi")
-        assert session.engine is not None
+        session = planner.session(result, method="voronoi")
+        assert (session.epoch, session.method) == (0, "voronoi")
+        assert session.engine.n_rows == result.deployment.n_alive
         _drive(session, planner.region, epochs=2)
         assert session.epoch == 2
-        cold = planner.session(result, method="voronoi", warm=False)
-        assert cold.engine is None
+        assert session.engine.n_rows == session.deployment.n_alive
 
 
 class TestFlightRecorderStreams:
-    def test_warm_and_cold_streams_byte_identical(self, obs_reset):
-        streams = []
-        for warm in (True, False):
-            planner = _planner()
-            result = planner.deploy(2, method="voronoi")
-            session = planner.session(result, method="voronoi", warm=warm)
-            OBS.enable(fresh=True, flight=True)
-            _drive(session, planner.region)
-            streams.append(OBS.flight.to_jsonl())
-            OBS.disable()
-        assert streams[0] == streams[1]
-        # and the stream actually carries the per-epoch story
-        kinds = [
-            json.loads(line)["kind"]
-            for line in streams[0].splitlines()
-            if '"kind"' in line
+    def test_stream_records_each_epoch(self, obs_reset):
+        planner = _planner()
+        result = planner.deploy(2, method="voronoi")
+        session = planner.session(result, method="voronoi")
+        OBS.enable(fresh=True, flight=True)
+        _drive(session, planner.region)
+        stream = OBS.flight.to_jsonl()
+        OBS.disable()
+        records = [
+            json.loads(line) for line in stream.splitlines() if '"kind"' in line
         ]
+        kinds = [r["kind"] for r in records]
         assert kinds.count("fail") == 3 and kinds.count("restored") == 3
-        # the damage footprint is recorded, and equal in both modes
-        dirty = [
-            json.loads(line)["attrs"]["dirty_points"]
-            for stream in streams
-            for line in stream.splitlines()
-            if '"kind": "fail"' in line
-        ]
-        assert dirty[:3] == dirty[3:] and min(dirty) > 0
+        # the damage footprint is recorded
+        dirty = [r["attrs"]["dirty_points"] for r in records if r["kind"] == "fail"]
+        assert min(dirty) > 0
 
 
 class TestEpochSweep:
     def test_sweep_warm_equals_cold_all_series(self):
+        """Each series' deployment survives the failure schedule in a
+        session exactly as it does under chained one-shot restores."""
         setup = ExperimentSetup.smoke()
         cache = DeploymentCache(setup)
         for name in ("centralized", "grid-small", "voronoi-big", "random"):
-            warm = run_epoch_sweep(
-                setup, name, 2, 0, epochs=3, warm=True, cache=cache
+            series = series_by_name(name)
+            result = cache.get(series, 2, 0)
+            cell_size = setup.cell_size_for(series)
+            session = RestorationSession(
+                cache.field(0), setup.spec_for(series), result, 2,
+                series.method, region=setup.region,
+                rng=np.random.default_rng(60_000), cell_size=cell_size,
             )
-            cold = run_epoch_sweep(
-                setup, name, 2, 0, epochs=3, warm=False, cache=cache
+            reports = _drive(
+                session, setup.region, radius=setup.disaster_radius
             )
-            dw, dc = warm.as_dict(), cold.as_dict()
-            assert dw.pop("warm") is True and dc.pop("warm") is False
-            assert json.dumps(dw) == json.dumps(dc)
-            assert warm.n_epochs == 3
-            kinds = [r.kind for r in warm.records]
-            assert kinds == ["area", "random", "correlated"]
-            assert all(r.complete for r in warm.records)
+            reference = _chained_restore(
+                cache.field(0), setup.spec_for(series), result, series.method,
+                setup.region, radius=setup.disaster_radius,
+                rng=np.random.default_rng(60_000), cell_size=cell_size,
+            )
+            _assert_same_reports(reports, reference)
+            kinds = [r.failure.kind for r in reports]
+            assert kinds == ["area", "random", "correlated"], name
+            assert all(r.complete for r in reports), name
             assert all(
-                r.covered_after_repair == pytest.approx(1.0)
-                for r in warm.records
-            )
-
-    def test_epoch_series_json_byte_identical(self):
-        setup = ExperimentSetup.smoke().with_seeds(1)
-        cache = DeploymentCache(setup)
-        warm = epoch_series(
-            setup, 2, epochs=2, warm=True, cache=cache,
-            series_names=("centralized", "voronoi-small"),
-        )
-        cold = epoch_series(
-            setup, 2, epochs=2, warm=False, cache=cache,
-            series_names=("centralized", "voronoi-small"),
-        )
-        assert figure_to_json(warm) == figure_to_json(cold)
-        assert warm.series_names() == ["centralized", "voronoi-small"]
-        assert all(np.all(warm.y_of(n) >= 0) for n in warm.series_names())
+                r.covered_after_repair == pytest.approx(1.0) for r in reports
+            ), name
 
     def test_epoch_failure_deterministic(self):
         planner = _planner()
@@ -213,9 +213,6 @@ class TestEpochSweep:
         assert np.array_equal(a.node_ids, b.node_ids) and a.kind == b.kind
 
     def test_sweep_validation(self):
-        setup = ExperimentSetup.smoke()
-        with pytest.raises(ExperimentError):
-            run_epoch_sweep(setup, "centralized", 1, 0, epochs=0)
         planner = _planner()
         result = planner.deploy(1, method="centralized")
         with pytest.raises(ExperimentError):
@@ -330,15 +327,12 @@ class TestSessionValidation:
             centralized_greedy(model, spec, 2, engine=engine)
 
     @pytest.mark.parametrize("bad_ids", ["unknown", "repeated"])
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_failure_of_unknown_node_rejected_before_any_change(
-        self, warm, bad_ids
-    ):
+    def test_failure_of_unknown_node_rejected_before_any_change(self, bad_ids):
         planner = _planner()
         result = planner.deploy(1, method="centralized")
-        session = planner.session(result, method="centralized", warm=warm)
-        counts = None if session.engine is None else session.engine.counts.copy()
-        rows = None if session.engine is None else session.engine.n_rows
+        session = planner.session(result, method="centralized")
+        counts = session.engine.counts.copy()
+        rows = session.engine.n_rows
         ids = {
             "unknown": [0, session.deployment.n_total + 3],
             "repeated": [3, 3, 5],
@@ -347,9 +341,8 @@ class TestSessionValidation:
             session.restore(FailureEvent(np.array(ids), kind="random"))
         assert session.epoch == 0
         assert session.deployment.n_alive == result.deployment.n_alive
-        if counts is not None:
-            assert np.array_equal(session.engine.counts, counts)
-            assert session.engine.n_rows == rows
+        assert np.array_equal(session.engine.counts, counts)
+        assert session.engine.n_rows == rows
 
     def test_warm_engine_row_count_mismatch(self, field, spec):
         model = FieldModel(field)
