@@ -36,6 +36,13 @@ def circle_intersection_area(
 
     Degenerate cases: disjoint discs give 0; containment gives the smaller
     disc's area.
+
+    Each ``acos`` is taken as ``atan2(h, x)`` of the half chord ``h`` and
+    the signed distance ``x`` from that centre to the chord, so the angles
+    and the triangle share one ``h``.  A separate ``acos`` can round to 0
+    near tangency while the square root does not (two radius-3 discs at
+    ``d = 6 - 1 ulp`` gave ``-3e-7``); the shared ``h`` cancels to within
+    rounding of the true lens, and the result is floored at 0.
     """
     if r1 < 0 or r2 < 0:
         raise GeometryError("radii must be non-negative")
@@ -46,17 +53,12 @@ def circle_intersection_area(
         return 0.0
     if d <= abs(r1 - r2):
         return disk_area(min(r1, r2))
-    # clamp the acos arguments against floating-point drift
-    a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1)
-    a2 = (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2)
-    a1 = min(1.0, max(-1.0, a1))
-    a2 = min(1.0, max(-1.0, a2))
     term = (-d + r1 + r2) * (d + r1 - r2) * (d - r1 + r2) * (d + r1 + r2)
-    return (
-        r1 * r1 * math.acos(a1)
-        + r2 * r2 * math.acos(a2)
-        - 0.5 * math.sqrt(max(term, 0.0))
-    )
+    h = 0.5 * math.sqrt(max(term, 0.0)) / d
+    x1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    x2 = d - x1
+    lens = r1 * r1 * math.atan2(h, x1) + r2 * r2 * math.atan2(h, x2) - d * h
+    return max(lens, 0.0)
 
 
 def pairwise_overlap_area(positions: np.ndarray, rs: float) -> float:

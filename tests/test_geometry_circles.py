@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import GeometryError
 from repro.geometry.circles import (
@@ -52,6 +52,7 @@ class TestIntersectionArea:
         r1=st.floats(0.1, 3.0),
         r2=st.floats(0.1, 3.0),
     )
+    @example(d=5.999999999999999, r1=3.0, r2=3.0)  # one ulp from tangent
     def test_bounds_property(self, d, r1, r2):
         a = circle_intersection_area(O, r1, [d, 0.0], r2)
         assert 0.0 <= a <= math.pi * min(r1, r2) ** 2 + 1e-9
